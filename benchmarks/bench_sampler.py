@@ -12,10 +12,7 @@ Measures the PatternPaint model stage on the acceptance workload (batch 8,
   workspaces, fused GroupNorm->SiLU), single process;
 * **pooled**    — the same fast path fanned out over the executor's
   persistent process pool (``model_jobs`` worker-local models rehydrated
-  from an ``nn.serialize`` checkpoint);
-* **adaptive**  — the self-tuning executor (``exec_mode="auto"``) choosing
-  between the serial fast path and the pool per call from its measured
-  cost model; each run's ``chosen_mode`` lands in the trajectory.
+  from an ``nn.serialize`` checkpoint).
 
 All modes consume identical per-chunk spawned rng streams, so their
 outputs must be — and are asserted — bit-identical.
@@ -43,7 +40,7 @@ except ImportError:  # pragma: no cover - standalone fallback
 from repro.diffusion import Ddpm, InpaintConfig, inpaint, linear_schedule
 from repro.diffusion.sampler import strided_timesteps
 from repro.drc import basic_deck
-from repro.engine import BatchExecutor, ExecutionTuner, ExecutorConfig
+from repro.engine import BatchExecutor, ExecutorConfig
 from repro.engine.modelpool import InpaintModelSpec, publish_model, run_inpaint_chunk
 from repro.experiments.common import format_table
 from repro.geometry import Grid
@@ -53,7 +50,7 @@ MODEL_BATCH = 8  # the acceptance batch size
 NUM_STEPS = 25  # the acceptance step count
 NUM_JOBS = 16  # two model chunks
 MODEL_JOBS = max(2, min(4, os.cpu_count() or 1))
-RUNS = 3  # min-of-3: the adaptive 1.05x gate needs sub-5% timer noise
+RUNS = 3  # min-of-3, round-robin across modes
 
 UNET = UNetConfig(
     image_size=32, base_channels=16, channel_mults=(1, 2), num_res_blocks=1,
@@ -169,14 +166,10 @@ def run_bench():
         config=config,
     )
     engine = basic_deck(Grid(nm_per_px=16.0, width_px=32, height_px=32)).engine()
-    # exec_mode is pinned so the 'pooled' lane measures pooled dispatch
-    # and nothing else; the adaptive lane below is the one that chooses.
+    # MODEL_JOBS >= 2 and a picklable spec: run_model_batched pools.
     executor = BatchExecutor(
         engine,
-        ExecutorConfig(
-            model_batch=MODEL_BATCH, model_jobs=MODEL_JOBS,
-            exec_mode="pooled",
-        ),
+        ExecutorConfig(model_batch=MODEL_BATCH, model_jobs=MODEL_JOBS),
     )
 
     def pooled():
@@ -186,55 +179,17 @@ def run_bench():
         )
         return outputs
 
-    # The adaptive lane: a tuner seeded with the measured serial-path and
-    # pooled timings (recorded after those lanes run, below), driving an
-    # auto-mode executor over the same workload signature.
-    tuner = ExecutionTuner()
-    executor_auto = BatchExecutor(
-        engine,
-        ExecutorConfig(
-            model_batch=MODEL_BATCH, model_jobs=MODEL_JOBS, exec_mode="auto",
-        ),
-        tuner=tuner,
-    )
-
-    def adaptive():
-        outputs, _ = executor_auto.run_model_batched(
-            lambda t, m, r: run_inpaint_chunk(spec, t, m, r),
-            templates, masks, np.random.default_rng(7), spec=spec,
-        )
-        return outputs
-
     modes = {
         "pre-PR": seed_serial,
         "inference": fast_inference,
         "pooled": pooled,
-        "adaptive": adaptive,
     }
     samples: dict[str, list[float]] = {name: [] for name in modes}
-    chosen: dict[str, list[str]] = {name: [] for name in modes}
     outputs: dict[str, list[np.ndarray]] = {}
     try:
-        # Warm-up pass 1: pool spawn, worker rehydrate, workspace alloc.
-        for name in ("pre-PR", "inference", "pooled"):
-            outputs[name] = modes[name]()
-        # Warm-up pass 2 (clean, timed): seeds for the adaptive lane's
-        # cost model.  The executor's serial branch is the inference fast
-        # path, so its time stands in for "serial".  Weighted seeds: one
-        # noisy live measurement during the timed rounds cannot flip the
-        # running means and send the tuner chasing timer jitter.
-        warm: dict[str, float] = {}
-        for name in ("inference", "pooled"):
-            t0 = time.perf_counter()
-            modes[name]()
-            warm[name] = time.perf_counter() - t0
-        signature = executor_auto.model_signature(templates, spec=spec)
-        for _ in range(5):
-            tuner.record(signature, "serial", warm["inference"], jobs=NUM_JOBS)
-            tuner.record(signature, "pooled", warm["pooled"], jobs=NUM_JOBS)
-        # Adaptive warm-up: first exploit; spawns executor_auto's pool if
-        # the seeded winner is pooled (untimed either way).
-        outputs["adaptive"] = modes["adaptive"]()
+        # Warm-up pass: pool spawn, worker rehydrate, workspace alloc.
+        for name, fn in modes.items():
+            outputs[name] = fn()
         # Timed rounds, round-robin: every mode samples every epoch, so
         # ambient load moves all lanes together instead of skewing
         # whichever lane happened to run during a noisy minute.
@@ -243,24 +198,20 @@ def run_bench():
                 t0 = time.perf_counter()
                 fn()
                 samples[name].append(time.perf_counter() - t0)
-                chosen[name].append(
-                    tuner.last_decision.mode if name == "adaptive" else name
-                )
         times = {name: min(runs) for name, runs in samples.items()}
     finally:
         executor.close()
-        executor_auto.close()
         ddpm.model.train()
 
     reference = outputs["pre-PR"]
-    for name in ("inference", "pooled", "adaptive"):
+    for name in ("inference", "pooled"):
         assert len(outputs[name]) == len(reference)
         for got, want in zip(outputs[name], reference):
             np.testing.assert_array_equal(
                 got.view(np.uint32), want.view(np.uint32),
                 err_msg=f"{name} output diverged from the seed sampler",
             )
-    return times, samples, chosen
+    return times, samples
 
 
 def render(times: dict[str, float]) -> str:
@@ -326,15 +277,11 @@ def warm_start_demo() -> dict:
 
 
 def write_artifact(
-    times: dict[str, float],
-    samples: dict[str, list[float]],
-    chosen: dict[str, list[str]],
+    times: dict[str, float], samples: dict[str, list[float]]
 ) -> str:
     """Persist the timing trajectory at the repo root (CI uploads it)."""
     from repro.experiments.common import bench_dir
 
-    best_fixed = min(times["inference"], times["pooled"])
-    worst_fixed = max(times["inference"], times["pooled"])
     payload = {
         "workload": {
             "jobs": NUM_JOBS,
@@ -346,12 +293,7 @@ def write_artifact(
             "base_channels": UNET.base_channels,
         },
         "trajectory": [
-            {
-                "mode": mode,
-                "run": i,
-                "seconds": round(sec, 4),
-                "chosen_mode": chosen[mode][i],
-            }
+            {"mode": mode, "run": i, "seconds": round(sec, 4)}
             for mode, runs in samples.items()
             for i, sec in enumerate(runs)
         ],
@@ -363,13 +305,6 @@ def write_artifact(
             }
             for mode, sec in times.items()
         },
-        # The tuner's acceptance story: adaptive must track the best
-        # fixed mode (<= 1.05x) and beat the worse one outright.
-        "adaptive": {
-            "vs_best_fixed": round(times["adaptive"] / best_fixed, 3),
-            "beats_worse_fixed": times["adaptive"] < worst_fixed,
-            "chosen_modes": chosen["adaptive"],
-        },
         "warm_start": warm_start_demo(),
     }
     out = bench_dir() / "BENCH_sampler.json"
@@ -379,19 +314,11 @@ def write_artifact(
 
 class TestSamplerThroughput:
     def test_fast_path_at_least_2x_pre_pr(self):
-        times, samples, chosen = run_bench()
-        path = write_artifact(times, samples, chosen)
+        times, samples = run_bench()
+        path = write_artifact(times, samples)
         report(
             "bench_sampler: inpainting sampling modes",
             render(times) + f"\n[trajectory artifact: {path}]",
-        )
-        # The self-tuning executor may never lose to the worse fixed mode
-        # and must track the better one (pre-seeded cost model => it
-        # exploits from the first call; 1.05x absorbs timer noise).
-        best_fixed = min(times["inference"], times["pooled"])
-        assert times["adaptive"] <= 1.05 * best_fixed, (
-            f"adaptive={times['adaptive']:.3f}s best fixed="
-            f"{best_fixed:.3f}s: the tuner must track the fastest mode"
         )
         fastest = min(times["inference"], times["pooled"])
         if (os.cpu_count() or 1) < 2 and fastest * 2.0 > times["pre-PR"]:
@@ -410,6 +337,6 @@ class TestSamplerThroughput:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    times, samples, chosen = run_bench()
+    times, samples = run_bench()
     print(render(times))
-    print(f"[trajectory artifact: {write_artifact(times, samples, chosen)}]")
+    print(f"[trajectory artifact: {write_artifact(times, samples)}]")

@@ -117,7 +117,10 @@ class CupModel(Module):
         """Bernoulli reconstruction + beta-weighted KL; returns the parts."""
         logits, mu, logvar = self.forward(x, rng)
         numel = logits.size
-        sig = 1.0 / (1.0 + np.exp(-logits))
+        # exp(-logits) overflows to inf for very negative logits; the
+        # sigmoid's limit there is exactly 0, which 1 / (1 + inf) gives.
+        with np.errstate(over="ignore"):
+            sig = 1.0 / (1.0 + np.exp(-logits))
         # Stable BCE-with-logits.
         recon = float(
             np.mean(np.maximum(logits, 0.0) - logits * x + np.log1p(np.exp(-np.abs(logits))))

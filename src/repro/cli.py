@@ -64,20 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "clips are loaded first (cross-run dedup), and the "
                           "grown library is saved back after generation")
     gen.add_argument("--drc-cache-dir", default=None, metavar="DIR",
-                     help="persist the content-hash DRC verdict cache here "
-                          "across runs (loaded before generation, saved "
-                          "after; stale files from edited decks are "
-                          "ignored automatically)")
-    gen.add_argument("--exec-mode", default="auto",
-                     choices=["auto", "serial", "pooled", "packed"],
-                     help="model-stage dispatch: 'auto' lets the "
-                          "self-tuning executor pick per micro-batch; "
-                          "forcing a mode never changes outputs "
-                          "($REPRO_EXEC_MODE overrides 'auto')")
-    gen.add_argument("--tuner-dir", default=None, metavar="DIR",
-                     help="persist the executor tuner's cost model and the "
-                          "sampler-plan warm cache here across runs "
-                          "(default: --drc-cache-dir when given)")
+                     help="persist the content-hash DRC verdict cache and "
+                          "the sampler-plan warm cache here across runs "
+                          "(loaded before generation, saved after; stale "
+                          "files from edited decks are ignored "
+                          "automatically)")
 
     drc = sub.add_parser("drc", help="run DRC over a clip library")
     drc.add_argument("library", help=".npz produced by 'generate' or the API")
@@ -153,20 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "default: only at shutdown)")
     serve.add_argument("--drc-cache-dir", default=None, metavar="DIR",
                        help="persist the content-hash DRC verdict cache "
-                            "here across server runs (loaded at startup, "
-                            "saved at shutdown)")
-    serve.add_argument("--exec-mode", default="auto",
-                       choices=["auto", "serial", "pooled", "packed"],
-                       help="model-stage dispatch policy shared by every "
-                            "lane: 'auto' lets the self-tuning executor "
-                            "pick per micro-batch; forcing a mode never "
-                            "changes outputs ($REPRO_EXEC_MODE overrides "
-                            "'auto')")
-    serve.add_argument("--tuner-dir", default=None, metavar="DIR",
-                       help="persist the executor tuner's cost model and "
-                            "the sampler-plan warm cache here across "
-                            "server runs (default: --drc-cache-dir when "
-                            "given)")
+                            "and the sampler-plan warm cache here across "
+                            "server runs (loaded at startup, saved at "
+                            "shutdown; shared by every worker process)")
     serve.add_argument("--workers", type=_positive_int, default=None,
                        metavar="N",
                        help="worker *processes*: 2+ fronts a multi-process "
@@ -230,31 +210,11 @@ def _cmd_generate(args) -> int:
     deck = deck_by_name(args.deck, EXPERIMENT_GRID)
     model_jobs = args.model_jobs if args.model_jobs is not None else args.jobs
 
-    # Self-tuning executor: one shared tuner covers the backend's own
-    # pipeline and the engine-level stages; --tuner-dir (default: the DRC
-    # cache dir) persists its cost model and enables the sampler-plan
-    # warm cache, so a second run starts with measurements and plans.
-    from .engine import ExecutionTuner
-
-    tuner_dir = args.tuner_dir if args.tuner_dir else args.drc_cache_dir
-    tuner = ExecutionTuner(store_dir=tuner_dir)
-    if tuner_dir:
-        from .diffusion.plan import configure_plan_cache
-
-        configure_plan_cache(tuner_dir)
-        if tuner.loaded:
-            print(f"tuner: loaded {tuner.loaded} workload entries "
-                  f"from {tuner_dir}")
-
     backend_kwargs = {"deck": deck}
     if args.backend == "patternpaint":
         # Reach the model stage itself: the patternpaint backend runs its
-        # own pipeline/executor, so worker counts, the dispatch mode and
-        # the shared tuner plumb through here.
-        backend_kwargs.update(
-            jobs=args.jobs, model_jobs=model_jobs,
-            exec_mode=args.exec_mode, tuner=tuner,
-        )
+        # own pipeline/executor, so worker counts plumb through here.
+        backend_kwargs.update(jobs=args.jobs, model_jobs=model_jobs)
     try:
         backend = get_backend(args.backend, **backend_kwargs)
     except ValueError as error:
@@ -282,12 +242,14 @@ def _cmd_generate(args) -> int:
     preloaded = len(store) if store is not None else 0
 
     if args.drc_cache_dir:
+        from .diffusion.plan import configure_plan_cache
         from .drc.cache import load_shared_caches
 
         loaded = load_shared_caches(args.drc_cache_dir)
         if loaded:
             print(f"DRC cache: loaded {loaded} verdicts "
                   f"from {args.drc_cache_dir}")
+        configure_plan_cache(args.drc_cache_dir)
 
     request = GenerationRequest(
         backend=args.backend, count=args.count, seed=args.seed, deck=deck
@@ -299,8 +261,6 @@ def _cmd_generate(args) -> int:
             model_jobs=model_jobs,
             backend=backend,
             library=store,
-            exec_mode=args.exec_mode,
-            tuner=tuner,
         )
     finally:
         # Backends that own a pipeline (patternpaint) hold worker pools;
@@ -312,8 +272,6 @@ def _cmd_generate(args) -> int:
             from .drc.cache import save_shared_caches
 
             save_shared_caches(args.drc_cache_dir)
-        if tuner_dir:
-            tuner.save()
     # Only this run's admissions go to --out; the snapshot dir keeps all.
     clips = list(batch.library.clips[preloaded:])
     if args.library_dir:
@@ -416,10 +374,6 @@ def _cmd_serve(args) -> int:
         ),
         lanes=args.lanes,
         pack_models=not args.no_pack,
-        exec_mode=args.exec_mode,
-        tuner_dir=(
-            args.tuner_dir if args.tuner_dir else args.drc_cache_dir
-        ),
         scheduler=SchedulerConfig(
             max_batch_requests=args.max_batch,
             gather_window_s=args.gather_window_ms / 1000.0,
@@ -437,12 +391,15 @@ def _cmd_serve(args) -> int:
 
     async def main() -> None:
         if args.drc_cache_dir:
+            from .diffusion.plan import configure_plan_cache
             from .drc.cache import load_shared_caches
 
             loaded = load_shared_caches(args.drc_cache_dir)
             if loaded:
                 print(f"repro serve: DRC cache: loaded {loaded} verdicts "
                       f"from {args.drc_cache_dir}")
+            # Before start(): forked fleet workers inherit the setting.
+            configure_plan_cache(args.drc_cache_dir)
         # The fleet front mirrors the GenerationService surface
         # (submit/cancel/health/stats_payload/drain/stop), so the TCP
         # server and the signal->drain->stop block below are one shared

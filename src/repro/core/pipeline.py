@@ -35,7 +35,6 @@ from ..diffusion.inpaint import InpaintConfig
 from ..drc.decks import RuleDeck
 from ..engine.executor import BatchExecutor, ExecutorConfig
 from ..engine.modelpool import InpaintModelSpec, inpaint_jobs, publish_model
-from ..engine.tuner import ExecutionTuner
 from ..library import LibraryStore, ShardedStore
 from .library import PatternLibrary
 from .masks import MaskScheduler, all_masks
@@ -60,10 +59,7 @@ class PatternPaintConfig:
     to serial for a fixed seed).  ``library_shards`` selects the library
     store the run admits into (1 = the classic single-population store;
     >1 = a hash-prefix :class:`~repro.library.ShardedStore`); contents
-    and order are identical for any shard count.  ``exec_mode`` selects
-    the model-stage dispatch strategy (``auto`` = the executor's tuner
-    decides from observed throughput; ``serial``/``pooled``/``packed``
-    force one — all bit-identical for a fixed seed).
+    and order are identical for any shard count.
     """
 
     inpaint: InpaintConfig = field(default_factory=InpaintConfig)
@@ -79,7 +75,6 @@ class PatternPaintConfig:
     jobs: int = 1
     pool: str = "thread"
     model_jobs: int = 1
-    exec_mode: str = "auto"
     library_shards: int = 1
 
 
@@ -138,7 +133,6 @@ class PatternPaint:
         config: PatternPaintConfig | None = None,
         *,
         executor: BatchExecutor | None = None,
-        tuner: "ExecutionTuner | None" = None,
     ):
         self.ddpm = ddpm
         self.deck = deck
@@ -178,9 +172,7 @@ class PatternPaint:
                     pool=self.config.pool,
                     model_jobs=self.config.model_jobs,
                     denoise=self.config.denoise,
-                    exec_mode=self.config.exec_mode,
                 ),
-                tuner=tuner,
             )
             self._owns_executor = True
         size = ddpm.model.config.image_size

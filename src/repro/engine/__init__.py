@@ -55,13 +55,6 @@ from .retry import (
     RetryPolicy,
     TransientError,
 )
-from .tuner import (
-    EXEC_MODE_ENV,
-    EXEC_MODES,
-    ExecutionTuner,
-    TunerDecision,
-    resolve_exec_mode,
-)
 
 __all__ = [
     "BatchExecutor",
@@ -69,10 +62,7 @@ __all__ = [
     "CandidateBatch",
     "ChunkRef",
     "CircuitBreaker",
-    "EXEC_MODES",
-    "EXEC_MODE_ENV",
     "ExecutionPlan",
-    "ExecutionTuner",
     "ExecutorConfig",
     "GenerationBatch",
     "GenerationRequest",
@@ -85,13 +75,11 @@ __all__ = [
     "RetryPolicy",
     "StageTimings",
     "TransientError",
-    "TunerDecision",
     "deck_key",
     "get_backend",
     "is_registered",
     "list_backends",
     "pack_chunks",
     "register_backend",
-    "resolve_exec_mode",
     "run_generation",
 ]

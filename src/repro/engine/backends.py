@@ -70,8 +70,6 @@ class PatternPaintBackend:
         templates: list[np.ndarray] | None = None,
         jobs: int | None = None,
         model_jobs: int | None = None,
-        exec_mode: str | None = None,
-        tuner=None,
         executor=None,
     ):
         from dataclasses import replace
@@ -79,18 +77,16 @@ class PatternPaintBackend:
         self._deck = deck if deck is not None else experiment_deck()
         self._ddpm = ddpm
         cfg = config or PatternPaintConfig()
-        if jobs is not None or model_jobs is not None or exec_mode is not None:
+        if jobs is not None or model_jobs is not None:
             cfg = replace(
                 cfg,
                 jobs=jobs if jobs is not None else cfg.jobs,
                 model_jobs=model_jobs if model_jobs is not None else cfg.model_jobs,
-                exec_mode=exec_mode if exec_mode is not None else cfg.exec_mode,
             )
         self._config = cfg
         self.variant = variant
         self._templates = list(templates) if templates is not None else None
         self._executor = executor  # shared BatchExecutor (service-owned)
-        self._tuner = tuner  # shared ExecutionTuner (service/CLI-owned)
         self._pipeline: PatternPaint | None = None
         self._starter_cache: list[np.ndarray] | None = None
 
@@ -118,8 +114,7 @@ class PatternPaintBackend:
                 else:
                     raise ValueError(f"unknown model variant {self.variant!r}")
             self._pipeline = PatternPaint(
-                self._ddpm, self._deck, self._config,
-                executor=self._executor, tuner=self._tuner,
+                self._ddpm, self._deck, self._config, executor=self._executor
             )
         return self._pipeline
 

@@ -41,7 +41,6 @@ that is bit-identical, per request, to the serial path.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from concurrent.futures import (
@@ -53,7 +52,6 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,7 +69,6 @@ from .modelpool import (
 from .packing import PackingPlan, chunk_sizes, pack_chunks
 from .registry import GeneratorBackend, get_backend
 from .retry import BreakerBoard
-from .tuner import EXEC_MODES, ExecutionTuner, resolve_exec_mode
 from .request import (
     CandidateBatch,
     GenerationBatch,
@@ -295,13 +292,6 @@ class ExecutorConfig:
     with the store's own vectorised ``admit_many`` — pool dispatch
     overhead dwarfs the hashing cost for small batches, and the admitted
     result is bit-identical either way.
-
-    ``exec_mode`` selects the *model-stage* dispatch strategy: ``auto``
-    (default) lets the executor's :class:`~repro.engine.tuner.ExecutionTuner`
-    choose from observed throughput (honouring ``$REPRO_EXEC_MODE``), and
-    ``serial``/``pooled``/``packed`` force one strategy.  All strategies
-    are bit-identical — the mode only ever moves where the same random
-    numbers are consumed, never which ones.
     """
 
     model_batch: int = 32
@@ -311,7 +301,6 @@ class ExecutorConfig:
     use_cache: bool = True
     denoise: TemplateDenoiseConfig = field(default_factory=TemplateDenoiseConfig)
     admit_pool_threshold: int = 4096
-    exec_mode: str = "auto"
 
     def __post_init__(self) -> None:
         if self.model_batch < 1:
@@ -322,10 +311,6 @@ class ExecutorConfig:
             raise ValueError("model_jobs must be positive")
         if self.pool not in ("thread", "process"):
             raise ValueError("pool must be 'thread' or 'process'")
-        if self.exec_mode not in EXEC_MODES:
-            raise ValueError(
-                f"exec_mode must be one of {EXEC_MODES}, got {self.exec_mode!r}"
-            )
 
 
 @dataclass
@@ -377,10 +362,6 @@ class ExecutionPlan:
     cache_misses0: int = 0
     proposal: CandidateBatch | None = None
     generate_seconds: float = 0.0
-    #: Execution mode resolved at plan time (config + ``$REPRO_EXEC_MODE``)
-    #: — the per-plan decision :meth:`BatchExecutor.execute` applies to
-    #: the model stage, instead of a constructor-time constant.
-    exec_mode: str = "auto"
 
 
 class BatchExecutor:
@@ -405,20 +386,11 @@ class BatchExecutor:
         config: ExecutorConfig | None = None,
         *,
         pools: PoolRegistry | None = None,
-        tuner: ExecutionTuner | None = None,
     ):
         self.engine = engine
         self.config = config or ExecutorConfig()
         self.pools = pools if pools is not None else PoolRegistry()
         self._owns_pools = pools is None
-        # The mode selector. A private in-memory tuner by default; pass
-        # ``tuner=`` to share one (the service's lanes all consult one
-        # tuner, so every lane's measurements steer every lane).
-        self.tuner = tuner if tuner is not None else ExecutionTuner()
-        # Per-plan mode override installed by execute() around propose();
-        # run_model_batched consults it so the plan's resolved mode
-        # reaches the model stage without threading through backends.
-        self._plan_mode: str | None = None
 
     @property
     def _pools(self) -> PoolRegistry:
@@ -494,42 +466,6 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     # Stage helpers
     # ------------------------------------------------------------------
-    def model_signature(
-        self,
-        templates: Sequence[np.ndarray],
-        *,
-        spec: InpaintModelSpec | None = None,
-        model_batch: int | None = None,
-    ) -> tuple:
-        """The tuner's workload signature for one model-stage call.
-
-        Keyed by what determines relative dispatch cost: the model spec
-        fingerprint (its content-addressed checkpoint name; ``"inline"``
-        when the model cannot leave the process), image size, sampler
-        steps, chunk count and host CPU count.  ``model_batch`` defaults
-        to this executor's chunk size; the packed path passes the packing
-        plan's capacity, which is what actually chunked the jobs.
-        """
-        if spec is not None:
-            fingerprint = Path(spec.checkpoint).stem
-            steps = int(getattr(spec.config, "num_steps", 0))
-        else:
-            fingerprint = "inline"
-            steps = 0
-        batch = model_batch if model_batch is not None else self.config.model_batch
-        image_size = int(templates[0].shape[0]) if len(templates) else 0
-        chunk_count = len(chunk_sizes(len(templates), batch))
-        return (
-            "model", fingerprint, image_size, steps, chunk_count,
-            os.cpu_count() or 1,
-        )
-
-    def _requested_mode(self) -> str:
-        """The effective exec mode: plan override, else config + env."""
-        if self._plan_mode is not None:
-            return self._plan_mode
-        return resolve_exec_mode(self.config.exec_mode)
-
     def run_model_batched(
         self,
         model_fn: Callable[
@@ -547,21 +483,12 @@ class BatchExecutor:
         Every chunk gets an independent child generator from
         ``rng.spawn()`` (consumed in chunk order), so the concatenated
         outputs are identical whether chunks run serially or on workers.
-        With ``model_jobs > 1`` and a picklable ``spec``
-        (:class:`~repro.engine.modelpool.InpaintModelSpec`), chunks *may*
-        be dispatched to the persistent process pool, where each worker
-        rehydrates the checkpointed model once and samples in inference
-        mode — bit-identical to the serial path for a fixed seed.
-        Whether they are is the per-call decision of the executor's
-        :class:`~repro.engine.tuner.ExecutionTuner` (``exec_mode="auto"``):
-        pooled and serial dispatch produce identical outputs, so the
-        tuner picks whichever the observed per-job seconds predict is
-        faster for this workload signature, and each call's wall clock is
-        recorded back into the tuner.  A forced ``exec_mode`` (config,
-        ``$REPRO_EXEC_MODE``, or the plan's resolved mode) bypasses the
-        cost model; a forced mode that cannot engage here (``packed``, or
-        ``pooled`` without a picklable spec) falls back to the auto
-        policy.
+        With ``model_jobs > 1``, more than one chunk and a picklable
+        ``spec`` (:class:`~repro.engine.modelpool.InpaintModelSpec`),
+        chunks are dispatched to the persistent process pool, where each
+        worker rehydrates the checkpointed model once and samples in
+        inference mode — bit-identical to the serial path for a fixed
+        seed.  Otherwise they run serially in this process.
 
         Returns the concatenated outputs and the wall-clock seconds spent
         inside the model stage.
@@ -576,17 +503,7 @@ class BatchExecutor:
         children = rng.spawn(len(chunks))
         outputs: list[np.ndarray] = []
         jobs = min(self.config.model_jobs, len(chunks))
-        # Candidate modes for this call, legacy default first (a cold
-        # tuner explores in order, so its first choice is exactly the
-        # pre-tuner behaviour).  Every candidate is bit-identical.
-        candidates = ["serial"]
         if spec is not None and jobs > 1:
-            candidates.insert(0, "pooled")
-        signature = self.model_signature(templates, spec=spec)
-        decision = self.tuner.choose(
-            signature, candidates, requested=self._requested_mode()
-        )
-        if decision.mode == "pooled":
             dispatched = self._supervised_pooled(
                 jobs,
                 lambda pool: [
@@ -601,9 +518,6 @@ class BatchExecutor:
                 results, elapsed = dispatched
                 for result in results:
                     outputs.extend(result)
-                self.tuner.record(
-                    signature, "pooled", elapsed, len(templates)
-                )
                 return outputs, elapsed
             # Pooled dispatch unavailable (breaker open, or the pool
             # died twice): degrade to the serial loop below with the
@@ -615,7 +529,6 @@ class BatchExecutor:
             t0 = time.perf_counter()
             outputs.extend(model_fn(templates[lo:hi], masks[lo:hi], child))
             seconds += time.perf_counter() - t0
-        self.tuner.record(signature, "serial", seconds, len(templates))
         return outputs, seconds
 
     def run_model_packed(
@@ -752,19 +665,6 @@ class BatchExecutor:
             for chunk in range(len(chunk_sizes(count, batch))):
                 merged.extend(chunk_outputs[(entry, chunk)])
             outputs.append(merged)
-            if count:
-                # Attribute each request's share of the packed stage to
-                # the "packed" mode under its own workload signature, so
-                # the cost model can compare packed against the serial /
-                # pooled observations for the same workload.
-                self.tuner.record(
-                    self.model_signature(
-                        job_lists[entry][0], spec=spec, model_batch=batch
-                    ),
-                    "packed",
-                    seconds[entry],
-                    count,
-                )
         return PackedModelResult(
             outputs=outputs, seconds=seconds, plan=packing
         )
@@ -911,16 +811,12 @@ class BatchExecutor:
         backend: GeneratorBackend | None = None,
         rng: np.random.Generator | None = None,
         library: LibraryStore | None = None,
-        exec_mode: str | None = None,
     ) -> ExecutionPlan:
         """Resolve a request into an :class:`ExecutionPlan` (no work yet).
 
         Resolves the backend (from the registry when not supplied), seeds
-        the request's root rng, picks the destination store (a fresh
-        single-shard store by default, matching :meth:`run`) and resolves
-        the execution mode for this plan's model stage — ``exec_mode``
-        overrides the executor's configured mode; either way the
-        ``$REPRO_EXEC_MODE`` escape applies when the result is ``auto``.
+        the request's root rng and picks the destination store (a fresh
+        single-shard store by default, matching :meth:`run`).
         """
         if backend is None:
             backend = get_backend(request.backend)
@@ -935,9 +831,6 @@ class BatchExecutor:
             library=library,
             cache_hits0=cache.hits,
             cache_misses0=cache.misses,
-            exec_mode=resolve_exec_mode(
-                exec_mode if exec_mode is not None else self.config.exec_mode
-            ),
         )
 
     def execute(self, plan: ExecutionPlan) -> CandidateBatch:
@@ -945,21 +838,11 @@ class BatchExecutor:
 
         Consumes the plan's rng exactly as the one-call path does, so a
         later :meth:`finalize` (or a scheduler-driven denoise with the
-        same rng object) is bit-identical to :meth:`run`.  The plan's
-        resolved ``exec_mode`` is installed on this executor for the
-        duration of the propose call, so model stages the proposal runs
-        *through this executor* honour the per-plan decision; a backend
-        that owns a separate pipeline executor applies its own configured
-        mode (the CLI and service forward one mode to both).
+        same rng object) is bit-identical to :meth:`run`.
         """
         _fault_action("model")  # chaos hook: may raise InjectedFault
         t0 = time.perf_counter()
-        previous = self._plan_mode
-        self._plan_mode = plan.exec_mode
-        try:
-            proposal = plan.backend.propose(plan.request, plan.rng)
-        finally:
-            self._plan_mode = previous
+        proposal = plan.backend.propose(plan.request, plan.rng)
         plan.generate_seconds = proposal.generate_seconds or (
             time.perf_counter() - t0
         )
@@ -1062,8 +945,6 @@ def run_generation(
     jobs: int = 1,
     pool: str = "thread",
     model_jobs: int = 1,
-    exec_mode: str = "auto",
-    tuner: ExecutionTuner | None = None,
     backend: GeneratorBackend | None = None,
     executor: BatchExecutor | None = None,
     rng: np.random.Generator | None = None,
@@ -1076,9 +957,6 @@ def run_generation(
     warm DRC cache and worker pools) across requests, and ``library`` to
     dedup against (and grow) an existing store.  An executor created here
     is closed before returning; a caller-provided one is left open.
-    ``exec_mode``/``tuner`` configure the model-stage dispatch decision
-    (see :class:`~repro.engine.tuner.ExecutionTuner`); a persistent tuner
-    passed here carries its measurements across calls and runs.
     """
     if backend is None:
         kwargs = {"deck": request.deck} if request.deck is not None else {}
@@ -1088,9 +966,6 @@ def run_generation(
     deck = request.deck if request.deck is not None else backend.deck
     with BatchExecutor(
         deck.engine(),
-        ExecutorConfig(
-            jobs=jobs, pool=pool, model_jobs=model_jobs, exec_mode=exec_mode
-        ),
-        tuner=tuner,
+        ExecutorConfig(jobs=jobs, pool=pool, model_jobs=model_jobs),
     ) as owned:
         return owned.run(request, backend=backend, rng=rng, library=library)

@@ -130,8 +130,8 @@ class FleetConfig:
     ``workers`` is the process count; ``None`` resolves from
     ``$REPRO_SERVICE_WORKERS``, else 2.  ``service`` is the
     :class:`~repro.service.ServiceConfig` every worker runs — the front
-    derives each worker's private variant (per-worker snapshot and tuner
-    subdirectories) from it.  ``respawn`` enables crash recovery: a dead
+    derives each worker's private variant (a per-worker snapshot
+    subdirectory) from it.  ``respawn`` enables crash recovery: a dead
     worker slot is re-forked as long as its circuit breaker
     (``breaker_threshold`` failures within ``breaker_window_s`` trip it
     open for ``breaker_cooldown_s``) allows, i.e. by default one respawn
@@ -187,13 +187,12 @@ def _worker_dirname(worker_id: int) -> str:
 
 
 def _worker_config(cfg: FleetConfig, worker_id: int) -> ServiceConfig:
-    """The per-worker :class:`ServiceConfig`: private snapshot + tuner dirs.
+    """The per-worker :class:`ServiceConfig`: a private snapshot dir.
 
     Each worker checkpoints sessions under its own subdirectory of the
     shared snapshot root (two processes must never race one manifest);
     cold sessions still warm-start from the shared root — the last
-    reconciled merge — via ``fallback_root``.  Tuner stores are
-    per-worker for the same no-shared-writes reason.
+    reconciled merge — via ``fallback_root``.
     """
     base = cfg.service
     sessions = base.sessions
@@ -204,12 +203,7 @@ def _worker_config(cfg: FleetConfig, worker_id: int) -> ServiceConfig:
             snapshot_root=root / WORKER_SUBDIR / _worker_dirname(worker_id),
             fallback_root=root,
         )
-    tuner_dir = base.tuner_dir
-    if tuner_dir is not None:
-        tuner_dir = str(
-            Path(tuner_dir) / WORKER_SUBDIR / _worker_dirname(worker_id)
-        )
-    return replace(base, sessions=sessions, tuner_dir=tuner_dir)
+    return replace(base, sessions=sessions)
 
 
 def reconcile_worker_snapshots(root: "str | Path") -> "dict[str, int]":
@@ -1259,21 +1253,12 @@ class FleetService:
         peak = 0
         worker_queue_depth = 0
         stages = StageLatencies()
-        tuner = {"decisions": {}, "explores": 0, "exploits": 0, "forced": 0}
         for payload in payloads.values():
             for key in summed:
                 totals[key] += int(payload.get(key, 0))
             peak = max(peak, int(payload.get("peak_coalesced", 0)))
             worker_queue_depth += int(payload.get("queue_depth", 0))
             stages.merge_snapshot(payload.get("stages", {}))
-            worker_tuner = payload.get("tuner", {})
-            for mode, count in worker_tuner.get("decisions", {}).items():
-                tuner["decisions"][mode] = (
-                    tuner["decisions"].get(mode, 0) + int(count)
-                )
-            for key in ("explores", "exploits", "forced"):
-                tuner[key] += int(worker_tuner.get(key, 0))
-        tuner["exec_mode"] = self.config.service.exec_mode
         from ..diffusion.plan import plan_cache_stats
         from ..engine.modelpool import model_cache_stats
         from .faults import injection_stats
@@ -1316,7 +1301,6 @@ class FleetService:
                 default=0.0,
             ),
             "lane_count": totals["lane_count"],
-            "tuner": tuner,
             # Front-process caches and fault plan (workers report their
             # own under fleet.workers[*].stats) — kept for shape parity
             # with the single-process payload.

@@ -36,7 +36,6 @@ from typing import Callable
 
 from ..engine import (
     BatchExecutor,
-    ExecutionTuner,
     ExecutorConfig,
     GenerationRequest,
     GeneratorBackend,
@@ -66,8 +65,6 @@ class Lane:
         jobs: int = 1,
         pool: str = "thread",
         model_jobs: int = 1,
-        exec_mode: str = "auto",
-        tuner: "ExecutionTuner | None" = None,
         backend_factory: Callable = get_backend,
         pools: PoolRegistry | None = None,
         stats: LaneStats | None = None,
@@ -77,8 +74,6 @@ class Lane:
         self._jobs = jobs
         self._pool = pool
         self._model_jobs = model_jobs
-        self._exec_mode = exec_mode
-        self._tuner = tuner
         self._backend_factory = backend_factory
         self._pools = pools if pools is not None else PoolRegistry()
         self._worker = ThreadPoolExecutor(
@@ -98,13 +93,11 @@ class Lane:
     def backend_for(self, request: GenerationRequest) -> GeneratorBackend:
         """The lane's long-lived backend for this request (built once).
 
-        Backends that accept ``jobs``/``model_jobs``/``exec_mode``/
-        ``tuner`` get the lane's worker config, execution mode and the
-        service's shared :class:`~repro.engine.ExecutionTuner` forwarded,
-        so a 1-request micro-batch samples with the same parallelism and
-        mode policy as everything else; worker counts and dispatch modes
-        never change seeded outputs (rng.spawn discipline), so this is
-        purely a throughput knob.
+        Backends that accept ``jobs``/``model_jobs`` get the lane's
+        worker config forwarded, so a 1-request micro-batch samples with
+        the same parallelism as everything else; worker counts never
+        change seeded outputs (rng.spawn discipline), so this is purely
+        a throughput knob.
         """
         name, request_deck_key, _, _ = request.compatibility_key()
         key = (name, request_deck_key)
@@ -112,29 +105,14 @@ class Lane:
             backend = self._backends.get(key)
         if backend is None:
             kwargs = {"deck": request.deck} if request.deck is not None else {}
-            backend = None
-            tuning: dict = {}
             if self._jobs > 1 or self._model_jobs > 1:
-                tuning.update(jobs=self._jobs, model_jobs=self._model_jobs)
-            if self._tuner is not None or self._exec_mode != "auto":
-                tuning.update(exec_mode=self._exec_mode, tuner=self._tuner)
-            if tuning:
-                try:
-                    backend = self._backend_factory(name, **kwargs, **tuning)
-                except TypeError:
-                    backend = None  # factory without tuning kwargs
-            if backend is None and "exec_mode" in tuning and (
-                self._jobs > 1 or self._model_jobs > 1
-            ):
-                # Factories that take worker counts but predate the
-                # tuner kwargs still deserve the parallelism config.
                 try:
                     backend = self._backend_factory(
                         name, **kwargs, jobs=self._jobs,
                         model_jobs=self._model_jobs,
                     )
                 except TypeError:
-                    backend = None
+                    pass  # factory without worker-count kwargs
             if backend is None:
                 backend = self._backend_factory(name, **kwargs)
             with self._state_lock:
@@ -153,10 +131,8 @@ class Lane:
                         jobs=self._jobs,
                         pool=self._pool,
                         model_jobs=self._model_jobs,
-                        exec_mode=self._exec_mode,
                     ),
                     pools=self._pools,
-                    tuner=self._tuner,
                 )
                 self._executors[key] = executor
             return executor
@@ -207,8 +183,6 @@ class LaneManager:
         jobs: int = 1,
         pool: str = "thread",
         model_jobs: int = 1,
-        exec_mode: str = "auto",
-        tuner: ExecutionTuner | None = None,
         backend_factory: Callable = get_backend,
         max_keys: int | None = None,
         stats: dict[int, LaneStats] | None = None,
@@ -234,8 +208,6 @@ class LaneManager:
                     jobs=jobs,
                     pool=pool,
                     model_jobs=model_jobs,
-                    exec_mode=exec_mode,
-                    tuner=tuner,
                     backend_factory=backend_factory,
                     pools=self.pools,
                     stats=lane_stats,

@@ -52,15 +52,12 @@ import numpy as np
 from ..engine import (
     CandidateBatch,
     ExecutionPlan,
-    ExecutionTuner,
     GenerationBatch,
     GenerationRequest,
     RetryPolicy,
     StageTimings,
     get_backend,
-    resolve_exec_mode,
 )
-from ..engine.tuner import TunerDecision, pow2_bucket
 from .faults import maybe_fire, protected
 from .lanes import Lane, LaneManager
 from .scheduler import MicroBatch, MicroBatchScheduler, PendingRequest, SchedulerConfig
@@ -151,17 +148,6 @@ class ServiceConfig:
     changes which forwards sample together — per-request outputs are
     bit-identical either way — so disabling it is purely a
     benchmarking/debugging knob.
-
-    ``exec_mode`` selects the model-stage dispatch strategy: ``auto``
-    (the default; also the resolution of ``None`` when
-    ``$REPRO_EXEC_MODE`` is unset) lets one shared
-    :class:`~repro.engine.ExecutionTuner` pick packed / pooled / serial
-    per micro-batch from observed throughput; ``serial``/``pooled``/
-    ``packed`` force one strategy.  All strategies are bit-identical —
-    the knob moves wall-clock, never outputs.  ``tuner_dir`` persists
-    the tuner's measurements across restarts (fingerprint-guarded JSON,
-    co-located with the disk DRC cache by the CLI) and warm-starts the
-    on-disk :func:`~repro.diffusion.plan.sampler_plan` cache.
     """
 
     queue_size: int = 64
@@ -171,8 +157,6 @@ class ServiceConfig:
     lanes: int | None = None
     stream_chunk: int = 32
     pack_models: bool = True
-    exec_mode: str | None = None
-    tuner_dir: str | None = None
     #: Retry policy for the retryable micro-batch stages (model propose,
     #: DRC sweep): bounded attempts with capped exponential backoff and
     #: request-seeded jitter, so retries are deterministic.  A retried
@@ -194,12 +178,6 @@ class ServiceConfig:
             object.__setattr__(self, "lanes", _default_lanes())
         if self.lanes < 1:
             raise ValueError("lanes must be positive")
-        # Resolve once at construction (explicit mode wins, else the
-        # $REPRO_EXEC_MODE escape, else "auto") so every lane and every
-        # per-lane pipeline executor sees one consistent mode.
-        object.__setattr__(
-            self, "exec_mode", resolve_exec_mode(self.exec_mode)
-        )
 
 
 @dataclass
@@ -243,15 +221,6 @@ class ServiceStats:
     packed_fallbacks: int = 0  # packed stages that fell back to per-request
     last_pack_fill: float = 0.0  # gauge: latest packed stage's fill ratio
     queue_depth: int = 0  # gauge: submit-queue depth at latest cycle dispatch
-    # Self-tuning executor: per-mode decision counts for the micro-batch
-    # model stage, split by how each decision was made — explores are
-    # tuner-store misses (cold signature being measured), exploits are
-    # store hits (chosen from observed throughput), forced are explicit
-    # --exec-mode/$REPRO_EXEC_MODE overrides.
-    tuner_decisions: dict[str, int] = field(default_factory=dict)
-    tuner_explores: int = 0
-    tuner_exploits: int = 0
-    tuner_forced: int = 0
     stages: StageLatencies = field(default_factory=StageLatencies)
     lanes: dict[int, LaneStats] = field(default_factory=dict)
 
@@ -386,10 +355,6 @@ class GenerationService:
         self.stats = ServiceStats()
         self._backend_factory = backend_factory
         self.lanes: LaneManager | None = None
-        # One shared ExecutionTuner: every lane's model stages consult
-        # (and feed) the same cost model.  Built on start(), loading any
-        # persisted measurements from config.tuner_dir; saved on stop().
-        self.tuner: ExecutionTuner | None = None
         self._stats_lock = threading.Lock()
         self._queue: asyncio.Queue[PendingRequest] | None = None
         self._task: asyncio.Task | None = None
@@ -462,21 +427,11 @@ class GenerationService:
         self._draining = False
         cfg = self.config
         self.stats.lanes.clear()
-        self.tuner = ExecutionTuner(store_dir=cfg.tuner_dir)
-        if cfg.tuner_dir is not None:
-            # The tuner dir doubles as the warm-start home for the
-            # on-disk SamplerPlan coefficient cache, so a restarted
-            # service skips plan recomputation too.
-            from ..diffusion.plan import configure_plan_cache
-
-            configure_plan_cache(cfg.tuner_dir)
         self.lanes = LaneManager(
             cfg.lanes,
             jobs=cfg.jobs,
             pool=cfg.pool,
             model_jobs=cfg.model_jobs,
-            exec_mode=cfg.exec_mode,
-            tuner=self.tuner,
             backend_factory=self._backend_factory,
             stats=self.stats.lanes,
         )
@@ -526,10 +481,6 @@ class GenerationService:
         if lanes is not None:
             # After the commit stage: admissions lease executor pools.
             await loop.run_in_executor(None, lanes.close)
-        if self.tuner is not None and self.config.tuner_dir is not None:
-            # Persist what this run learned, so the next process exploits
-            # instead of re-exploring (the restart warm-start story).
-            self.tuner.save()
 
     async def __aenter__(self) -> "GenerationService":
         return await self.start()
@@ -741,8 +692,6 @@ class GenerationService:
         from .faults import injection_stats
 
         stats = self.stats
-        with self._stats_lock:
-            tuner_decisions = dict(stats.tuner_decisions)
         return {
             "submitted": stats.submitted,
             "completed": stats.completed,
@@ -764,19 +713,8 @@ class GenerationService:
             "packed_fallbacks": stats.packed_fallbacks,
             "pack_fill": round(stats.last_pack_fill, 4),
             "lane_count": len(stats.lanes),
-            # Self-tuning executor: per-mode decision counts (explore =
-            # tuner-store miss, exploit = store hit) plus the shared
-            # tuner's store state, and the warm-start cache counters.
-            "tuner": {
-                "decisions": tuner_decisions,
-                "explores": stats.tuner_explores,
-                "exploits": stats.tuner_exploits,
-                "forced": stats.tuner_forced,
-                "exec_mode": self.config.exec_mode,
-                "store": (
-                    self.tuner.snapshot() if self.tuner is not None else None
-                ),
-            },
+            # Warm-start cache counters (on-disk sampler plans under
+            # --drc-cache-dir, content-addressed published checkpoints).
             "warm_caches": {
                 "sampler_plan": plan_cache_stats(),
                 "checkpoints": model_cache_stats(),
@@ -951,64 +889,6 @@ class GenerationService:
                         _CommitToken(pending.arrival, lane=lane, pending=pending)
                     )
 
-    def _choose_model_mode(self, executor, prepared, micro) -> TunerDecision:
-        """Pick this micro-batch's model-stage dispatch mode.
-
-        The micro-batch-level alternatives are **packed** (one shared
-        model stage across requests, when the backend supports it and at
-        least two requests coalesced) versus **per-request** execution —
-        labelled ``pooled`` or ``serial`` by the lane's model-pooling
-        capability; the per-chunk serial/pooled choice *inside* a
-        per-request stage is tuned separately at the engine level under
-        its own ``model`` signature.  Under ``exec_mode="auto"`` the
-        shared tuner decides from observed per-job seconds, keyed by a
-        ``micro`` workload signature (compatibility-key digest x total
-        jobs x request count, counts bucketed to powers of two so
-        traffic-dependent coalescing doesn't fragment the store, plus
-        host CPU count).  A forced ``serial``/``pooled`` mode never
-        packs; forced ``packed`` packs whenever packing can engage.
-        Every alternative is bit-identical — the decision moves
-        wall-clock only.
-        """
-        backend = prepared[0][1].backend
-        packable = (
-            self.config.pack_models
-            and len(prepared) >= 2
-            and getattr(backend, "pack_jobs", None) is not None
-            and getattr(backend, "pack_model_fn", None) is not None
-        )
-        per_request = (
-            "pooled" if executor.config.model_jobs > 1 else "serial"
-        )
-        candidates = (["packed"] if packable else []) + [per_request]
-        requested = self.config.exec_mode
-        if requested in ("serial", "pooled"):
-            # An explicitly non-packed mode must never pack; the inner
-            # executors honour the forced mode themselves.
-            candidates = [per_request]
-        total_jobs = sum(p.request.count for p, _ in prepared)
-        signature = (
-            "micro",
-            ExecutionTuner.signature_digest(tuple(micro.key)),
-            pow2_bucket(total_jobs),
-            pow2_bucket(len(prepared)),
-            os.cpu_count() or 1,
-        )
-        decision = self.tuner.choose(
-            signature, candidates, requested=requested
-        )
-        with self._stats_lock:
-            self.stats.tuner_decisions[decision.mode] = (
-                self.stats.tuner_decisions.get(decision.mode, 0) + 1
-            )
-            if decision.explored:
-                self.stats.tuner_explores += 1
-            elif decision.exploited:
-                self.stats.tuner_exploits += 1
-            elif decision.reason == "forced":
-                self.stats.tuner_forced += 1
-        return decision
-
     def _packed_model_stage(self, executor, prepared):
         """Sample the micro-batch's model stages as shared packed batches.
 
@@ -1140,30 +1020,14 @@ class GenerationService:
         if not prepared:
             return []
 
-        # Model-stage dispatch is a per-micro-batch decision: the shared
-        # tuner picks packed (one cross-request model stage — chunks from
-        # different requests share full-width batches, per-chunk rng
-        # spawned from each request's own stream) versus per-request
-        # execution, from observed throughput.  Either way outputs are
-        # bit-identical to serial; the wall clock of whatever ran is
-        # recorded back into the tuner under this micro-batch's workload
-        # signature.
-        decision = self._choose_model_mode(executor, prepared, micro)
-        total_jobs = sum(p.request.count for p, _ in prepared)
-        packed = False
-        if decision.mode == "packed":
-            t_packed = time.perf_counter()
-            packed = self._packed_model_stage(executor, prepared)
-            if packed:
-                self.tuner.record(
-                    decision.signature,
-                    "packed",
-                    time.perf_counter() - t_packed,
-                    total_jobs,
-                )
+        # Model-stage dispatch: packed whenever packing can engage (one
+        # cross-request model stage — chunks from different requests
+        # share full-width batches, per-chunk rng spawned from each
+        # request's own stream), else per-request execution.  Either way
+        # outputs are bit-identical to serial.
+        packed = self._packed_model_stage(executor, prepared)
 
         staged: list[tuple[PendingRequest, ExecutionPlan, list[np.ndarray], float]] = []
-        sample_seconds = 0.0
         for pending, plan in prepared:
             boundary = self._boundary_error(pending)
             if boundary is not None:
@@ -1177,8 +1041,6 @@ class GenerationService:
                     plan.proposal if packed
                     else self._execute_with_retry(executor, pending, plan)
                 )
-                if not packed:
-                    sample_seconds += plan.generate_seconds
                 for chunk in proposal.chunks(self.config.stream_chunk):
                     if chunk.raws:
                         self._publish(
@@ -1200,17 +1062,6 @@ class GenerationService:
                 self._fail_request(pending, error, lane)
         if not staged:
             return []
-        if not packed:
-            # Per-request sampling ran (chosen, forced, or the fallback
-            # after a packed-stage failure): attribute its seconds to the
-            # lane's per-request capability label so future decisions
-            # compare it against packed on real measurements.
-            per_request = (
-                "pooled" if executor.config.model_jobs > 1 else "serial"
-            )
-            self.tuner.record(
-                decision.signature, per_request, sample_seconds, total_jobs
-            )
 
         # One cached DRC sweep over the whole micro-batch: per-clip
         # verdicts are content-keyed, so splitting the mask back per

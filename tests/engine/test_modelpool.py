@@ -101,90 +101,6 @@ class TestPooledModelStage:
             np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
-class TestExecModeSweep:
-    """Tentpole guard: every exec mode is bit-identical at engine level.
-
-    The self-tuning executor may only ever choose among strategies that
-    produce identical bits; this sweep forces each mode (plus ``auto``,
-    which explores/exploits between them) over one workload and compares
-    outputs bitwise.
-    """
-
-    def _run(self, ddpm, deck, jobs16, exec_mode):
-        templates, masks = jobs16
-        pipeline = PatternPaint(
-            ddpm,
-            deck,
-            PatternPaintConfig(
-                inpaint=InpaintConfig(num_steps=3),
-                model_batch=2,  # 8 jobs -> 4 chunks
-                model_jobs=2,
-                exec_mode=exec_mode,
-            ),
-        )
-        with pipeline:
-            outputs, _ = pipeline.inpaint_batch(
-                templates, masks, np.random.default_rng(9)
-            )
-        return outputs
-
-    def test_all_modes_bit_identical(self, ddpm, deck, jobs16):
-        from repro.engine import EXEC_MODES
-
-        reference = self._run(ddpm, deck, jobs16, "serial")
-        for mode in EXEC_MODES:
-            if mode == "serial":
-                continue
-            outputs = self._run(ddpm, deck, jobs16, mode)
-            assert len(outputs) == len(reference)
-            for got, want in zip(outputs, reference):
-                np.testing.assert_array_equal(
-                    got.view(np.uint32), want.view(np.uint32),
-                    err_msg=f"exec_mode={mode!r} diverged from serial",
-                )
-
-    def test_auto_explores_then_exploits(self, ddpm, deck, jobs16, monkeypatch):
-        from repro.engine import BatchExecutor, ExecutionTuner, ExecutorConfig
-        from repro.engine.modelpool import (
-            InpaintModelSpec,
-            publish_model,
-            run_inpaint_chunk,
-        )
-        from repro.engine.tuner import EXEC_MODE_ENV
-
-        # Genuine auto policy: the CI matrix's forced mode would turn
-        # every decision into "forced" and test nothing.
-        monkeypatch.delenv(EXEC_MODE_ENV, raising=False)
-
-        templates, masks = jobs16
-        config = InpaintConfig(num_steps=2)
-        spec = InpaintModelSpec(
-            checkpoint=publish_model(ddpm.model),
-            betas=np.ascontiguousarray(ddpm.schedule.betas).tobytes(),
-            config=config,
-        )
-        tuner = ExecutionTuner()
-        executor = BatchExecutor(
-            deck.engine(),
-            ExecutorConfig(model_batch=4, model_jobs=2, exec_mode="auto"),
-            tuner=tuner,
-        )
-        try:
-            for _ in range(3):
-                executor.run_model_batched(
-                    lambda t, m, r: run_inpaint_chunk(spec, t, m, r),
-                    templates, masks, np.random.default_rng(3), spec=spec,
-                )
-        finally:
-            executor.close()
-        snap = tuner.snapshot()
-        # Two candidates: both explored once (pooled first, the legacy
-        # default), then the measured winner exploited.
-        assert snap["explores"] == 2
-        assert snap["exploits"] == 1
-        assert tuner.last_decision.exploited
-
-
 class TestPersistentPools:
     def test_thread_pool_reused_across_calls(self, deck):
         executor = BatchExecutor(

@@ -400,7 +400,7 @@ class TestPoolSupervision:
 
     def _config(self):
         return ServiceConfig(
-            exec_mode="packed", model_jobs=2,
+            model_jobs=2,
             scheduler=SchedulerConfig(gather_window_s=0.2),
         )
 
@@ -519,18 +519,9 @@ class TestSnapshotFaults:
 
 
 # ----------------------------------------------------------------------
-# Torn auxiliary state: tuner store and DRC cache files
+# Torn auxiliary state: DRC cache files
 # ----------------------------------------------------------------------
 class TestTornStateTolerance:
-    def test_torn_tuner_store_loads_as_empty(self, tmp_path):
-        from repro.engine import ExecutionTuner
-
-        path = ExecutionTuner.store_path(tmp_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text('{"entries": {"half a json')
-        tuner = ExecutionTuner(store_dir=tmp_path)
-        assert tuner.loaded == 0  # tolerated, not raised
-
     def test_torn_drc_cache_file_is_skipped(self, tmp_path):
         from repro.drc.cache import load_shared_caches
 

@@ -270,7 +270,7 @@ class TestFleetObservability:
         assert payload["stages"]["queue"]["count"] == len(requests)
         assert payload["micro_batches"] >= 1
         # Single-process payload shape parity (the TCP stats verb).
-        for key in ("tuner", "warm_caches", "faults", "lanes",
+        for key in ("warm_caches", "faults", "lanes",
                     "queue_depth", "pack_fill"):
             assert key in payload
 

@@ -154,11 +154,7 @@ class TestPackedServingDeterminism:
         """Tentpole: packed cross-request serving == serial run_generation."""
         requests = _requests(deck, 6, base_seed=100)
         serial = [run_generation(request) for request in requests]
-        # exec_mode is pinned: this test asserts packing *engages*, so it
-        # must not inherit a serial/pooled $REPRO_EXEC_MODE from the CI
-        # matrix (outputs are mode-independent either way).
         config = ServiceConfig(
-            exec_mode="packed",
             scheduler=SchedulerConfig(gather_window_s=0.05),
         )
         with ServiceClient(config) as client:
@@ -200,7 +196,7 @@ class TestPackedServingDeterminism:
         requests = _requests(deck, 4, base_seed=300)
         serial = [run_generation(request) for request in requests]
         config = ServiceConfig(
-            jobs=2, exec_mode="packed",
+            jobs=2,
             scheduler=SchedulerConfig(gather_window_s=0.05),
         )
         with ServiceClient(config) as client:
@@ -249,7 +245,6 @@ class TestPackedFallback:
         )
         serial = [run_generation(request) for request in requests]
         config = ServiceConfig(
-            exec_mode="packed",
             scheduler=SchedulerConfig(gather_window_s=0.05),
         )
         with ServiceClient(config) as client:
@@ -266,7 +261,6 @@ class TestPackingStats:
     def test_fill_gauge_and_counters(self, deck):
         requests = _requests(deck, 4, base_seed=700)
         config = ServiceConfig(
-            exec_mode="packed",
             scheduler=SchedulerConfig(gather_window_s=0.05),
         )
         with ServiceClient(config) as client:

@@ -225,3 +225,48 @@ class TestLibraryWorkflow:
             tuple(c.flatten()) for c in load_library(tmp_path / "a")
         } | {tuple(c.flatten()) for c in load_library(tmp_path / "b")}
         assert len(merged) == len(combined)
+
+
+class TestWarmCacheDir:
+    """``--drc-cache-dir`` is the one warm-cache directory: it also hosts
+    the on-disk sampler-plan cache, for both ``generate`` and ``serve``."""
+
+    def test_generate_configures_plan_cache(self, tmp_path, monkeypatch):
+        import repro.diffusion.plan as plan
+
+        configured = []
+        monkeypatch.setattr(plan, "configure_plan_cache", configured.append)
+        warm = str(tmp_path / "warm")
+        code = main([
+            "generate", "-n", "2", "--out", str(tmp_path / "x.npz"),
+            "--drc-cache-dir", warm,
+        ])
+        assert code == 0
+        assert configured == [warm]
+
+    def test_serve_configures_plan_cache_before_start(
+        self, tmp_path, monkeypatch
+    ):
+        import signal
+
+        import repro.diffusion.plan as plan
+        from repro.service import GenerationService
+
+        class Started(Exception):
+            pass
+
+        events = []
+
+        async def start(self):
+            events.append("start")
+            raise Started
+
+        monkeypatch.setattr(plan, "configure_plan_cache", events.append)
+        monkeypatch.setattr(GenerationService, "start", start)
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        warm = str(tmp_path / "warm")
+        with pytest.raises(Started):
+            main(["serve", "--port", "0", "--drc-cache-dir", warm])
+        # Configured before the service (and any forked fleet worker)
+        # starts, so every worker process inherits the directory.
+        assert events == [warm, "start"]
