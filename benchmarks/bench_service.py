@@ -27,14 +27,6 @@ the model/denoise stages consume each request's own seeded rng stream
 never results.  The shared DRC stores are cleared before each mode so
 none inherits another's warm cache.
 
-A second, **mixed-workload** burst exercises worker lanes (ISSUE 6):
-four incompatible request groups (distinct ``params`` variants, so four
-compatibility keys) against a heavier 32x32 model, served with one lane
-vs a lane per key.  Lanes route each key's micro-batches to their own
-worker thread, so the four groups' model stages — BLAS-heavy matmuls
-that release the GIL — overlap on multi-core hosts.  Outputs are
-asserted bit-identical across lane counts.
-
 A **payload delivery** arm (ISSUE 10) serves one request burst over a
 real TCP connection three times — clip payloads off, base64, npz — via
 :class:`~repro.service.RemoteClient`, recording wall seconds, requests/s
@@ -42,7 +34,9 @@ and wire bytes per mode, and asserting the decoded clips are
 bit-identical to serial generation.  There is no perf gate: the section
 documents what delivery costs, it does not race the encodings.
 
-The same mixed burst is then served through the **multi-process fleet**
+A **mixed-workload** burst — four incompatible request groups
+(distinct ``params`` variants, so four compatibility keys) against a
+heavier 32x32 model — is served through the **multi-process fleet**
 (ISSUE 9): one worker process (the single-process service baseline) vs
 one worker per compatibility key, fronted by the shard-aware
 :class:`~repro.service.fleet.FleetService`.  Sticky key routing pins
@@ -52,14 +46,13 @@ the single-worker arm.
 
 Acceptance targets: coalesced micro-batching beats sequential per-request
 serving (ISSUE 4), packed serving reaches >= 1.3x coalesced
-throughput on the >= 8 small-concurrent-request burst (ISSUE 5),
-multi-lane serving reaches >= 1.3x single-lane throughput on the mixed
-burst (ISSUE 6), and the multi-process fleet reaches >= 1.3x the
-single-worker service on that burst (ISSUE 9).
+throughput on the >= 8 small-concurrent-request burst, and the
+multi-process fleet reaches >= 1.3x the single-worker service on the
+mixed burst.
 Single-core hosts skip whichever gate falls short,
 like ``bench_sampler``.  A ``BENCH_service.json`` artifact at the repo
 root records throughput, p50/p95 latency, packing counters per mode, the
-lane comparison and the full run trajectory.  Runs standalone
+fleet comparison and the full run trajectory.  Runs standalone
 (``python benchmarks/bench_service.py``) or under pytest.
 """
 
@@ -108,22 +101,22 @@ UNET = UNetConfig(
 )
 TRAIN_STEPS = 32
 
-# The mixed-workload lane burst: four incompatible request groups (four
-# compatibility keys) against a heavier model, so the per-lane model
-# stages are BLAS-dominated (matmuls release the GIL) and thread lanes
-# can genuinely overlap on multi-core hosts.
-LANE_KEYS = 4
-LANE_CLIENTS_PER_KEY = 2
-LANE_COUNT = 2  # inpainting attempts per request
-LANE_STEPS = 6
-LANE_GRID = Grid(nm_per_px=32.0, width_px=32, height_px=32)
-LANE_UNET = UNetConfig(
+# The mixed-workload burst: four incompatible request groups (four
+# compatibility keys) against a heavier model, so each key's model stage
+# is heavy enough for one worker process per key to pay on multi-core
+# hosts.
+MIXED_KEYS = 4
+MIXED_CLIENTS_PER_KEY = 2
+MIXED_COUNT = 2  # inpainting attempts per request
+MIXED_STEPS = 6
+MIXED_GRID = Grid(nm_per_px=32.0, width_px=32, height_px=32)
+MIXED_UNET = UNetConfig(
     image_size=32, base_channels=16, channel_mults=(1, 2), num_res_blocks=1,
     groups=8, time_dim=32, seed=1,
 )
 
 _CHECKPOINT: str | None = None
-_LANE_CHECKPOINT: str | None = None
+_MIXED_CHECKPOINT: str | None = None
 
 
 def _checkpoint() -> str:
@@ -134,12 +127,12 @@ def _checkpoint() -> str:
     return _CHECKPOINT
 
 
-def _lane_checkpoint() -> str:
+def _mixed_checkpoint() -> str:
     """Publish the heavier mixed-burst model once."""
-    global _LANE_CHECKPOINT
-    if _LANE_CHECKPOINT is None:
-        _LANE_CHECKPOINT = publish_model(TimeUnet(LANE_UNET))
-    return _LANE_CHECKPOINT
+    global _MIXED_CHECKPOINT
+    if _MIXED_CHECKPOINT is None:
+        _MIXED_CHECKPOINT = publish_model(TimeUnet(MIXED_UNET))
+    return _MIXED_CHECKPOINT
 
 
 class BenchInpaintBackend:
@@ -220,35 +213,36 @@ class BenchInpaintBackend:
 register_backend("bench-inpaint", BenchInpaintBackend, overwrite=True)
 
 
-class BenchLaneBackend:
+class BenchMixedBackend:
     """The mixed-burst backend: heavier model, variant-keyed workloads.
 
     ``params["variant"]`` selects the template geometry, and because
     ``params`` feeds ``compatibility_key``, each variant's requests form
-    their own micro-batches — the incompatible-workload mix worker lanes
-    exist for.  Deliberately not pack-capable: the lane burst measures
-    cross-key concurrency, not within-key packing.
+    their own micro-batches — the incompatible-workload mix the fleet's
+    sticky key routing spreads across processes.  Deliberately not
+    pack-capable: the mixed burst measures cross-key concurrency, not
+    within-key packing.
     """
 
-    name = "bench-lane"
+    name = "bench-mixed"
     MODEL_BATCH = 32
 
     def __init__(self, deck=None):
-        self._deck = deck if deck is not None else basic_deck(LANE_GRID)
-        state, meta = load_module_state(_lane_checkpoint())
+        self._deck = deck if deck is not None else basic_deck(MIXED_GRID)
+        state, meta = load_module_state(_mixed_checkpoint())
         cfg = dict(meta["unet"])
         cfg["channel_mults"] = tuple(cfg["channel_mults"])
         self._model = TimeUnet(UNetConfig(**cfg))
         self._model.load_state_dict(state)
         self._schedule: NoiseSchedule = linear_schedule(TRAIN_STEPS)
-        self._config = InpaintConfig(num_steps=LANE_STEPS)
+        self._config = InpaintConfig(num_steps=MIXED_STEPS)
 
     @property
     def deck(self):
         return self._deck
 
     def _jobs(self, request):
-        size = LANE_UNET.image_size
+        size = MIXED_UNET.image_size
         variant = int(request.params.get("variant", 0))
         template = np.zeros((size, size), dtype=np.uint8)
         template[:, 4 + variant:8 + variant] = 1
@@ -279,7 +273,7 @@ class BenchLaneBackend:
         )
 
 
-register_backend("bench-lane", BenchLaneBackend, overwrite=True)
+register_backend("bench-mixed", BenchMixedBackend, overwrite=True)
 
 
 def _requests():
@@ -347,40 +341,18 @@ def _threaded_burst(client, requests):
     return time.perf_counter() - t0, latencies, list(results)
 
 
-def _lane_requests():
-    """The mixed burst: ``LANE_KEYS`` incompatible groups of requests."""
-    deck = basic_deck(LANE_GRID)
+def _mixed_requests():
+    """The mixed burst: ``MIXED_KEYS`` incompatible groups of requests."""
+    deck = basic_deck(MIXED_GRID)
     return [
         GenerationRequest(
-            backend="bench-lane", count=LANE_COUNT,
+            backend="bench-mixed", count=MIXED_COUNT,
             seed=200 + 10 * variant + j, deck=deck,
             params={"variant": variant},
         )
-        for variant in range(LANE_KEYS)
-        for j in range(LANE_CLIENTS_PER_KEY)
+        for variant in range(MIXED_KEYS)
+        for j in range(MIXED_CLIENTS_PER_KEY)
     ]
-
-
-def _lanes_mode(requests, lanes):
-    """Serve the mixed burst with ``lanes`` worker lanes.
-
-    A warmup pass inside the same client pays the per-lane model
-    rehydration and fills the shared DRC memo, so the measured burst
-    times the concurrent model stages — the thing lanes parallelise —
-    rather than one-time construction costs.
-    """
-    config = ServiceConfig(
-        jobs=1, lanes=lanes, queue_size=len(requests) * 2,
-        pack_models=False,
-        scheduler=SchedulerConfig(
-            max_batch_requests=len(requests), gather_window_s=0.05
-        ),
-    )
-    with ServiceClient(config) as client:
-        client.generate_many(requests)  # warmup (see docstring)
-        wall, latencies, results = _threaded_burst(client, requests)
-        stats = client.service.stats
-    return wall, latencies, results, stats
 
 
 def _fleet_mode(requests, workers):
@@ -395,7 +367,7 @@ def _fleet_mode(requests, workers):
     every worker rehydrates the same weights, and the warmup pass pays
     per-worker model construction outside the measured burst.
     """
-    _lane_checkpoint()  # publish pre-fork: workers inherit the path
+    _mixed_checkpoint()  # publish pre-fork: workers inherit the path
     config = ServiceConfig(
         jobs=1, queue_size=len(requests) * 2, pack_models=False,
         scheduler=SchedulerConfig(
@@ -539,66 +511,23 @@ def run_bench():
     return walls, latencies, stats, trajectory
 
 
-def run_lanes_bench():
-    """The mixed-workload lane comparison: one lane vs one lane per key.
-
-    Returns per-lane-count walls and stats plus the run trajectory;
-    asserts the multi-lane outputs are bit-identical to single-lane
-    (the commit stage's determinism contract) and that the multi-lane
-    run actually spread micro-batches across >= 2 lanes.
-    """
-    requests = _lane_requests()
-    walls: dict[int, float] = {}
-    outputs: dict[int, list] = {}
-    stats: dict[int, object] = {}
-    trajectory: list[dict] = []
-    for lanes in (1, LANE_KEYS):
-        best = None
-        for _ in range(RUNS):
-            clear_shared_caches()
-            run = _lanes_mode(requests, lanes)
-            trajectory.append(
-                {"mode": f"lanes-{lanes}", "wall_seconds": round(run[0], 4)}
-            )
-            if best is None or run[0] < best[0]:
-                best = run
-        walls[lanes], _, outputs[lanes], stats[lanes] = best
-
-    for got, want in zip(outputs[LANE_KEYS], outputs[1]):
-        assert got.attempts == want.attempts
-        for a, b in zip(want.clips, got.clips):
-            np.testing.assert_array_equal(
-                a, b, err_msg="multi-lane output diverged from single-lane"
-            )
-        np.testing.assert_array_equal(want.legal, got.legal)
-        assert got.admitted == want.admitted
-    served_lanes = sum(
-        1 for lane in stats[LANE_KEYS].lanes.values() if lane.micro_batches
-    )
-    assert served_lanes > 1, (
-        "the mixed burst never spread across lanes; the benchmark is not "
-        "measuring lane concurrency"
-    )
-    return walls, stats, trajectory
-
-
 def run_fleet_bench():
     """The multi-process comparison: 1 worker vs one worker per key.
 
-    Serves the same mixed 4-tenant burst as the lane bench through the
-    shard-aware fleet front (ISSUE 9).  Asserts the fleet outputs are
+    Serves the mixed 4-tenant burst through the shard-aware fleet
+    front.  Asserts the fleet outputs are
     bit-identical both to serial one-shot generation and to the
     single-worker service (the front's commit sequencer contract), and
     that the multi-worker run actually routed requests to >= 2 worker
     processes.
     """
-    requests = _lane_requests()
+    requests = _mixed_requests()
     serial = None
     walls: dict[int, float] = {}
     outputs: dict[int, list] = {}
     payloads: dict[int, dict] = {}
     trajectory: list[dict] = []
-    for workers in (1, LANE_KEYS):
+    for workers in (1, MIXED_KEYS):
         best = None
         for _ in range(RUNS):
             clear_shared_caches()
@@ -612,8 +541,8 @@ def run_fleet_bench():
 
     clear_shared_caches()
     serial = [run_generation(request, jobs=1) for request in requests]
-    for arm, reference in ((1, serial), (LANE_KEYS, serial),
-                           (LANE_KEYS, outputs[1])):
+    for arm, reference in ((1, serial), (MIXED_KEYS, serial),
+                           (MIXED_KEYS, outputs[1])):
         for got, want in zip(outputs[arm], reference):
             assert got.attempts == want.attempts
             for a, b in zip(want.clips, got.clips):
@@ -623,14 +552,14 @@ def run_fleet_bench():
                 )
             np.testing.assert_array_equal(want.legal, got.legal)
             assert got.admitted == want.admitted
-    fleet = payloads[LANE_KEYS]["fleet"]
+    fleet = payloads[MIXED_KEYS]["fleet"]
     routed = sum(1 for w in fleet["workers"] if w["routed"])
     assert routed > 1, (
         "the mixed burst never spread across worker processes; the "
         "benchmark is not measuring multi-process serving"
     )
     assert fleet["crashed_requests"] == 0
-    assert payloads[LANE_KEYS]["failed"] == 0
+    assert payloads[MIXED_KEYS]["failed"] == 0
     return walls, payloads, trajectory
 
 
@@ -656,14 +585,12 @@ def render(walls, latencies) -> str:
     )
 
 
-def write_artifact(walls, latencies, stats, lane_walls, lane_stats,
-                   trajectory, fleet_walls=None, fleet_payloads=None,
-                   payload_arms=None) -> str:
+def write_artifact(walls, latencies, stats, trajectory, fleet_walls=None,
+                   fleet_payloads=None, payload_arms=None) -> str:
     from repro.experiments.common import bench_dir
 
     coalesced = stats["coalesced"]
     packed = stats["packed"]
-    lane_clients = LANE_KEYS * LANE_CLIENTS_PER_KEY
     payload = {
         "workload": {
             "clients": NUM_CLIENTS,
@@ -700,47 +627,17 @@ def write_artifact(walls, latencies, stats, lane_walls, lane_stats,
             }
             for mode, wall in walls.items()
         },
-        "lanes": {
-            "keys": LANE_KEYS,
-            "clients": lane_clients,
-            "count_per_request": LANE_COUNT,
-            "num_steps": LANE_STEPS,
-            "image_size": LANE_UNET.image_size,
-            "lane_count": LANE_KEYS,
-            # Host shape the lane speedup was measured on: core count
-            # plus the BLAS/OMP thread pinning in effect (unset vars
-            # reported as None), so runs on different machines compare
-            # like against like.
-            "cpus": os.cpu_count(),
-            "thread_env": {
-                name: os.environ.get(name)
-                for name in (
-                    "OPENBLAS_NUM_THREADS",
-                    "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS",
-                )
-            },
-            "single_lane_wall_seconds": round(lane_walls[1], 4),
-            "multi_lane_wall_seconds": round(lane_walls[LANE_KEYS], 4),
-            "speedup_vs_single_lane": round(
-                lane_walls[1] / lane_walls[LANE_KEYS], 3
-            ),
-            "per_lane": [
-                lane_stats[LANE_KEYS].lanes[lane_id].snapshot()
-                for lane_id in sorted(lane_stats[LANE_KEYS].lanes)
-            ],
-        },
         "trajectory": trajectory,
     }
     if fleet_walls is not None:
-        multi = fleet_payloads[LANE_KEYS]
+        multi = fleet_payloads[MIXED_KEYS]
         payload["fleet"] = {
-            "keys": LANE_KEYS,
-            "clients": lane_clients,
+            "keys": MIXED_KEYS,
+            "clients": MIXED_KEYS * MIXED_CLIENTS_PER_KEY,
             "worker_count": multi["fleet"]["worker_count"],
-            # Same host-shape provenance as the lane section: a fleet
-            # speedup only means something alongside the core count and
-            # BLAS/OMP pinning it was measured under.
+            # Host-shape provenance: a fleet speedup only means
+            # something alongside the core count and BLAS/OMP pinning
+            # it was measured under (unset vars reported as None).
             "cpus": os.cpu_count(),
             "thread_env": {
                 name: os.environ.get(name)
@@ -751,9 +648,9 @@ def write_artifact(walls, latencies, stats, lane_walls, lane_stats,
                 )
             },
             "single_worker_wall_seconds": round(fleet_walls[1], 4),
-            "multi_worker_wall_seconds": round(fleet_walls[LANE_KEYS], 4),
+            "multi_worker_wall_seconds": round(fleet_walls[MIXED_KEYS], 4),
             "speedup_vs_single_worker": round(
-                fleet_walls[1] / fleet_walls[LANE_KEYS], 3
+                fleet_walls[1] / fleet_walls[MIXED_KEYS], 3
             ),
             "respawns": multi["fleet"]["respawns"],
             "crashed_requests": multi["fleet"]["crashed_requests"],
@@ -793,12 +690,10 @@ def write_artifact(walls, latencies, stats, lane_walls, lane_stats,
 @pytest.fixture(scope="module")
 def bench_results():
     walls, latencies, stats, trajectory = run_bench()
-    lane_walls, lane_stats, lane_trajectory = run_lanes_bench()
     fleet_walls, fleet_payloads, fleet_trajectory = run_fleet_bench()
     payload_arms = run_payload_bench()
     path = write_artifact(
-        walls, latencies, stats, lane_walls, lane_stats,
-        trajectory + lane_trajectory + fleet_trajectory,
+        walls, latencies, stats, trajectory + fleet_trajectory,
         fleet_walls, fleet_payloads, payload_arms,
     )
     payload_line = "payload: " + "  ".join(
@@ -806,28 +701,23 @@ def bench_results():
         f"{arm['wire_bytes'] / 1024:.0f}KiB"
         for mode, arm in payload_arms.items()
     )
-    lane_line = (
-        f"lanes: 1 lane {lane_walls[1]:.3f}s vs {LANE_KEYS} lanes "
-        f"{lane_walls[LANE_KEYS]:.3f}s "
-        f"({lane_walls[1] / lane_walls[LANE_KEYS]:.2f}x)"
-    )
     fleet_line = (
-        f"fleet: 1 worker {fleet_walls[1]:.3f}s vs {LANE_KEYS} workers "
-        f"{fleet_walls[LANE_KEYS]:.3f}s "
-        f"({fleet_walls[1] / fleet_walls[LANE_KEYS]:.2f}x)"
+        f"fleet: 1 worker {fleet_walls[1]:.3f}s vs {MIXED_KEYS} workers "
+        f"{fleet_walls[MIXED_KEYS]:.3f}s "
+        f"({fleet_walls[1] / fleet_walls[MIXED_KEYS]:.2f}x)"
     )
     report(
         "bench_service: serving modes",
         render(walls, latencies)
-        + f"\n{lane_line}\n{fleet_line}\n{payload_line}"
+        + f"\n{fleet_line}\n{payload_line}"
         + f"\n[artifact: {path}]",
     )
-    return walls, latencies, stats, lane_walls, fleet_walls, payload_arms
+    return walls, latencies, stats, fleet_walls, payload_arms
 
 
 class TestServingThroughput:
     def test_coalesced_micro_batching_beats_sequential(self, bench_results):
-        walls, _, _, _, _, _ = bench_results
+        walls, _, _, _, _ = bench_results
         if (os.cpu_count() or 1) < 2 and walls["coalesced"] > walls["sequential"]:
             # One core leaves no parallel slack between the service's
             # loop/worker threads and the executor pools; the acceptance
@@ -851,7 +741,7 @@ class TestServingThroughput:
         multi-core hosts (the CI benchmark job) with the same
         single-core escape hatch as the other gates.
         """
-        walls, _, stats, _, _, _ = bench_results
+        walls, _, stats, _, _ = bench_results
         ratio = walls["coalesced"] / walls["packed"]
         if (os.cpu_count() or 1) < 2 and ratio < 1.3:
             pytest.skip(
@@ -865,29 +755,6 @@ class TestServingThroughput:
             f"{NUM_CLIENTS} small concurrent requests"
         )
 
-    def test_multi_lane_beats_single_lane(self, bench_results):
-        """ISSUE 6 gate: worker lanes >= 1.3x single-lane on mixed keys.
-
-        Bit-identity across lane counts is asserted unconditionally in
-        ``run_lanes_bench``; the throughput ratio is gated on multi-core
-        hosts (the CI benchmark job) — one core serializes the lane
-        threads, so single-core hosts skip rather than measure noise.
-        """
-        _, _, _, lane_walls, _, _ = bench_results
-        ratio = lane_walls[1] / lane_walls[LANE_KEYS]
-        if (os.cpu_count() or 1) < 2 and ratio < 1.3:
-            pytest.skip(
-                f"single-core host: {LANE_KEYS} lanes {ratio:.2f}x single "
-                "lane (>= 1.3x gate enforced on the multi-core CI job)"
-            )
-        assert ratio >= 1.3, (
-            f"lanes-1={lane_walls[1]:.3f}s lanes-{LANE_KEYS}="
-            f"{lane_walls[LANE_KEYS]:.3f}s ({ratio:.2f}x): concurrent "
-            "worker lanes must reach 1.3x single-lane throughput on the "
-            f"{LANE_KEYS}-key mixed burst"
-        )
-
-
     def test_fleet_beats_single_worker(self, bench_results):
         """ISSUE 9 gate: worker processes >= 1.3x one process on mixed keys.
 
@@ -898,36 +765,30 @@ class TestServingThroughput:
         only add fork/IPC overhead, so single-core hosts skip rather
         than measure noise.
         """
-        _, _, _, _, fleet_walls, _ = bench_results
-        ratio = fleet_walls[1] / fleet_walls[LANE_KEYS]
+        _, _, _, fleet_walls, _ = bench_results
+        ratio = fleet_walls[1] / fleet_walls[MIXED_KEYS]
         if (os.cpu_count() or 1) < 2 and ratio < 1.3:
             pytest.skip(
-                f"single-core host: {LANE_KEYS} workers {ratio:.2f}x single "
+                f"single-core host: {MIXED_KEYS} workers {ratio:.2f}x single "
                 "worker (>= 1.3x gate enforced on the multi-core CI job)"
             )
         assert ratio >= 1.3, (
-            f"fleet-1={fleet_walls[1]:.3f}s fleet-{LANE_KEYS}="
-            f"{fleet_walls[LANE_KEYS]:.3f}s ({ratio:.2f}x): the multi-"
+            f"fleet-1={fleet_walls[1]:.3f}s fleet-{MIXED_KEYS}="
+            f"{fleet_walls[MIXED_KEYS]:.3f}s ({ratio:.2f}x): the multi-"
             "process fleet must reach 1.3x single-process throughput on "
-            f"the {LANE_KEYS}-key mixed burst"
+            f"the {MIXED_KEYS}-key mixed burst"
         )
 
 
 if __name__ == "__main__":  # pragma: no cover
     walls, latencies, stats, trajectory = run_bench()
-    lane_walls, lane_stats, lane_trajectory = run_lanes_bench()
     fleet_walls, fleet_payloads, fleet_trajectory = run_fleet_bench()
     payload_arms = run_payload_bench()
     print(render(walls, latencies))
     print(
-        f"lanes: 1 lane {lane_walls[1]:.3f}s vs {LANE_KEYS} lanes "
-        f"{lane_walls[LANE_KEYS]:.3f}s "
-        f"({lane_walls[1] / lane_walls[LANE_KEYS]:.2f}x)"
-    )
-    print(
-        f"fleet: 1 worker {fleet_walls[1]:.3f}s vs {LANE_KEYS} workers "
-        f"{fleet_walls[LANE_KEYS]:.3f}s "
-        f"({fleet_walls[1] / fleet_walls[LANE_KEYS]:.2f}x)"
+        f"fleet: 1 worker {fleet_walls[1]:.3f}s vs {MIXED_KEYS} workers "
+        f"{fleet_walls[MIXED_KEYS]:.3f}s "
+        f"({fleet_walls[1] / fleet_walls[MIXED_KEYS]:.2f}x)"
     )
     print("payload: " + "  ".join(
         f"{mode} {arm['wall_seconds']:.3f}s/"
@@ -935,8 +796,7 @@ if __name__ == "__main__":  # pragma: no cover
         for mode, arm in payload_arms.items()
     ))
     path = write_artifact(
-        walls, latencies, stats, lane_walls, lane_stats,
-        trajectory + lane_trajectory + fleet_trajectory,
+        walls, latencies, stats, trajectory + fleet_trajectory,
         fleet_walls, fleet_payloads, payload_arms,
     )
     print(f"[artifact: {path}]")

@@ -111,12 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="process workers for the model stage "
                             "(default: --jobs)")
-    serve.add_argument("--lanes", type=_positive_int, default=None,
-                       metavar="N",
-                       help="concurrent worker lanes: micro-batches with "
-                            "different compatibility keys run in parallel "
-                            "(outputs stay bit-identical at any lane "
-                            "count; default: $REPRO_SERVICE_LANES or 1)")
     serve.add_argument("--queue-size", type=_positive_int, default=64,
                        help="bounded request queue depth (backpressure)")
     serve.add_argument("--max-batch", type=_positive_int, default=8,
@@ -126,10 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="MS",
                        help="how long to hold the window open for "
                             "co-arriving compatible requests")
-    serve.add_argument("--no-pack", action="store_true",
-                       help="disable cross-request model-batch packing "
-                            "(outputs are bit-identical either way; this "
-                            "is a benchmarking/debugging knob)")
     serve.add_argument("--library-shards", type=_positive_int, default=1,
                        metavar="N",
                        help="shard count for session library stores")
@@ -155,7 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "workers respawned, session snapshots merged "
                             "at drain/shutdown); 1 runs the single-"
                             "process service (default: "
-                            "$REPRO_SERVICE_WORKERS or 1)")
+                            "$REPRO_SERVICE_WORKERS or 1).  Workers "
+                            "cannot open process pools, so 2+ needs "
+                            "--model-jobs 1")
     serve.add_argument("--drain-timeout", type=float, default=10.0,
                        metavar="S",
                        help="on SIGTERM/SIGINT, stop accepting requests "
@@ -372,8 +364,6 @@ def _cmd_serve(args) -> int:
         model_jobs=(
             args.model_jobs if args.model_jobs is not None else args.jobs
         ),
-        lanes=args.lanes,
-        pack_models=not args.no_pack,
         scheduler=SchedulerConfig(
             max_batch_requests=args.max_batch,
             gather_window_s=args.gather_window_ms / 1000.0,
@@ -388,6 +378,13 @@ def _cmd_serve(args) -> int:
     workers = args.workers
     if workers is None:
         workers = default_workers() if os.environ.get(WORKERS_ENV) else 1
+    fleet_config = None
+    if workers >= 2:
+        try:
+            fleet_config = FleetConfig(workers=workers, service=config)
+        except ValueError as error:
+            print(f"repro serve: error: {error}", file=sys.stderr)
+            return 2
 
     async def main() -> None:
         if args.drc_cache_dir:
@@ -404,8 +401,8 @@ def _cmd_serve(args) -> int:
         # (submit/cancel/health/stats_payload/drain/stop), so the TCP
         # server and the signal->drain->stop block below are one shared
         # implementation for both topologies.
-        if workers >= 2:
-            service = FleetService(FleetConfig(workers=workers, service=config))
+        if fleet_config is not None:
+            service = FleetService(fleet_config)
         else:
             service = GenerationService(config)
         await service.start()
@@ -415,7 +412,7 @@ def _cmd_serve(args) -> int:
         host, port = server.sockets[0].getsockname()[:2]
         print(f"repro serve: listening on {host}:{port} "
               f"(deck={args.deck}, workers={workers}, jobs={config.jobs}, "
-              f"lanes={config.lanes}, max-batch={args.max_batch})")
+              f"max-batch={args.max_batch})")
         print('protocol: one JSON object per line, e.g. '
               '{"backend": "rule", "count": 8, "seed": 0}')
         gateway = None

@@ -141,9 +141,9 @@ class PoolRegistry:
     """Lease-managed persistent worker pools, keyed by ``(kind, workers)``.
 
     One registry may back several :class:`BatchExecutor` instances — the
-    service's worker lanes share one, so N lanes over the same deck hold
-    one thread pool and one process pool between them instead of N of
-    each.  Pools are created lazily on first lease and live until
+    service's per-deck executors share one, so they hold one thread pool
+    and one process pool between them instead of one of each per deck.
+    Pools are created lazily on first lease and live until
     :meth:`close`; each distinct (kind, size) pair has at most one live
     pool at a time.
 
@@ -374,9 +374,9 @@ class BatchExecutor:
     call.  By default each executor owns a private :class:`PoolRegistry`
     and ``close()`` (or exiting a ``with`` block) shuts its pools down;
     pass ``pools=`` to share one registry across executors — the
-    service's concurrent worker lanes do this so N lanes hold one pool
-    per (kind, size), not N — in which case ``close()`` leaves the
-    shared pools to their owner.  A closed executor lazily re-creates
+    service does this so its per-deck executors hold one pool per
+    (kind, size) — in which case ``close()`` leaves the shared pools to
+    their owner.  A closed executor lazily re-creates
     pools if used again.
     """
 

@@ -5,20 +5,19 @@ machinery in a long-lived asyncio service:
 
 * :class:`GenerationService` — bounded request queue, a micro-batching
   scheduler that coalesces compatible requests from concurrent clients
-  into shared executor runs, streaming per-request results, and
-  session-scoped library stores with arrival-order merges and periodic
-  snapshot checkpoints;
+  into shared executor runs on one compute thread with warm backends
+  and executors, streaming per-request results, an ordered commit
+  stage, and session-scoped library stores with arrival-order merges
+  and periodic snapshot checkpoints;
 * :class:`MicroBatchScheduler` / :class:`SchedulerConfig` — the pure
   coalescing rules (group by compatibility key, arrival order inside a
   batch, priority across batches) plus the cross-request model-batch
   packing plan (:meth:`MicroBatchScheduler.pack`);
-* :class:`LaneManager` / :class:`Lane` — bounded concurrent worker
-  lanes with sticky per-compatibility-key routing and warm per-lane
-  engine state; admissions reconcile through a single ordered commit
-  stage so session stores stay arrival-ordered at any lane count;
-* :class:`LatencyHistogram` / :class:`StageLatencies` /
-  :class:`LaneStats` — per-stage serving latency histograms
-  (:data:`STAGES`), kept globally and per lane, exported by the
+* :class:`ArrivalSequencer` — runs per-request commits in global
+  arrival order; the service's commit stage and the fleet front share
+  it;
+* :class:`LatencyHistogram` / :class:`StageLatencies` — per-stage
+  serving latency histograms (:data:`STAGES`), exported by the
   ``op: "stats"`` verb;
 * :class:`SessionManager` / :class:`SessionConfig` — shared or per-tenant
   stores, snapshot-loaded and checkpointed via :mod:`repro.library`;
@@ -35,7 +34,7 @@ machinery in a long-lived asyncio service:
 * :class:`FleetService` / :class:`FleetConfig` — the multi-process
   shard-aware front (``repro serve --workers N``): N forked worker
   processes each running a full service, sticky key→worker routing,
-  a front-side commit sequencer keeping results in global arrival
+  the same arrival sequencer keeping results in global arrival
   order, circuit-breaker-gated crash respawn, and drain-time session
   snapshot reconciliation via the ordered library merge protocol.
 
@@ -83,7 +82,6 @@ from .fleet import (
     reconcile_worker_snapshots,
 )
 from .gateway import DEFAULT_MAX_BODY, HttpGateway, serve_http
-from .lanes import Lane, LaneManager
 from .payload import (
     PAYLOAD_MODES,
     AssembledPayload,
@@ -94,6 +92,7 @@ from .payload import (
     payload_frames,
 )
 from .scheduler import (
+    ArrivalSequencer,
     MicroBatch,
     MicroBatchScheduler,
     PendingRequest,
@@ -114,7 +113,7 @@ from .service import (
     ServiceStats,
 )
 from .session import SHARED_SESSION, Session, SessionConfig, SessionManager
-from .stats import STAGES, LaneStats, LatencyHistogram, StageLatencies
+from .stats import STAGES, LatencyHistogram, StageLatencies
 
 __all__ = [
     "DEFAULT_LINE_LIMIT",
@@ -125,6 +124,7 @@ __all__ = [
     "PAYLOAD_MODES",
     "SHARED_SESSION",
     "STAGES",
+    "ArrivalSequencer",
     "AssembledPayload",
     "ClientTicket",
     "DeadlineExceeded",
@@ -136,9 +136,6 @@ __all__ = [
     "GenerationService",
     "HttpGateway",
     "InjectedFault",
-    "Lane",
-    "LaneManager",
-    "LaneStats",
     "LatencyHistogram",
     "MicroBatch",
     "MicroBatchScheduler",

@@ -87,7 +87,7 @@ class ClientTicket:
 
         On ``timeout`` the waiting coroutine is cancelled *and* a
         service-side cancellation of the request is requested, so a
-        caller that gave up does not leave the request burning lane
+        caller that gave up does not leave the request burning compute
         time (and the abandoned awaiter does not leak on the loop).
         Cancellation lands at the request's next stage boundary: a
         request that already passed its last boundary when the timeout

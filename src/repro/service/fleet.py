@@ -1,12 +1,10 @@
 """Multi-process shard-aware serving front: N worker processes, one wire.
 
-One :class:`~repro.service.GenerationService` process tops out at one
-GIL's worth of Python-side scheduling no matter how many lanes it runs.
-:class:`FleetService` breaks that ceiling by spawning ``workers`` child
+One :class:`~repro.service.GenerationService` process runs one
+micro-batch at a time on one compute thread.  :class:`FleetService` is
+the one concurrency layer above that: it spawns ``workers`` child
 *processes* (``fork`` start method), each running a full
-``GenerationService``, and routing requests to them sticky-by-key — the
-same claim discipline :class:`~repro.service.lanes.LaneManager` applies
-to threads, lifted one level up to processes:
+``GenerationService``, and routes requests to them sticky-by-key:
 
 * the routing key is the request's session id when it has one, else its
   :meth:`~repro.engine.GenerationRequest.compatibility_key`;
@@ -15,9 +13,10 @@ to threads, lifted one level up to processes:
   so one session's requests land on one worker in arrival order — which
   is exactly the property that makes a session's store deterministic in
   the single-process service, preserved across the process boundary;
-* terminal events pass through a front-side commit sequencer (the
-  cross-process analogue of the service's ``_CommitToken`` heap): every
-  request's result or error is published in *global arrival order*, so
+* terminal events pass through the same
+  :class:`~repro.service.scheduler.ArrivalSequencer` the service's
+  commit stage uses: every request's result or error is published in
+  *global arrival order*, so
   fleet outputs are bit-identical to a serial
   :func:`~repro.engine.run_generation` pass over the same submission
   order.  Chunks stream through immediately, matching the in-process
@@ -46,9 +45,10 @@ worker degrades the fleet instead of fork-bombing the host.  The
 ``fleet`` fault-injection site (``REPRO_FAULTS=fleet:kill@1``) makes
 this path deterministically testable.
 
-Workers are daemonic: they cannot spawn process pools of their own
-(``pool="thread"`` and thread lanes work normally), which is the right
-trade — process-level parallelism lives at the fleet layer here.
+Workers are daemonic, so they cannot open process pools of their own:
+:class:`FleetConfig` rejects a worker config with ``model_jobs > 1`` or
+``pool="process"`` with ``jobs > 1``.  Process-level parallelism lives
+at the fleet layer (``workers``); thread pools inside a worker are fine.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import itertools
-import heapq
 import multiprocessing
 import os
 import pickle
@@ -71,6 +70,7 @@ from ..engine import GenerationRequest
 from ..engine.retry import CircuitBreaker
 from ..library import is_library_dir, merge_libraries, save_library
 from .faults import maybe_fire, protected, reset_faults_for_worker
+from .scheduler import ArrivalSequencer
 from .service import (
     GenerationService,
     RequestCancelled,
@@ -104,10 +104,8 @@ _ROUTE_STOP = object()
 def default_workers() -> int:
     """Fleet width when ``FleetConfig.workers`` is ``None``.
 
-    ``$REPRO_SERVICE_WORKERS`` when set (and a positive integer), else 2
-    — mirroring ``$REPRO_SERVICE_LANES`` for lanes, so deployments size
-    the fleet without code changes and CI smoke jobs run every test
-    under a multi-worker front by exporting one variable.
+    ``$REPRO_SERVICE_WORKERS`` when set (and a positive integer), else 2,
+    so deployments size the fleet without code changes.
     """
     raw = os.environ.get(WORKERS_ENV)
     if raw:
@@ -131,7 +129,10 @@ class FleetConfig:
     ``$REPRO_SERVICE_WORKERS``, else 2.  ``service`` is the
     :class:`~repro.service.ServiceConfig` every worker runs — the front
     derives each worker's private variant (a per-worker snapshot
-    subdirectory) from it.  ``respawn`` enables crash recovery: a dead
+    subdirectory) from it.  Workers are daemonic processes and cannot
+    open process pools, so a ``service`` with ``model_jobs > 1`` or
+    ``pool="process"`` and ``jobs > 1`` is rejected: ``workers`` is the
+    process-level knob.  ``respawn`` enables crash recovery: a dead
     worker slot is re-forked as long as its circuit breaker
     (``breaker_threshold`` failures within ``breaker_window_s`` trip it
     open for ``breaker_cooldown_s``) allows, i.e. by default one respawn
@@ -152,6 +153,17 @@ class FleetConfig:
             object.__setattr__(self, "workers", default_workers())
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        service = self.service
+        if service.model_jobs > 1 or (
+            service.pool == "process" and service.jobs > 1
+        ):
+            raise ValueError(
+                "fleet workers cannot open process pools (model_jobs="
+                f"{service.model_jobs}, pool={service.pool!r}, jobs="
+                f"{service.jobs}); use --workers for process-level "
+                "parallelism, with --model-jobs 1 and thread pools for "
+                "--jobs"
+            )
         if self.rpc_timeout_s <= 0:
             raise ValueError("rpc_timeout_s must be positive")
 
@@ -446,46 +458,6 @@ class _FleetPending:
         self.worker_id: "int | None" = None
 
 
-class _CommitSequencer:
-    """Publish terminal events strictly in global arrival order.
-
-    The cross-process analogue of the service's ``_CommitToken`` heap:
-    workers resolve requests in their own time, but the front holds each
-    terminal publication until every earlier arrival has published.
-    Publications run under the lock — they are ``call_soon_threadsafe``
-    handoffs, so this serialises ordering without blocking on work.
-    Every assigned arrival index must be released exactly once (worker
-    terminal event, dead-worker sweep, or stop sweep) or the sequence
-    stalls; :meth:`flush` force-publishes whatever remains, in order,
-    at shutdown.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._heap: "list[tuple[int, int, object]]" = []
-        self._tiebreak = itertools.count()
-        self._next = 0
-
-    def release(self, arrival: int, publish) -> None:
-        with self._lock:
-            heapq.heappush(self._heap, (arrival, next(self._tiebreak), publish))
-            while self._heap and self._heap[0][0] == self._next:
-                self._next += 1
-                heapq.heappop(self._heap)[2]()
-
-    def flush(self) -> None:
-        with self._lock:
-            entries = sorted(self._heap)
-            self._heap = []
-            for _, _, publish in entries:
-                publish()
-
-    @property
-    def pending(self) -> int:
-        with self._lock:
-            return len(self._heap)
-
-
 class _WorkerHandle:
     """Front-side state for one worker slot (survives respawns)."""
 
@@ -541,7 +513,7 @@ class FleetService:
         self._route_clock = 0
         self._route_queue: "queue_module.Queue | None" = None
         self._router: "threading.Thread | None" = None
-        self._sequencer: "_CommitSequencer | None" = None
+        self._sequencer: "ArrivalSequencer | None" = None
         self._arrival = 0
         self._live: "dict[str, _FleetPending]" = {}
         self._live_lock = threading.Lock()
@@ -566,7 +538,7 @@ class FleetService:
         self._arrival = 0
         self._draining = False
         self._stopping = False
-        self._sequencer = _CommitSequencer()
+        self._sequencer = ArrivalSequencer()
         self._route_queue = queue_module.Queue(
             maxsize=self.config.service.queue_size
         )
@@ -796,8 +768,7 @@ class FleetService:
     def _claim_worker(self, key: tuple) -> _WorkerHandle:
         """Sticky worker for ``key``; LRU claim on first sight.
 
-        The LaneManager discipline one level up: a known key goes back
-        to its worker while that worker lives; an unknown (or orphaned)
+        A known key goes back to its worker while that worker lives; an unknown (or orphaned)
         key claims the least-recently-claimed live worker.  The table is
         bounded (8 keys per worker), evicting least-recently-used keys —
         an evicted key that returns simply re-claims, which is safe
@@ -1132,13 +1103,11 @@ class FleetService:
     def queue_depths(self) -> dict:
         """Everything queued anywhere, now including the front.
 
-        ``{"submit": N, "in_flight": M, "workers": {id: depth}, "lanes":
-        {}}`` — ``submit`` is the front routing queue (the fleet's
-        analogue of the single-process submit queue, previously
-        invisible), ``in_flight`` every accepted-but-unresolved request
-        fleet-wide, ``workers`` each live worker's forwarded-but-
-        unresolved count.  Worker-internal lane backlogs are on the
-        ``stats`` payload per worker.
+        ``{"submit": N, "in_flight": M, "workers": {id: depth}}`` —
+        ``submit`` is the front routing queue (the fleet's analogue of
+        the single-process submit queue), ``in_flight`` every
+        accepted-but-unresolved request fleet-wide, ``workers`` each
+        live worker's forwarded-but-unresolved count.
         """
         workers = {}
         for worker_id, handle in self._workers.items():
@@ -1151,7 +1120,6 @@ class FleetService:
             "submit": self.queue_depth,
             "in_flight": in_flight,
             "workers": workers,
-            "lanes": {},
         }
 
     def health(self) -> dict:
@@ -1233,10 +1201,9 @@ class FleetService:
         ``completed``/``failed`` are authoritative — they include
         requests that never reached a worker), ``peak_coalesced`` takes
         the max, per-stage histograms merge through
-        :meth:`~repro.service.stats.StageLatencies.merge_snapshot` —
-        the same :class:`~repro.service.stats.LatencyHistogram` merge
-        path lanes use in-process — and each worker's full payload rides
-        along under ``fleet.workers`` for per-process drilldown.
+        :meth:`~repro.service.stats.StageLatencies.merge_snapshot`, and
+        each worker's full payload rides along under ``fleet.workers``
+        for per-process drilldown.
         """
         per_worker = self._broadcast("stats") if self._running else {}
         payloads = {
@@ -1247,7 +1214,7 @@ class FleetService:
         summed = (
             "retries", "deadline_drops", "cancelled", "cycles",
             "micro_batches", "checkpoints", "packed_batches", "packed_jobs",
-            "packed_fallbacks", "lane_count",
+            "packed_fallbacks",
         )
         totals = {key: 0 for key in summed}
         peak = 0
@@ -1290,7 +1257,7 @@ class FleetService:
             "submitted": front["submitted"],
             "completed": front["completed"],
             "failed": front["failed"],
-            **{key: totals[key] for key in summed if key != "lane_count"},
+            **totals,
             "peak_coalesced": peak,
             # Front routing queue + every worker's submit queue: the
             # whole fleet's queued-anywhere gauge.
@@ -1300,7 +1267,6 @@ class FleetService:
                 (float(p.get("pack_fill", 0.0)) for p in payloads.values()),
                 default=0.0,
             ),
-            "lane_count": totals["lane_count"],
             # Front-process caches and fault plan (workers report their
             # own under fleet.workers[*].stats) — kept for shape parity
             # with the single-process payload.
@@ -1310,7 +1276,6 @@ class FleetService:
             },
             "faults": injection_stats(),
             "stages": stages.snapshot(),
-            "lanes": [],
             "fleet": {
                 "worker_count": len(self._workers),
                 "workers_alive": sum(

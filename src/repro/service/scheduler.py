@@ -28,16 +28,30 @@ in one micro-batch share a compatibility key by construction, which is
 exactly the precondition for their chunks to share a model invocation;
 the executor validates the plan against the real job lists before
 running it (:meth:`repro.engine.BatchExecutor.run_model_packed`).
+
+Coalescing can run a later arrival before an earlier one (groups are
+per key), so results are put back in order by the
+:class:`ArrivalSequencer`, which the service's commit stage and the
+fleet front share.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from ..engine import GenerationRequest, PackingPlan, pack_chunks
 
-__all__ = ["SchedulerConfig", "PendingRequest", "MicroBatch", "MicroBatchScheduler"]
+__all__ = [
+    "ArrivalSequencer",
+    "SchedulerConfig",
+    "PendingRequest",
+    "MicroBatch",
+    "MicroBatchScheduler",
+]
 
 
 @dataclass(frozen=True)
@@ -162,3 +176,44 @@ class MicroBatchScheduler:
         chunks sample together is this one's.
         """
         return pack_chunks(counts, model_batch)
+
+
+class ArrivalSequencer:
+    """Run per-arrival callbacks strictly in arrival order.
+
+    Arrival indices are assigned ``0, 1, 2, ...`` at submission; work
+    finishes out of order, and :meth:`release` holds each callback until
+    every earlier arrival has been released.  Every index must be
+    released exactly once or the sequence stalls; :meth:`flush` runs
+    whatever is still held, in arrival order, at shutdown.  Callbacks run
+    under the lock, so they must be short (a queue hand-off, an
+    admission) and must not call back into the sequencer.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._heap: "list[tuple[int, int, Callable[[], None]]]" = []
+        self._tiebreak = itertools.count()
+        self._next = 0
+
+    def release(self, arrival: int, publish: Callable[[], None]) -> None:
+        """Queue ``publish`` for ``arrival``; run every callback now due."""
+        with self._lock:
+            heapq.heappush(self._heap, (arrival, next(self._tiebreak), publish))
+            while self._heap and self._heap[0][0] == self._next:
+                self._next += 1
+                heapq.heappop(self._heap)[2]()
+
+    def flush(self) -> None:
+        """Run every held callback in arrival order, gaps notwithstanding."""
+        with self._lock:
+            entries = sorted(self._heap)
+            self._heap = []
+            for _, _, publish in entries:
+                publish()
+
+    @property
+    def pending(self) -> int:
+        """Callbacks held back waiting for an earlier arrival."""
+        with self._lock:
+            return len(self._heap)

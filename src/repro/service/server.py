@@ -340,7 +340,7 @@ async def handle_connection(
         pass
     finally:
         # A vanished client's unfinished requests are cancelled so they
-        # stop consuming lane time; finished streams are left alone.
+        # stop consuming compute time; finished streams are left alone.
         for request_id, stream in submitted.items():
             if not stream.done:
                 service.cancel(request_id)

@@ -1,4 +1,4 @@
-"""The asyncio generation service: queue -> scheduler -> worker lanes.
+"""The asyncio generation service: queue -> scheduler -> compute -> commit.
 
 :class:`GenerationService` turns the one-shot
 :func:`repro.engine.run_generation` machinery into a long-lived server:
@@ -13,56 +13,67 @@
   with a pack-capable backend the model stage samples **chunks from
   different requests as shared full-width model batches**, and the DRC
   stage runs as **one** cached sweep over the whole micro-batch;
-* **concurrent worker lanes** — each micro-batch is routed by its
-  compatibility key to one of a bounded set of
-  :class:`~repro.service.lanes.Lane` worker threads
-  (:class:`~repro.service.lanes.LaneManager`: sticky key→lane routing,
-  LRU lane reuse, per-lane warm backend + executor, pools shared via one
-  :class:`~repro.engine.PoolRegistry`), so **incompatible micro-batches
-  run concurrently** instead of serializing behind one worker;
-* **ordered commit stage** — lanes only run the compute stages; every
-  request's admission then passes through a single commit thread that
-  reconciles results in **global arrival order**, so session stores grow
-  exactly as they would under one lane (and bit-identically to serial
-  :func:`~repro.engine.run_generation` calls — the load-bearing
-  determinism invariant, lane count notwithstanding);
+* **one compute thread** — micro-batches run FIFO on a single thread
+  that keeps warm state: one backend per (backend, deck) (model loaded
+  once) and one :class:`~repro.engine.BatchExecutor` per deck, all
+  drawing worker pools from one :class:`~repro.engine.PoolRegistry`
+  (``service.pools``).  Process-level parallelism above a micro-batch
+  is the fleet's job (:mod:`repro.service.fleet`);
+* **ordered commit stage** — the compute thread only runs the compute
+  stages; every request's admission then passes through a single commit
+  thread that reconciles results in **global arrival order** through an
+  :class:`~repro.service.scheduler.ArrivalSequencer` (coalescing groups
+  by key, so a later arrival can finish first), which keeps session
+  stores bit-identical to serial :func:`~repro.engine.run_generation`
+  calls — the load-bearing determinism invariant — and overlaps
+  admission with the next micro-batch's compute;
 * **streaming results** — each request's proposal is streamed back as
   :class:`~repro.engine.CandidateBatch` chunks, followed by the final
   :class:`~repro.engine.GenerationBatch`;
 * **per-stage latency histograms** — every request's ``queue``,
   ``gather``, ``model``, ``drc`` and ``admit`` latencies are filed into
-  :class:`~repro.service.stats.StageLatencies` histograms, globally and
-  per lane, exported by the ``op: "stats"`` TCP verb so lane saturation
-  is visible rather than guessed (see ``docs/SERVING.md``).
+  :class:`~repro.service.stats.StageLatencies` histograms, exported by
+  the ``op: "stats"`` TCP verb so where the time goes is visible rather
+  than guessed (see ``docs/SERVING.md``).
 """
 
 from __future__ import annotations
 
 import asyncio
-import heapq
-import os
+import functools
 import queue as queue_module
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import AsyncIterator
 
 import numpy as np
 
 from ..engine import (
+    BatchExecutor,
     CandidateBatch,
     ExecutionPlan,
+    ExecutorConfig,
     GenerationBatch,
     GenerationRequest,
+    GeneratorBackend,
+    PoolRegistry,
     RetryPolicy,
     StageTimings,
+    deck_key,
     get_backend,
 )
 from .faults import maybe_fire, protected
-from .lanes import Lane, LaneManager
-from .scheduler import MicroBatch, MicroBatchScheduler, PendingRequest, SchedulerConfig
+from .scheduler import (
+    ArrivalSequencer,
+    MicroBatch,
+    MicroBatchScheduler,
+    PendingRequest,
+    SchedulerConfig,
+)
 from .session import SessionConfig, SessionManager
-from .stats import LaneStats, StageLatencies
+from .stats import StageLatencies
 
 __all__ = [
     "DeadlineExceeded",
@@ -91,10 +102,6 @@ class RequestCancelled(RuntimeError):
 _DONE = object()  # chunk-queue sentinel: no more chunks
 _COMMIT_STOP = object()  # commit-queue sentinel: flush and exit
 
-#: Environment override for the default lane count (``ServiceConfig.lanes``
-#: left unset).  CI smoke jobs use it to exercise the multi-lane path.
-LANES_ENV = "REPRO_SERVICE_LANES"
-
 
 def _split_by_share(total: int, sizes: list[int]) -> list[int]:
     """Split an integer ``total`` proportionally to ``sizes`` (sums exactly).
@@ -114,34 +121,15 @@ def _split_by_share(total: int, sizes: list[int]) -> list[int]:
     return out
 
 
-def _default_lanes() -> int:
-    """The lane count when the config leaves it unset: env var or 1."""
-    raw = os.environ.get(LANES_ENV)
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        lanes = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{LANES_ENV} must be a positive integer, got {raw!r}"
-        ) from None
-    return lanes
-
-
 @dataclass(frozen=True)
 class ServiceConfig:
     """Service-level knobs.
 
     ``queue_size`` bounds the request queue (submission awaits when
-    full).  ``jobs``/``pool``/``model_jobs`` configure the per-lane
+    full).  ``jobs``/``pool``/``model_jobs`` configure the service's
     executors exactly like :func:`repro.engine.run_generation`'s
     parameters, so a service-served request is bit-identical to a serial
-    one.  ``lanes`` is the worker-lane count: micro-batches with
-    different compatibility keys run concurrently on up to ``lanes``
-    threads, while admissions stay globally arrival-ordered through the
-    commit stage — lane count changes wall-clock, never outputs.  Left
-    unset (``None``) it resolves from ``$REPRO_SERVICE_LANES``, else 1.
-    ``stream_chunk`` is the number of candidates per streamed
+    one.  ``stream_chunk`` is the number of candidates per streamed
     :class:`~repro.engine.CandidateBatch` chunk.  ``pack_models``
     enables cross-request model-batch packing for micro-batches whose
     backend supports it (``pack_jobs``/``pack_model_fn``); packing only
@@ -154,7 +142,6 @@ class ServiceConfig:
     jobs: int = 1
     pool: str = "thread"
     model_jobs: int = 1
-    lanes: int | None = None
     stream_chunk: int = 32
     pack_models: bool = True
     #: Retry policy for the retryable micro-batch stages (model propose,
@@ -174,10 +161,6 @@ class ServiceConfig:
             raise ValueError("jobs and model_jobs must be positive")
         if self.stream_chunk < 1:
             raise ValueError("stream_chunk must be positive")
-        if self.lanes is None:
-            object.__setattr__(self, "lanes", _default_lanes())
-        if self.lanes < 1:
-            raise ValueError("lanes must be positive")
 
 
 @dataclass
@@ -187,18 +170,15 @@ class ServiceStats:
     Counters are cumulative; cross-thread increments are serialized by
     the service's stats lock.  The gauges describe *current* state
     rather than history: ``queue_depth`` is the submit-queue depth when
-    the latest cycle was dispatched (per-lane backlogs live in
-    ``lanes[*].depth`` — one global gauge would lie once lanes exist),
-    and ``last_pack_fill`` is the fill ratio of the latest packed model
-    stage (packed jobs / packed slots; 0.0 until something packs).
+    the latest cycle was dispatched, and ``last_pack_fill`` is the fill
+    ratio of the latest packed model stage (packed jobs / packed slots;
+    0.0 until something packs).
 
-    ``stages`` holds the service-wide per-stage latency histograms
-    (``queue``/``gather``/``model``/``drc``/``admit``) and ``lanes``
-    maps lane id to that lane's :class:`~repro.service.stats.LaneStats`
-    (its own counters, backlog gauge and stage histograms).  All of it
-    is exported over the wire by the ``op: "stats"`` verb (see
-    ``docs/SERVING.md``) so a load balancer can see saturation per lane
-    without scraping logs.
+    ``stages`` holds the per-stage latency histograms
+    (``queue``/``gather``/``model``/``drc``/``admit``).  All of it is
+    exported over the wire by the ``op: "stats"`` verb (see
+    ``docs/SERVING.md``) so a load balancer can see saturation without
+    scraping logs.
     """
 
     submitted: int = 0
@@ -222,26 +202,24 @@ class ServiceStats:
     last_pack_fill: float = 0.0  # gauge: latest packed stage's fill ratio
     queue_depth: int = 0  # gauge: submit-queue depth at latest cycle dispatch
     stages: StageLatencies = field(default_factory=StageLatencies)
-    lanes: dict[int, LaneStats] = field(default_factory=dict)
 
 
-@dataclass(order=True)
+@dataclass
 class _CommitToken:
     """One request's entry in the ordered commit stage.
 
-    Lanes emit exactly one token per request they were handed —
-    ``ready`` carries the staged results awaiting admission, ``None``
-    marks a request that already failed (its error was delivered on the
-    lane) and only needs its arrival slot released.  Tokens are ordered
-    by arrival index; the commit thread admits strictly in that order.
-    ``pending`` is always set: the commit stage uses it to release the
-    request from the live (cancellable) registry exactly once.
+    Every dispatched request emits exactly one token — ``ready`` carries
+    the staged results awaiting admission, ``None`` marks a request that
+    already failed (its error was delivered on the compute thread) and
+    only needs its arrival slot released.  The commit thread admits
+    strictly by ``arrival``.  ``pending`` is always set: the commit
+    stage uses it to release the request from the live (cancellable)
+    registry exactly once.
     """
 
     arrival: int
-    lane: "Lane | None" = field(compare=False, default=None)
-    ready: "tuple | None" = field(compare=False, default=None)
-    pending: "PendingRequest | None" = field(compare=False, default=None)
+    ready: "tuple | None" = None
+    pending: "PendingRequest | None" = None
 
 
 class ResultStream:
@@ -354,18 +332,25 @@ class GenerationService:
         self.sessions = session_manager or SessionManager(self.config.sessions)
         self.stats = ServiceStats()
         self._backend_factory = backend_factory
-        self.lanes: LaneManager | None = None
+        # Compute stage: one thread running micro-batches FIFO, plus its
+        # warm state — backends per (name, deck key), executors per deck
+        # key, and the pool registry those executors share.  Touched only
+        # by the compute thread until stop() closes it.
+        self._worker: ThreadPoolExecutor | None = None
+        self.pools: PoolRegistry | None = None
+        self._backends: dict[tuple, GeneratorBackend] = {}
+        self._executors: dict[tuple, BatchExecutor] = {}
         self._stats_lock = threading.Lock()
         self._queue: asyncio.Queue[PendingRequest] | None = None
         self._task: asyncio.Task | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._submit_lock: asyncio.Lock | None = None
         self._arrival = 0
-        # Ordered commit stage: lanes push one token per request; the
+        # Ordered commit stage: one token per dispatched request; the
         # commit thread admits strictly by arrival index.
         self._commit_queue: queue_module.Queue | None = None
         self._commit_thread: threading.Thread | None = None
-        # Dispatch backpressure: requests handed to lanes but not yet
+        # Dispatch backpressure: requests dispatched but not yet
         # committed; the gather loop pauses above the in-flight limit.
         self._inflight = 0
         self._inflight_lock = threading.Lock()
@@ -393,27 +378,15 @@ class GenerationService:
         return self._queue.qsize() if self._queue is not None else 0
 
     def queue_depths(self) -> dict:
-        """Everything queued anywhere: the submit queue plus lane backlogs.
+        """Everything queued anywhere: ``{"submit": N, "in_flight": M}``.
 
-        ``{"submit": N, "in_flight": M, "lanes": {lane_id: depth}}`` —
-        ``submit`` is the global bounded queue, ``lanes`` the per-lane
-        backlogs (dispatched, not yet finished by the lane), and
-        ``in_flight`` the dispatched-but-uncommitted total.  One number
-        would lie under lanes; three tell the saturation story.
+        ``submit`` is the bounded submit queue, ``in_flight`` the
+        dispatched-but-uncommitted total.
         """
-        with self._stats_lock:
-            lanes = {
-                lane_id: stats.depth
-                for lane_id, stats in self.stats.lanes.items()
-            }
-        return {
-            "submit": self.queue_depth,
-            "in_flight": self._inflight,
-            "lanes": lanes,
-        }
+        return {"submit": self.queue_depth, "in_flight": self._inflight}
 
     async def start(self) -> "GenerationService":
-        """Start the scheduler loop, lanes and commit stage (idempotent)."""
+        """Start the scheduler loop, compute and commit stages (idempotent)."""
         if self.running:
             return self
         self._loop = asyncio.get_running_loop()
@@ -425,15 +398,9 @@ class GenerationService:
             self._live.clear()
             self._cancelled.clear()
         self._draining = False
-        cfg = self.config
-        self.stats.lanes.clear()
-        self.lanes = LaneManager(
-            cfg.lanes,
-            jobs=cfg.jobs,
-            pool=cfg.pool,
-            model_jobs=cfg.model_jobs,
-            backend_factory=self._backend_factory,
-            stats=self.stats.lanes,
+        self.pools = PoolRegistry()
+        self._worker = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-service-compute"
         )
         self._commit_queue = queue_module.Queue()
         self._commit_thread = threading.Thread(
@@ -446,8 +413,8 @@ class GenerationService:
     async def stop(self, *, checkpoint: bool = True) -> None:
         """Drain and shut down (idempotent).
 
-        In-flight micro-batches finish on their lanes and commit (their
-        streams resolve); requests still queued fail with
+        In-flight micro-batches finish and commit (their streams
+        resolve); requests still queued fail with
         ``RuntimeError``.  Sessions with snapshot directories take a
         final checkpoint unless ``checkpoint=False``.
         """
@@ -459,11 +426,11 @@ class GenerationService:
                 await task
             except asyncio.CancelledError:
                 pass
-        # Lanes drain first (every dispatched micro-batch emits its
+        # Compute drains first (every dispatched micro-batch emits its
         # commit tokens), then the commit thread flushes and exits.
-        lanes, self.lanes = self.lanes, None
-        if lanes is not None:
-            await loop.run_in_executor(None, lanes.drain)
+        worker, self._worker = self._worker, None
+        if worker is not None:
+            await loop.run_in_executor(None, worker.shutdown)
         commit_thread, self._commit_thread = self._commit_thread, None
         if commit_thread is not None:
             self._commit_queue.put(_COMMIT_STOP)
@@ -478,9 +445,9 @@ class GenerationService:
             self._cancelled.clear()
         if checkpoint:
             self.stats.checkpoints += len(self.sessions.checkpoint_all())
-        if lanes is not None:
+        if worker is not None:
             # After the commit stage: admissions lease executor pools.
-            await loop.run_in_executor(None, lanes.close)
+            await loop.run_in_executor(None, self._close_engine_state)
 
     async def __aenter__(self) -> "GenerationService":
         return await self.start()
@@ -517,7 +484,7 @@ class GenerationService:
         if session is not None:
             # Syntax-check the id here (bad ids fail the submit); the
             # store itself — possibly a large snapshot load — is
-            # materialised lazily on a lane thread, never on the
+            # materialised lazily on the compute thread, never on the
             # event loop.
             self.sessions.validate_id(session)
         stream = ResultStream(request, self._loop)
@@ -540,7 +507,7 @@ class GenerationService:
             )
             self._arrival += 1
             # Register as live *before* the enqueue: once the queue holds
-            # the entry a lane (or the commit thread) may finish it at
+            # the entry the compute (or commit) thread may finish it at
             # any moment, and its release must find the registration.
             with self._live_lock:
                 self._live[request.request_id] = pending
@@ -599,10 +566,7 @@ class GenerationService:
         return None
 
     def _fail_request(
-        self,
-        pending: PendingRequest,
-        error: BaseException,
-        lane: "Lane | None" = None,
+        self, pending: PendingRequest, error: BaseException
     ) -> None:
         """Deliver a terminal error (any thread; done-guarded counters)."""
         if not pending.stream.done:
@@ -612,8 +576,6 @@ class GenerationService:
                     self.stats.deadline_drops += 1
                 elif isinstance(error, RequestCancelled):
                     self.stats.cancelled += 1
-                if lane is not None:
-                    lane.stats.failures += 1
         self._publish(pending.stream, ResultStream._deliver_error, error)
 
     async def drain(self, timeout: "float | None" = None) -> bool:
@@ -649,8 +611,8 @@ class GenerationService:
         """
         breakers: list[dict] = []
         rebuilds = 0
-        if self.lanes is not None:
-            registry = self.lanes.pools
+        registry = self.pools
+        if registry is not None:
             breakers = registry.breakers.snapshot()
             rebuilds = registry.rebuilds
         degraded = any(entry.get("state") == "open" for entry in breakers)
@@ -712,7 +674,6 @@ class GenerationService:
             "packed_jobs": stats.packed_jobs,
             "packed_fallbacks": stats.packed_fallbacks,
             "pack_fill": round(stats.last_pack_fill, 4),
-            "lane_count": len(stats.lanes),
             # Warm-start cache counters (on-disk sampler plans under
             # --drc-cache-dir, content-addressed published checkpoints).
             "warm_caches": {
@@ -723,13 +684,8 @@ class GenerationService:
             # {"installed": false} in normal operation).
             "faults": injection_stats(),
             # Per-stage latency histograms (queue/gather/model/drc/
-            # admit), service-wide and per lane; see docs/SERVING.md
-            # for the bucket format.
+            # admit); see docs/SERVING.md for the bucket format.
             "stages": stats.stages.snapshot(),
-            "lanes": [
-                stats.lanes[lane_id].snapshot()
-                for lane_id in sorted(stats.lanes)
-            ],
         }
 
     # ------------------------------------------------------------------
@@ -797,7 +753,7 @@ class GenerationService:
             self._dispatch(batch)
 
     def _dispatch(self, batch: list[PendingRequest]) -> None:
-        """Route one gather window's requests onto lanes (loop thread)."""
+        """Hand one gather window's micro-batches to compute (loop thread)."""
         # compatibility_key() evaluates user-supplied fields (deck,
         # params reprs); a poisoned request must fail alone — not
         # its co-arriving neighbours, and never the scheduler loop.
@@ -807,7 +763,7 @@ class GenerationService:
         for pending in batch:
             # Dequeue-time boundary: a request already cancelled, or
             # whose deadline passed while it queued, is dropped before
-            # it costs a lane anything.
+            # it costs any compute.
             error = self._boundary_error(pending)
             if error is None:
                 try:
@@ -817,7 +773,7 @@ class GenerationService:
             if error is not None:
                 self._fail_request(pending, error)
                 # Release the arrival slot: the commit stage must not
-                # wait forever on a request no lane will ever serve.
+                # wait forever on a request nothing will ever serve.
                 self._commit_queue.put(
                     _CommitToken(pending.arrival, pending=pending)
                 )
@@ -830,63 +786,111 @@ class GenerationService:
         self.stats.cycles += 1
         now = time.perf_counter()
         for micro in micro_batches:
-            lane = self.lanes.lane_for(micro.key)
-            with self._stats_lock:
-                lane.stats.depth += len(micro)
             for entry in micro.entries:
-                queued = max(0.0, entry.dequeued_at - entry.submitted_at)
-                gathered = max(0.0, now - entry.dequeued_at)
-                self.stats.stages.observe("queue", queued)
-                self.stats.stages.observe("gather", gathered)
-                lane.stats.stages.observe("queue", queued)
-                lane.stats.stages.observe("gather", gathered)
-            lane.submit(self._lane_serve, lane, micro)
+                self.stats.stages.observe(
+                    "queue", max(0.0, entry.dequeued_at - entry.submitted_at)
+                )
+                self.stats.stages.observe(
+                    "gather", max(0.0, now - entry.dequeued_at)
+                )
+            self._worker.submit(self._serve_micro_batch, micro)
 
     # ------------------------------------------------------------------
-    # Lane execution (lane-thread side)
+    # Compute stage (compute-thread side)
     # ------------------------------------------------------------------
     def _publish(self, stream: ResultStream, method, payload) -> None:
         self._loop.call_soon_threadsafe(method.__get__(stream), payload)
 
-    def _lane_serve(self, lane: Lane, micro: MicroBatch) -> None:
-        """Serve one micro-batch on its lane, then emit commit tokens.
+    def _backend_for(self, request: GenerationRequest) -> GeneratorBackend:
+        """The long-lived backend for this request (built once).
+
+        Backends that accept ``jobs``/``model_jobs`` get the service's
+        worker config forwarded, so a 1-request micro-batch samples with
+        the same parallelism as everything else; worker counts never
+        change seeded outputs (rng.spawn discipline), so this is purely
+        a throughput knob.
+        """
+        name, request_deck_key, _, _ = request.compatibility_key()
+        key = (name, request_deck_key)
+        backend = self._backends.get(key)
+        if backend is None:
+            cfg = self.config
+            kwargs = {"deck": request.deck} if request.deck is not None else {}
+            if cfg.jobs > 1 or cfg.model_jobs > 1:
+                try:
+                    backend = self._backend_factory(
+                        name, **kwargs, jobs=cfg.jobs,
+                        model_jobs=cfg.model_jobs,
+                    )
+                except TypeError:
+                    pass  # factory without worker-count kwargs
+            if backend is None:
+                backend = self._backend_factory(name, **kwargs)
+            self._backends[key] = backend
+        return backend
+
+    def _executor_for(self, deck) -> BatchExecutor:
+        """The warm executor for this deck (pools from ``self.pools``)."""
+        key = deck_key(deck)
+        executor = self._executors.get(key)
+        if executor is None:
+            cfg = self.config
+            executor = BatchExecutor(
+                deck.engine(),
+                ExecutorConfig(
+                    jobs=cfg.jobs, pool=cfg.pool, model_jobs=cfg.model_jobs
+                ),
+                pools=self.pools,
+            )
+            self._executors[key] = executor
+        return executor
+
+    def _close_engine_state(self) -> None:
+        """Release backends, executors and pools (after compute drained)."""
+        executors = list(self._executors.values())
+        backends = list(self._backends.values())
+        self._executors.clear()
+        self._backends.clear()
+        for executor in executors:
+            executor.close()  # a no-op for the shared registry's pools
+        for backend in backends:
+            close = getattr(backend, "close", None)
+            if callable(close):
+                close()
+        pools, self.pools = self.pools, None
+        if pools is not None:
+            pools.close()
+
+    def _serve_micro_batch(self, micro: MicroBatch) -> None:
+        """Serve one micro-batch, then emit its commit tokens.
 
         Every request the micro-batch carried emits **exactly one**
         token — ``ready`` results await ordered admission, failures
         (already delivered on this thread) release their arrival slot —
-        so a crash anywhere in the lane stages can never stall the
-        commit order other lanes' requests are waiting on.
+        so a crash anywhere in the compute stages can never stall the
+        commit order later requests are waiting on.
         """
-        t0 = time.perf_counter()
         with self._stats_lock:
             self.stats.micro_batches += 1
             self.stats.peak_coalesced = max(
                 self.stats.peak_coalesced, len(micro)
             )
-            lane.stats.micro_batches += 1
-            lane.stats.requests += len(micro)
         ready: list[tuple] = []
         try:
-            ready = self._run_micro_batch(micro, lane)
-        except Exception as error:  # noqa: BLE001 - lane must survive
+            ready = self._run_micro_batch(micro)
+        except Exception as error:  # noqa: BLE001 - compute must survive
             for pending in micro.entries:
-                self._fail_request(pending, error, lane)
+                self._fail_request(pending, error)
         finally:
-            with self._stats_lock:
-                lane.stats.busy_seconds += time.perf_counter() - t0
-                lane.stats.depth -= len(micro)
             staged = {id(item[0]) for item in ready}
             for item in ready:
                 self._commit_queue.put(
-                    _CommitToken(
-                        item[0].arrival, lane=lane, ready=item,
-                        pending=item[0],
-                    )
+                    _CommitToken(item[0].arrival, ready=item, pending=item[0])
                 )
             for pending in micro.entries:
                 if id(pending) not in staged:
                     self._commit_queue.put(
-                        _CommitToken(pending.arrival, lane=lane, pending=pending)
+                        _CommitToken(pending.arrival, pending=pending)
                     )
 
     def _packed_model_stage(self, executor, prepared):
@@ -993,7 +997,7 @@ class GenerationService:
                 on_retry=on_retry,
             )
 
-    def _run_micro_batch(self, micro: MicroBatch, lane: Lane):
+    def _run_micro_batch(self, micro: MicroBatch):
         """Model stage (packed when possible) + denoise per request, then
         one DRC sweep; no admission (the commit stage owns that)."""
         prepared: list[tuple[PendingRequest, ExecutionPlan]] = []
@@ -1002,21 +1006,21 @@ class GenerationService:
             request = pending.request
             boundary = self._boundary_error(pending)
             if boundary is not None:
-                # Dropped at the lane's entry boundary: the finally
-                # block in _lane_serve emits its skip token.
-                self._fail_request(pending, boundary, lane)
+                # Dropped at the compute entry boundary: the finally
+                # block in _serve_micro_batch emits its skip token.
+                self._fail_request(pending, boundary)
                 continue
             try:
-                backend = lane.backend_for(request)
+                backend = self._backend_for(request)
                 deck = request.deck if request.deck is not None else backend.deck
-                executor = lane.executor_for(deck)
+                executor = self._executor_for(deck)
                 library = None
                 if pending.session_id is not None:
                     library = self.sessions.get(pending.session_id).store
                 plan = executor.plan(request, backend=backend, library=library)
                 prepared.append((pending, plan))
             except Exception as error:  # noqa: BLE001 - surfaced per request
-                self._fail_request(pending, error, lane)
+                self._fail_request(pending, error)
         if not prepared:
             return []
 
@@ -1033,7 +1037,7 @@ class GenerationService:
             if boundary is not None:
                 # Model-stage boundary: cancelled / expired between plan
                 # and sampling.
-                self._fail_request(pending, boundary, lane)
+                self._fail_request(pending, boundary)
                 continue
             try:
                 t_model = time.perf_counter()
@@ -1056,10 +1060,9 @@ class GenerationService:
                     else time.perf_counter() - t_model
                 ) + denoise_seconds
                 self.stats.stages.observe("model", model_seconds)
-                lane.stats.stages.observe("model", model_seconds)
                 staged.append((pending, plan, clips, denoise_seconds))
             except Exception as error:  # noqa: BLE001 - surfaced per request
-                self._fail_request(pending, error, lane)
+                self._fail_request(pending, error)
         if not staged:
             return []
 
@@ -1082,7 +1085,7 @@ class GenerationService:
                 )
         except Exception as error:  # noqa: BLE001 - fail the whole batch
             for pending, _, _, _ in staged:
-                self._fail_request(pending, error, lane)
+                self._fail_request(pending, error)
             return []
         # Attribute the sweep's cache traffic by candidate share, so a
         # request's batch reports its own traffic, not the whole sweep's.
@@ -1100,7 +1103,6 @@ class GenerationService:
             offset += len(clips)
             drc_share = drc_seconds * (len(clips) / total)
             self.stats.stages.observe("drc", drc_share)
-            lane.stats.stages.observe("drc", drc_share)
             timings = StageTimings(
                 denoise_seconds=denoise_seconds,
                 # The shared sweep's cost, attributed by candidate share.
@@ -1115,29 +1117,26 @@ class GenerationService:
     # Ordered commit stage (commit-thread side)
     # ------------------------------------------------------------------
     def _commit_loop(self) -> None:
-        """Admit lane results strictly by arrival index.
+        """Admit computed results strictly by arrival index.
 
-        Lanes finish out of order; this thread buffers their tokens in a
-        heap and only commits the next expected arrival, so session
-        stores grow in **global arrival order** — exactly as the
-        single-worker service admitted, whatever the lane count.  Every
-        dequeued request emits exactly one token (ready or skip), and
-        dequeueing itself is FIFO by arrival, so the expected index can
-        never be skipped over.  On shutdown (sentinel) any buffered
-        tokens flush in arrival order regardless of gaps.
+        Coalescing groups a gather window by key, so micro-batches can
+        finish a later arrival before an earlier one; the sequencer holds
+        each token until every earlier arrival has committed, so session
+        stores grow in **global arrival order**.  Every dequeued request
+        emits exactly one token (ready or skip), and dequeueing itself is
+        FIFO by arrival, so no index is ever skipped over.  On shutdown
+        (sentinel) any held tokens flush in arrival order regardless of
+        gaps.
         """
-        heap: list[_CommitToken] = []
-        next_expected = 0
+        sequencer = ArrivalSequencer()
         while True:
             token = self._commit_queue.get()
             if token is _COMMIT_STOP:
                 break
-            heapq.heappush(heap, token)
-            while heap and heap[0].arrival == next_expected:
-                next_expected += 1
-                self._commit_one(heapq.heappop(heap))
-        while heap:
-            self._commit_one(heapq.heappop(heap))
+            sequencer.release(
+                token.arrival, functools.partial(self._commit_one, token)
+            )
+        sequencer.flush()
 
     def _commit_one(self, token: _CommitToken) -> None:
         """Admit one request's results (or release a failed slot)."""
@@ -1149,11 +1148,11 @@ class GenerationService:
                 token.ready
             )
             # Last boundary check: a request cancelled (or expired) while
-            # it sat in the commit heap is dropped *before* admission —
+            # it waited in the sequencer is dropped *before* admission —
             # nothing of it reaches the session store.
             boundary = self._boundary_error(pending)
             if boundary is not None:
-                self._fail_request(pending, boundary, token.lane)
+                self._fail_request(pending, boundary)
                 released = True
                 self._committed()
                 return
@@ -1184,8 +1183,6 @@ class GenerationService:
             # see it reflected in the stats and gauges.
             admit_seconds = time.perf_counter() - t0
             self.stats.stages.observe("admit", admit_seconds)
-            if token.lane is not None:
-                token.lane.stats.stages.observe("admit", admit_seconds)
             if error is None:
                 with self._stats_lock:
                     self.stats.completed += 1
@@ -1196,8 +1193,6 @@ class GenerationService:
                         self.stats.deadline_drops += 1
                     elif isinstance(error, RequestCancelled):
                         self.stats.cancelled += 1
-                    if token.lane is not None:
-                        token.lane.stats.failures += 1
             released = True
             self._committed()
             if error is None:

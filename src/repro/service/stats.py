@@ -1,7 +1,7 @@
-"""Per-stage latency histograms and per-lane serving telemetry.
+"""Per-stage serving latency histograms.
 
-The service answers "where does a request's time go, and which lane is
-saturated" with numbers rather than guesses:
+The service answers "where does a request's time go" with numbers
+rather than guesses:
 
 * :class:`LatencyHistogram` — a fixed, log-spaced latency histogram
   (seconds in, milliseconds out).  Buckets double from 100 µs up to
@@ -10,30 +10,29 @@ saturated" with numbers rather than guesses:
   bucket boundaries (upper-bound estimates, exact count/total);
 * :class:`StageLatencies` — one histogram per pipeline stage
   (:data:`STAGES`: ``queue``, ``gather``, ``model``, ``drc``,
-  ``admit``);
-* :class:`LaneStats` — one worker lane's counters, gauges and stage
-  histograms.
+  ``admit``).
 
-The service keeps one global :class:`StageLatencies` plus one
-:class:`LaneStats` per lane in :class:`~repro.service.ServiceStats`;
-the ``op: "stats"`` TCP verb exports both as JSON (see
-``docs/SERVING.md`` for the wire format).  All classes are thread-safe
-for observation: the loop thread records queue/gather, lane threads
-record model/drc, and the commit thread records admit.
+The service keeps one :class:`StageLatencies` in
+:class:`~repro.service.ServiceStats`; the ``op: "stats"`` TCP verb
+exports it as JSON (see ``docs/SERVING.md`` for the wire format), and
+the fleet front folds its workers' snapshots into one with
+:meth:`StageLatencies.merge_snapshot`.  Both classes are thread-safe for
+observation: the loop thread records queue/gather, the compute thread
+records model/drc, and the commit thread records admit.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass, field
 
-__all__ = ["STAGES", "LatencyHistogram", "StageLatencies", "LaneStats"]
+__all__ = ["STAGES", "LatencyHistogram", "StageLatencies"]
 
 #: The five serving stages a request passes through, in pipeline order:
 #: time waiting in the submit queue, time held by the gather window,
-#: model sampling + per-request denoise on a lane, the lane's attributed
-#: share of the shared DRC sweep, and the ordered admission/commit stage.
+#: model sampling + per-request denoise, the request's attributed share
+#: of the micro-batch's shared DRC sweep, and the ordered admission/commit
+#: stage.
 STAGES = ("queue", "gather", "model", "drc", "admit")
 
 #: Log-spaced bucket upper bounds in seconds: 100 µs doubling to ~210 s.
@@ -96,8 +95,7 @@ class LatencyHistogram:
         counts, ``count``, ``total_seconds`` and ``max_seconds`` round-
         trip exactly, so ``from_snapshot(a.snapshot()).merge(...)`` is
         how a fleet front folds per-worker histograms (received as JSON
-        over the wire) into one fleet-wide histogram through the same
-        :meth:`merge` path the in-process lanes use.  Unknown bucket
+        over the wire) into one fleet-wide histogram.  Unknown bucket
         bounds (a snapshot from a build with different ``_BOUNDS``) fold
         into the overflow bucket rather than raising.
         """
@@ -124,8 +122,8 @@ class LatencyHistogram:
         first (and left untouched), so merging is safe while either side
         is still observing; merging a histogram into itself is a no-op
         rather than a self-deadlock.  Merging an empty histogram changes
-        nothing.  The aggregation primitive for rolling per-lane (or
-        per-process) histograms into fleet-wide ones.
+        nothing.  The aggregation primitive for rolling per-process
+        histograms into fleet-wide ones.
         """
         if other is self:
             return
@@ -181,18 +179,13 @@ class StageLatencies:
     def observe(self, stage: str, seconds: float) -> None:
         self._stages[stage].observe(seconds)
 
-    def merge(self, other: "StageLatencies") -> None:
-        """Fold ``other``'s per-stage histograms into this one's."""
-        for stage in STAGES:
-            self._stages[stage].merge(other._stages[stage])
-
     def merge_snapshot(self, snap: dict) -> None:
         """Fold a wire-format :meth:`snapshot` payload into this instance.
 
         The fleet front aggregates per-worker stage histograms with this:
         each worker ships its ``stages`` snapshot over the wire, and the
-        front rolls them all into one :class:`StageLatencies` through the
-        same :meth:`LatencyHistogram.merge` path lanes use in-process.
+        front rolls them all into one :class:`StageLatencies` through
+        :meth:`LatencyHistogram.merge`.
         """
         for stage in STAGES:
             if stage in snap:
@@ -207,38 +200,3 @@ class StageLatencies:
         """``{stage: histogram snapshot}`` for every stage, always all five."""
         return {stage: hist.snapshot() for stage, hist in self._stages.items()}
 
-
-@dataclass
-class LaneStats:
-    """One worker lane's serving telemetry.
-
-    ``depth`` is a gauge: requests dispatched to the lane and not yet
-    finished by it (its private backlog — the per-lane half of the
-    queue-depth story; the global submit queue is the other half).
-    ``busy_seconds`` accumulates wall-clock spent serving micro-batches,
-    so ``busy_seconds / uptime`` is the lane's utilisation.  ``keys`` is
-    the number of compatibility keys currently routed to the lane.
-    ``stages`` holds the lane's share of the per-stage histograms.
-    """
-
-    lane_id: int
-    micro_batches: int = 0
-    requests: int = 0
-    failures: int = 0
-    busy_seconds: float = 0.0
-    depth: int = 0
-    keys: int = 0
-    stages: StageLatencies = field(default_factory=StageLatencies)
-
-    def snapshot(self) -> dict:
-        """JSON-ready view, as exported by the ``op: "stats"`` verb."""
-        return {
-            "lane": self.lane_id,
-            "micro_batches": self.micro_batches,
-            "requests": self.requests,
-            "failures": self.failures,
-            "busy_s": round(self.busy_seconds, 4),
-            "depth": self.depth,
-            "keys": self.keys,
-            "stages": self.stages.snapshot(),
-        }

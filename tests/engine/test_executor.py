@@ -343,7 +343,7 @@ class TestRunGeneration:
 
 
 class TestSharedPoolRegistry:
-    """Tentpole: one PoolRegistry backing several executors (worker lanes)."""
+    """Tentpole: one PoolRegistry backing several executors."""
 
     def test_executors_share_one_pool_per_shape(self, deck):
         from repro.engine import PoolRegistry

@@ -6,7 +6,7 @@ checkpoint — under a :class:`~repro.service.FaultPlan`, and asserts the
 tentpole contracts: surviving requests are **bit-identical** to a
 fault-free serial run, every failed/cancelled/expired request gets
 **exactly one** terminal error, and the ordered commit stage never
-stalls (every ticket resolves) at any lane count.
+stalls (every ticket resolves) at any executor job count.
 """
 
 import json
@@ -298,16 +298,16 @@ class TestRetryRecovery:
         for a, b in zip(reference, served):
             _assert_batches_identical(a, b)
 
-    @pytest.mark.parametrize("lanes", [1, 2, 4])
-    def test_exhausted_retries_fail_exactly_one_request(self, lanes):
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_exhausted_retries_fail_exactly_one_request(self, jobs):
         """Tentpole: with retries disabled, one injected fault fails
         exactly one request; survivors are bit-identical and the ordered
-        commit stage never stalls — at any lane count."""
+        commit stage never stalls — at any executor job count."""
         requests = _rule_requests(4, base_seed=50)
         reference = [run_generation(r) for r in requests]
         install_faults("model:raise@1")
         config = ServiceConfig(
-            lanes=lanes,
+            jobs=jobs,
             retry=RetryPolicy(max_attempts=1),
             scheduler=SchedulerConfig(gather_window_s=0.05),
         )
@@ -390,7 +390,7 @@ class TestPoolSupervision:
     def _requests(self, deck):
         # Two compatible requests, count=8 over model_batch=4: four
         # packed model batches, so the pooled packed dispatch
-        # (model_jobs=2) on the lane executor actually engages.
+        # (model_jobs=2) on the service's executor actually engages.
         return [
             GenerationRequest(
                 backend="pp-faults-test", count=8, seed=s, deck=deck,
@@ -414,7 +414,7 @@ class TestPoolSupervision:
         with ServiceClient(self._config()) as client:
             served = client.generate_many(requests)
             health = client.service.health()
-            rebuilds = client.service.lanes.pools.rebuilds
+            rebuilds = client.service.pools.rebuilds
         assert injection_stats()["fired"] == ["pool:crash@1"], (
             "the pooled packed dispatch never engaged"
         )
@@ -430,7 +430,7 @@ class TestPoolSupervision:
         requests = self._requests(deck)
         reference = [run_generation(r) for r in requests]
         with ServiceClient(self._config()) as client:
-            breaker = client.service.lanes.pools.breakers.get(("process", 2))
+            breaker = client.service.pools.breakers.get(("process", 2))
             for _ in range(breaker.threshold):
                 breaker.record_failure()
             assert not breaker.allow()

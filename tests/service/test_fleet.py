@@ -1,9 +1,8 @@
 """Fleet front behaviour: cross-process bit-identity, routing, snapshot
 reconciliation, crash recovery, and the aggregated stats/health surface.
 
-The determinism tests here mirror ``test_lanes.py`` one level up: the
-same workloads that prove lane-count independence prove worker-count
-independence — fleet outputs must be bit-identical to a serial
+The determinism tests here mirror ``test_service.py`` one level up:
+fleet outputs must be bit-identical to a serial
 ``run_generation`` pass (and hence to a 1-worker service) for any fleet
 width.  ``TestFleetChaos`` runs only under a ``fleet``-site fault plan
 (the CI chaos job exports ``REPRO_FAULTS=fleet:kill@1``) because killed
@@ -98,10 +97,10 @@ class TestFleetDeterminism:
         for expected, got in zip(serial, batches):
             _assert_batches_identical(expected, got)
 
-    def test_jobs_and_lanes_inside_workers_stay_identical(self, deck):
+    def test_jobs_inside_workers_stay_identical(self, deck):
         requests = _requests(deck, 6, base_seed=40)
         serial = [run_generation(request) for request in requests]
-        config = ServiceConfig(jobs=2, lanes=2)
+        config = ServiceConfig(jobs=2)
         with _fleet_client(2, config) as client:
             batches = client.generate_many(requests)
         for expected, got in zip(serial, batches):
@@ -169,7 +168,7 @@ class TestFleetSessions:
             for request in _requests(deck, 4, base_seed=20):
                 client.generate(request, session="pinned", timeout=120)
             depths = client.service.queue_depths()
-            assert set(depths) == {"submit", "in_flight", "workers", "lanes"}
+            assert set(depths) == {"submit", "in_flight", "workers"}
         # Exactly one worker directory holds the session's snapshot.
         worker_dirs = sorted((tmp_path / WORKER_SUBDIR).iterdir())
         holders = [d for d in worker_dirs if (d / "pinned").is_dir()]
@@ -270,8 +269,7 @@ class TestFleetObservability:
         assert payload["stages"]["queue"]["count"] == len(requests)
         assert payload["micro_batches"] >= 1
         # Single-process payload shape parity (the TCP stats verb).
-        for key in ("warm_caches", "faults", "lanes",
-                    "queue_depth", "pack_fill"):
+        for key in ("warm_caches", "faults", "queue_depth", "pack_fill"):
             assert key in payload
 
     def test_health_aggregates_workers(self, deck):
@@ -325,6 +323,18 @@ class TestFleetConfigResolution:
     def test_workers_validation(self):
         with pytest.raises(ValueError, match="workers"):
             FleetConfig(workers=0)
+
+    def test_process_pool_service_config_rejected(self):
+        # Daemonic workers cannot open process pools; the config must
+        # say so up front instead of failing every affected request.
+        for service in (
+            ServiceConfig(model_jobs=2),
+            ServiceConfig(jobs=2, pool="process"),
+        ):
+            with pytest.raises(ValueError, match="--workers"):
+                FleetConfig(workers=2, service=service)
+        # Thread pools inside a worker stay allowed.
+        assert FleetConfig(workers=2, service=ServiceConfig(jobs=2)).workers == 2
 
     def test_client_rejects_service_plus_workers(self):
         from repro.service import GenerationService

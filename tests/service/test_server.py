@@ -132,25 +132,19 @@ class TestProtocol:
         assert {"hits", "misses", "writes", "dir"} <= set(
             warm["sampler_plan"]
         )
-        # Worker-lane telemetry rides the same verb: per-stage latency
-        # histograms (all five stages) plus one snapshot per lane.
-        assert stats["lane_count"] >= 1
+        # Per-stage latency histograms (all five stages) ride the same
+        # verb.
         assert set(stats["stages"]) == {
             "queue", "gather", "model", "drc", "admit"
         }
         # The stats op may be answered while cycles are still in flight,
         # so only structural invariants hold here (per-stage counts are
-        # asserted on a drained service in test_lanes.py).
+        # asserted on a drained service in test_service.py).
         for histogram in stats["stages"].values():
             assert histogram["p50_ms"] <= histogram["p95_ms"]
             assert sum(n_ for _, n_ in histogram["buckets"]) == (
                 histogram["count"]
             )
-        assert len(stats["lanes"]) == stats["lane_count"]
-        lane = stats["lanes"][0]
-        assert lane["lane"] == 0
-        assert set(stats["stages"]) == set(lane["stages"])
-        assert sum(entry["requests"] for entry in stats["lanes"]) <= n
 
 
 class TestFaultVerbs:
@@ -388,7 +382,7 @@ class TestHardening:
 
     def test_disconnect_cancels_unfinished_requests(self):
         # A client that submits and vanishes must not leave its request
-        # burning lane time.  A clean FIN is indistinguishable from the
+        # burning compute time.  A clean FIN is indistinguishable from the
         # legitimate write_eof() pipelining pattern, so "vanished" means
         # the connection *errors*: an abortive close (RST) aborts the
         # server's pending read, and the handler cancels every submitted

@@ -1,5 +1,6 @@
 """GenerationService behaviour: determinism under concurrency, streaming,
-session merges, error paths."""
+session merges, arrival-ordered commits across compatibility keys, crash
+isolation, stage histograms, error paths."""
 
 import threading
 
@@ -11,6 +12,7 @@ from repro.drc import advanced_deck
 from repro.engine import GenerationRequest, run_generation
 from repro.geometry import Grid
 from repro.service import (
+    STAGES,
     SchedulerConfig,
     ServiceClient,
     ServiceConfig,
@@ -31,6 +33,35 @@ def _requests(deck, n, *, count=5, base_seed=0):
                           deck=deck)
         for i in range(n)
     ]
+
+
+def _mixed_requests(deck, *, keys=3, per_key=2, count=4, base_seed=0):
+    """Requests spanning ``keys`` compatibility keys (distinct params),
+    grouped by key: k0, k0, k1, k1, ..."""
+    return [
+        GenerationRequest(
+            backend="rule", count=count, seed=base_seed + 10 * k + j,
+            deck=deck, params={"variant": k},
+        )
+        for k in range(keys)
+        for j in range(per_key)
+    ]
+
+
+class _BombBackend:
+    """A backend whose model stage always raises."""
+
+    name = "test-bomb"
+
+    def __init__(self, deck=None):
+        self._deck = deck
+
+    @property
+    def deck(self):
+        return self._deck
+
+    def propose(self, request, rng):
+        raise RuntimeError("compute bomb")
 
 
 def _assert_batches_identical(a, b):
@@ -112,6 +143,155 @@ class TestDeterminismUnderConcurrency:
             second = client.generate(twin, session="shared")
         assert first.admitted > 0
         assert second.admitted == 0  # same seed: all duplicates in-session
+
+
+class TestMixedKeys:
+    """Several compatibility keys in one burst: served output stays
+    bit-identical to serial, and admissions stay in arrival order."""
+
+    @pytest.mark.parametrize("keys", [1, 2, 4])
+    def test_mixed_keys_bit_identical_to_serial(self, deck, keys):
+        requests = _mixed_requests(deck, keys=keys, per_key=2, base_seed=100)
+        serial = [run_generation(request) for request in requests]
+        config = ServiceConfig(
+            scheduler=SchedulerConfig(gather_window_s=0.02),
+        )
+        with ServiceClient(config) as client:
+            served = client.generate_many(requests)
+        for reference, got in zip(serial, served):
+            _assert_batches_identical(reference, got)
+
+    def test_pooled_mixed_keys_bit_identical_to_serial(self, deck):
+        requests = _mixed_requests(
+            deck, keys=2, per_key=2, count=5, base_seed=200
+        )
+        serial = [run_generation(request) for request in requests]
+        config = ServiceConfig(
+            jobs=3, scheduler=SchedulerConfig(gather_window_s=0.02),
+        )
+        with ServiceClient(config) as client:
+            served = client.generate_many(requests)
+        for reference, got in zip(serial, served):
+            _assert_batches_identical(reference, got)
+
+    def test_threaded_mixed_key_clients_bit_identical_to_serial(self, deck):
+        requests = _mixed_requests(
+            deck, keys=4, per_key=2, count=3, base_seed=300
+        )
+        serial = [run_generation(request) for request in requests]
+        results = [None] * len(requests)
+        with ServiceClient() as client:
+            def worker(i):
+                results[i] = client.generate(requests[i])
+
+            threads = [
+                threading.Thread(target=worker, args=(i,))
+                for i in range(len(requests))
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        for reference, got in zip(serial, results):
+            _assert_batches_identical(reference, got)
+
+    @pytest.mark.parametrize("order", ["grouped", "interleaved"])
+    def test_mixed_key_admissions_in_arrival_order(self, deck, order):
+        """The ordered commit stage: the session store must grow exactly
+        like a serial loop.  Interleaved keys (k0, k1, k2, k0, k1, k2)
+        coalesce into per-key micro-batches that compute arrivals 0, 3,
+        1, 4, 2, 5, so the commit stage has to put them back in order."""
+        requests = _mixed_requests(
+            deck, keys=3, per_key=2, count=4, base_seed=400
+        )
+        if order == "interleaved":
+            requests = requests[0::2] + requests[1::2]
+        reference = PatternLibrary(name="ref")
+        for request in requests:
+            run_generation(request, library=reference)
+
+        for trial in range(2):
+            config = ServiceConfig(
+                scheduler=SchedulerConfig(gather_window_s=0.02),
+            )
+            with ServiceClient(config) as client:
+                client.generate_many(requests, session="tenant")
+                store = client.service.sessions.get("tenant").store
+            assert len(store) == len(reference)
+            for a, b in zip(reference, store):
+                np.testing.assert_array_equal(a, b)
+
+
+class TestCrashIsolation:
+    @pytest.fixture(autouse=True)
+    def _bomb(self):
+        from repro.engine import register_backend
+
+        register_backend("test-bomb", _BombBackend, overwrite=True)
+
+    def test_crash_spares_other_keys_and_admission_order(self, deck):
+        """A backend blowing up fails only its own requests; co-arriving
+        requests of other keys still serve, and the session store still
+        matches the serial reference of the survivors in arrival order."""
+        good = _mixed_requests(deck, keys=2, per_key=2, count=4, base_seed=500)
+        bad = [
+            GenerationRequest(backend="test-bomb", count=1, deck=deck)
+            for _ in range(2)
+        ]
+        # Interleave: good, bad, good, bad, good, good (arrival order).
+        submissions = [good[0], bad[0], good[1], bad[1], good[2], good[3]]
+        reference = PatternLibrary(name="ref")
+        for request in good:
+            run_generation(request, library=reference)
+
+        config = ServiceConfig(
+            scheduler=SchedulerConfig(gather_window_s=0.05),
+        )
+        with ServiceClient(config) as client:
+            tickets = [
+                client.submit(request, session="t") for request in submissions
+            ]
+            for request, ticket in zip(submissions, tickets):
+                if request.backend == "test-bomb":
+                    with pytest.raises(RuntimeError, match="compute bomb"):
+                        ticket.result(timeout=60)
+                else:
+                    ticket.result(timeout=60)
+            stats = client.service.stats
+            store = client.service.sessions.get("t").store
+            assert len(store) == len(reference)
+            for a, b in zip(reference, store):
+                np.testing.assert_array_equal(a, b)
+        assert stats.failed == len(bad)
+        assert stats.completed == len(good)
+
+    def test_service_survives_crash_for_later_requests(self, deck):
+        with ServiceClient() as client:
+            bomb = client.submit(
+                GenerationRequest(backend="test-bomb", count=1, deck=deck)
+            )
+            with pytest.raises(RuntimeError, match="compute bomb"):
+                bomb.result(timeout=60)
+            # The compute thread and the commit stage both survived:
+            # later requests (any key) still serve.
+            after = client.generate(
+                GenerationRequest(backend="rule", count=3, seed=9, deck=deck),
+                timeout=60,
+            )
+            assert after.legal_count == 3
+
+
+class TestStageTelemetry:
+    def test_stage_histograms_cover_every_request(self, deck):
+        requests = _mixed_requests(deck, keys=2, per_key=2, base_seed=600)
+        with ServiceClient() as client:
+            client.generate_many(requests)
+            stats = client.service.stats
+            depths = client.service.queue_depths()
+        n = len(requests)
+        for stage in STAGES:
+            assert stats.stages[stage].count == n, stage
+        assert depths == {"submit": 0, "in_flight": 0}
 
 
 class TestStreaming:

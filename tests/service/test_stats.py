@@ -7,7 +7,7 @@ boundary, and merge/percentile behaviour on empty histograms.
 
 import pytest
 
-from repro.service.stats import STAGES, LatencyHistogram, StageLatencies
+from repro.service.stats import LatencyHistogram
 from repro.service.stats import _BOUNDS
 
 
@@ -117,14 +117,3 @@ class TestMergeAccounting:
         assert a.count == 3
         assert a.total_seconds == pytest.approx(2.005)
         assert a.max_seconds == 2.0
-
-    def test_stage_latencies_merge_covers_every_stage(self):
-        a, b = StageLatencies(), StageLatencies()
-        for i, stage in enumerate(STAGES):
-            b.observe(stage, 0.01 * (i + 1))
-        a.merge(b)
-        for i, stage in enumerate(STAGES):
-            assert a[stage].count == 1
-            assert a[stage].total_seconds == pytest.approx(0.01 * (i + 1))
-        # b still holds its own observations.
-        assert all(b[stage].count == 1 for stage in STAGES)

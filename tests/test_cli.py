@@ -40,6 +40,28 @@ class TestParser:
         assert code == 2
         assert "--session-dir" in capsys.readouterr().err
 
+    def test_serve_fleet_rejects_process_pools_before_start(
+        self, monkeypatch, capsys
+    ):
+        # --model-jobs defaults to --jobs, so "-j 2" would give every
+        # daemonic fleet worker a process pool it cannot open.
+        import signal
+
+        from repro.service import FleetService, GenerationService
+
+        class Started(Exception):
+            pass
+
+        async def start(self):
+            raise Started
+
+        monkeypatch.setattr(FleetService, "start", start)
+        monkeypatch.setattr(GenerationService, "start", start)
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        code = main(["serve", "--port", "0", "--workers", "2", "-j", "2"])
+        assert code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_library_commands_parse(self):
         parser = build_parser()
         info = parser.parse_args(["library", "info", "d"])
