@@ -11,7 +11,6 @@ every table and figure of the paper.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 __all__ = ["main", "build_parser"]
@@ -42,15 +41,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "(built-in: patternpaint, diffpattern, cup, rule, "
                           "solver; user-registered names also work)")
     gen.add_argument("-j", "--jobs", type=_positive_int, default=1,
-                     help="worker count for the denoise/DRC stages (also "
-                          "the default for the model stage, see "
-                          "--model-jobs)")
-    gen.add_argument("--model-jobs", type=_positive_int, default=None,
+                     help="worker count for the denoise/DRC stages")
+    gen.add_argument("--model-jobs", type=_positive_int, default=1,
                      metavar="N",
                      help="process workers for the model sampling stage "
                           "itself (model-backed backends; chunks of the "
                           "model batch fan out to worker-local models, "
-                          "bit-identical to serial; default: --jobs)")
+                          "bit-identical to serial; default: 1, serial)")
     gen.add_argument("-n", "--count", type=_positive_int, default=20)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output .npz path")
@@ -106,11 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["basic", "complex", "advanced"],
                        help="default deck for requests that name none")
     serve.add_argument("-j", "--jobs", type=_positive_int, default=1,
-                       help="executor workers for the denoise/DRC stages")
-    serve.add_argument("--model-jobs", type=_positive_int, default=None,
+                       help="executor threads for the denoise/DRC stages")
+    serve.add_argument("--model-jobs", type=_positive_int, default=1,
                        metavar="N",
-                       help="process workers for the model stage "
-                            "(default: --jobs)")
+                       help="process workers for the packed model stage "
+                            "(default: 1, serial; the only knob that "
+                            "opens a model process pool)")
     serve.add_argument("--queue-size", type=_positive_int, default=64,
                        help="bounded request queue depth (backpressure)")
     serve.add_argument("--max-batch", type=_positive_int, default=8,
@@ -137,17 +135,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "and the sampler-plan warm cache here across "
                             "server runs (loaded at startup, saved at "
                             "shutdown; shared by every worker process)")
-    serve.add_argument("--workers", type=_positive_int, default=None,
+    serve.add_argument("--workers", type=_positive_int, default=1,
                        metavar="N",
                        help="worker *processes*: 2+ fronts a multi-process "
                             "fleet (sticky key->worker routing, results "
                             "kept in global arrival order, crashed "
                             "workers respawned, session snapshots merged "
-                            "at drain/shutdown); 1 runs the single-"
-                            "process service (default: "
-                            "$REPRO_SERVICE_WORKERS or 1).  Workers "
-                            "cannot open process pools, so 2+ needs "
-                            "--model-jobs 1")
+                            "at drain/shutdown); 1 (the default) runs the "
+                            "single-process service.  Workers cannot open "
+                            "process pools, so 2+ needs --model-jobs 1")
     serve.add_argument("--drain-timeout", type=float, default=10.0,
                        metavar="S",
                        help="on SIGTERM/SIGINT, stop accepting requests "
@@ -200,13 +196,12 @@ def _cmd_generate(args) -> int:
     from .zoo.corpora import EXPERIMENT_GRID
 
     deck = deck_by_name(args.deck, EXPERIMENT_GRID)
-    model_jobs = args.model_jobs if args.model_jobs is not None else args.jobs
 
     backend_kwargs = {"deck": deck}
     if args.backend == "patternpaint":
         # Reach the model stage itself: the patternpaint backend runs its
         # own pipeline/executor, so worker counts plumb through here.
-        backend_kwargs.update(jobs=args.jobs, model_jobs=model_jobs)
+        backend_kwargs.update(jobs=args.jobs, model_jobs=args.model_jobs)
     try:
         backend = get_backend(args.backend, **backend_kwargs)
     except ValueError as error:
@@ -250,7 +245,7 @@ def _cmd_generate(args) -> int:
         batch = run_generation(
             request,
             jobs=args.jobs,
-            model_jobs=model_jobs,
+            model_jobs=args.model_jobs,
             backend=backend,
             library=store,
         )
@@ -343,14 +338,12 @@ def _cmd_serve(args) -> int:
     import asyncio
 
     from .service import (
-        WORKERS_ENV,
         FleetConfig,
         FleetService,
         GenerationService,
         SchedulerConfig,
         ServiceConfig,
         SessionConfig,
-        default_workers,
         serve,
     )
 
@@ -361,9 +354,7 @@ def _cmd_serve(args) -> int:
     config = ServiceConfig(
         queue_size=args.queue_size,
         jobs=args.jobs,
-        model_jobs=(
-            args.model_jobs if args.model_jobs is not None else args.jobs
-        ),
+        model_jobs=args.model_jobs,
         scheduler=SchedulerConfig(
             max_batch_requests=args.max_batch,
             gather_window_s=args.gather_window_ms / 1000.0,
@@ -374,14 +365,10 @@ def _cmd_serve(args) -> int:
             checkpoint_every=args.checkpoint_every or 0,
         ),
     )
-    # --workers wins; else $REPRO_SERVICE_WORKERS; else single-process.
-    workers = args.workers
-    if workers is None:
-        workers = default_workers() if os.environ.get(WORKERS_ENV) else 1
     fleet_config = None
-    if workers >= 2:
+    if args.workers >= 2:
         try:
-            fleet_config = FleetConfig(workers=workers, service=config)
+            fleet_config = FleetConfig(workers=args.workers, service=config)
         except ValueError as error:
             print(f"repro serve: error: {error}", file=sys.stderr)
             return 2
@@ -411,8 +398,8 @@ def _cmd_serve(args) -> int:
         )
         host, port = server.sockets[0].getsockname()[:2]
         print(f"repro serve: listening on {host}:{port} "
-              f"(deck={args.deck}, workers={workers}, jobs={config.jobs}, "
-              f"max-batch={args.max_batch})")
+              f"(deck={args.deck}, workers={args.workers}, "
+              f"jobs={config.jobs}, max-batch={args.max_batch})")
         print('protocol: one JSON object per line, e.g. '
               '{"backend": "rule", "count": 8, "seed": 0}')
         gateway = None

@@ -55,7 +55,11 @@ class PatternPaintBackend:
 
     ``request.templates`` / ``request.masks`` override the default starter
     set and Figure 6 mask sets; jobs enumerate starter x mask x variation
-    exactly like :meth:`PatternPaint.initial_generation`.
+    exactly like :meth:`PatternPaint.initial_generation`.  ``jobs`` /
+    ``model_jobs`` size the wrapped pipeline's own executor, which only
+    :meth:`propose` uses (``repro generate``).  The service builds the
+    backend with the deck alone and samples through the pack hooks on
+    its own executor, so the service's pools are the only ones in use.
     """
 
     name = "patternpaint"
@@ -70,7 +74,6 @@ class PatternPaintBackend:
         templates: list[np.ndarray] | None = None,
         jobs: int | None = None,
         model_jobs: int | None = None,
-        executor=None,
     ):
         from dataclasses import replace
 
@@ -86,7 +89,6 @@ class PatternPaintBackend:
         self._config = cfg
         self.variant = variant
         self._templates = list(templates) if templates is not None else None
-        self._executor = executor  # shared BatchExecutor (service-owned)
         self._pipeline: PatternPaint | None = None
         self._starter_cache: list[np.ndarray] | None = None
 
@@ -113,9 +115,7 @@ class PatternPaintBackend:
                     self._ddpm = pretrained(variant)
                 else:
                     raise ValueError(f"unknown model variant {self.variant!r}")
-            self._pipeline = PatternPaint(
-                self._ddpm, self._deck, self._config, executor=self._executor
-            )
+            self._pipeline = PatternPaint(self._ddpm, self._deck, self._config)
         return self._pipeline
 
     def _default_templates(self) -> list[np.ndarray]:

@@ -31,12 +31,15 @@ experiment harnesses.  The async service layer drives the same machinery
 through the **staged** API instead — :meth:`BatchExecutor.plan` /
 :meth:`~BatchExecutor.execute` / :meth:`~BatchExecutor.finalize` — which
 splits a run into resumable pieces an external scheduler can interleave
-across requests (e.g. one DRC sweep over a whole micro-batch).  The
-scheduler may also replace per-request ``execute`` calls with
-:meth:`BatchExecutor.run_model_packed`, which interleaves several
-requests' sampling chunks into shared full-width model batches while
-spawning each chunk's rng from its own request — cross-request packing
-that is bit-identical, per request, to the serial path.
+across requests (e.g. one DRC sweep over a whole micro-batch).  For
+pack-capable backends the service replaces per-request ``execute`` calls
+with :meth:`BatchExecutor.run_model_packed` on every micro-batch, a lone
+request included: it interleaves the requests' sampling chunks into
+shared full-width model batches while spawning each chunk's rng from its
+own request — packing that is bit-identical, per request, to the serial
+path.  :func:`run_generation` samples through
+:meth:`~BatchExecutor.run_model_batched`, process-pooled when
+``model_jobs > 1``.
 """
 
 from __future__ import annotations
@@ -281,10 +284,12 @@ class ExecutorConfig:
     serial); ``pool`` selects ``"thread"`` or ``"process"`` workers for
     those stages.  ``model_jobs`` is the worker count for the *model*
     stage: with ``model_jobs > 1`` (and a picklable model spec, see
-    :meth:`BatchExecutor.run_model_batched`) sampling chunks fan out over
-    the persistent **process** pool — the numpy model's inference
-    workspaces are per-instance, so model parallelism always uses
-    worker-local rehydrated models rather than shared-memory threads.
+    :meth:`BatchExecutor.run_model_batched` and
+    :meth:`~BatchExecutor.run_model_packed`) sampling chunks or packed
+    batches fan out over the persistent **process** pool — the numpy
+    model's inference workspaces are per-instance, so model parallelism
+    always uses worker-local rehydrated models rather than shared-memory
+    threads.
     ``model_batch`` is the chunk size for
     :meth:`BatchExecutor.run_model_batched`.
     ``admit_pool_threshold`` is the batch size below which
@@ -392,26 +397,9 @@ class BatchExecutor:
         self.pools = pools if pools is not None else PoolRegistry()
         self._owns_pools = pools is None
 
-    @property
-    def _pools(self) -> PoolRegistry:
-        # Back-compat inspection alias (pre-registry the executor held
-        # the lease dict itself); the registry is dict-like for reads.
-        return self.pools
-
     # ------------------------------------------------------------------
     # Persistent pools
     # ------------------------------------------------------------------
-    def _leased_pool(self, kind: str, workers: int):
-        """Lease the registry's persistent pool for ``(kind, workers)``.
-
-        Pools are keyed by worker count so each stage is bounded by its
-        own configured parallelism (``jobs`` for denoise/DRC/admit,
-        ``model_jobs`` for the model stage) even when both kinds share a
-        process pool; see :class:`PoolRegistry` for the lease/retire
-        semantics that make :meth:`close` safe while stages run.
-        """
-        return self.pools.lease(kind, workers)
-
     def _supervised_pooled(self, workers: int, dispatch: Callable):
         """One pooled model-stage dispatch, supervised for worker death.
 
@@ -431,7 +419,7 @@ class BatchExecutor:
             return None
         for _attempt in range(2):
             try:
-                with self._leased_pool("process", workers) as pool:
+                with self.pools.lease("process", workers) as pool:
                     t0 = time.perf_counter()
                     if _supervised_fault_action("pool") == "crash":
                         raise BrokenProcessPool("injected process-pool crash")
@@ -695,7 +683,7 @@ class BatchExecutor:
                 for raw, template, child in zip(raws, templates, children)
             ]
         else:
-            with self._leased_pool(self.config.pool, self.config.jobs) as pool:
+            with self.pools.lease(self.config.pool, self.config.jobs) as pool:
                 clips = list(
                     pool.map(
                         _denoise_one,
@@ -716,9 +704,7 @@ class BatchExecutor:
         _fault_action("drc")  # chaos hook: may raise InjectedFault
         t0 = time.perf_counter()
         if self.config.jobs > 1:
-            with self._leased_pool(
-                self.config.pool, self.config.jobs
-            ) as pool:
+            with self.pools.lease(self.config.pool, self.config.jobs) as pool:
                 mask = self.engine.check_batch(
                     clips,
                     jobs=self.config.jobs,
@@ -761,7 +747,7 @@ class BatchExecutor:
             for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo
         ]
-        with self._leased_pool(self.config.pool, self.config.jobs) as pool:
+        with self.pools.lease(self.config.pool, self.config.jobs) as pool:
             deltas = list(
                 pool.map(
                     compute_delta,

@@ -74,11 +74,9 @@ from .faults import (
     reset_faults_for_worker,
 )
 from .fleet import (
-    WORKERS_ENV,
     FleetConfig,
     FleetService,
     FleetStats,
-    default_workers,
     reconcile_worker_snapshots,
 )
 from .gateway import DEFAULT_MAX_BODY, HttpGateway, serve_http
@@ -153,10 +151,8 @@ __all__ = [
     "SessionConfig",
     "SessionManager",
     "StageLatencies",
-    "WORKERS_ENV",
     "active_plan",
     "decode_payload",
-    "default_workers",
     "clear_faults",
     "encode_payload",
     "handle_connection",

@@ -46,9 +46,9 @@ worker degrades the fleet instead of fork-bombing the host.  The
 this path deterministically testable.
 
 Workers are daemonic, so they cannot open process pools of their own:
-:class:`FleetConfig` rejects a worker config with ``model_jobs > 1`` or
-``pool="process"`` with ``jobs > 1``.  Process-level parallelism lives
-at the fleet layer (``workers``); thread pools inside a worker are fine.
+:class:`FleetConfig` rejects a worker config with ``model_jobs > 1``.
+Process-level parallelism lives at the fleet layer (``workers``); the
+``jobs`` thread pools inside a worker are fine.
 """
 
 from __future__ import annotations
@@ -81,16 +81,11 @@ from .session import SessionManager
 from .stats import StageLatencies
 
 __all__ = [
-    "WORKERS_ENV",
     "FleetConfig",
     "FleetStats",
     "FleetService",
-    "default_workers",
     "reconcile_worker_snapshots",
 ]
-
-#: Environment variable giving the default fleet width (``--workers``).
-WORKERS_ENV = "REPRO_SERVICE_WORKERS"
 
 #: Subdirectory of the snapshot root holding per-worker session roots.
 WORKER_SUBDIR = "workers"
@@ -101,46 +96,25 @@ _KILL_EXIT = 17
 _ROUTE_STOP = object()
 
 
-def default_workers() -> int:
-    """Fleet width when ``FleetConfig.workers`` is ``None``.
-
-    ``$REPRO_SERVICE_WORKERS`` when set (and a positive integer), else 2,
-    so deployments size the fleet without code changes.
-    """
-    raw = os.environ.get(WORKERS_ENV)
-    if raw:
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"${WORKERS_ENV} must be an integer, got {raw!r}"
-            ) from None
-        if workers < 1:
-            raise ValueError(f"${WORKERS_ENV} must be positive, got {workers}")
-        return workers
-    return 2
-
-
 @dataclass(frozen=True)
 class FleetConfig:
     """Fleet-level knobs (per-worker knobs live in ``service``).
 
-    ``workers`` is the process count; ``None`` resolves from
-    ``$REPRO_SERVICE_WORKERS``, else 2.  ``service`` is the
+    ``workers`` is the process count.  ``service`` is the
     :class:`~repro.service.ServiceConfig` every worker runs — the front
     derives each worker's private variant (a per-worker snapshot
     subdirectory) from it.  Workers are daemonic processes and cannot
-    open process pools, so a ``service`` with ``model_jobs > 1`` or
-    ``pool="process"`` and ``jobs > 1`` is rejected: ``workers`` is the
-    process-level knob.  ``respawn`` enables crash recovery: a dead
-    worker slot is re-forked as long as its circuit breaker
-    (``breaker_threshold`` failures within ``breaker_window_s`` trip it
-    open for ``breaker_cooldown_s``) allows, i.e. by default one respawn
-    per crash burst rather than a crash loop.  ``rpc_timeout_s`` bounds
+    open process pools, so a ``service`` with ``model_jobs > 1`` is
+    rejected: ``workers`` is the process-level knob.  ``respawn``
+    enables crash recovery: a dead worker slot is re-forked as long as
+    its circuit breaker (``breaker_threshold`` failures within
+    ``breaker_window_s`` trip it open for ``breaker_cooldown_s``)
+    allows, i.e. by default one respawn per crash burst rather than a
+    crash loop.  ``rpc_timeout_s`` bounds
     the control-plane round trips (stats/health/checkpoint/stop).
     """
 
-    workers: int | None = None
+    workers: int = 2
     service: ServiceConfig = field(default_factory=ServiceConfig)
     respawn: bool = True
     breaker_threshold: int = 2
@@ -149,20 +123,13 @@ class FleetConfig:
     rpc_timeout_s: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.workers is None:
-            object.__setattr__(self, "workers", default_workers())
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        service = self.service
-        if service.model_jobs > 1 or (
-            service.pool == "process" and service.jobs > 1
-        ):
+        if self.service.model_jobs > 1:
             raise ValueError(
                 "fleet workers cannot open process pools (model_jobs="
-                f"{service.model_jobs}, pool={service.pool!r}, jobs="
-                f"{service.jobs}); use --workers for process-level "
-                "parallelism, with --model-jobs 1 and thread pools for "
-                "--jobs"
+                f"{self.service.model_jobs}); use --workers for "
+                "process-level parallelism, with --model-jobs 1"
             )
         if self.rpc_timeout_s <= 0:
             raise ValueError("rpc_timeout_s must be positive")
@@ -365,8 +332,6 @@ def _worker_main(
             return service.stats_payload()
         if verb == "health":
             return service.health()
-        if verb == "depths":
-            return service.queue_depths()
         if verb == "drain":
             return asyncio.run_coroutine_threadsafe(
                 service.drain(payload), loop

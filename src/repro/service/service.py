@@ -10,14 +10,17 @@
 * **cross-client micro-batching** — a gather window collects co-arriving
   requests, and the :class:`~repro.service.scheduler.MicroBatchScheduler`
   coalesces compatible ones (same backend/deck/shape) into micro-batches:
-  with a pack-capable backend the model stage samples **chunks from
-  different requests as shared full-width model batches**, and the DRC
-  stage runs as **one** cached sweep over the whole micro-batch;
+  with a pack-capable backend the model stage of every micro-batch (a
+  lone request too) samples **chunks from different requests as shared
+  full-width model batches**, and the DRC stage runs as **one** cached
+  sweep over the whole micro-batch;
 * **one compute thread** — micro-batches run FIFO on a single thread
   that keeps warm state: one backend per (backend, deck) (model loaded
-  once) and one :class:`~repro.engine.BatchExecutor` per deck, all
-  drawing worker pools from one :class:`~repro.engine.PoolRegistry`
-  (``service.pools``).  Process-level parallelism above a micro-batch
+  once, built with the deck only) and one
+  :class:`~repro.engine.BatchExecutor` per deck, all drawing worker
+  pools from one :class:`~repro.engine.PoolRegistry` (``service.pools``)
+  — the one place a service opens a model process pool
+  (``model_jobs > 1``).  Process-level parallelism above a micro-batch
   is the fleet's job (:mod:`repro.service.fleet`);
 * **ordered commit stage** — the compute thread only runs the compute
   stages; every request's admission then passes through a single commit
@@ -126,21 +129,22 @@ class ServiceConfig:
     """Service-level knobs.
 
     ``queue_size`` bounds the request queue (submission awaits when
-    full).  ``jobs``/``pool``/``model_jobs`` configure the service's
-    executors exactly like :func:`repro.engine.run_generation`'s
-    parameters, so a service-served request is bit-identical to a serial
-    one.  ``stream_chunk`` is the number of candidates per streamed
-    :class:`~repro.engine.CandidateBatch` chunk.  ``pack_models``
-    enables cross-request model-batch packing for micro-batches whose
-    backend supports it (``pack_jobs``/``pack_model_fn``); packing only
-    changes which forwards sample together — per-request outputs are
-    bit-identical either way — so disabling it is purely a
-    benchmarking/debugging knob.
+    full).  ``jobs`` sizes the service executors' denoise/DRC/admit
+    thread pool and ``model_jobs`` the model stage's process pool —
+    the only model process pool a service opens; worker counts never
+    change seeded outputs, so a service-served request is bit-identical
+    to a serial one.  ``stream_chunk`` is the number of candidates per
+    streamed :class:`~repro.engine.CandidateBatch` chunk.
+    ``pack_models`` runs the model stage of every micro-batch whose
+    backend supports it (``pack_jobs``/``pack_model_fn``) as packed
+    batches, a lone request included; packing only changes which
+    forwards sample together — per-request outputs are bit-identical
+    either way — so disabling it is purely a benchmarking/debugging
+    knob.
     """
 
     queue_size: int = 64
     jobs: int = 1
-    pool: str = "thread"
     model_jobs: int = 1
     stream_chunk: int = 32
     pack_models: bool = True
@@ -802,30 +806,19 @@ class GenerationService:
         self._loop.call_soon_threadsafe(method.__get__(stream), payload)
 
     def _backend_for(self, request: GenerationRequest) -> GeneratorBackend:
-        """The long-lived backend for this request (built once).
+        """The long-lived backend for this request (built once, deck only).
 
-        Backends that accept ``jobs``/``model_jobs`` get the service's
-        worker config forwarded, so a 1-request micro-batch samples with
-        the same parallelism as everything else; worker counts never
-        change seeded outputs (rng.spawn discipline), so this is purely
-        a throughput knob.
+        No worker counts are forwarded: the service only calls
+        ``propose`` and the pack hooks, and every worker pool — the
+        model stage's included — belongs to the per-deck executors
+        (``service.pools``).
         """
         name, request_deck_key, _, _ = request.compatibility_key()
         key = (name, request_deck_key)
         backend = self._backends.get(key)
         if backend is None:
-            cfg = self.config
             kwargs = {"deck": request.deck} if request.deck is not None else {}
-            if cfg.jobs > 1 or cfg.model_jobs > 1:
-                try:
-                    backend = self._backend_factory(
-                        name, **kwargs, jobs=cfg.jobs,
-                        model_jobs=cfg.model_jobs,
-                    )
-                except TypeError:
-                    pass  # factory without worker-count kwargs
-            if backend is None:
-                backend = self._backend_factory(name, **kwargs)
+            backend = self._backend_factory(name, **kwargs)
             self._backends[key] = backend
         return backend
 
@@ -837,9 +830,7 @@ class GenerationService:
             cfg = self.config
             executor = BatchExecutor(
                 deck.engine(),
-                ExecutorConfig(
-                    jobs=cfg.jobs, pool=cfg.pool, model_jobs=cfg.model_jobs
-                ),
+                ExecutorConfig(jobs=cfg.jobs, model_jobs=cfg.model_jobs),
                 pools=self.pools,
             )
             self._executors[key] = executor
@@ -896,17 +887,22 @@ class GenerationService:
     def _packed_model_stage(self, executor, prepared):
         """Sample the micro-batch's model stages as shared packed batches.
 
+        The service's one model-stage path for pack-capable backends, at
+        any micro-batch size: a lone request walks the same chunks, rng
+        children and forwards as the backend's own serial model stage.
+        Batches fan out over ``service.pools`` exactly when
+        ``model_jobs > 1`` and there is more than one packed batch.
+
         Returns ``True`` after setting every prepared plan's
         ``proposal``/``generate_seconds``, or ``False`` to fall back to
-        per-request execution — packing disabled, fewer than two
-        requests, a backend without the ``pack_jobs``/``pack_model_fn``
-        hooks, or a packed-stage failure (counted in
-        ``stats.packed_fallbacks``; every plan's root rng is re-seeded
-        first, so the per-request fallback remains bit-identical to a
-        serial run even if the packed stage had already consumed
-        spawns).
+        serial per-request execution — packing disabled, a backend
+        without the ``pack_jobs``/``pack_model_fn`` hooks, or a
+        packed-stage failure (counted in ``stats.packed_fallbacks``;
+        every plan's root rng is re-seeded first, so the per-request
+        fallback remains bit-identical to a serial run even if the
+        packed stage had already consumed spawns).
         """
-        if not self.config.pack_models or len(prepared) < 2:
+        if not self.config.pack_models:
             return False
         backend = prepared[0][1].backend
         pack_jobs = getattr(backend, "pack_jobs", None)
@@ -1024,11 +1020,11 @@ class GenerationService:
         if not prepared:
             return []
 
-        # Model-stage dispatch: packed whenever packing can engage (one
-        # cross-request model stage — chunks from different requests
-        # share full-width batches, per-chunk rng spawned from each
-        # request's own stream), else per-request execution.  Either way
-        # outputs are bit-identical to serial.
+        # Model-stage dispatch: packed whenever the backend can pack (one
+        # model stage for the whole micro-batch — chunks from different
+        # requests share full-width batches, per-chunk rng spawned from
+        # each request's own stream), else per-request execution.  Either
+        # way outputs are bit-identical to serial.
         packed = self._packed_model_stage(executor, prepared)
 
         staged: list[tuple[PendingRequest, ExecutionPlan, list[np.ndarray], float]] = []

@@ -108,12 +108,12 @@ class TestPersistentPools:
         )
         raws = [np.zeros((16, 16), dtype=np.float32) for _ in range(4)]
         executor.denoise_batch(raws, [None] * 4, np.random.default_rng(0))
-        first = executor._pools.get(("thread", 2))
+        first = executor.pools.get(("thread", 2))
         assert first is not None
         executor.denoise_batch(raws, [None] * 4, np.random.default_rng(0))
-        assert executor._pools.get(("thread", 2)) is first
+        assert executor.pools.get(("thread", 2)) is first
         executor.close()
-        assert not executor._pools
+        assert not executor.pools
 
     def test_stage_pools_sized_independently(self, deck):
         """The model stage must not widen the denoise/DRC worker bound."""
@@ -122,7 +122,7 @@ class TestPersistentPools:
         )
         raws = [np.zeros((16, 16), dtype=np.float32) for _ in range(4)]
         executor.denoise_batch(raws, [None] * 4, np.random.default_rng(0))
-        lease = executor._pools[("thread", 2)]
+        lease = executor.pools[("thread", 2)]
         assert lease.pool._max_workers == 2
         executor.close()
 
@@ -135,8 +135,8 @@ class TestPersistentPools:
                 [None] * 4,
                 np.random.default_rng(0),
             )
-            assert executor._pools
-        assert not executor._pools
+            assert executor.pools
+        assert not executor.pools
 
     def test_closed_executor_reopens_lazily(self, deck):
         executor = BatchExecutor(
@@ -164,7 +164,7 @@ class TestPersistentPools:
             for i in range(6)
         ]
         mask, _ = executor.check_batch(clips)
-        assert executor._pools.get(("thread", 2)) is not None
+        assert executor.pools.get(("thread", 2)) is not None
         serial = [deck.engine().is_clean(c) for c in clips]
         assert list(mask) == serial
         executor.close()

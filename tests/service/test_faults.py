@@ -20,6 +20,7 @@ from repro.drc import basic_deck
 from repro.engine import (
     GenerationRequest,
     RetryPolicy,
+    get_backend,
     register_backend,
     run_generation,
 )
@@ -31,6 +32,7 @@ from repro.service import (
     DeadlineExceeded,
     FaultPlan,
     FaultSpec,
+    GenerationService,
     InjectedFault,
     RequestCancelled,
     SchedulerConfig,
@@ -442,6 +444,43 @@ class TestPoolSupervision:
             for entry in health["breakers"]
         )
         assert health["breaker_trips"] >= 1
+        for a, b in zip(reference, served):
+            _assert_batches_identical(a, b)
+
+
+class TestOneModelPoolPerService:
+    def test_service_pools_hold_the_only_model_pool(self):
+        """A lone 2-chunk request, then a coalesced pair: the model
+        process pool lives in ``service.pools`` and nowhere else."""
+        deck = basic_deck(GRID)
+        lone, *pair = [
+            GenerationRequest(
+                backend="pp-faults-test", count=8, seed=s, deck=deck,
+            )
+            for s in (3, 4, 5)
+        ]
+        reference = [run_generation(r) for r in (lone, *pair)]
+        built = []
+
+        def factory(name, **kwargs):
+            # Passes any worker-count kwargs through to pp-faults-test,
+            # which accepts them.
+            built.append(get_backend(name, **kwargs))
+            return built[-1]
+
+        service = GenerationService(
+            ServiceConfig(
+                model_jobs=2,
+                scheduler=SchedulerConfig(gather_window_s=0.2),
+            ),
+            backend_factory=factory,
+        )
+        with ServiceClient(service=service) as client:
+            served = [client.generate(lone), *client.generate_many(pair)]
+            assert ("process", 2) in service.pools
+            assert len(built) == 1
+            assert not built[0].pipeline.executor.pools
+            assert service.stats.packed_jobs == 24
         for a, b in zip(reference, served):
             _assert_batches_identical(a, b)
 

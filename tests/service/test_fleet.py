@@ -28,11 +28,7 @@ from repro.service import (
     SessionConfig,
     active_plan,
 )
-from repro.service.fleet import (
-    WORKER_SUBDIR,
-    default_workers,
-    reconcile_worker_snapshots,
-)
+from repro.service.fleet import WORKER_SUBDIR, reconcile_worker_snapshots
 
 GRID = Grid(nm_per_px=16.0, width_px=32, height_px=32)
 
@@ -306,20 +302,6 @@ class TestFleetObservability:
 
 @_skip_under_fleet_faults
 class TestFleetConfigResolution:
-    def test_workers_env_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_WORKERS", "5")
-        assert default_workers() == 5
-        assert FleetConfig().workers == 5
-
-    def test_workers_env_unset_defaults_to_two(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVICE_WORKERS", raising=False)
-        assert default_workers() == 2
-
-    def test_invalid_workers_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_WORKERS", "many")
-        with pytest.raises(ValueError, match="REPRO_SERVICE_WORKERS"):
-            default_workers()
-
     def test_workers_validation(self):
         with pytest.raises(ValueError, match="workers"):
             FleetConfig(workers=0)
@@ -327,12 +309,8 @@ class TestFleetConfigResolution:
     def test_process_pool_service_config_rejected(self):
         # Daemonic workers cannot open process pools; the config must
         # say so up front instead of failing every affected request.
-        for service in (
-            ServiceConfig(model_jobs=2),
-            ServiceConfig(jobs=2, pool="process"),
-        ):
-            with pytest.raises(ValueError, match="--workers"):
-                FleetConfig(workers=2, service=service)
+        with pytest.raises(ValueError, match="--workers"):
+            FleetConfig(workers=2, service=ServiceConfig(model_jobs=2))
         # Thread pools inside a worker stay allowed.
         assert FleetConfig(workers=2, service=ServiceConfig(jobs=2)).workers == 2
 

@@ -166,6 +166,20 @@ class TestPackedServingDeterminism:
         for a, b in zip(serial, served):
             _assert_batches_identical(a, b)
 
+    def test_lone_request_packs_bit_identically(self, deck):
+        """A micro-batch of one request takes the packed model stage."""
+        request = GenerationRequest(
+            backend="pp-pack-test", count=8, seed=150, deck=deck
+        )
+        serial = run_generation(request)
+        with ServiceClient(ServiceConfig()) as client:
+            served = client.generate(request)
+            stats = client.service.stats
+        assert stats.peak_coalesced == 1
+        assert stats.packed_jobs == 8
+        assert stats.packed_fallbacks == 0
+        _assert_batches_identical(serial, served)
+
     def test_threaded_clients_bit_identical_under_packing(self, deck):
         """Tentpole: determinism holds for concurrent TCP-like clients."""
         requests = _requests(deck, 5, count=2, base_seed=200)

@@ -437,25 +437,6 @@ class TestLifecycleAndErrors:
             assert client.service.stats.failed == 1
             assert client.service.stats.completed == 1
 
-    def test_worker_config_forwarded_to_capable_backend_factories(self, deck):
-        from repro.engine import get_backend
-
-        seen = {}
-
-        def factory(name, jobs=None, model_jobs=None, **kwargs):
-            seen.update(jobs=jobs, model_jobs=model_jobs)
-            return get_backend(name, **kwargs)
-
-        from repro.service import GenerationService
-
-        service = GenerationService(
-            ServiceConfig(jobs=2, model_jobs=2), backend_factory=factory
-        )
-        request = GenerationRequest(backend="rule", count=2, deck=deck)
-        with ServiceClient(service=service) as client:
-            assert client.generate(request).attempts == 2
-        assert seen == {"jobs": 2, "model_jobs": 2}
-
     def test_factories_without_tuning_kwargs_still_work(self, deck):
         from repro.engine import get_backend
         from repro.service import GenerationService

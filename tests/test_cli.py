@@ -40,11 +40,16 @@ class TestParser:
         assert code == 2
         assert "--session-dir" in capsys.readouterr().err
 
-    def test_serve_fleet_rejects_process_pools_before_start(
-        self, monkeypatch, capsys
-    ):
-        # --model-jobs defaults to --jobs, so "-j 2" would give every
-        # daemonic fleet worker a process pool it cannot open.
+    def test_model_jobs_defaults_to_one(self):
+        # Only an explicit --model-jobs opens a model process pool;
+        # --jobs sizes the denoise/DRC stages alone.
+        parser = build_parser()
+        for argv in (["serve", "-j", "4"],
+                     ["generate", "--out", "x.npz", "-j", "4"]):
+            assert parser.parse_args(argv).model_jobs == 1
+
+    @staticmethod
+    def _stub_start(monkeypatch):
         import signal
 
         from repro.service import FleetService, GenerationService
@@ -58,7 +63,23 @@ class TestParser:
         monkeypatch.setattr(FleetService, "start", start)
         monkeypatch.setattr(GenerationService, "start", start)
         monkeypatch.setattr(signal, "signal", lambda *args: None)
-        code = main(["serve", "--port", "0", "--workers", "2", "-j", "2"])
+        return Started
+
+    def test_serve_fleet_with_thread_jobs_starts(self, monkeypatch):
+        # -j sizes thread pools, which daemonic fleet workers can open.
+        started = self._stub_start(monkeypatch)
+        with pytest.raises(started):
+            main(["serve", "--port", "0", "--workers", "2", "-j", "2"])
+
+    def test_serve_fleet_rejects_process_pools_before_start(
+        self, monkeypatch, capsys
+    ):
+        # --model-jobs 2 would give every daemonic fleet worker a
+        # process pool it cannot open.
+        self._stub_start(monkeypatch)
+        code = main(
+            ["serve", "--port", "0", "--workers", "2", "--model-jobs", "2"]
+        )
         assert code == 2
         assert "--workers" in capsys.readouterr().err
 
