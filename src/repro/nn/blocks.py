@@ -103,11 +103,25 @@ class ResBlock(Module):
         else:
             self.skip = Conv2d(in_channels, out_channels, 1, rng, padding=0)
 
-    def forward(self, x: np.ndarray, t_emb: np.ndarray) -> np.ndarray:
+    def time_bias(self, t_emb: np.ndarray) -> np.ndarray:
+        """The timestep projection as an ``(N, C, 1, 1)`` per-channel bias."""
+        return self.time_proj(t_emb)[:, :, None, None]
+
+    def forward(
+        self,
+        x: np.ndarray,
+        t_emb: np.ndarray | None,
+        t_bias: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """``t_bias`` (inference only) is :meth:`time_bias` precomputed;
+        the sharded UNet forward passes row slices of it with no
+        ``t_emb``."""
         if not self.training:
+            if t_bias is None:
+                t_bias = self.time_bias(t_emb)
             # Fused GN->SiLU, in-place adds on the fresh conv outputs.
             h = self.conv1(gn_silu(self.norm1, x))
-            h += self.time_proj(t_emb)[:, :, None, None]
+            h += t_bias
             h = self.conv2(gn_silu(self.norm2, h))
             h += self.skip(x)
             return h

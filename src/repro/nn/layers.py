@@ -1,28 +1,40 @@
 """Primitive layers with explicit backward rules.
 
-All spatial layers use NCHW layout and ``float32``.  Convolutions are
-implemented with ``sliding_window_view`` + ``tensordot`` (an im2col variant
-that never materializes the column matrix), which is the fastest pure-numpy
-formulation for the small kernels used here.  Every backward rule is
-verified against finite differences in ``tests/nn/test_gradients.py``.
+All spatial layers use NCHW layout and ``float32``.  Convolutions lower
+the padded input to an im2col matrix with ``kh * kw`` block copies and run
+one batched GEMM, which is the fastest pure-numpy formulation for the small
+kernels used here.  Every backward rule is verified against finite
+differences in ``tests/nn/test_gradients.py``.
 
 Every layer also carries an inference fast path, taken when
 ``module.training`` is false (``Module.eval()`` / ``inference_mode``):
-no backward caches are recorded, the padded-input and im2col buffers are
-preallocated once per input shape and reused across timesteps, and the
-sigmoid inside :class:`SiLU` switches from masked fancy indexing to a
+no backward caches are recorded, buffers are reused across timesteps, and
+the sigmoid inside :class:`SiLU` switches from masked fancy indexing to a
 vectorised formulation.  Both paths are bit-identical — the fast sigmoid
 evaluates exactly the same stable expressions (``exp(-|x|)`` equals
 ``exp(-x)`` on the positive branch and ``exp(x)`` on the negative one),
-and workspace reuse only changes *where* results are written, never the
+and buffer reuse only changes *where* results are written, never the
 operations — which is what lets sampling run through ``eval()`` without
 perturbing a single generated pattern.
+
+The fast path is thread-safe, because the UNet runs row shards of one
+forward on several threads (:mod:`repro.nn.shards`).  Every reused buffer
+is per thread:
+
+* elementwise temporaries come from a per-thread scratch pool;
+* the transient padded-input and im2col buffers of :class:`Conv2d` are
+  views into one per-thread arena that every layer shares;
+* each :class:`Conv2d` keeps its output buffers per thread and per shape,
+  because skip connections hold them across layers.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .shards import thread_slot
 from .tensor import Module, Parameter, kaiming_normal, zeros_init
 
 __all__ = [
@@ -39,28 +51,48 @@ __all__ = [
     "gn_silu",
 ]
 
-#: Workspace cache entries kept per layer (distinct input shapes seen in
-#: inference mode; sampling uses one full-batch shape plus a tail chunk).
+#: Output buffers each :class:`Conv2d` keeps per thread (distinct input
+#: shapes seen in inference mode; sampling uses one shape per row shard
+#: plus a tail chunk).
 _MAX_WORKSPACES = 4
 
-#: Shared scratch buffers for inference-mode elementwise temporaries.
-#: Entries live only within a single layer call, so one process-wide pool
-#: is safe for the (single-threaded) inference fast path; the model-stage
-#: fan-out uses process workers for exactly this reason.
-_SCRATCH: dict[tuple, np.ndarray] = {}
+#: Per-thread scratch buffers for inference-mode elementwise temporaries,
+#: ``{thread ident: {(shape, dtype, slot): array}}``.  Entries live only
+#: within a single layer call.
+_SCRATCH: dict[int, dict[tuple, np.ndarray]] = {}
+
+#: Per-thread arena for the transient pad and im2col buffers of
+#: :class:`Conv2d`, ``{thread ident: {name: flat array}}``.  Each call
+#: uses a view of a prefix, so all layers share one buffer per name.
+_ARENA: dict[int, dict[str, np.ndarray]] = {}
 
 
 def _scratch(shape: tuple[int, ...], dtype, slot: int) -> np.ndarray:
-    """A reusable scratch array; ``slot`` disambiguates same-shape buffers
-    needed simultaneously within one call."""
+    """A reusable per-thread scratch array; ``slot`` disambiguates
+    same-shape buffers needed simultaneously within one call."""
+    pool = thread_slot(_SCRATCH)
     key = (shape, np.dtype(dtype).str, slot)
-    buf = _SCRATCH.get(key)
+    buf = pool.get(key)
     if buf is None:
-        if len(_SCRATCH) >= 64:
-            _SCRATCH.pop(next(iter(_SCRATCH)))
+        if len(pool) >= 64:
+            pool.pop(next(iter(pool)))
         buf = np.empty(shape, dtype=dtype)
-        _SCRATCH[key] = buf
+        pool[key] = buf
     return buf
+
+
+def _arena(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A ``float32`` view of ``shape`` over this thread's ``name`` arena.
+
+    The arena grows to the largest request and is never shrunk; contents
+    are whatever the previous user left, so callers overwrite all of it.
+    """
+    arena = thread_slot(_ARENA)
+    size = math.prod(shape)
+    buf = arena.get(name)
+    if buf is None or buf.size < size:
+        buf = arena[name] = np.empty(size, dtype=np.float32)
+    return buf[:size].reshape(shape)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -70,8 +102,9 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     ``exp(-|x|)`` equals ``exp(-x)`` where ``x >= 0`` and ``exp(x)``
     elsewhere, so selecting ``1`` or ``e`` as the numerator over the shared
     ``1 + e`` denominator evaluates exactly the values of both branches.
-    All temporaries come from the scratch pool; the returned array is a
-    scratch buffer, only valid until the next inference-mode layer call.
+    All temporaries come from this thread's scratch pool; the returned
+    array is a scratch buffer, only valid until the next inference-mode
+    layer call on the same thread.
     """
     if x.dtype != np.float32:  # rare path: keep dtype semantics exact
         e = np.exp(-np.abs(x))
@@ -130,7 +163,8 @@ class Conv2d(Module):
         self.weight = Parameter(weight * init_scale, "weight")
         self.bias = Parameter(zeros_init((out_channels,)), "bias") if bias else None
         self._cache: tuple | None = None
-        self._workspaces: dict[tuple, dict] = {}
+        #: ``{thread ident: {input shape: output buffer}}`` (inference).
+        self._workspaces: dict[int, dict[tuple, np.ndarray]] = {}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not self.training:
@@ -152,13 +186,15 @@ class Conv2d(Module):
         return out
 
     def _forward_inference(self, x: np.ndarray) -> np.ndarray:
-        """No-cache forward reusing per-shape pad/im2col/output workspaces.
+        """No-cache forward reusing per-thread buffers.
 
-        The output buffer is part of the workspace: it is valid until this
-        layer's next inference forward.  Inside :class:`TimeUnet` every
-        layer runs exactly once per forward and the network's final output
-        is copied out, so reuse is invisible; direct users comparing two
-        successive inference outputs of the *same* layer must copy.
+        Pad and im2col go through this thread's shared arena.  The output
+        buffer is kept per thread and per input shape: it is valid until
+        this layer's next inference forward on the same thread.  Inside
+        :class:`TimeUnet` every layer runs exactly once per forward and
+        the network's final output is copied out, so reuse is invisible;
+        direct users comparing two successive inference outputs of the
+        *same* layer must copy.
         """
         x = np.ascontiguousarray(x, dtype=np.float32)
         pad = self.padding
@@ -166,43 +202,34 @@ class Conv2d(Module):
         n, c, h, w = x.shape
         out_h = h + 2 * pad - k + 1
         out_w = w + 2 * pad - k + 1
-        pointwise = k == 1 and pad == 0
-        ws = self._workspaces.get(x.shape)
-        if ws is None:
-            if len(self._workspaces) >= _MAX_WORKSPACES:
-                self._workspaces.pop(next(iter(self._workspaces)))
-            ws = {
-                "out": np.empty(
-                    (n, self.out_channels, out_h * out_w), dtype=np.float32
-                ),
-            }
-            if not pointwise:
-                ws["cols"] = np.empty(
-                    (n, c, k, k, out_h, out_w), dtype=np.float32
-                )
-                if pad:
-                    # Border stays zero forever; only the interior is
-                    # rewritten on each call.
-                    ws["xp"] = np.zeros(
-                        (n, c, h + 2 * pad, w + 2 * pad), dtype=np.float32
-                    )
-            self._workspaces[x.shape] = ws
-        if pointwise:
+        outs = thread_slot(self._workspaces)
+        out = outs.get(x.shape)
+        if out is None:
+            if len(outs) >= _MAX_WORKSPACES:
+                outs.pop(next(iter(outs)))
+            out = outs[x.shape] = np.empty(
+                (n, self.out_channels, out_h * out_w), dtype=np.float32
+            )
+        if k == 1 and pad == 0:
             # Pointwise conv: the im2col matrix IS the input, no copies.
             cols = x.reshape(n, c, h * w)
         else:
             if pad:
-                xp = ws["xp"]
+                xp = _arena("xp", (n, c, h + 2 * pad, w + 2 * pad))
+                # The arena is shared, so the border is re-zeroed each call.
+                xp[:, :, :pad] = 0.0
+                xp[:, :, h + pad :] = 0.0
+                xp[:, :, pad : h + pad, :pad] = 0.0
+                xp[:, :, pad : h + pad, w + pad :] = 0.0
                 xp[:, :, pad : h + pad, pad : w + pad] = x
             else:
                 xp = x
-            cols6 = ws["cols"]
+            cols6 = _arena("cols", (n, c, k, k, out_h, out_w))
             for i in range(k):
                 for j in range(k):
                     cols6[:, :, i, j] = xp[:, :, i : i + out_h, j : j + out_w]
             cols = cols6.reshape(n, c * k * k, out_h * out_w)
         w_mat = self.weight.data.reshape(self.out_channels, -1)
-        out = ws["out"]
         np.matmul(w_mat, cols, out=out)
         out = out.reshape(n, self.out_channels, out_h, out_w)
         if self.bias is not None:
@@ -309,9 +336,9 @@ class GroupNorm(Module):
         is computed once and shared between the variance reduction and the
         normalized output (``mean((x - mean)^2)`` runs the exact reductions
         ``var`` performs, so the result is bit-identical).  The returned
-        array is scratch, valid until the next inference-mode layer call
-        of the same shape — inside the UNet every consumer reads it before
-        the next normalization runs.
+        array is this thread's scratch, valid until its next inference-mode
+        layer call of the same shape — inside the UNet every consumer reads
+        it before the next normalization runs.
         """
         n, c, h, w = x.shape
         g = self.num_groups

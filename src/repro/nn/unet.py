@@ -19,6 +19,7 @@ import numpy as np
 
 from .blocks import ResBlock, SelfAttention2d, TimeMlp
 from .layers import AvgPool2x, Conv2d, GroupNorm, SiLU, Upsample2x, gn_silu
+from .shards import run_shards, thread_slot
 from .tensor import Module
 
 __all__ = ["UNetConfig", "TimeUnet"]
@@ -117,7 +118,8 @@ class TimeUnet(Module):
         self.head_conv = Conv2d(prev, config.in_channels, 3, rng, init_scale=0.0)
 
         self._tape: list[tuple] | None = None
-        self._concat_ws: dict[tuple, np.ndarray] = {}
+        #: ``{thread ident: {shape key: buffer}}`` for :meth:`_concat`.
+        self._concat_ws: dict[int, dict[tuple, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # Forward
@@ -181,50 +183,86 @@ class TimeUnet(Module):
         return out
 
     def _forward_inference(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Inference fast path: no op tape, no skip-gradient slots.
+        """Inference fast path: no op tape, rows sharded across cores.
 
         Identical graph and identical floating-point operations as the
         training forward (submodules dispatch to their own inference
         branches), so the output is bit-for-bit the same.
+
+        The time MLP and every ResBlock's time projection run once on the
+        full batch: :class:`~repro.nn.layers.Linear` is not row-invariant
+        (OpenBLAS picks its GEMM kernel by row count), so projecting per
+        shard would change the bits.  Everything below them — convs,
+        GroupNorm, SiLU, attention, pool, concat — is per-sample, so the
+        rest runs on contiguous row shards
+        (:func:`~repro.nn.shards.run_shards`) that write their rows of one
+        output.
+        """
+        x = np.asarray(x, dtype=np.float32)
+        t_emb = self.time_mlp(t)
+        t_biases = [block.time_bias(t_emb) for block in self._res_blocks()]
+        out_shape = (len(x), self.config.in_channels) + x.shape[2:]
+        out = np.empty(out_shape, dtype=np.float32)
+
+        def shard(lo: int, hi: int) -> None:
+            # Copied out of the head conv's per-thread workspace, so the
+            # returned prediction stays valid across subsequent forwards.
+            out[lo:hi] = self._forward_rows(
+                x[lo:hi], [bias[lo:hi] for bias in t_biases]
+            )
+
+        run_shards(shard, len(x))
+        return out
+
+    def _res_blocks(self) -> list[ResBlock]:
+        """Every ResBlock in the order a forward runs them."""
+        return [*self.down_res, self.mid1, self.mid2, *self.up_res]
+
+    def _forward_rows(
+        self, x: np.ndarray, t_biases: list[np.ndarray]
+    ) -> np.ndarray:
+        """The network below the time projections, on one row shard.
+
+        ``t_biases`` holds this shard's rows of each ResBlock's time bias,
+        in :meth:`_res_blocks` order.  Returns the head conv's workspace.
         """
         cfg = self.config
         n_levels = len(cfg.channel_mults)
         n_res = cfg.num_res_blocks
+        bias = iter(t_biases)
 
-        t_emb = self.time_mlp(t)
-
-        h = self.stem(np.asarray(x, dtype=np.float32))
+        h = self.stem(x)
         skips: list[np.ndarray] = [h]
 
         down_iter = iter(self.down_res)
         down_sample_iter = iter(self.downsamples)
         for i in range(n_levels):
             for _ in range(n_res):
-                h = next(down_iter)(h, t_emb)
+                h = next(down_iter)(h, None, next(bias))
                 skips.append(h)
             if i != n_levels - 1:
                 h = next(down_sample_iter)(h)
                 skips.append(h)
 
-        h = self.mid1(h, t_emb)
+        h = self.mid1(h, None, next(bias))
         if self.attn is not None:
             h = self.attn(h)
-        h = self.mid2(h, t_emb)
+        h = self.mid2(h, None, next(bias))
 
         up_iter = iter(self.up_res)
         upsample_iter = iter(self.upsamples)
         for i in reversed(range(n_levels)):
             for _ in range(n_res + 1):
-                h = next(up_iter)(self._concat(h, skips.pop()), t_emb)
+                h = self._concat(h, skips.pop())
+                h = next(up_iter)(h, None, next(bias))
             if i != 0:
                 h = next(upsample_iter)(h)
 
-        # Copy out of the head conv's reused workspace buffer so the
-        # returned prediction stays valid across subsequent forwards.
-        return self.head_conv(gn_silu(self.head_norm, h)).copy()
+        return self.head_conv(gn_silu(self.head_norm, h))
 
     def _concat(self, h: np.ndarray, skip: np.ndarray) -> np.ndarray:
-        """Channel concat into a reused per-shape workspace (inference only).
+        """Channel concat into a reused per-thread, per-shape workspace
+        (inference only).
 
         The buffer is consumed immediately by the following ResBlock and
         never retained, so reuse across timesteps is safe; contents are
@@ -233,12 +271,13 @@ class TimeUnet(Module):
         n, ch, height, width = h.shape
         cs = skip.shape[1]
         key = (n, ch, cs, height, width)
-        buf = self._concat_ws.get(key)
+        buffers = thread_slot(self._concat_ws)
+        buf = buffers.get(key)
         if buf is None:
-            if len(self._concat_ws) >= 8:
-                self._concat_ws.pop(next(iter(self._concat_ws)))
+            if len(buffers) >= 8:
+                buffers.pop(next(iter(buffers)))
             buf = np.empty((n, ch + cs, height, width), dtype=np.float32)
-            self._concat_ws[key] = buf
+            buffers[key] = buf
         buf[:, :ch] = h
         buf[:, ch:] = skip
         return buf
