@@ -17,10 +17,11 @@ Measures the PatternPaint model stage on the acceptance workload (batch 8,
 All modes consume identical per-chunk spawned rng streams, so their
 outputs must be — and are asserted — bit-identical.
 
-Acceptance target (ISSUE 3): the fast path sustains >= 2x the pre-PR
-serial throughput.  A ``BENCH_sampler.json`` trajectory artifact (per-run
-timing samples plus the summary table) is written next to the cached
-experiment results.  Runs standalone
+Acceptance target: the fast path sustains >= 2x the pre-PR serial
+throughput.  A ``BENCH_sampler.json`` trajectory artifact is written next
+to the cached experiment results: the host fingerprint (cpus, numpy,
+BLAS vendor and live thread count), every timed run, and per mode the
+min-of-N with its median, max and spread.  Runs standalone
 (``python benchmarks/bench_sampler.py``) or under pytest.
 """
 
@@ -214,18 +215,19 @@ def run_bench():
     return times, samples
 
 
-def render(times: dict[str, float]) -> str:
+def render(times: dict[str, float], samples: dict[str, list[float]]) -> str:
     rows = [
         [
             mode,
             round(seconds, 3),
+            f"{max(samples[mode]) / seconds - 1.0:.1%}",
             round(NUM_JOBS / seconds, 2),
             round(times["pre-PR"] / seconds, 2),
         ]
         for mode, seconds in times.items()
     ]
     return format_table(
-        ["mode", "seconds", "clips/s", "speedup vs pre-PR"],
+        ["mode", "min seconds", "spread", "clips/s", "speedup vs pre-PR"],
         rows,
         title=(
             f"Inpainting sampler throughput ({NUM_JOBS} jobs, batch "
@@ -276,6 +278,28 @@ def warm_start_demo() -> dict:
     return {"sampler_plan": plan_stats, "checkpoints": checkpoint_stats}
 
 
+def host_fingerprint() -> dict:
+    """What a row's numbers depend on besides the code.
+
+    ``blas_threads`` is read after the runs: the first row-sharded
+    forward pins OpenBLAS to one thread for the process.
+    """
+    from repro.nn.shards import blas_threads
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        vendor = f"{blas.get('name')} {blas.get('version')}"
+    except Exception as error:  # noqa: BLE001 - recorded, not fatal
+        vendor = f"unknown ({error})"
+    return {
+        "cpus": os.cpu_count(),
+        "affinity_cpus": len(os.sched_getaffinity(0)),
+        "numpy": np.__version__,
+        "blas": vendor,
+        "blas_threads": blas_threads(),
+    }
+
+
 def write_artifact(
     times: dict[str, float], samples: dict[str, list[float]]
 ) -> str:
@@ -283,6 +307,7 @@ def write_artifact(
     from repro.experiments.common import bench_dir
 
     payload = {
+        "host": host_fingerprint(),
         "workload": {
             "jobs": NUM_JOBS,
             "model_batch": MODEL_BATCH,
@@ -299,7 +324,12 @@ def write_artifact(
         ],
         "summary": {
             mode: {
+                "runs": len(samples[mode]),
                 "seconds": round(sec, 4),
+                "median_seconds": round(float(np.median(samples[mode])), 4),
+                "max_seconds": round(max(samples[mode]), 4),
+                # (max - min) / min over the timed runs.
+                "spread": round(max(samples[mode]) / sec - 1.0, 4),
                 "clips_per_s": round(NUM_JOBS / sec, 3),
                 "speedup_vs_pre_pr": round(times["pre-PR"] / sec, 3),
             }
@@ -318,7 +348,7 @@ class TestSamplerThroughput:
         path = write_artifact(times, samples)
         report(
             "bench_sampler: inpainting sampling modes",
-            render(times) + f"\n[trajectory artifact: {path}]",
+            render(times, samples) + f"\n[trajectory artifact: {path}]",
         )
         fastest = min(times["inference"], times["pooled"])
         if (os.cpu_count() or 1) < 2 and fastest * 2.0 > times["pre-PR"]:
@@ -338,5 +368,5 @@ class TestSamplerThroughput:
 
 if __name__ == "__main__":  # pragma: no cover
     times, samples = run_bench()
-    print(render(times))
+    print(render(times, samples))
     print(f"[trajectory artifact: {write_artifact(times, samples)}]")

@@ -286,10 +286,11 @@ class ExecutorConfig:
     stage: with ``model_jobs > 1`` (and a picklable model spec, see
     :meth:`BatchExecutor.run_model_batched` and
     :meth:`~BatchExecutor.run_model_packed`) sampling chunks or packed
-    batches fan out over the persistent **process** pool — the numpy
-    model's inference workspaces are per-instance, so model parallelism
-    always uses worker-local rehydrated models rather than shared-memory
-    threads.
+    batches fan out over the persistent **process** pool of worker-local
+    rehydrated models.  Without it the model stage still uses every core:
+    each inference forward runs its rows as shards on threads, with
+    per-thread workspaces (:mod:`repro.nn.shards`); a forked pool worker
+    runs each of its forwards as one shard.
     ``model_batch`` is the chunk size for
     :meth:`BatchExecutor.run_model_batched`.
     ``admit_pool_threshold`` is the batch size below which

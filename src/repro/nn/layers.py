@@ -1,21 +1,32 @@
 """Primitive layers with explicit backward rules.
 
-All spatial layers use NCHW layout and ``float32``.  Convolutions lower
-the padded input to an im2col matrix with ``kh * kw`` block copies and run
-one batched GEMM, which is the fastest pure-numpy formulation for the small
-kernels used here.  Every backward rule is verified against finite
-differences in ``tests/nn/test_gradients.py``.
+All spatial layers use NCHW layout and ``float32``.  Training-mode
+convolutions lower the padded batch to an im2col matrix with ``kh * kw``
+block copies and run one stacked GEMM, which numpy executes as one GEMM
+per sample.  Every backward rule is verified against finite differences
+in ``tests/nn/test_gradients.py``.
 
 Every layer also carries an inference fast path, taken when
-``module.training`` is false (``Module.eval()`` / ``inference_mode``):
-no backward caches are recorded, buffers are reused across timesteps, and
-the sigmoid inside :class:`SiLU` switches from masked fancy indexing to a
-vectorised formulation.  Both paths are bit-identical — the fast sigmoid
-evaluates exactly the same stable expressions (``exp(-|x|)`` equals
-``exp(-x)`` on the positive branch and ``exp(x)`` on the negative one),
-and buffer reuse only changes *where* results are written, never the
-operations — which is what lets sampling run through ``eval()`` without
-perturbing a single generated pattern.
+``module.training`` is false (``Module.eval()`` / ``inference_mode``).
+It records no backward caches and reuses buffers across timesteps, and
+three kernels change shape:
+
+* :class:`Conv2d` pads, lowers and multiplies one sample at a time, so a
+  sample's columns stay in cache instead of the whole batch's streaming
+  through memory; each sample still gets the very GEMM the stacked
+  matmul would run.
+* The sigmoid inside :class:`SiLU` and :func:`gn_silu` switches from
+  masked fancy indexing to a select-free formulation over the same
+  stable expressions (``exp(-|x|)`` equals ``exp(-x)`` on the positive
+  branch and ``exp(x)`` on the negative one).
+* :class:`AvgPool2x` adds the four window views in the order ``mean``'s
+  reduction uses.
+
+Both paths are bit-identical: the fast forms evaluate exactly the same
+IEEE operations in the same order, and buffer reuse only changes *where*
+results are written.  That is what lets sampling run through ``eval()``
+without perturbing a single generated pattern
+(``tests/nn/test_inference_mode.py`` checks each kernel on edge values).
 
 The fast path is thread-safe, because the UNet runs row shards of one
 forward on several threads (:mod:`repro.nn.shards`).  Every reused buffer
@@ -33,6 +44,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .shards import thread_slot
 from .tensor import Module, Parameter, kaiming_normal, zeros_init
@@ -100,8 +112,13 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     two-branch formulation (never exponentiates a positive value).
 
     ``exp(-|x|)`` equals ``exp(-x)`` where ``x >= 0`` and ``exp(x)``
-    elsewhere, so selecting ``1`` or ``e`` as the numerator over the shared
-    ``1 + e`` denominator evaluates exactly the values of both branches.
+    elsewhere, so the numerator ``1`` or ``e`` over the shared ``1 + e``
+    denominator evaluates exactly the values of both branches.  The
+    numerator is chosen without a select: ``max(e, x >= 0)`` is ``1``
+    where ``x >= 0`` (there ``e <= 1``) and ``e`` elsewhere (the flag is
+    ``0`` and ``e >= 0``), and a NaN ``x`` keeps its NaN ``e``.  An
+    allocating ``np.where`` would cost more than the rest of the chain,
+    and ``abs`` + ``negative`` is cheaper than ``copysign``.
     All temporaries come from this thread's scratch pool; the returned
     array is a scratch buffer, only valid until the next inference-mode
     layer call on the same thread.
@@ -111,9 +128,12 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
         num = np.where(x >= 0, x.dtype.type(1.0), e)
         return num / (1.0 + e)
     e = _scratch(x.shape, np.float32, 0)
-    np.copysign(x, np.float32(-1.0), out=e)  # -|x| in a single pass
+    num = _scratch(x.shape, np.float32, 1)
+    np.abs(x, out=e)
+    np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.where(x >= 0, np.float32(1.0), e)
+    np.greater_equal(x, np.float32(0.0), out=num, casting="unsafe")
+    np.maximum(e, num, out=num)
     np.add(e, np.float32(1.0), out=e)  # e becomes the shared denominator
     np.divide(num, e, out=num)
     return num
@@ -122,8 +142,10 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Lower padded input (N,C,Hp,Wp) to columns (N, C*kh*kw, H'*W').
 
-    Built with ``kh * kw`` contiguous block copies, which is markedly faster
-    on CPU than gathering through a strided 6-D view.
+    Built with ``kh * kw`` contiguous block copies, which on a whole batch
+    is markedly faster on CPU than gathering through a strided 6-D view.
+    The inference path lowers one sample at a time instead, where a
+    single copy of :func:`_patches` wins (see :class:`Conv2d`).
     """
     n, c, hp, wp = xp.shape
     out_h = hp - kh + 1
@@ -133,6 +155,20 @@ def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i : i + out_h, j : j + out_w]
     return cols.reshape(n, c * kh * kw, out_h * out_w)
+
+
+def _patches(xp: np.ndarray, k: int) -> np.ndarray:
+    """Read-only ``(C, k, k, H', W')`` view of every ``k x k`` patch of one
+    padded sample ``(C, Hp, Wp)``: one copy of it is that sample's im2col
+    matrix."""
+    c, hp, wp = xp.shape
+    sc, sh, sw = xp.strides
+    return as_strided(
+        xp,
+        (c, k, k, hp - k + 1, wp - k + 1),
+        (sc, sh, sw, sh, sw),
+        writeable=False,
+    )
 
 
 class Conv2d(Module):
@@ -186,20 +222,28 @@ class Conv2d(Module):
         return out
 
     def _forward_inference(self, x: np.ndarray) -> np.ndarray:
-        """No-cache forward reusing per-thread buffers.
+        """No-cache forward reusing per-thread buffers, one sample at a time.
 
-        Pad and im2col go through this thread's shared arena.  The output
-        buffer is kept per thread and per input shape: it is valid until
-        this layer's next inference forward on the same thread.  Inside
-        :class:`TimeUnet` every layer runs exactly once per forward and
-        the network's final output is copied out, so reuse is invisible;
-        direct users comparing two successive inference outputs of the
-        *same* layer must copy.
+        Each sample is padded into this thread's shared arena, lowered to
+        its im2col columns with one copy of :func:`_patches` and multiplied
+        straight into its rows of the output.  numpy's stacked matmul runs
+        one GEMM per sample too, so this is bit-identical to the batched
+        training forward, but one sample's columns (at most a few MB) stay
+        in cache where the whole batch's would stream through memory.  A
+        pointwise conv needs no columns and keeps one stacked matmul.
+
+        The output buffer is kept per thread and per input shape: it is
+        valid until this layer's next inference forward on the same thread.
+        Inside :class:`TimeUnet` every layer runs exactly once per forward
+        and the network's final output is copied out, so reuse is
+        invisible; direct users comparing two successive inference outputs
+        of the *same* layer must copy.
         """
         x = np.ascontiguousarray(x, dtype=np.float32)
         pad = self.padding
         k = self.kernel_size
         n, c, h, w = x.shape
+        f = self.out_channels
         out_h = h + 2 * pad - k + 1
         out_w = w + 2 * pad - k + 1
         outs = thread_slot(self._workspaces)
@@ -207,34 +251,34 @@ class Conv2d(Module):
         if out is None:
             if len(outs) >= _MAX_WORKSPACES:
                 outs.pop(next(iter(outs)))
-            out = outs[x.shape] = np.empty(
-                (n, self.out_channels, out_h * out_w), dtype=np.float32
-            )
+            out = outs[x.shape] = np.empty((n, f, out_h * out_w), dtype=np.float32)
+        w_mat = self.weight.data.reshape(f, -1)
+        bias = None if self.bias is None else self.bias.data[:, None]
         if k == 1 and pad == 0:
             # Pointwise conv: the im2col matrix IS the input, no copies.
-            cols = x.reshape(n, c, h * w)
-        else:
+            np.matmul(w_mat, x.reshape(n, c, h * w), out=out)
+            if bias is not None:
+                out += bias
+            return out.reshape(n, f, out_h, out_w)
+        xp = _arena("xp", (c, h + 2 * pad, w + 2 * pad))
+        if pad:
+            # The arena is shared, so the border is re-zeroed each call.
+            xp[:, :pad] = 0.0
+            xp[:, h + pad :] = 0.0
+            xp[:, pad : h + pad, :pad] = 0.0
+            xp[:, pad : h + pad, w + pad :] = 0.0
+        cols = _arena("cols", (c, k, k, out_h, out_w))
+        cols_mat = cols.reshape(c * k * k, out_h * out_w)
+        for r in range(n):
             if pad:
-                xp = _arena("xp", (n, c, h + 2 * pad, w + 2 * pad))
-                # The arena is shared, so the border is re-zeroed each call.
-                xp[:, :, :pad] = 0.0
-                xp[:, :, h + pad :] = 0.0
-                xp[:, :, pad : h + pad, :pad] = 0.0
-                xp[:, :, pad : h + pad, w + pad :] = 0.0
-                xp[:, :, pad : h + pad, pad : w + pad] = x
+                xp[:, pad : h + pad, pad : w + pad] = x[r]
+                np.copyto(cols, _patches(xp, k))
             else:
-                xp = x
-            cols6 = _arena("cols", (n, c, k, k, out_h, out_w))
-            for i in range(k):
-                for j in range(k):
-                    cols6[:, :, i, j] = xp[:, :, i : i + out_h, j : j + out_w]
-            cols = cols6.reshape(n, c * k * k, out_h * out_w)
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
-        np.matmul(w_mat, cols, out=out)
-        out = out.reshape(n, self.out_channels, out_h, out_w)
-        if self.bias is not None:
-            out += self.bias.data[None, :, None, None]
-        return out
+                np.copyto(cols, _patches(x[r], k))
+            np.matmul(w_mat, cols_mat, out=out[r])
+            if bias is not None:
+                out[r] += bias
+        return out.reshape(n, f, out_h, out_w)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         cols, x_shape, (out_h, out_w) = self._cache
@@ -440,8 +484,19 @@ class AvgPool2x(Module):
         n, c, h, w = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"AvgPool2x needs even spatial dims, got {h}x{w}")
+        v = x.reshape(n, c, h // 2, 2, w // 2, 2)
+        if not self.training and x.flags.c_contiguous and w > 2:
+            # ``mean`` over a C-contiguous input with at least two output
+            # columns adds each window as (a + b) + (c + d) and divides by
+            # 4; doing exactly that on four strided views is bit-identical
+            # and skips the generic reduction machinery.  Other layouts
+            # reduce in another order, so they keep ``mean``.
+            s = v[:, :, :, 0, :, 0] + v[:, :, :, 0, :, 1]
+            s += v[:, :, :, 1, :, 0] + v[:, :, :, 1, :, 1]
+            s /= 4
+            return s
         self._shape = x.shape
-        return x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+        return v.mean(axis=(3, 5))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         n, c, h, w = self._shape
