@@ -58,15 +58,19 @@ fleet comparison and the full run trajectory.  Runs standalone
 
 import json
 import os
+import tempfile
 import threading
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 try:  # pytest package-relative vs standalone-script import
-    from .conftest import report
+    from .conftest import host_fingerprint, report
 except ImportError:  # pragma: no cover - standalone fallback
+    from conftest import host_fingerprint
+
     def report(title: str, text: str) -> None:
         print(f"\n=== {title} ===\n{text}")
 
@@ -80,12 +84,12 @@ from repro.engine import (
     register_backend,
     run_generation,
 )
-from repro.engine.modelpool import inpaint_jobs, inpaint_jobs_packed, publish_model
+from repro.engine.modelpool import inpaint_jobs, inpaint_jobs_packed
 from repro.engine.packing import chunk_sizes
 from repro.experiments.common import format_table
 from repro.geometry import Grid
 from repro.nn import TimeUnet, UNetConfig
-from repro.nn.serialize import load_module_state
+from repro.nn.serialize import load_module_state, save_module
 from repro.service import SchedulerConfig, ServiceClient, ServiceConfig
 
 NUM_CLIENTS = 12
@@ -115,24 +119,29 @@ MIXED_UNET = UNetConfig(
     groups=8, time_dim=32, seed=1,
 )
 
-_CHECKPOINT: str | None = None
-_MIXED_CHECKPOINT: str | None = None
+# The bench's checkpoints live here and are removed at interpreter exit.
+_CHECKPOINT_DIR = tempfile.TemporaryDirectory(prefix="bench-service-")
+_CHECKPOINTS: dict[str, str] = {}
+
+
+def _save_checkpoint(config: UNetConfig, name: str) -> str:
+    """Write ``name``'s model once; constructions rehydrate from disk."""
+    path = _CHECKPOINTS.get(name)
+    if path is None:
+        path = os.path.join(_CHECKPOINT_DIR.name, f"{name}.npz")
+        save_module(TimeUnet(config), path, meta={"unet": asdict(config)})
+        _CHECKPOINTS[name] = path
+    return path
 
 
 def _checkpoint() -> str:
-    """Publish the bench model once; constructions rehydrate from disk."""
-    global _CHECKPOINT
-    if _CHECKPOINT is None:
-        _CHECKPOINT = publish_model(TimeUnet(UNET))
-    return _CHECKPOINT
+    """The bench model's checkpoint."""
+    return _save_checkpoint(UNET, "unet")
 
 
 def _mixed_checkpoint() -> str:
-    """Publish the heavier mixed-burst model once."""
-    global _MIXED_CHECKPOINT
-    if _MIXED_CHECKPOINT is None:
-        _MIXED_CHECKPOINT = publish_model(TimeUnet(MIXED_UNET))
-    return _MIXED_CHECKPOINT
+    """The heavier mixed-burst model's checkpoint."""
+    return _save_checkpoint(MIXED_UNET, "mixed-unet")
 
 
 class BenchInpaintBackend:
@@ -363,11 +372,11 @@ def _fleet_mode(requests, workers):
     ``workers>=2`` fronts a :class:`~repro.service.fleet.FleetService`,
     whose sticky key routing sends each compatibility key's requests to
     its own process — full interpreter isolation, so even GIL-holding
-    stages overlap.  The checkpoint is published *before* the fork so
+    stages overlap.  The checkpoint is written *before* the fork so
     every worker rehydrates the same weights, and the warmup pass pays
     per-worker model construction outside the measured burst.
     """
-    _mixed_checkpoint()  # publish pre-fork: workers inherit the path
+    _mixed_checkpoint()  # write pre-fork: workers inherit the path
     config = ServiceConfig(
         jobs=1, queue_size=len(requests) * 2, pack_models=False,
         scheduler=SchedulerConfig(
@@ -592,6 +601,7 @@ def write_artifact(walls, latencies, stats, trajectory, fleet_walls=None,
     coalesced = stats["coalesced"]
     packed = stats["packed"]
     payload = {
+        "host": host_fingerprint(),
         "workload": {
             "clients": NUM_CLIENTS,
             "count_per_request": COUNT,
@@ -600,7 +610,6 @@ def write_artifact(walls, latencies, stats, trajectory, fleet_walls=None,
             "backend": "bench-inpaint",
             "deck": "basic",
             "image_size": UNET.image_size,
-            "cpus": os.cpu_count(),
         },
         "coalescing": {
             "micro_batches": coalesced.micro_batches,
@@ -636,9 +645,8 @@ def write_artifact(walls, latencies, stats, trajectory, fleet_walls=None,
             "clients": MIXED_KEYS * MIXED_CLIENTS_PER_KEY,
             "worker_count": multi["fleet"]["worker_count"],
             # Host-shape provenance: a fleet speedup only means
-            # something alongside the core count and BLAS/OMP pinning
-            # it was measured under (unset vars reported as None).
-            "cpus": os.cpu_count(),
+            # something alongside the BLAS/OMP pinning it was measured
+            # under (unset vars reported as None); cpus are in "host".
             "thread_env": {
                 name: os.environ.get(name)
                 for name in (

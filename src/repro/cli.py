@@ -42,12 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "solver; user-registered names also work)")
     gen.add_argument("-j", "--jobs", type=_positive_int, default=1,
                      help="worker count for the denoise/DRC stages")
-    gen.add_argument("--model-jobs", type=_positive_int, default=1,
-                     metavar="N",
-                     help="process workers for the model sampling stage "
-                          "itself (model-backed backends; chunks of the "
-                          "model batch fan out to worker-local models, "
-                          "bit-identical to serial; default: 1, serial)")
     gen.add_argument("-n", "--count", type=_positive_int, default=20)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output .npz path")
@@ -104,11 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default deck for requests that name none")
     serve.add_argument("-j", "--jobs", type=_positive_int, default=1,
                        help="executor threads for the denoise/DRC stages")
-    serve.add_argument("--model-jobs", type=_positive_int, default=1,
-                       metavar="N",
-                       help="process workers for the packed model stage "
-                            "(default: 1, serial; the only knob that "
-                            "opens a model process pool)")
     serve.add_argument("--queue-size", type=_positive_int, default=64,
                        help="bounded request queue depth (backpressure)")
     serve.add_argument("--max-batch", type=_positive_int, default=8,
@@ -142,8 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "kept in global arrival order, crashed "
                             "workers respawned, session snapshots merged "
                             "at drain/shutdown); 1 (the default) runs the "
-                            "single-process service.  Workers cannot open "
-                            "process pools, so 2+ needs --model-jobs 1")
+                            "single-process service")
     serve.add_argument("--drain-timeout", type=float, default=10.0,
                        metavar="S",
                        help="on SIGTERM/SIGINT, stop accepting requests "
@@ -201,7 +189,7 @@ def _cmd_generate(args) -> int:
     if args.backend == "patternpaint":
         # Reach the model stage itself: the patternpaint backend runs its
         # own pipeline/executor, so worker counts plumb through here.
-        backend_kwargs.update(jobs=args.jobs, model_jobs=args.model_jobs)
+        backend_kwargs.update(jobs=args.jobs)
     try:
         backend = get_backend(args.backend, **backend_kwargs)
     except ValueError as error:
@@ -245,7 +233,6 @@ def _cmd_generate(args) -> int:
         batch = run_generation(
             request,
             jobs=args.jobs,
-            model_jobs=args.model_jobs,
             backend=backend,
             library=store,
         )
@@ -354,7 +341,6 @@ def _cmd_serve(args) -> int:
     config = ServiceConfig(
         queue_size=args.queue_size,
         jobs=args.jobs,
-        model_jobs=args.model_jobs,
         scheduler=SchedulerConfig(
             max_batch_requests=args.max_batch,
             gather_window_s=args.gather_window_ms / 1000.0,
@@ -365,13 +351,6 @@ def _cmd_serve(args) -> int:
             checkpoint_every=args.checkpoint_every or 0,
         ),
     )
-    fleet_config = None
-    if args.workers >= 2:
-        try:
-            fleet_config = FleetConfig(workers=args.workers, service=config)
-        except ValueError as error:
-            print(f"repro serve: error: {error}", file=sys.stderr)
-            return 2
 
     async def main() -> None:
         if args.drc_cache_dir:
@@ -388,8 +367,10 @@ def _cmd_serve(args) -> int:
         # (submit/cancel/health/stats_payload/drain/stop), so the TCP
         # server and the signal->drain->stop block below are one shared
         # implementation for both topologies.
-        if fleet_config is not None:
-            service = FleetService(fleet_config)
+        if args.workers >= 2:
+            service = FleetService(
+                FleetConfig(workers=args.workers, service=config)
+            )
         else:
             service = GenerationService(config)
         await service.start()

@@ -34,7 +34,7 @@ from ..diffusion.ddpm import Ddpm
 from ..diffusion.inpaint import InpaintConfig
 from ..drc.decks import RuleDeck
 from ..engine.executor import BatchExecutor, ExecutorConfig
-from ..engine.modelpool import InpaintModelSpec, inpaint_jobs, publish_model
+from ..engine.modelpool import inpaint_jobs
 from ..library import LibraryStore, ShardedStore
 from .library import PatternLibrary
 from .masks import MaskScheduler, all_masks
@@ -53,10 +53,9 @@ class PatternPaintConfig:
     ``keep_raw`` retains pre-denoise model outputs with their templates so
     the Table III harness can re-score them under different denoisers.
     ``jobs``/``pool`` configure the executor's denoise/DRC worker pool
-    (1 = serial; results are identical either way).  ``model_jobs`` fans
-    the inpainting model stage itself out over process workers (chunks of
-    ``model_batch`` jobs, worker-local rehydrated models; bit-identical
-    to serial for a fixed seed).  ``library_shards`` selects the library
+    (1 = serial; results are identical either way).  The inpainting
+    model stage needs no worker count: its forwards shard their rows
+    across cores on threads.  ``library_shards`` selects the library
     store the run admits into (1 = the classic single-population store;
     >1 = a hash-prefix :class:`~repro.library.ShardedStore`); contents
     and order are identical for any shard count.
@@ -74,7 +73,6 @@ class PatternPaintConfig:
     keep_raw: bool = False
     jobs: int = 1
     pool: str = "thread"
-    model_jobs: int = 1
     library_shards: int = 1
 
 
@@ -170,7 +168,6 @@ class PatternPaint:
                     model_batch=self.config.model_batch,
                     jobs=self.config.jobs,
                     pool=self.config.pool,
-                    model_jobs=self.config.model_jobs,
                     denoise=self.config.denoise,
                 ),
             )
@@ -235,11 +232,10 @@ class PatternPaint:
         """Run inpainting for parallel (template, mask) jobs.
 
         Returns float model outputs (N entries, each (H, W) in [-1, 1]) and
-        the wall-clock seconds spent in the sampler.  Chunking, per-chunk
-        rng spawning and (with ``config.model_jobs > 1``) process-pool
-        fan-out are the executor's job; sampling always runs through the
-        model's inference fast path, which is bit-identical to the
-        training-mode forward.
+        the wall-clock seconds spent in the sampler.  Chunking and
+        per-chunk rng spawning are the executor's job; sampling always
+        runs through the model's inference fast path, which is
+        bit-identical to the training-mode forward.
         """
 
         def model_fn(
@@ -256,39 +252,7 @@ class PatternPaint:
                 self.config.inpaint,
             )
 
-        return self.executor.run_model_batched(
-            model_fn, templates, masks, rng, spec=self._spec(len(templates))
-        )
-
-    def model_spec(self) -> "InpaintModelSpec":
-        """The picklable model spec for process-pool sampling dispatch.
-
-        Publishing is content-addressed, so an unchanged model maps to
-        the same checkpoint file (written once, rehydrated once per
-        worker) while mutated weights automatically get a fresh one —
-        re-hashing the parameters each round (sub-MB at repro scale, a
-        few ms against seconds of sampling) buys that robustness without
-        a weight-version protocol.
-        """
-        return InpaintModelSpec(
-            checkpoint=publish_model(self.ddpm.model),
-            betas=np.ascontiguousarray(self.ddpm.schedule.betas).tobytes(),
-            config=self.config.inpaint,
-        )
-
-    def _spec(self, num_jobs: int) -> "InpaintModelSpec | None":
-        """:meth:`model_spec`, gated to when pooled fan-out can engage.
-
-        Only built when the executor will actually fan the model stage
-        out — ``model_jobs > 1`` *and* the batch spans more than one
-        model chunk.
-        """
-        if self.config.model_jobs <= 1:
-            return None
-        chunks = -(-num_jobs // self.config.model_batch)
-        if chunks <= 1:
-            return None
-        return self.model_spec()
+        return self.executor.run_model_batched(model_fn, templates, masks, rng)
 
     def denoise_and_check(
         self,

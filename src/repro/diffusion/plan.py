@@ -11,8 +11,7 @@ plan-driven sampler is bit-identical to the seed per-step derivation.
 
 Plans are keyed by the schedule's content fingerprint, which makes them
 shared across :class:`~repro.diffusion.schedule.NoiseSchedule` instances
-built from the same betas (e.g. worker-rehydrated schedules in the model
-process pool).
+built from the same betas.
 
 An optional second, on-disk layer (:func:`configure_plan_cache`) warm
 starts fresh processes: plans are persisted as ``plan-<digest>.npz``

@@ -61,8 +61,8 @@ class NoiseSchedule:
     def fingerprint(self) -> str:
         """Content hash of the beta sequence (cached per instance).
 
-        Keys process-wide memos — sampler plans, worker-side schedule
-        rehydration — so equivalent schedules share cached derivations.
+        Keys process-wide memos such as sampler plans, so equivalent
+        schedules share cached derivations.
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is None:

@@ -49,16 +49,10 @@ from .request import (
     StageTimings,
     deck_key,
 )
-from .retry import (
-    BreakerBoard,
-    CircuitBreaker,
-    RetryPolicy,
-    TransientError,
-)
+from .retry import CircuitBreaker, RetryPolicy, TransientError
 
 __all__ = [
     "BatchExecutor",
-    "BreakerBoard",
     "CandidateBatch",
     "ChunkRef",
     "CircuitBreaker",

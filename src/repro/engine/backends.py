@@ -55,8 +55,8 @@ class PatternPaintBackend:
 
     ``request.templates`` / ``request.masks`` override the default starter
     set and Figure 6 mask sets; jobs enumerate starter x mask x variation
-    exactly like :meth:`PatternPaint.initial_generation`.  ``jobs`` /
-    ``model_jobs`` size the wrapped pipeline's own executor, which only
+    exactly like :meth:`PatternPaint.initial_generation`.  ``jobs``
+    sizes the wrapped pipeline's own executor, which only
     :meth:`propose` uses (``repro generate``).  The service builds the
     backend with the deck alone and samples through the pack hooks on
     its own executor, so the service's pools are the only ones in use.
@@ -73,19 +73,14 @@ class PatternPaintBackend:
         variant: str = "sd1-ft",
         templates: list[np.ndarray] | None = None,
         jobs: int | None = None,
-        model_jobs: int | None = None,
     ):
         from dataclasses import replace
 
         self._deck = deck if deck is not None else experiment_deck()
         self._ddpm = ddpm
         cfg = config or PatternPaintConfig()
-        if jobs is not None or model_jobs is not None:
-            cfg = replace(
-                cfg,
-                jobs=jobs if jobs is not None else cfg.jobs,
-                model_jobs=model_jobs if model_jobs is not None else cfg.model_jobs,
-            )
+        if jobs is not None:
+            cfg = replace(cfg, jobs=jobs)
         self._config = cfg
         self.variant = variant
         self._templates = list(templates) if templates is not None else None
@@ -193,10 +188,6 @@ class PatternPaintBackend:
             )
 
         return packed_fn
-
-    def pack_spec(self):
-        """Picklable model spec for process-pool packed dispatch."""
-        return self.pipeline.model_spec()
 
     def propose(
         self, request: GenerationRequest, rng: np.random.Generator

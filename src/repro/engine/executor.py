@@ -38,8 +38,10 @@ request included: it interleaves the requests' sampling chunks into
 shared full-width model batches while spawning each chunk's rng from its
 own request — packing that is bit-identical, per request, to the serial
 path.  :func:`run_generation` samples through
-:meth:`~BatchExecutor.run_model_batched`, process-pooled when
-``model_jobs > 1``.
+:meth:`~BatchExecutor.run_model_batched`, serial chunk by chunk.  Either
+way every inference forward shards its rows across cores on threads
+(:mod:`repro.nn.shards`): that is the model stage's one in-process
+parallelism.
 """
 
 from __future__ import annotations
@@ -47,12 +49,10 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import (
-    BrokenExecutor,
     Executor,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -64,14 +64,8 @@ from ..core.template_denoise import TemplateDenoiseConfig, template_denoise
 from ..drc.engine import DrcEngine
 from ..geometry.raster import validate_clip
 from ..library import LibraryStore, compute_delta
-from .modelpool import (
-    InpaintModelSpec,
-    run_inpaint_chunk,
-    run_inpaint_packed_batch,
-)
 from .packing import PackingPlan, chunk_sizes, pack_chunks
 from .registry import GeneratorBackend, get_backend
-from .retry import BreakerBoard
 from .request import (
     CandidateBatch,
     GenerationBatch,
@@ -105,18 +99,6 @@ def _fault_action(site: str) -> "str | None":
     return maybe_fire(site)
 
 
-def _supervised_fault_action(site: str) -> "str | None":
-    """Like :func:`_fault_action`, for sites whose failure is recovered
-    right here in the engine — marks the call as a protected region so
-    environment-scoped fault plans (``scope="protected"``) fire too."""
-    try:
-        from ..service.faults import maybe_fire, protected
-    except ImportError:  # pragma: no cover - service layer not installed
-        return None
-    with protected():
-        return maybe_fire(site)
-
-
 def _denoise_one(
     raw: np.ndarray,
     template: np.ndarray | None,
@@ -144,8 +126,8 @@ class PoolRegistry:
     """Lease-managed persistent worker pools, keyed by ``(kind, workers)``.
 
     One registry may back several :class:`BatchExecutor` instances — the
-    service's per-deck executors share one, so they hold one thread pool
-    and one process pool between them instead of one of each per deck.
+    service's per-deck executors share one, so they hold one pool per
+    (kind, size) between them instead of one per deck.
     Pools are created lazily on first lease and live until
     :meth:`close`; each distinct (kind, size) pair has at most one live
     pool at a time.
@@ -156,52 +138,11 @@ class PoolRegistry:
     racing an active stage *retires* the pool (detaches it from the map)
     and the stage — the last lessee — shuts it down on release.  A
     closed registry lazily re-creates pools if leased again.
-
-    The registry is also the pool *supervisor*: when a stage observes a
-    dead pool (``BrokenProcessPool`` — its workers were killed),
-    :meth:`rebuild` retires the broken pool so the next lease creates a
-    fresh one, and the per-``(kind, workers)`` circuit breaker on
-    :attr:`breakers` records the failure.  A breaker that trips (too
-    many pool deaths inside its window) makes the executor degrade that
-    pool's stages to serial dispatch until the cooldown passes — which
-    is safe because every dispatch strategy is bit-identical.
     """
 
-    def __init__(self, *, breakers: BreakerBoard | None = None) -> None:
+    def __init__(self) -> None:
         self._pools: dict[tuple[str, int], _PoolLease] = {}
         self._lock = threading.Lock()
-        #: One circuit breaker per (kind, workers) pool; consulted by the
-        #: executor's supervised pooled dispatch.
-        self.breakers = breakers if breakers is not None else BreakerBoard()
-        #: How many broken pools were replaced (telemetry for ``health``).
-        self.rebuilds = 0
-
-    def breaker(self, kind: str, workers: int):
-        """The circuit breaker guarding the ``(kind, workers)`` pool."""
-        return self.breakers.get((kind, workers))
-
-    def rebuild(self, kind: str, workers: int) -> bool:
-        """Retire the ``(kind, workers)`` pool so the next lease is fresh.
-
-        Called when a stage caught ``BrokenProcessPool``: the broken pool
-        is detached from the map (idle → shut down here without waiting,
-        its workers are already dead; still leased → the last lessee
-        shuts it down on release) and the next :meth:`lease` creates a
-        replacement.  Returns ``False`` when no such pool exists (someone
-        else already rebuilt it) — the failure still counts against the
-        breaker either way, at the call site.
-        """
-        key = (kind, workers)
-        with self._lock:
-            lease = self._pools.pop(key, None)
-            if lease is None:
-                return False
-            lease.retired = True
-            idle = lease.refs == 0
-            self.rebuilds += 1
-        if idle:
-            lease.pool.shutdown(wait=False)
-        return True
 
     @contextmanager
     def lease(self, kind: str, workers: int):
@@ -282,15 +223,9 @@ class ExecutorConfig:
 
     ``jobs`` is the worker count for the denoise and DRC stages (1 =
     serial); ``pool`` selects ``"thread"`` or ``"process"`` workers for
-    those stages.  ``model_jobs`` is the worker count for the *model*
-    stage: with ``model_jobs > 1`` (and a picklable model spec, see
-    :meth:`BatchExecutor.run_model_batched` and
-    :meth:`~BatchExecutor.run_model_packed`) sampling chunks or packed
-    batches fan out over the persistent **process** pool of worker-local
-    rehydrated models.  Without it the model stage still uses every core:
-    each inference forward runs its rows as shards on threads, with
-    per-thread workspaces (:mod:`repro.nn.shards`); a forked pool worker
-    runs each of its forwards as one shard.
+    those stages.  The model stage has no worker count: it uses every
+    core because each inference forward runs its rows as shards on
+    threads, with per-thread workspaces (:mod:`repro.nn.shards`).
     ``model_batch`` is the chunk size for
     :meth:`BatchExecutor.run_model_batched`.
     ``admit_pool_threshold`` is the batch size below which
@@ -303,7 +238,6 @@ class ExecutorConfig:
     model_batch: int = 32
     jobs: int = 1
     pool: str = "thread"
-    model_jobs: int = 1
     use_cache: bool = True
     denoise: TemplateDenoiseConfig = field(default_factory=TemplateDenoiseConfig)
     admit_pool_threshold: int = 4096
@@ -313,8 +247,6 @@ class ExecutorConfig:
             raise ValueError("model_batch must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
-        if self.model_jobs < 1:
-            raise ValueError("model_jobs must be positive")
         if self.pool not in ("thread", "process"):
             raise ValueError("pool must be 'thread' or 'process'")
 
@@ -376,14 +308,13 @@ class BatchExecutor:
     The executor runs its pooled stages on **persistent** worker pools:
     the first pooled stage lazily creates the thread and/or process pool
     and every later batch reuses it, instead of paying pool spin-up on
-    each ``denoise_batch``/``check_batch``/``admit_batch``/model-stage
-    call.  By default each executor owns a private :class:`PoolRegistry`
-    and ``close()`` (or exiting a ``with`` block) shuts its pools down;
-    pass ``pools=`` to share one registry across executors — the
-    service does this so its per-deck executors hold one pool per
-    (kind, size) — in which case ``close()`` leaves the shared pools to
-    their owner.  A closed executor lazily re-creates
-    pools if used again.
+    each ``denoise_batch``/``check_batch``/``admit_batch`` call.  By
+    default each executor owns a private :class:`PoolRegistry` and
+    ``close()`` (or exiting a ``with`` block) shuts its pools down; pass
+    ``pools=`` to share one registry across executors — the service
+    does this so its per-deck executors hold one pool per (kind, size)
+    — in which case ``close()`` leaves the shared pools to their owner.
+    A closed executor lazily re-creates pools if used again.
     """
 
     def __init__(
@@ -401,40 +332,6 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     # Persistent pools
     # ------------------------------------------------------------------
-    def _supervised_pooled(self, workers: int, dispatch: Callable):
-        """One pooled model-stage dispatch, supervised for worker death.
-
-        ``dispatch(pool)`` submits the stage's work and returns its
-        futures.  On ``BrokenProcessPool`` (the pool's workers died —
-        or the ``pool`` fault site injected exactly that) the registry
-        :meth:`~PoolRegistry.rebuild`\\ s the pool and the dispatch is
-        retried once on the replacement; the per-pool circuit breaker
-        counts each death, and while it is open (or once it trips here)
-        this returns ``None`` without dispatching — the caller falls
-        back to serial with the *same* spawned children, which is
-        bit-identical because pooled workers consume pickled rng copies,
-        never the parent's.  Returns ``(results, elapsed)`` on success.
-        """
-        breaker = self.pools.breaker("process", workers)
-        if not breaker.allow():
-            return None
-        for _attempt in range(2):
-            try:
-                with self.pools.lease("process", workers) as pool:
-                    t0 = time.perf_counter()
-                    if _supervised_fault_action("pool") == "crash":
-                        raise BrokenProcessPool("injected process-pool crash")
-                    futures = dispatch(pool)
-                    results = [future.result() for future in futures]
-                    elapsed = time.perf_counter() - t0
-                breaker.record_success()
-                return results, elapsed
-            except BrokenExecutor:
-                self.pools.rebuild("process", workers)
-                if breaker.record_failure():
-                    break
-        return None
-
     def close(self) -> None:
         """Shut down the owned pool registry (see :meth:`PoolRegistry.close`).
 
@@ -464,20 +361,13 @@ class BatchExecutor:
         templates: list[np.ndarray],
         masks: list[np.ndarray],
         rng: np.random.Generator,
-        *,
-        spec: InpaintModelSpec | None = None,
     ) -> tuple[list[np.ndarray], float]:
         """Run ``model_fn`` over (template, mask) jobs in model-sized chunks.
 
         Every chunk gets an independent child generator from
-        ``rng.spawn()`` (consumed in chunk order), so the concatenated
-        outputs are identical whether chunks run serially or on workers.
-        With ``model_jobs > 1``, more than one chunk and a picklable
-        ``spec`` (:class:`~repro.engine.modelpool.InpaintModelSpec`),
-        chunks are dispatched to the persistent process pool, where each
-        worker rehydrates the checkpointed model once and samples in
-        inference mode — bit-identical to the serial path for a fixed
-        seed.  Otherwise they run serially in this process.
+        ``rng.spawn()`` (consumed in chunk order), so a request's outputs
+        are identical whether its chunks run here one by one or packed
+        with other requests' chunks (:meth:`run_model_packed`).
 
         Returns the concatenated outputs and the wall-clock seconds spent
         inside the model stage.
@@ -491,28 +381,6 @@ class BatchExecutor:
         chunks = [(start, min(start + batch, len(templates))) for start in bounds]
         children = rng.spawn(len(chunks))
         outputs: list[np.ndarray] = []
-        jobs = min(self.config.model_jobs, len(chunks))
-        if spec is not None and jobs > 1:
-            dispatched = self._supervised_pooled(
-                jobs,
-                lambda pool: [
-                    pool.submit(
-                        run_inpaint_chunk, spec, templates[lo:hi],
-                        masks[lo:hi], child
-                    )
-                    for (lo, hi), child in zip(chunks, children)
-                ],
-            )
-            if dispatched is not None:
-                results, elapsed = dispatched
-                for result in results:
-                    outputs.extend(result)
-                return outputs, elapsed
-            # Pooled dispatch unavailable (breaker open, or the pool
-            # died twice): degrade to the serial loop below with the
-            # SAME children — workers consume pickled rng copies, so
-            # the parent streams are untouched and degraded output is
-            # bit-identical to a healthy pooled run.
         seconds = 0.0
         for (lo, hi), child in zip(chunks, children):
             t0 = time.perf_counter()
@@ -534,7 +402,6 @@ class BatchExecutor:
         rngs: Sequence[np.random.Generator],
         *,
         packing: PackingPlan | None = None,
-        spec: InpaintModelSpec | None = None,
     ) -> PackedModelResult:
         """Run several requests' model stages as shared packed batches.
 
@@ -554,10 +421,7 @@ class BatchExecutor:
         Per-request outputs are reassembled in chunk order and are
         bit-identical to that request's serial ``run_model_batched`` run:
         packing changes which forwards execute together, never which
-        random numbers a request sees.  With ``model_jobs > 1``, a
-        picklable ``spec`` and more than one packed batch, batches fan
-        out over the persistent process pool
-        (:func:`~repro.engine.modelpool.run_inpaint_packed_batch`).
+        random numbers a request sees.
         """
         job_lists = list(job_lists)
         rngs = list(rngs)
@@ -618,35 +482,10 @@ class BatchExecutor:
                 chunk_outputs[(ref.entry, ref.chunk)] = list(out)
                 seconds[ref.entry] += elapsed * (ref.jobs / total)
 
-        jobs = min(self.config.model_jobs, len(packing.batches))
-        dispatched = None
-        if spec is not None and jobs > 1:
-            # Supervised like run_model_batched: a dead pool is rebuilt
-            # and retried once; breaker-open or repeated death degrades
-            # to the serial loop below, bit-identically (the parent
-            # chunk rngs are never consumed by pooled workers).
-            dispatched = self._supervised_pooled(
-                jobs,
-                lambda pool: [
-                    pool.submit(run_inpaint_packed_batch, spec, *segments(p))
-                    for p in packing.batches
-                ],
-            )
-        if dispatched is not None:
-            results, elapsed = dispatched
-            # Pooled batches overlap in time; attribute the shared
-            # wall clock to each batch by its job share.
-            for packed, outs in zip(packing.batches, results):
-                record(
-                    packed,
-                    outs,
-                    elapsed * (packed.jobs / max(packing.packed_jobs, 1)),
-                )
-        else:
-            for packed in packing.batches:
-                t0 = time.perf_counter()
-                outs = packed_fn(*segments(packed))
-                record(packed, outs, time.perf_counter() - t0)
+        for packed in packing.batches:
+            t0 = time.perf_counter()
+            outs = packed_fn(*segments(packed))
+            record(packed, outs, time.perf_counter() - t0)
 
         outputs: list[list[np.ndarray]] = []
         for entry, count in enumerate(counts):
@@ -931,7 +770,6 @@ def run_generation(
     *,
     jobs: int = 1,
     pool: str = "thread",
-    model_jobs: int = 1,
     backend: GeneratorBackend | None = None,
     executor: BatchExecutor | None = None,
     rng: np.random.Generator | None = None,
@@ -953,6 +791,6 @@ def run_generation(
     deck = request.deck if request.deck is not None else backend.deck
     with BatchExecutor(
         deck.engine(),
-        ExecutorConfig(jobs=jobs, pool=pool, model_jobs=model_jobs),
+        ExecutorConfig(jobs=jobs, pool=pool),
     ) as owned:
         return owned.run(request, backend=backend, rng=rng, library=library)

@@ -1,46 +1,23 @@
-"""Process-pool fan-out of the inpainting model stage.
+"""The inpainting model stage's two samplers.
 
-Closures over a live :class:`~repro.nn.unet.TimeUnet` cannot cross a
-process boundary, so the pooled model stage ships a tiny picklable
-:class:`InpaintModelSpec` instead: a content-addressed checkpoint path
-(written once per model via :func:`publish_model`, using
-:mod:`repro.nn.serialize`) plus the schedule betas and sampler config.
-Each worker rehydrates the model **once** per checkpoint (module-level
-cache, survives across chunks), switches it to inference mode, and runs
-the ordinary :func:`~repro.diffusion.inpaint.inpaint` sampler on its
-chunk with the chunk's own spawned rng — which is exactly what the serial
-path does, so pooled and serial outputs are bit-identical for a fixed
-seed.
+:func:`inpaint_jobs` samples one chunk of (template, mask) jobs and
+:func:`inpaint_jobs_packed` samples several requests' chunks as one
+packed batch.  Both run the model through its inference fast path, whose
+forwards shard their rows across cores on threads
+(:mod:`repro.nn.shards`), so one call already uses every core.
 """
 
 from __future__ import annotations
-
-import hashlib
-import os
-import tempfile
-import threading
-from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ..diffusion.ddpm import clips_to_model_space
 from ..diffusion.inpaint import InpaintConfig, inpaint, inpaint_packed
 from ..diffusion.schedule import NoiseSchedule
-from ..nn.serialize import load_module_state, save_module
 from ..nn.tensor import inference_mode
-from ..nn.unet import TimeUnet, UNetConfig
+from ..nn.unet import TimeUnet
 
-__all__ = [
-    "InpaintModelSpec",
-    "inpaint_jobs",
-    "inpaint_jobs_packed",
-    "model_cache_stats",
-    "publish_model",
-    "reset_model_cache_stats",
-    "run_inpaint_chunk",
-    "run_inpaint_packed_batch",
-]
+__all__ = ["inpaint_jobs", "inpaint_jobs_packed"]
 
 
 def inpaint_jobs(
@@ -55,8 +32,7 @@ def inpaint_jobs(
 
     The single definition of the sampling prelude — model-space
     conversion, mask stacking, inference-mode sampling, per-job float
-    outputs — shared by the serial pipeline ``model_fn`` and the process
-    workers, so the two dispatch paths cannot drift apart.
+    outputs — behind the pipeline's ``model_fn``.
     """
     known = clips_to_model_space(templates)
     mask_arr = np.stack([np.asarray(m, dtype=bool) for m in masks])[:, None]
@@ -113,165 +89,3 @@ def inpaint_jobs_packed(
         out.append(list(x[offset:offset + n, 0]))
         offset += n
     return out
-
-
-@dataclass(frozen=True)
-class InpaintModelSpec:
-    """Everything a worker needs to run one inpainting chunk.
-
-    ``checkpoint`` is a content-addressed ``.npz`` written by
-    :func:`publish_model`; ``betas`` rebuilds the noise schedule (its
-    derived arrays are deterministic functions of the betas).
-    """
-
-    checkpoint: str
-    betas: bytes
-    config: InpaintConfig
-
-
-#: Checkpoints retained in the shared cache dir; oldest-by-mtime pruned
-#: beyond this (finetune loops would otherwise accrete one file per
-#: weight version forever).  Publishing an existing checkpoint refreshes
-#: its mtime, so models in active use stay at the back of the queue.
-_MAX_CACHED_CHECKPOINTS = 8
-
-
-def _model_cache_dir() -> Path:
-    root = Path(tempfile.gettempdir()) / f"repro-model-pool-{os.getuid()}"
-    root.mkdir(parents=True, exist_ok=True)
-    return root
-
-
-# Warm-start accounting for the checkpoint store: a publish that found
-# its content-addressed file already on disk is a *hit* (the serialize
-# pass was skipped entirely), a fresh write is a *miss*.
-_PUBLISH_LOCK = threading.Lock()
-_PUBLISH_STATS = {"hits": 0, "misses": 0}
-
-
-def model_cache_stats() -> dict:
-    """Checkpoint-store counters: publish hits (file reused) vs misses."""
-    with _PUBLISH_LOCK:
-        return dict(_PUBLISH_STATS)
-
-
-def reset_model_cache_stats() -> None:
-    """Zero the publish counters (benches/tests measure one phase)."""
-    with _PUBLISH_LOCK:
-        _PUBLISH_STATS.update(hits=0, misses=0)
-
-
-def _prune_cache(root: Path, keep: Path) -> None:
-    """Drop the oldest cached checkpoints beyond the retention cap."""
-    try:
-        entries = sorted(
-            (entry for entry in root.glob("unet-*.npz") if entry != keep),
-            key=lambda entry: entry.stat().st_mtime,
-        )
-    except OSError:  # pragma: no cover - cache dir raced away
-        return
-    for entry in entries[: max(0, len(entries) - (_MAX_CACHED_CHECKPOINTS - 1))]:
-        try:
-            entry.unlink()
-        except OSError:  # pragma: no cover - concurrent prune/use
-            pass
-
-
-def publish_model(model: TimeUnet, directory: "str | Path | None" = None) -> str:
-    """Write ``model`` to a content-addressed checkpoint; returns the path.
-
-    The fingerprint covers the architecture config and every parameter
-    byte, so republishing an unchanged model is a no-op and two identical
-    models share one file.  Files are written atomically (temp + rename)
-    so concurrent publishers never expose a partial checkpoint.
-    """
-    digest = hashlib.sha1(repr(asdict(model.config)).encode("utf-8"))
-    for name, param in model.named_parameters():
-        digest.update(name.encode("utf-8"))
-        digest.update(np.ascontiguousarray(param.data).tobytes())
-    root = Path(directory) if directory is not None else _model_cache_dir()
-    root.mkdir(parents=True, exist_ok=True)
-    path = root / f"unet-{digest.hexdigest()}.npz"
-    if path.exists():
-        os.utime(path)  # keep actively used checkpoints newest
-        with _PUBLISH_LOCK:
-            _PUBLISH_STATS["hits"] += 1
-    else:
-        tmp = path.with_suffix(f".tmp-{os.getpid()}.npz")
-        save_module(model, tmp, meta={"unet": asdict(model.config)})
-        os.replace(tmp, path)
-        with _PUBLISH_LOCK:
-            _PUBLISH_STATS["misses"] += 1
-    _prune_cache(root, keep=path)
-    return str(path)
-
-
-# Worker-local caches: one rehydrated model per checkpoint path and one
-# schedule per beta sequence, reused across every chunk the worker runs.
-_MODEL_CACHE: dict[str, TimeUnet] = {}
-_SCHEDULE_CACHE: dict[bytes, NoiseSchedule] = {}
-
-
-def _rehydrate_model(checkpoint: str) -> TimeUnet:
-    model = _MODEL_CACHE.get(checkpoint)
-    if model is None:
-        state, meta = load_module_state(checkpoint)
-        cfg_dict = dict(meta["unet"])
-        cfg_dict["channel_mults"] = tuple(cfg_dict["channel_mults"])
-        model = TimeUnet(UNetConfig(**cfg_dict))
-        model.load_state_dict(state)
-        model.eval()
-        _MODEL_CACHE.clear()  # workers serve one model at a time
-        _MODEL_CACHE[checkpoint] = model
-    return model
-
-
-def _rehydrate_schedule(betas: bytes) -> NoiseSchedule:
-    schedule = _SCHEDULE_CACHE.get(betas)
-    if schedule is None:
-        schedule = NoiseSchedule(betas=np.frombuffer(betas, dtype=np.float64))
-        _SCHEDULE_CACHE.clear()
-        _SCHEDULE_CACHE[betas] = schedule
-    return schedule
-
-
-def run_inpaint_chunk(
-    spec: InpaintModelSpec,
-    templates: list[np.ndarray],
-    masks: list[np.ndarray],
-    rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Worker entry point: rehydrate from the spec, then sample the chunk
-    through the same :func:`inpaint_jobs` the serial path uses."""
-    return inpaint_jobs(
-        _rehydrate_model(spec.checkpoint),
-        _rehydrate_schedule(spec.betas),
-        templates,
-        masks,
-        rng,
-        spec.config,
-    )
-
-
-def run_inpaint_packed_batch(
-    spec: InpaintModelSpec,
-    seg_templates: list[list[np.ndarray]],
-    seg_masks: list[list[np.ndarray]],
-    seg_rngs: list[np.random.Generator],
-) -> list[list[np.ndarray]]:
-    """Worker entry point for one *packed* model batch.
-
-    Same rehydration discipline as :func:`run_inpaint_chunk`, but the
-    unit of work is a packed batch of several requests' chunks, sampled
-    together through :func:`inpaint_jobs_packed` with per-chunk rng
-    streams — so process-pool packed dispatch stays bit-identical to the
-    in-process packed (and serial per-request) paths.
-    """
-    return inpaint_jobs_packed(
-        _rehydrate_model(spec.checkpoint),
-        _rehydrate_schedule(spec.betas),
-        seg_templates,
-        seg_masks,
-        seg_rngs,
-        spec.config,
-    )

@@ -1,6 +1,6 @@
 """Retry, backoff and circuit-breaking primitives for the serving stack.
 
-Three small, composable pieces:
+Two small, composable pieces:
 
 * :class:`RetryPolicy` — bounded retries with capped exponential backoff
   and optional *deterministic* jitter: the caller supplies the
@@ -11,13 +11,9 @@ Three small, composable pieces:
 * :class:`CircuitBreaker` — a failure-windowed breaker: ``threshold``
   failures inside ``window_s`` open it for ``cooldown_s``; while open,
   :meth:`~CircuitBreaker.allow` returns ``False`` so callers degrade
-  (the executor falls back to serial dispatch, which is bit-identical).
-  After the cooldown one trial is allowed through (half-open): success
-  closes the breaker, another failure re-opens it.
-* :class:`BreakerBoard` — a thread-safe keyed collection of breakers
-  (the :class:`~repro.engine.PoolRegistry` keys one per
-  ``(kind, workers)`` pool) with an aggregate snapshot for the service's
-  ``op: "health"`` verb.
+  (the fleet stops respawning a crash-looping worker slot).  After the
+  cooldown one trial is allowed through (half-open): success closes the
+  breaker, another failure re-opens it.
 
 :class:`TransientError` is the marker base class for errors that are
 worth retrying by construction — the fault-injection harness's
@@ -38,7 +34,6 @@ __all__ = [
     "TransientError",
     "RetryPolicy",
     "CircuitBreaker",
-    "BreakerBoard",
 ]
 
 
@@ -189,69 +184,3 @@ class CircuitBreaker:
                 "trips": self.trips,
             }
 
-
-class BreakerBoard:
-    """A keyed, thread-safe collection of :class:`CircuitBreaker`\\ s.
-
-    Breakers are created on first :meth:`get` with the board's shared
-    parameters.  The :class:`~repro.engine.PoolRegistry` keys one per
-    ``(kind, workers)`` worker pool; :meth:`snapshot` renders them for
-    the service's ``op: "health"`` verb.
-    """
-
-    def __init__(
-        self,
-        *,
-        threshold: int = 3,
-        window_s: float = 60.0,
-        cooldown_s: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.threshold = threshold
-        self.window_s = window_s
-        self.cooldown_s = cooldown_s
-        self._clock = clock
-        self._breakers: dict[tuple, CircuitBreaker] = {}
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> CircuitBreaker:
-        with self._lock:
-            breaker = self._breakers.get(key)
-            if breaker is None:
-                breaker = CircuitBreaker(
-                    self.threshold,
-                    self.window_s,
-                    self.cooldown_s,
-                    clock=self._clock,
-                )
-                self._breakers[key] = breaker
-            return breaker
-
-    @property
-    def trips(self) -> int:
-        """Total trips across every breaker on the board."""
-        with self._lock:
-            return sum(b.trips for b in self._breakers.values())
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._breakers)
-
-    def snapshot(self) -> list[dict]:
-        """Per-breaker state, sorted by key — ``(kind, workers)`` keys
-        render as ``{"pool": kind, "workers": n, ...}`` entries."""
-        with self._lock:
-            items = sorted(self._breakers.items(), key=lambda kv: repr(kv[0]))
-        out = []
-        for key, breaker in items:
-            entry = breaker.snapshot()
-            if (
-                isinstance(key, tuple)
-                and len(key) == 2
-                and isinstance(key[0], str)
-            ):
-                entry.update(pool=key[0], workers=int(key[1]))
-            else:  # pragma: no cover - non-pool keys keep a raw label
-                entry.update(key=repr(key))
-            out.append(entry)
-        return out

@@ -17,9 +17,9 @@ Three process-wide rules live here:
 * **Forked children run one shard.**  A child forked after the pool
   exists inherits a pool object whose threads do not exist in it, so an
   at-fork hook drops the pool; the child runs every forward as one
-  shard, with BLAS pinned to one thread from its first forward.  Model
-  pool workers and fleet workers are forked, and they already
-  parallelise at the process level.
+  shard, with BLAS pinned to one thread from its first forward.  Fleet
+  workers are forked, and they already parallelise at the process
+  level; so are the ``pool="process"`` denoise/DRC workers.
 * **Scratch is per thread.**  Layers keep their reusable buffers in
   plain dicts keyed by thread ident (:func:`thread_slot`), not in
   ``threading.local`` attributes, so modules stay picklable and

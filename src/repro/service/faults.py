@@ -5,13 +5,13 @@ that does not work.  This module turns failures into a reproducible
 input: a :class:`FaultPlan` names *sites* in the request path and the
 occurrence at which each should misbehave, e.g.::
 
-    model:raise@2,pool:crash@1,snapshot:torn@1
+    model:raise@2,snapshot:torn@1
 
-reads "the 2nd model stage raises, the 1st pooled dispatch sees a broken
-process pool, the 1st snapshot write is torn".  Sites count their own
-invocations process-wide, so a plan is deterministic for a fixed call
-sequence — which the chaos suite (``tests/service/test_faults.py``)
-relies on to assert byte-exact recovery.
+reads "the 2nd model stage raises, the 1st snapshot write is torn".
+Sites count their own invocations process-wide, so a plan is
+deterministic for a fixed call sequence — which the chaos suite
+(``tests/service/test_faults.py``) relies on to assert byte-exact
+recovery.
 
 Sites wired through the stack:
 
@@ -23,9 +23,6 @@ Sites wired through the stack:
 ``admit``
     the commit stage's admission, inside
     :class:`~repro.service.GenerationService`; ``raise``.
-``pool``
-    each pooled model-stage dispatch; ``crash`` raises
-    ``BrokenProcessPool`` as if the workers died (``raise`` also works).
 ``snapshot``
     :func:`repro.library.save_library`; ``torn`` promotes a truncated
     shard file (a kill -9 mid-write), ``crash`` dies before the manifest
@@ -52,7 +49,7 @@ Plans carry a *scope*.  ``scope="all"`` (the programmatic default)
 fires at every site call — the chaos suite uses it to hit bare engine
 and library paths directly.  ``scope="protected"`` (the env-autoload
 default) fires only inside a :func:`protected` region — the service
-marks its retry- and supervision-covered stages with it — so an
+marks its retry-covered stages with it — so an
 environment schedule injects faults precisely where the serving stack
 claims to recover, and never into plain ``run_generation`` reference
 runs whose contract is to propagate errors.  Unprotected calls do not
@@ -88,7 +85,7 @@ __all__ = [
 #: Environment variable holding a fault plan, parsed at import.
 FAULTS_ENV = "REPRO_FAULTS"
 
-FAULT_SITES = ("model", "drc", "admit", "pool", "snapshot", "fleet")
+FAULT_SITES = ("model", "drc", "admit", "snapshot", "fleet")
 FAULT_ACTIONS = ("raise", "crash", "torn", "kill")
 
 

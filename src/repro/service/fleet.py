@@ -45,10 +45,9 @@ worker degrades the fleet instead of fork-bombing the host.  The
 ``fleet`` fault-injection site (``REPRO_FAULTS=fleet:kill@1``) makes
 this path deterministically testable.
 
-Workers are daemonic, so they cannot open process pools of their own:
-:class:`FleetConfig` rejects a worker config with ``model_jobs > 1``.
-Process-level parallelism lives at the fleet layer (``workers``); the
-``jobs`` thread pools inside a worker are fine.
+Process-level parallelism lives at the fleet layer (``workers``); inside
+a worker, the ``jobs`` thread pools and the row-sharded model forwards
+(:mod:`repro.nn.shards`) use threads.
 """
 
 from __future__ import annotations
@@ -103,9 +102,7 @@ class FleetConfig:
     ``workers`` is the process count.  ``service`` is the
     :class:`~repro.service.ServiceConfig` every worker runs — the front
     derives each worker's private variant (a per-worker snapshot
-    subdirectory) from it.  Workers are daemonic processes and cannot
-    open process pools, so a ``service`` with ``model_jobs > 1`` is
-    rejected: ``workers`` is the process-level knob.  ``respawn``
+    subdirectory) from it.  ``respawn``
     enables crash recovery: a dead worker slot is re-forked as long as
     its circuit breaker (``breaker_threshold`` failures within
     ``breaker_window_s`` trip it open for ``breaker_cooldown_s``)
@@ -125,12 +122,6 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.service.model_jobs > 1:
-            raise ValueError(
-                "fleet workers cannot open process pools (model_jobs="
-                f"{self.service.model_jobs}); use --workers for "
-                "process-level parallelism, with --model-jobs 1"
-            )
         if self.rpc_timeout_s <= 0:
             raise ValueError("rpc_timeout_s must be positive")
 
@@ -1090,13 +1081,13 @@ class FleetService:
     def health(self) -> dict:
         """Fleet liveness: worker processes, breakers, recovery counters.
 
-        ``status`` is ``"ok"`` (every slot live and ok), ``"degraded"``
-        (a dead slot, an open respawn breaker, or any worker reporting
-        degraded) or ``"stopped"``.  Per-worker health payloads ride
+        ``status`` is ``"ok"`` (every slot live and reachable),
+        ``"degraded"`` (a dead or unreachable slot, or an open respawn
+        breaker) or ``"stopped"``.  Per-worker health payloads ride
         along under ``workers``; the single-process recovery counters
-        (``retries``/``deadline_drops``/``cancelled``, breaker trips,
-        pool rebuilds, snapshot load fallbacks) are summed fleet-wide so
-        dashboards read one shape for both topologies.
+        (``retries``/``deadline_drops``/``cancelled``, snapshot load
+        fallbacks) are summed fleet-wide so dashboards read one shape
+        for both topologies.
         """
         per_worker = self._broadcast("health") if self._running else {}
         workers = []
@@ -1106,8 +1097,6 @@ class FleetService:
             "retries": 0,
             "deadline_drops": 0,
             "cancelled": 0,
-            "breaker_trips": 0,
-            "pool_rebuilds": 0,
             "snapshot_load_fallbacks": 0,
         }
         for worker_id, handle in sorted(self._workers.items()):
@@ -1125,8 +1114,6 @@ class FleetService:
             result = per_worker.get(worker_id)
             if isinstance(result, dict):
                 entry["health"] = result
-                if result.get("status") == "degraded":
-                    degraded = True
                 for key in sums:
                     sums[key] += int(result.get(key, 0))
             elif result is not None:
@@ -1192,7 +1179,6 @@ class FleetService:
             worker_queue_depth += int(payload.get("queue_depth", 0))
             stages.merge_snapshot(payload.get("stages", {}))
         from ..diffusion.plan import plan_cache_stats
-        from ..engine.modelpool import model_cache_stats
         from .faults import injection_stats
 
         with self._stats_lock:
@@ -1235,10 +1221,7 @@ class FleetService:
             # Front-process caches and fault plan (workers report their
             # own under fleet.workers[*].stats) — kept for shape parity
             # with the single-process payload.
-            "warm_caches": {
-                "sampler_plan": plan_cache_stats(),
-                "checkpoints": model_cache_stats(),
-            },
+            "warm_caches": {"sampler_plan": plan_cache_stats()},
             "faults": injection_stats(),
             "stages": stages.snapshot(),
             "fleet": {

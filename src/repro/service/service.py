@@ -17,11 +17,12 @@
 * **one compute thread** — micro-batches run FIFO on a single thread
   that keeps warm state: one backend per (backend, deck) (model loaded
   once, built with the deck only) and one
-  :class:`~repro.engine.BatchExecutor` per deck, all drawing worker
-  pools from one :class:`~repro.engine.PoolRegistry` (``service.pools``)
-  — the one place a service opens a model process pool
-  (``model_jobs > 1``).  Process-level parallelism above a micro-batch
-  is the fleet's job (:mod:`repro.service.fleet`);
+  :class:`~repro.engine.BatchExecutor` per deck, all drawing their
+  denoise/DRC/admit thread pools from one
+  :class:`~repro.engine.PoolRegistry` (``service.pools``).  The model
+  stage uses every core through row-sharded forwards
+  (:mod:`repro.nn.shards`); process-level parallelism above a
+  micro-batch is the fleet's job (:mod:`repro.service.fleet`);
 * **ordered commit stage** — the compute thread only runs the compute
   stages; every request's admission then passes through a single commit
   thread that reconciles results in **global arrival order** through an
@@ -130,11 +131,10 @@ class ServiceConfig:
 
     ``queue_size`` bounds the request queue (submission awaits when
     full).  ``jobs`` sizes the service executors' denoise/DRC/admit
-    thread pool and ``model_jobs`` the model stage's process pool —
-    the only model process pool a service opens; worker counts never
-    change seeded outputs, so a service-served request is bit-identical
-    to a serial one.  ``stream_chunk`` is the number of candidates per
-    streamed :class:`~repro.engine.CandidateBatch` chunk.
+    thread pool; worker counts never change seeded outputs, so a
+    service-served request is bit-identical to a serial one.
+    ``stream_chunk`` is the number of candidates per streamed
+    :class:`~repro.engine.CandidateBatch` chunk.
     ``pack_models`` runs the model stage of every micro-batch whose
     backend supports it (``pack_jobs``/``pack_model_fn``) as packed
     batches, a lone request included; packing only changes which
@@ -145,7 +145,6 @@ class ServiceConfig:
 
     queue_size: int = 64
     jobs: int = 1
-    model_jobs: int = 1
     stream_chunk: int = 32
     pack_models: bool = True
     #: Retry policy for the retryable micro-batch stages (model propose,
@@ -161,8 +160,8 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.queue_size < 1:
             raise ValueError("queue_size must be positive")
-        if self.jobs < 1 or self.model_jobs < 1:
-            raise ValueError("jobs and model_jobs must be positive")
+        if self.jobs < 1:
+            raise ValueError("jobs must be positive")
         if self.stream_chunk < 1:
             raise ValueError("stream_chunk must be positive")
 
@@ -605,27 +604,13 @@ class GenerationService:
             await asyncio.sleep(0.02)
 
     def health(self) -> dict:
-        """Liveness + degradation snapshot (the ``op: "health"`` verb).
+        """Liveness snapshot (the ``op: "health"`` verb).
 
-        ``status`` is ``"ok"``, ``"degraded"`` (any pool circuit breaker
-        currently open — those stages run serial until the cooldown
-        passes) or ``"stopped"``; the rest is the recovery telemetry:
-        per-pool breaker state, pool rebuilds, retry / deadline / cancel
+        ``status`` is ``"ok"`` or ``"stopped"``; the rest is the recovery
+        telemetry: snapshot load fallbacks, retry / deadline / cancel
         counters and the draining flag.
         """
-        breakers: list[dict] = []
-        rebuilds = 0
-        registry = self.pools
-        if registry is not None:
-            breakers = registry.breakers.snapshot()
-            rebuilds = registry.rebuilds
-        degraded = any(entry.get("state") == "open" for entry in breakers)
-        if not self.running:
-            status = "stopped"
-        elif degraded:
-            status = "degraded"
-        else:
-            status = "ok"
+        status = "ok" if self.running else "stopped"
         with self._stats_lock:
             counters = {
                 "retries": self.stats.retries,
@@ -635,11 +620,6 @@ class GenerationService:
         return {
             "status": status,
             "draining": self._draining,
-            "breakers": breakers,
-            "breaker_trips": sum(
-                int(entry.get("trips", 0)) for entry in breakers
-            ),
-            "pool_rebuilds": rebuilds,
             "snapshot_load_fallbacks": self.sessions.load_fallbacks,
             **counters,
         }
@@ -654,7 +634,6 @@ class GenerationService:
         ``docs/SERVING.md`` for the field reference.
         """
         from ..diffusion.plan import plan_cache_stats
-        from ..engine.modelpool import model_cache_stats
         from .faults import injection_stats
 
         stats = self.stats
@@ -679,11 +658,8 @@ class GenerationService:
             "packed_fallbacks": stats.packed_fallbacks,
             "pack_fill": round(stats.last_pack_fill, 4),
             # Warm-start cache counters (on-disk sampler plans under
-            # --drc-cache-dir, content-addressed published checkpoints).
-            "warm_caches": {
-                "sampler_plan": plan_cache_stats(),
-                "checkpoints": model_cache_stats(),
-            },
+            # --drc-cache-dir).
+            "warm_caches": {"sampler_plan": plan_cache_stats()},
             # Active fault-injection plan state (chaos runs;
             # {"installed": false} in normal operation).
             "faults": injection_stats(),
@@ -809,9 +785,8 @@ class GenerationService:
         """The long-lived backend for this request (built once, deck only).
 
         No worker counts are forwarded: the service only calls
-        ``propose`` and the pack hooks, and every worker pool — the
-        model stage's included — belongs to the per-deck executors
-        (``service.pools``).
+        ``propose`` and the pack hooks, and every worker pool belongs to
+        the per-deck executors (``service.pools``).
         """
         name, request_deck_key, _, _ = request.compatibility_key()
         key = (name, request_deck_key)
@@ -830,7 +805,7 @@ class GenerationService:
             cfg = self.config
             executor = BatchExecutor(
                 deck.engine(),
-                ExecutorConfig(jobs=cfg.jobs, model_jobs=cfg.model_jobs),
+                ExecutorConfig(jobs=cfg.jobs),
                 pools=self.pools,
             )
             self._executors[key] = executor
@@ -890,8 +865,6 @@ class GenerationService:
         The service's one model-stage path for pack-capable backends, at
         any micro-batch size: a lone request walks the same chunks, rng
         children and forwards as the backend's own serial model stage.
-        Batches fan out over ``service.pools`` exactly when
-        ``model_jobs > 1`` and there is more than one packed batch.
 
         Returns ``True`` after setting every prepared plan's
         ``proposal``/``generate_seconds``, or ``False`` to fall back to
@@ -909,13 +882,12 @@ class GenerationService:
         pack_model_fn = getattr(backend, "pack_model_fn", None)
         if pack_jobs is None or pack_model_fn is None:
             return False
-        cfg = executor.config
         # Chunk capacity must mirror the backend's serial model stage
         # (its propose-side rng spawn discipline), not this executor's.
         pack_model_batch = getattr(backend, "pack_model_batch", None)
         capacity = (
             pack_model_batch() if pack_model_batch is not None
-            else cfg.model_batch
+            else executor.config.model_batch
         )
         try:
             job_lists = [pack_jobs(plan.request) for _, plan in prepared]
@@ -923,20 +895,11 @@ class GenerationService:
                 [len(templates) for templates, _ in job_lists],
                 capacity,
             )
-            spec = None
-            pack_spec = getattr(backend, "pack_spec", None)
-            if (
-                pack_spec is not None
-                and cfg.model_jobs > 1
-                and len(packing.batches) > 1
-            ):
-                spec = pack_spec()
             result = executor.run_model_packed(
                 pack_model_fn(),
                 job_lists,
                 [plan.rng for _, plan in prepared],
                 packing=packing,
-                spec=spec,
             )
         except Exception:  # noqa: BLE001 - packed stage is best-effort
             for _, plan in prepared:

@@ -171,6 +171,62 @@ class TestModelBatching:
             )
 
 
+class TestPersistentPools:
+    def test_thread_pool_reused_across_calls(self, deck, clips):
+        executor = BatchExecutor(
+            deck.engine(), ExecutorConfig(jobs=2, pool="thread")
+        )
+        executor.denoise_batch(
+            clips, [None] * len(clips), np.random.default_rng(0)
+        )
+        first = executor.pools.get(("thread", 2))
+        assert first is not None
+        executor.denoise_batch(
+            clips, [None] * len(clips), np.random.default_rng(0)
+        )
+        assert executor.pools.get(("thread", 2)) is first
+        executor.close()
+        assert not executor.pools
+
+    def test_context_manager_closes(self, deck, clips):
+        with BatchExecutor(
+            deck.engine(), ExecutorConfig(jobs=2, pool="thread")
+        ) as executor:
+            executor.denoise_batch(
+                clips, [None] * len(clips), np.random.default_rng(0)
+            )
+            assert executor.pools
+        assert not executor.pools
+
+    def test_closed_executor_reopens_lazily(self, deck, clips):
+        executor = BatchExecutor(
+            deck.engine(), ExecutorConfig(jobs=2, pool="thread")
+        )
+        executor.denoise_batch(
+            clips, [None] * len(clips), np.random.default_rng(0)
+        )
+        executor.close()
+        out, _ = executor.denoise_batch(
+            clips, [None] * len(clips), np.random.default_rng(0)
+        )
+        assert len(out) == len(clips)
+        executor.close()
+
+    def test_check_batch_uses_persistent_pool(self, deck):
+        executor = BatchExecutor(
+            deck.engine(), ExecutorConfig(jobs=2, pool="thread", use_cache=False)
+        )
+        clips = [
+            np.random.default_rng(i).integers(0, 2, (32, 32)).astype(np.uint8)
+            for i in range(6)
+        ]
+        mask, _ = executor.check_batch(clips)
+        assert executor.pools.get(("thread", 2)) is not None
+        serial = [deck.engine().is_clean(c) for c in clips]
+        assert list(mask) == serial
+        executor.close()
+
+
 class TestCloseSafety:
     """Satellite: close() is idempotent and safe under concurrent callers."""
 

@@ -6,11 +6,7 @@ import pytest
 from repro.diffusion import Ddpm, InpaintConfig, linear_schedule
 from repro.drc import basic_deck
 from repro.engine import BatchExecutor, ExecutorConfig, pack_chunks
-from repro.engine.modelpool import (
-    inpaint_jobs,
-    inpaint_jobs_packed,
-    publish_model,
-)
+from repro.engine.modelpool import inpaint_jobs, inpaint_jobs_packed
 from repro.engine.packing import ChunkRef, PackedModelBatch, PackingPlan, chunk_sizes
 from repro.geometry import Grid
 from repro.nn import TimeUnet, UNetConfig
@@ -199,29 +195,3 @@ class TestRunModelPacked:
         assert all(s > 0 for s in result.seconds)
         # 3-job request carries three times the 1-job request's share.
         assert result.seconds[0] == pytest.approx(3 * result.seconds[1])
-
-    def test_process_pool_packed_batches(self, ddpm, deck, tmp_path):
-        """Packed batches fan out to process workers bit-identically."""
-        model_fn, packed_fn, config = self._fns(ddpm)
-        from repro.engine.modelpool import InpaintModelSpec
-
-        spec = InpaintModelSpec(
-            checkpoint=publish_model(ddpm.model, tmp_path),
-            betas=np.ascontiguousarray(ddpm.schedule.betas).tobytes(),
-            config=config,
-        )
-        job_lists = [_jobs(3, 40), _jobs(3, 41)]
-        rngs = lambda: [np.random.default_rng(i) for i in range(2)]  # noqa: E731
-        with BatchExecutor(
-            deck.engine(), ExecutorConfig(model_batch=3, model_jobs=2)
-        ) as executor:
-            pooled = executor.run_model_packed(
-                packed_fn, job_lists, rngs(), spec=spec
-            )
-            serial = executor.run_model_packed(packed_fn, job_lists, rngs())
-        assert len(pooled.plan.batches) == 2
-        for want, got in zip(serial.outputs, pooled.outputs):
-            for a, b in zip(want, got):
-                np.testing.assert_array_equal(
-                    a.view(np.uint32), b.view(np.uint32)
-                )

@@ -1,9 +1,9 @@
-"""Retry policy, circuit breaker, breaker board: the recovery primitives."""
+"""Retry policy and circuit breaker: the recovery primitives."""
 
 import numpy as np
 import pytest
 
-from repro.engine import BreakerBoard, CircuitBreaker, RetryPolicy, TransientError
+from repro.engine import CircuitBreaker, RetryPolicy, TransientError
 
 
 class TestRetryPolicy:
@@ -148,29 +148,3 @@ class TestCircuitBreaker:
         snap = breaker.snapshot()
         assert snap == {"state": "closed", "failures": 0, "trips": 0}
 
-
-class TestBreakerBoard:
-    def test_one_breaker_per_key_with_shared_parameters(self):
-        board = BreakerBoard(threshold=2, window_s=10, cooldown_s=5)
-        a = board.get(("process", 2))
-        assert board.get(("process", 2)) is a
-        assert board.get(("process", 4)) is not a
-        assert len(board) == 2
-        assert a.threshold == 2
-
-    def test_trips_aggregate_across_breakers(self):
-        clock = _Clock()
-        board = BreakerBoard(threshold=1, window_s=10, cooldown_s=5,
-                             clock=clock)
-        board.get(("process", 2)).record_failure()
-        board.get(("process", 4)).record_failure()
-        assert board.trips == 2
-
-    def test_snapshot_renders_pool_keys(self):
-        board = BreakerBoard(threshold=1, window_s=10, cooldown_s=5)
-        board.get(("process", 2)).record_failure()
-        (entry,) = board.snapshot()
-        assert entry["pool"] == "process"
-        assert entry["workers"] == 2
-        assert entry["state"] == "open"
-        assert entry["trips"] == 1

@@ -1,12 +1,12 @@
 """Chaos suite: deterministic fault injection across the serving stack.
 
 Every test drives a real failure through the real recovery path — retry,
-pool rebuild, breaker degrade, deadline drop, cancellation, torn
-checkpoint — under a :class:`~repro.service.FaultPlan`, and asserts the
-tentpole contracts: surviving requests are **bit-identical** to a
-fault-free serial run, every failed/cancelled/expired request gets
-**exactly one** terminal error, and the ordered commit stage never
-stalls (every ticket resolves) at any executor job count.
+deadline drop, cancellation, torn checkpoint — under a
+:class:`~repro.service.FaultPlan`, and asserts the tentpole contracts:
+surviving requests are **bit-identical** to a fault-free serial run,
+every failed/cancelled/expired request gets **exactly one** terminal
+error, and the ordered commit stage never stalls (every ticket
+resolves) at any executor job count.
 """
 
 import json
@@ -14,25 +14,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import PatternPaintConfig
-from repro.diffusion import Ddpm, InpaintConfig, linear_schedule
-from repro.drc import basic_deck
-from repro.engine import (
-    GenerationRequest,
-    RetryPolicy,
-    get_backend,
-    register_backend,
-    run_generation,
-)
-from repro.engine.backends import PatternPaintBackend
-from repro.geometry import Grid
+from repro.engine import GenerationRequest, RetryPolicy, run_generation
 from repro.library import ShardedStore, load_library, save_library
-from repro.nn import TimeUnet, UNetConfig
 from repro.service import (
     DeadlineExceeded,
     FaultPlan,
     FaultSpec,
-    GenerationService,
     InjectedFault,
     RequestCancelled,
     SchedulerConfig,
@@ -75,9 +62,9 @@ def _assert_batches_identical(a, b):
 # ----------------------------------------------------------------------
 class TestFaultPlan:
     def test_parse_round_trips(self):
-        plan = FaultPlan.parse("model:raise@2, pool:crash@1,snapshot:torn,")
+        plan = FaultPlan.parse("model:raise@2, snapshot:crash@1,snapshot:torn,")
         assert [str(s) for s in plan] == [
-            "model:raise@2", "pool:crash@1", "snapshot:torn@1",
+            "model:raise@2", "snapshot:crash@1", "snapshot:torn@1",
         ]
 
     def test_parse_rejects_bad_entries(self):
@@ -87,6 +74,8 @@ class TestFaultPlan:
             FaultPlan.parse("model:raise@soon")
         with pytest.raises(ValueError, match="unknown fault site"):
             FaultPlan.parse("warp:raise@1")
+        with pytest.raises(ValueError, match="unknown fault site"):
+            FaultPlan.parse("pool:crash@1")
         with pytest.raises(ValueError, match="unknown fault action"):
             FaultPlan.parse("model:explode@1")
 
@@ -353,136 +342,6 @@ class TestRetryRecovery:
         for outcome, ref in zip(outcomes, reference):
             if not isinstance(outcome, Exception):
                 _assert_batches_identical(outcome, ref)
-
-
-# ----------------------------------------------------------------------
-# Pool supervision (crash + rebuild, breaker degrade)
-# ----------------------------------------------------------------------
-GRID = Grid(nm_per_px=32.0, width_px=16, height_px=16)
-
-_TINY = UNetConfig(
-    image_size=16, base_channels=8, channel_mults=(1,), num_res_blocks=1,
-    groups=4, time_dim=8, attention=False, seed=23,
-)
-
-_DDPM = Ddpm(TimeUnet(_TINY), linear_schedule(20))
-
-_STARTERS = [
-    np.random.default_rng(90 + i).integers(0, 2, (16, 16)).astype(np.uint8)
-    for i in range(3)
-]
-
-
-def _pp_factory(deck=None, **tuning):
-    return PatternPaintBackend(
-        deck=deck if deck is not None else basic_deck(GRID),
-        ddpm=_DDPM,
-        config=PatternPaintConfig(
-            inpaint=InpaintConfig(num_steps=2), model_batch=4
-        ),
-        templates=_STARTERS,
-        **tuning,
-    )
-
-
-register_backend("pp-faults-test", _pp_factory, overwrite=True)
-
-
-class TestPoolSupervision:
-    def _requests(self, deck):
-        # Two compatible requests, count=8 over model_batch=4: four
-        # packed model batches, so the pooled packed dispatch
-        # (model_jobs=2) on the service's executor actually engages.
-        return [
-            GenerationRequest(
-                backend="pp-faults-test", count=8, seed=s, deck=deck,
-            )
-            for s in (7, 8)
-        ]
-
-    def _config(self):
-        return ServiceConfig(
-            model_jobs=2,
-            scheduler=SchedulerConfig(gather_window_s=0.2),
-        )
-
-    def test_pool_crash_rebuilds_and_stays_bit_identical(self):
-        """Tentpole: a dead process pool is rebuilt once and the dispatch
-        retried; output equals the fault-free serial run."""
-        deck = basic_deck(GRID)
-        requests = self._requests(deck)
-        reference = [run_generation(r) for r in requests]
-        install_faults("pool:crash@1")
-        with ServiceClient(self._config()) as client:
-            served = client.generate_many(requests)
-            health = client.service.health()
-            rebuilds = client.service.pools.rebuilds
-        assert injection_stats()["fired"] == ["pool:crash@1"], (
-            "the pooled packed dispatch never engaged"
-        )
-        assert rebuilds == 1
-        assert health["pool_rebuilds"] == 1
-        for a, b in zip(reference, served):
-            _assert_batches_identical(a, b)
-
-    def test_open_breaker_degrades_to_serial_bit_identically(self):
-        """Tentpole: with the pool breaker open, the packed stage takes
-        the degraded serial loop — same bits — and health says so."""
-        deck = basic_deck(GRID)
-        requests = self._requests(deck)
-        reference = [run_generation(r) for r in requests]
-        with ServiceClient(self._config()) as client:
-            breaker = client.service.pools.breakers.get(("process", 2))
-            for _ in range(breaker.threshold):
-                breaker.record_failure()
-            assert not breaker.allow()
-            served = client.generate_many(requests)
-            health = client.service.health()
-        assert health["status"] == "degraded"
-        assert any(
-            entry["state"] == "open" and entry["pool"] == "process"
-            for entry in health["breakers"]
-        )
-        assert health["breaker_trips"] >= 1
-        for a, b in zip(reference, served):
-            _assert_batches_identical(a, b)
-
-
-class TestOneModelPoolPerService:
-    def test_service_pools_hold_the_only_model_pool(self):
-        """A lone 2-chunk request, then a coalesced pair: the model
-        process pool lives in ``service.pools`` and nowhere else."""
-        deck = basic_deck(GRID)
-        lone, *pair = [
-            GenerationRequest(
-                backend="pp-faults-test", count=8, seed=s, deck=deck,
-            )
-            for s in (3, 4, 5)
-        ]
-        reference = [run_generation(r) for r in (lone, *pair)]
-        built = []
-
-        def factory(name, **kwargs):
-            # Passes any worker-count kwargs through to pp-faults-test,
-            # which accepts them.
-            built.append(get_backend(name, **kwargs))
-            return built[-1]
-
-        service = GenerationService(
-            ServiceConfig(
-                model_jobs=2,
-                scheduler=SchedulerConfig(gather_window_s=0.2),
-            ),
-            backend_factory=factory,
-        )
-        with ServiceClient(service=service) as client:
-            served = [client.generate(lone), *client.generate_many(pair)]
-            assert ("process", 2) in service.pools
-            assert len(built) == 1
-            assert not built[0].pipeline.executor.pools
-            assert service.stats.packed_jobs == 24
-        for a, b in zip(reference, served):
-            _assert_batches_identical(a, b)
 
 
 # ----------------------------------------------------------------------

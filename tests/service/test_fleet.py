@@ -306,14 +306,6 @@ class TestFleetConfigResolution:
         with pytest.raises(ValueError, match="workers"):
             FleetConfig(workers=0)
 
-    def test_process_pool_service_config_rejected(self):
-        # Daemonic workers cannot open process pools; the config must
-        # say so up front instead of failing every affected request.
-        with pytest.raises(ValueError, match="--workers"):
-            FleetConfig(workers=2, service=ServiceConfig(model_jobs=2))
-        # Thread pools inside a worker stay allowed.
-        assert FleetConfig(workers=2, service=ServiceConfig(jobs=2)).workers == 2
-
     def test_client_rejects_service_plus_workers(self):
         from repro.service import GenerationService
 

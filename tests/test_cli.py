@@ -40,13 +40,19 @@ class TestParser:
         assert code == 2
         assert "--session-dir" in capsys.readouterr().err
 
-    def test_model_jobs_defaults_to_one(self):
-        # Only an explicit --model-jobs opens a model process pool;
-        # --jobs sizes the denoise/DRC stages alone.
+    def test_model_jobs_defaults_to_one(self, capsys):
+        # The model stage always runs in one process (its forwards shard
+        # across cores on threads): -j sizes the denoise/DRC stages
+        # alone, and no flag sizes a model process pool.
         parser = build_parser()
-        for argv in (["serve", "-j", "4"],
-                     ["generate", "--out", "x.npz", "-j", "4"]):
-            assert parser.parse_args(argv).model_jobs == 1
+        for argv in (["serve", "--port", "0"],
+                     ["generate", "--out", "x.npz"]):
+            args = parser.parse_args([*argv, "-j", "4"])
+            assert [key for key in vars(args) if "jobs" in key] == ["jobs"]
+            with pytest.raises(SystemExit) as exit_info:
+                main([*argv, "--model-jobs", "2"])
+            assert exit_info.value.code == 2
+            assert "--model-jobs" in capsys.readouterr().err
 
     @staticmethod
     def _stub_start(monkeypatch):
@@ -74,14 +80,14 @@ class TestParser:
     def test_serve_fleet_rejects_process_pools_before_start(
         self, monkeypatch, capsys
     ):
-        # --model-jobs 2 would give every daemonic fleet worker a
-        # process pool it cannot open.
+        # There is no model process pool to hand a daemonic fleet
+        # worker: argparse rejects the flag before anything starts.
         self._stub_start(monkeypatch)
-        code = main(
-            ["serve", "--port", "0", "--workers", "2", "--model-jobs", "2"]
-        )
-        assert code == 2
-        assert "--workers" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--port", "0", "--workers", "2",
+                  "--model-jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "--model-jobs" in capsys.readouterr().err
 
     def test_library_commands_parse(self):
         parser = build_parser()
