@@ -1,11 +1,10 @@
-"""Engine throughput bench: serial vs pooled vs cached DRC checking.
+"""Engine throughput bench: serial vs cached DRC checking.
 
 Measures `DrcEngine.check_batch` on a repeated-clip workload (the shape of
 the iterative generation loop, where many re-seeded clips recur across
 rounds and experiments re-score overlapping libraries):
 
 * **serial**   — full rule sweep per clip, no cache;
-* **pooled**   — the same sweep fanned out over a thread pool;
 * **cached**   — hash-keyed lookups after a single warm-up pass.
 
 Acceptance target (ISSUE 1): cached re-checks >= 5x faster than uncached.
@@ -29,7 +28,6 @@ from repro.zoo.corpora import experiment_deck
 
 UNIQUE_CLIPS = 60
 REPEATS = 6  # workload = UNIQUE_CLIPS clips, each checked REPEATS times
-JOBS = 4
 
 
 def _workload():
@@ -40,7 +38,7 @@ def _workload():
 
 
 def run_bench() -> dict[str, float]:
-    """Time the three modes; returns seconds per mode (same workload)."""
+    """Time both modes; returns seconds per mode (same workload)."""
     deck, clips = _workload()
     clear_shared_caches()
 
@@ -49,17 +47,13 @@ def run_bench() -> dict[str, float]:
     serial = engine.check_batch(clips, use_cache=False)
     serial_s = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    pooled = engine.check_batch(clips, use_cache=False, jobs=JOBS)
-    pooled_s = time.perf_counter() - t0
-
     engine.check_batch(clips)  # warm the hash-keyed cache
     t0 = time.perf_counter()
     cached = engine.check_batch(clips)
     cached_s = time.perf_counter() - t0
 
-    assert list(serial) == list(pooled) == list(cached)
-    return {"serial": serial_s, "pooled": pooled_s, "cached": cached_s}
+    assert list(serial) == list(cached)
+    return {"serial": serial_s, "cached": cached_s}
 
 
 def render(times: dict[str, float]) -> str:
@@ -73,7 +67,7 @@ def render(times: dict[str, float]) -> str:
         rows,
         title=(
             f"Engine DRC throughput ({UNIQUE_CLIPS} unique clips x "
-            f"{REPEATS} repeats, jobs={JOBS})"
+            f"{REPEATS} repeats)"
         ),
     )
 

@@ -95,7 +95,6 @@ from repro.service import SchedulerConfig, ServiceClient, ServiceConfig
 NUM_CLIENTS = 12
 COUNT = 1  # inpainting attempts per request: the many-small-requests regime
 NUM_STEPS = 8  # DDIM steps per attempt
-JOBS = max(1, min(4, os.cpu_count() or 1))
 RUNS = 2
 
 GRID = Grid(nm_per_px=32.0, width_px=16, height_px=16)
@@ -301,7 +300,7 @@ def _sequential(requests):
     t0 = time.perf_counter()
     for request in requests:
         t_req = time.perf_counter()
-        results.append(run_generation(request, jobs=JOBS))
+        results.append(run_generation(request))
         latencies.append(time.perf_counter() - t_req)
     return time.perf_counter() - t0, latencies, results, None
 
@@ -316,7 +315,7 @@ def _service(requests, *, coalesce: bool, pack: bool = False):
         else SchedulerConfig(max_batch_requests=1, gather_window_s=0.0)
     )
     config = ServiceConfig(
-        jobs=JOBS, queue_size=NUM_CLIENTS * 2, pack_models=pack,
+        queue_size=NUM_CLIENTS * 2, pack_models=pack,
         scheduler=scheduler,
     )
     with ServiceClient(config) as client:
@@ -378,7 +377,7 @@ def _fleet_mode(requests, workers):
     """
     _mixed_checkpoint()  # write pre-fork: workers inherit the path
     config = ServiceConfig(
-        jobs=1, queue_size=len(requests) * 2, pack_models=False,
+        queue_size=len(requests) * 2, pack_models=False,
         scheduler=SchedulerConfig(
             max_batch_requests=len(requests), gather_window_s=0.05
         ),
@@ -549,7 +548,7 @@ def run_fleet_bench():
         walls[workers], _, outputs[workers], payloads[workers] = best
 
     clear_shared_caches()
-    serial = [run_generation(request, jobs=1) for request in requests]
+    serial = [run_generation(request) for request in requests]
     for arm, reference in ((1, serial), (MIXED_KEYS, serial),
                            (MIXED_KEYS, outputs[1])):
         for got, want in zip(outputs[arm], reference):
@@ -589,7 +588,7 @@ def render(walls, latencies) -> str:
         rows,
         title=(
             f"Serving throughput ({NUM_CLIENTS} clients x {COUNT} inpaint "
-            f"attempts, {NUM_STEPS} steps, jobs={JOBS})"
+            f"attempts, {NUM_STEPS} steps)"
         ),
     )
 
@@ -606,7 +605,6 @@ def write_artifact(walls, latencies, stats, trajectory, fleet_walls=None,
             "clients": NUM_CLIENTS,
             "count_per_request": COUNT,
             "num_steps": NUM_STEPS,
-            "jobs": JOBS,
             "backend": "bench-inpaint",
             "deck": "basic",
             "image_size": UNET.image_size,

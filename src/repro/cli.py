@@ -40,8 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="generator backend from the repro.engine registry "
                           "(built-in: patternpaint, diffpattern, cup, rule, "
                           "solver; user-registered names also work)")
-    gen.add_argument("-j", "--jobs", type=_positive_int, default=1,
-                     help="worker count for the denoise/DRC stages")
     gen.add_argument("-n", "--count", type=_positive_int, default=20)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output .npz path")
@@ -96,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--deck", default="advanced",
                        choices=["basic", "complex", "advanced"],
                        help="default deck for requests that name none")
-    serve.add_argument("-j", "--jobs", type=_positive_int, default=1,
-                       help="executor threads for the denoise/DRC stages")
     serve.add_argument("--queue-size", type=_positive_int, default=64,
                        help="bounded request queue depth (backpressure)")
     serve.add_argument("--max-batch", type=_positive_int, default=8,
@@ -185,13 +181,8 @@ def _cmd_generate(args) -> int:
 
     deck = deck_by_name(args.deck, EXPERIMENT_GRID)
 
-    backend_kwargs = {"deck": deck}
-    if args.backend == "patternpaint":
-        # Reach the model stage itself: the patternpaint backend runs its
-        # own pipeline/executor, so worker counts plumb through here.
-        backend_kwargs.update(jobs=args.jobs)
     try:
-        backend = get_backend(args.backend, **backend_kwargs)
+        backend = get_backend(args.backend, deck=deck)
     except ValueError as error:
         print(f"repro generate: error: {error}", file=sys.stderr)
         return 2
@@ -230,18 +221,8 @@ def _cmd_generate(args) -> int:
         backend=args.backend, count=args.count, seed=args.seed, deck=deck
     )
     try:
-        batch = run_generation(
-            request,
-            jobs=args.jobs,
-            backend=backend,
-            library=store,
-        )
+        batch = run_generation(request, backend=backend, library=store)
     finally:
-        # Backends that own a pipeline (patternpaint) hold worker pools;
-        # close them so the CLI exits cleanly.
-        close = getattr(backend, "close", None)
-        if callable(close):
-            close()
         if args.drc_cache_dir:
             from .drc.cache import save_shared_caches
 
@@ -340,7 +321,6 @@ def _cmd_serve(args) -> int:
         return 2
     config = ServiceConfig(
         queue_size=args.queue_size,
-        jobs=args.jobs,
         scheduler=SchedulerConfig(
             max_batch_requests=args.max_batch,
             gather_window_s=args.gather_window_ms / 1000.0,
@@ -380,7 +360,7 @@ def _cmd_serve(args) -> int:
         host, port = server.sockets[0].getsockname()[:2]
         print(f"repro serve: listening on {host}:{port} "
               f"(deck={args.deck}, workers={args.workers}, "
-              f"jobs={config.jobs}, max-batch={args.max_batch})")
+              f"max-batch={args.max_batch})")
         print('protocol: one JSON object per line, e.g. '
               '{"backend": "rule", "count": 8, "seed": 0}')
         gateway = None

@@ -19,9 +19,8 @@ diffusion model and a rule deck:
 The denoise -> DRC -> dedup stage and the model-batch chunking are not
 implemented here: they route through the shared
 :class:`~repro.engine.executor.BatchExecutor`, which adds hash-keyed DRC
-caching, deterministic per-job rng splitting and optional worker pools
-(``PatternPaintConfig.jobs``).  All stages are timed per sample, which is
-what Table II reports.
+caching and deterministic per-job rng splitting.  All stages are timed per
+sample, which is what Table II reports.
 """
 
 from __future__ import annotations
@@ -52,9 +51,7 @@ class PatternPaintConfig:
     farm; CPU-scale experiments use single digits and more seeds).
     ``keep_raw`` retains pre-denoise model outputs with their templates so
     the Table III harness can re-score them under different denoisers.
-    ``jobs``/``pool`` configure the executor's denoise/DRC worker pool
-    (1 = serial; results are identical either way).  The inpainting
-    model stage needs no worker count: its forwards shard their rows
+    There is no worker count: the inpainting forwards shard their rows
     across cores on threads.  ``library_shards`` selects the library
     store the run admits into (1 = the classic single-population store;
     >1 = a hash-prefix :class:`~repro.library.ShardedStore`); contents
@@ -71,8 +68,6 @@ class PatternPaintConfig:
     explained_variance: float = 0.9
     use_horizontal_masks: bool = True
     keep_raw: bool = False
-    jobs: int = 1
-    pool: str = "thread"
     library_shards: int = 1
 
 
@@ -136,9 +131,8 @@ class PatternPaint:
         self.deck = deck
         self.config = config or PatternPaintConfig()
         if executor is not None:
-            # Shared executor (e.g. the generation service's): its worker
-            # pools and DRC cache stay warm across many pipelines and
-            # requests, and its owner — not this pipeline — closes it.
+            # Shared executor (e.g. the generation service's): its DRC
+            # cache stays warm across many pipelines and requests.
             # model_batch and the denoise config change seeded outputs
             # (chunk-level rng spawning / denoise behaviour), so a shared
             # executor must agree with this pipeline's config on both —
@@ -159,19 +153,15 @@ class PatternPaint:
                 )
             self.engine = executor.engine
             self.executor = executor
-            self._owns_executor = False
         else:
             self.engine = deck.engine()
             self.executor = BatchExecutor(
                 self.engine,
                 ExecutorConfig(
                     model_batch=self.config.model_batch,
-                    jobs=self.config.jobs,
-                    pool=self.config.pool,
                     denoise=self.config.denoise,
                 ),
             )
-            self._owns_executor = True
         size = ddpm.model.config.image_size
         self._shape = (size, size)
 
@@ -181,19 +171,7 @@ class PatternPaint:
         return self._shape
 
     def close(self) -> None:
-        """Shut down the worker pools of any executor this pipeline owns.
-
-        Idempotent; a shared executor passed in at construction is left
-        open for its owner to close.
-        """
-        if self._owns_executor:
-            self.executor.close()
-
-    def __enter__(self) -> "PatternPaint":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        """A no-op, kept so callers may release any pipeline uniformly."""
 
     def new_library(self) -> LibraryStore:
         """A fresh store per ``config.library_shards`` (facade when 1)."""
@@ -265,7 +243,7 @@ class PatternPaint:
         """Template-denoise, DRC-check and admit clean+new clips.
 
         Routed through the shared executor: per-job spawned rng streams,
-        cached DRC, optional worker pool.
+        cached DRC.
         """
         outcome = self.executor.postprocess(
             raw_outputs, list(templates), rng, library=library

@@ -11,10 +11,10 @@ pixels, so results are memoised by the exact raster hash from
   e.g. by separate experiment harnesses — share one memo table and
   re-checks of identical clips across iterations and experiments are free.
 
-The cache is bounded (FIFO eviction) and thread-safe; worker threads of the
-:class:`~repro.engine.executor.BatchExecutor` hit it concurrently.  It is
-deliberately *not* shipped to process-pool workers: pickling an engine
-yields a fresh empty cache, and the parent process re-absorbs results.
+The cache is bounded (FIFO eviction) and thread-safe: the service's
+compute and commit threads sweep through the same engines concurrently.
+It is deliberately *not* pickled with its contents: pickling an engine
+yields a fresh empty cache.
 
 The shared stores can optionally persist across processes:
 :func:`save_shared_caches` writes each store to a JSON file named by its
@@ -223,7 +223,7 @@ class DrcCache:
             self.misses = 0
 
     # ------------------------------------------------------------------
-    # Pickling (process pools): workers start with a fresh empty cache.
+    # Pickling: an unpickled cache starts fresh and empty.
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         return {"maxsize": self._maxsize}

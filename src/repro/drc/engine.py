@@ -10,13 +10,12 @@ Batch entry points (:meth:`DrcEngine.check_batch`, :meth:`legal_mask`,
 :class:`~repro.drc.cache.DrcCache`: legality is a pure function of the
 pixels and the deck, so repeated checks of identical clips — common in the
 iterative generation loop and across experiment harnesses — cost one hash
-instead of a full rule sweep.  Batches can additionally fan out over a
-thread or process pool for the initial (uncached) sweep.
+instead of a full rule sweep.  Uncached clips are swept serially on the
+calling thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -28,11 +27,6 @@ from .rules import Rule
 from .violations import DrcReport, Violation
 
 __all__ = ["DrcEngine"]
-
-
-def _is_clean_uncached(engine: "DrcEngine", clip: np.ndarray) -> bool:
-    """Module-level worker so process pools can pickle the call."""
-    return engine.is_clean(clip)
 
 
 @dataclass(frozen=True)
@@ -97,25 +91,19 @@ class DrcEngine:
         self,
         clips: Sequence[np.ndarray] | np.ndarray,
         *,
-        jobs: int = 1,
-        pool: str = "thread",
         use_cache: bool = True,
-        executor: Executor | None = None,
     ) -> np.ndarray:
-        """Boolean legality per clip, memoised and optionally pooled.
+        """Boolean legality per clip, memoised.
 
         Duplicate clips within the batch are checked once; previously seen
-        clips (same deck, any engine instance) are cache hits.  ``jobs``
-        > 1 fans the uncached sweep out over a ``"thread"`` or
-        ``"process"`` pool; pass ``executor`` (a live pool of matching
-        ``pool`` kind, e.g. a :class:`~repro.engine.executor.BatchExecutor`
-        persistent pool) to reuse it instead of spinning one up per call.
+        clips (same deck, any engine instance) are cache hits.
+        ``use_cache=False`` sweeps every clip, bypassing the cache.
         """
         clips = list(clips)
         if not clips:
             return np.zeros(0, dtype=bool)
         if not use_cache:
-            verdicts = self._sweep(clips, jobs=jobs, pool=pool, executor=executor)
+            verdicts = self._sweep(clips)
             return np.array(verdicts, dtype=bool)
 
         cache = self.cache
@@ -134,58 +122,24 @@ class DrcEngine:
             else:
                 results[key] = cached
         if todo_clips:
-            verdicts = self._sweep(todo_clips, jobs=jobs, pool=pool, executor=executor)
+            verdicts = self._sweep(todo_clips)
             for key, verdict in zip(todo_keys, verdicts):
                 results[key] = verdict
                 cache.put(key, verdict)
         return np.array([results[key] for key in keys], dtype=bool)
 
-    def _sweep(
-        self,
-        clips: list[np.ndarray],
-        *,
-        jobs: int,
-        pool: str,
-        executor: Executor | None = None,
-    ) -> list[bool]:
-        """Run the full rule loop over clips, serial or pooled.
-
-        A provided ``executor`` is used as-is (and left open); otherwise a
-        transient pool of the requested kind is created for this sweep.
-        """
-        if jobs <= 1 or len(clips) <= 1:
-            return [self.is_clean(clip) for clip in clips]
-        if pool == "thread":
-            if executor is not None:
-                return list(executor.map(self.is_clean, clips))
-            with ThreadPoolExecutor(max_workers=jobs) as transient:
-                return list(transient.map(self.is_clean, clips))
-        if pool == "process":
-            args = ([self] * len(clips), clips)
-            chunksize = max(1, len(clips) // jobs)
-            if executor is not None:
-                return list(
-                    executor.map(_is_clean_uncached, *args, chunksize=chunksize)
-                )
-            with ProcessPoolExecutor(max_workers=jobs) as transient:
-                return list(
-                    transient.map(_is_clean_uncached, *args, chunksize=chunksize)
-                )
-        raise ValueError(f"unknown pool kind {pool!r} (use 'thread' or 'process')")
+    def _sweep(self, clips: list[np.ndarray]) -> list[bool]:
+        """Run the full rule loop over clips, serially."""
+        return [self.is_clean(clip) for clip in clips]
 
     def legal_mask(
         self,
         clips: Sequence[np.ndarray] | np.ndarray,
         *,
-        jobs: int = 1,
-        pool: str = "thread",
         use_cache: bool = True,
-        executor: Executor | None = None,
     ) -> np.ndarray:
         """Boolean legality per clip for a batch (stacked array or list)."""
-        return self.check_batch(
-            clips, jobs=jobs, pool=pool, use_cache=use_cache, executor=executor
-        )
+        return self.check_batch(clips, use_cache=use_cache)
 
     def filter_clean(
         self, clips: Iterable[np.ndarray]
@@ -195,11 +149,9 @@ class DrcEngine:
         mask = self.check_batch(clips)
         return [clip for clip, ok in zip(clips, mask) if ok]
 
-    def legality_rate(
-        self, clips: Sequence[np.ndarray], *, jobs: int = 1
-    ) -> float:
+    def legality_rate(self, clips: Sequence[np.ndarray]) -> float:
         """Fraction of clips that are DR-clean (0.0 for an empty batch)."""
         clips = list(clips)
         if not clips:
             return 0.0
-        return float(self.legal_mask(clips, jobs=jobs).mean())
+        return float(self.legal_mask(clips).mean())

@@ -5,16 +5,14 @@ PatternPaint inpainting pipeline, the DiffPattern and CUP baselines, the
 rule-based track generator and the squish solver — a uniform
 :class:`GeneratorBackend` behind a name registry, and runs them all
 through one :class:`BatchExecutor` implementing the shared
-denoise -> DRC -> dedup post-processing with chunked model batching,
-optional thread/process-pool fan-out and a content-hash DRC cache.
+denoise -> DRC -> dedup post-processing with chunked model batching
+and a content-hash DRC cache.
 
 Typical use::
 
     from repro.engine import GenerationRequest, run_generation
 
-    batch = run_generation(
-        GenerationRequest(backend="rule", count=50, seed=0), jobs=4
-    )
+    batch = run_generation(GenerationRequest(backend="rule", count=50, seed=0))
     print(len(batch.library), batch.legality_rate, batch.timings.total_seconds)
 
 Adding a backend is one class plus one :func:`register_backend` call; see
@@ -30,7 +28,6 @@ from .executor import (
     ExecutionPlan,
     ExecutorConfig,
     PackedModelResult,
-    PoolRegistry,
     PostprocessResult,
     run_generation,
 )
@@ -64,7 +61,6 @@ __all__ = [
     "PackedModelBatch",
     "PackedModelResult",
     "PackingPlan",
-    "PoolRegistry",
     "PostprocessResult",
     "RetryPolicy",
     "StageTimings",

@@ -55,11 +55,9 @@ class PatternPaintBackend:
 
     ``request.templates`` / ``request.masks`` override the default starter
     set and Figure 6 mask sets; jobs enumerate starter x mask x variation
-    exactly like :meth:`PatternPaint.initial_generation`.  ``jobs``
-    sizes the wrapped pipeline's own executor, which only
-    :meth:`propose` uses (``repro generate``).  The service builds the
-    backend with the deck alone and samples through the pack hooks on
-    its own executor, so the service's pools are the only ones in use.
+    exactly like :meth:`PatternPaint.initial_generation`.  The wrapped
+    pipeline's executor serves :meth:`propose` (``repro generate``); the
+    service samples through the pack hooks on its own executor.
     """
 
     name = "patternpaint"
@@ -72,25 +70,14 @@ class PatternPaintBackend:
         config: PatternPaintConfig | None = None,
         variant: str = "sd1-ft",
         templates: list[np.ndarray] | None = None,
-        jobs: int | None = None,
     ):
-        from dataclasses import replace
-
         self._deck = deck if deck is not None else experiment_deck()
         self._ddpm = ddpm
-        cfg = config or PatternPaintConfig()
-        if jobs is not None:
-            cfg = replace(cfg, jobs=jobs)
-        self._config = cfg
+        self._config = config or PatternPaintConfig()
         self.variant = variant
         self._templates = list(templates) if templates is not None else None
         self._pipeline: PatternPaint | None = None
         self._starter_cache: list[np.ndarray] | None = None
-
-    def close(self) -> None:
-        """Shut down the wrapped pipeline's worker pools, if it was built."""
-        if self._pipeline is not None:
-            self._pipeline.close()
 
     @property
     def deck(self) -> RuleDeck:

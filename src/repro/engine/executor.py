@@ -6,25 +6,19 @@ shares, regardless of which model proposed the candidates:
 * **chunked model batching** — :meth:`run_model_batched` slices arbitrary
   job lists into model-sized chunks (the paper's GPU-batch discipline,
   reused by :meth:`repro.core.pipeline.PatternPaint.inpaint_batch`);
-* **pooled post-processing** — the template-denoise and DRC stages are
-  embarrassingly parallel per clip, so ``jobs > 1`` fans them out over a
-  thread or process pool;
+* **serial post-processing** — template denoise, the DRC sweep and
+  admission run on the calling thread: next to the model stage they are
+  about 1% of a sample's time;
 * **content-hash DRC caching** — legality checks go through
   :meth:`repro.drc.engine.DrcEngine.check_batch`, whose
   :class:`~repro.drc.cache.DrcCache` makes re-checks of identical clips
   free across iterations and experiments;
 * **deterministic seeding** — one root :class:`numpy.random.Generator` is
-  split via ``rng.spawn()`` into an independent child per job, so pooled
-  and serial execution produce bit-identical libraries for the same seed;
+  split via ``rng.spawn()`` into an independent child per job, so a
+  clip's randomness depends on its position in the request only;
 * **store-based admission** — clean candidates enter any
-  :class:`~repro.library.LibraryStore` through :meth:`admit_batch`, which
-  under ``jobs > 1`` (and past ``admit_pool_threshold`` candidates —
-  below it the store's vectorised ``admit_many`` beats pool spin-up)
-  hashes contiguous batch slices on the worker pool
-  (:func:`repro.library.compute_delta`) and merges the resulting
-  :class:`~repro.library.ShardDelta`\\ s into the store in batch order —
-  the worker merge protocol that keeps pooled admission bit-identical to
-  serial.
+  :class:`~repro.library.LibraryStore` through :meth:`admit_batch`, the
+  store's vectorised ``admit_many``.
 
 :func:`run_generation` is the one-call entry point used by the CLI and the
 experiment harnesses.  The async service layer drives the same machinery
@@ -46,14 +40,7 @@ parallelism.
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import (
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -63,7 +50,7 @@ from ..core.library import PatternLibrary
 from ..core.template_denoise import TemplateDenoiseConfig, template_denoise
 from ..drc.engine import DrcEngine
 from ..geometry.raster import validate_clip
-from ..library import LibraryStore, compute_delta
+from ..library import LibraryStore
 from .packing import PackingPlan, chunk_sizes, pack_chunks
 from .registry import GeneratorBackend, get_backend
 from .request import (
@@ -77,7 +64,6 @@ __all__ = [
     "ExecutorConfig",
     "ExecutionPlan",
     "PackedModelResult",
-    "PoolRegistry",
     "PostprocessResult",
     "BatchExecutor",
     "run_generation",
@@ -105,150 +91,30 @@ def _denoise_one(
     config: TemplateDenoiseConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Denoise/validate one candidate (module-level: process-pool safe)."""
+    """Denoise (against its template) or validate one candidate."""
     if template is None:
         return validate_clip(raw)
     return template_denoise(raw, template, config, rng)
-
-
-class _PoolLease:
-    """A persistent pool plus its lease bookkeeping (see ``PoolRegistry``)."""
-
-    __slots__ = ("pool", "refs", "retired")
-
-    def __init__(self, pool: Executor):
-        self.pool = pool
-        self.refs = 0
-        self.retired = False
-
-
-class PoolRegistry:
-    """Lease-managed persistent worker pools, keyed by ``(kind, workers)``.
-
-    One registry may back several :class:`BatchExecutor` instances — the
-    service's per-deck executors share one, so they hold one pool per
-    (kind, size) between them instead of one per deck.
-    Pools are created lazily on first lease and live until
-    :meth:`close`; each distinct (kind, size) pair has at most one live
-    pool at a time.
-
-    The lease is what makes :meth:`close` safe while stages run: a pool
-    is only ever shut down with zero lessees, so a stage can never see
-    its pool die between acquiring it and submitting work.  A close
-    racing an active stage *retires* the pool (detaches it from the map)
-    and the stage — the last lessee — shuts it down on release.  A
-    closed registry lazily re-creates pools if leased again.
-    """
-
-    def __init__(self) -> None:
-        self._pools: dict[tuple[str, int], _PoolLease] = {}
-        self._lock = threading.Lock()
-
-    @contextmanager
-    def lease(self, kind: str, workers: int):
-        """Lease the persistent pool for ``(kind, workers)`` for one stage."""
-        if kind not in ("thread", "process"):
-            raise ValueError(
-                f"unknown pool kind {kind!r} (use 'thread' or 'process')"
-            )
-        key = (kind, workers)
-        with self._lock:
-            lease = self._pools.get(key)
-            if lease is None:
-                if kind == "thread":
-                    pool = ThreadPoolExecutor(max_workers=workers)
-                else:
-                    pool = ProcessPoolExecutor(max_workers=workers)
-                lease = _PoolLease(pool)
-                self._pools[key] = lease
-            lease.refs += 1
-        try:
-            yield lease.pool
-        finally:
-            with self._lock:
-                lease.refs -= 1
-                shutdown_now = lease.retired and lease.refs == 0
-            if shutdown_now:
-                lease.pool.shutdown(wait=True)
-
-    def close(self) -> None:
-        """Shut down the pools (idempotent; safe under concurrent callers).
-
-        The pool map is detached under the lock (a double close, or two
-        closes racing, each shut down disjoint sets), idle pools are shut
-        down here with ``wait=True``, and pools a running stage currently
-        leases are retired for that stage to shut down when it finishes.
-        """
-        with self._lock:
-            leases, self._pools = list(self._pools.values()), {}
-            idle = []
-            for lease in leases:
-                lease.retired = True
-                if lease.refs == 0:
-                    idle.append(lease)
-        for lease in idle:
-            lease.pool.shutdown(wait=True)
-
-    # Dict-like inspection of the live leases (tests and telemetry peek
-    # at which (kind, workers) pools currently exist).
-    def get(self, key: tuple[str, int]) -> "_PoolLease | None":
-        with self._lock:
-            return self._pools.get(key)
-
-    def __getitem__(self, key: tuple[str, int]) -> "_PoolLease":
-        with self._lock:
-            return self._pools[key]
-
-    def __contains__(self, key: object) -> bool:
-        with self._lock:
-            return key in self._pools
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._pools)
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def __enter__(self) -> "PoolRegistry":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 @dataclass(frozen=True)
 class ExecutorConfig:
     """Execution knobs shared by every backend.
 
-    ``jobs`` is the worker count for the denoise and DRC stages (1 =
-    serial); ``pool`` selects ``"thread"`` or ``"process"`` workers for
-    those stages.  The model stage has no worker count: it uses every
-    core because each inference forward runs its rows as shards on
-    threads, with per-thread workspaces (:mod:`repro.nn.shards`).
     ``model_batch`` is the chunk size for
-    :meth:`BatchExecutor.run_model_batched`.
-    ``admit_pool_threshold`` is the batch size below which
-    :meth:`BatchExecutor.admit_batch` skips the worker pool and admits
-    with the store's own vectorised ``admit_many`` — pool dispatch
-    overhead dwarfs the hashing cost for small batches, and the admitted
-    result is bit-identical either way.
+    :meth:`BatchExecutor.run_model_batched`; ``denoise`` configures the
+    template-denoise stage.  There is no worker count: each inference
+    forward runs its rows as shards on threads across every core
+    (:mod:`repro.nn.shards`), and the post-processing stages run
+    serially.
     """
 
     model_batch: int = 32
-    jobs: int = 1
-    pool: str = "thread"
-    use_cache: bool = True
     denoise: TemplateDenoiseConfig = field(default_factory=TemplateDenoiseConfig)
-    admit_pool_threshold: int = 4096
 
     def __post_init__(self) -> None:
         if self.model_batch < 1:
             raise ValueError("model_batch must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be positive")
-        if self.pool not in ("thread", "process"):
-            raise ValueError("pool must be 'thread' or 'process'")
 
 
 @dataclass
@@ -305,49 +171,17 @@ class ExecutionPlan:
 class BatchExecutor:
     """Runs the shared generation machinery against one DRC engine.
 
-    The executor runs its pooled stages on **persistent** worker pools:
-    the first pooled stage lazily creates the thread and/or process pool
-    and every later batch reuses it, instead of paying pool spin-up on
-    each ``denoise_batch``/``check_batch``/``admit_batch`` call.  By
-    default each executor owns a private :class:`PoolRegistry` and
-    ``close()`` (or exiting a ``with`` block) shuts its pools down; pass
-    ``pools=`` to share one registry across executors — the service
-    does this so its per-deck executors hold one pool per (kind, size)
-    — in which case ``close()`` leaves the shared pools to their owner.
-    A closed executor lazily re-creates pools if used again.
+    An executor holds no threads or processes of its own; it may be
+    driven from several threads at once (the service's compute and
+    commit threads share one per deck).
     """
 
-    def __init__(
-        self,
-        engine: DrcEngine,
-        config: ExecutorConfig | None = None,
-        *,
-        pools: PoolRegistry | None = None,
-    ):
+    def __init__(self, engine: DrcEngine, config: ExecutorConfig | None = None):
         self.engine = engine
         self.config = config or ExecutorConfig()
-        self.pools = pools if pools is not None else PoolRegistry()
-        self._owns_pools = pools is None
 
-    # ------------------------------------------------------------------
-    # Persistent pools
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the owned pool registry (see :meth:`PoolRegistry.close`).
-
-        Idempotent and safe under concurrent callers; a close racing
-        in-flight work never raises and never pulls a pool out from
-        under a stage.  When the registry was injected (shared across
-        executors), this is a no-op — the registry's owner closes it.
-        """
-        if self._owns_pools:
-            self.pools.close()
-
-    def __enter__(self) -> "BatchExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        """A no-op, kept so callers may release any executor uniformly."""
 
     # ------------------------------------------------------------------
     # Stage helpers
@@ -506,8 +340,7 @@ class BatchExecutor:
         """Template-denoise (or validate) every candidate.
 
         Each job gets an independent child generator from ``rng.spawn()``,
-        so the result is identical whether the map runs serially or on a
-        pool.
+        so a clip's randomness depends only on its position in the batch.
         """
         if len(raws) != len(templates):
             raise ValueError("raws and templates must pair up")
@@ -516,89 +349,27 @@ class BatchExecutor:
         children = rng.spawn(len(raws))
         config = self.config.denoise
         t0 = time.perf_counter()
-        jobs = min(self.config.jobs, len(raws))
-        if jobs <= 1:
-            clips = [
-                _denoise_one(raw, template, config, child)
-                for raw, template, child in zip(raws, templates, children)
-            ]
-        else:
-            with self.pools.lease(self.config.pool, self.config.jobs) as pool:
-                clips = list(
-                    pool.map(
-                        _denoise_one,
-                        raws,
-                        templates,
-                        [config] * len(raws),
-                        children,
-                    )
-                )
+        clips = [
+            _denoise_one(raw, template, config, child)
+            for raw, template, child in zip(raws, templates, children)
+        ]
         return clips, time.perf_counter() - t0
 
     def check_batch(self, clips: Sequence[np.ndarray]) -> tuple[np.ndarray, float]:
-        """Cached, optionally pooled DRC sweep; returns (mask, seconds).
-
-        With ``jobs > 1`` the engine sweeps uncached clips on this
-        executor's persistent pool instead of spinning one up per call.
-        """
+        """Cached DRC sweep; returns (mask, seconds)."""
         _fault_action("drc")  # chaos hook: may raise InjectedFault
         t0 = time.perf_counter()
-        if self.config.jobs > 1:
-            with self.pools.lease(self.config.pool, self.config.jobs) as pool:
-                mask = self.engine.check_batch(
-                    clips,
-                    jobs=self.config.jobs,
-                    pool=self.config.pool,
-                    use_cache=self.config.use_cache,
-                    executor=pool,
-                )
-        else:
-            mask = self.engine.check_batch(
-                clips,
-                jobs=self.config.jobs,
-                pool=self.config.pool,
-                use_cache=self.config.use_cache,
-                executor=None,
-            )
+        mask = self.engine.check_batch(clips)
         return mask, time.perf_counter() - t0
 
     def admit_batch(
         self, store: LibraryStore, clips: Sequence[np.ndarray]
     ) -> list[bool]:
-        """Admit candidates to ``store``; per-clip flags, in batch order.
-
-        With ``jobs > 1`` and at least ``admit_pool_threshold``
-        candidates, the batch is split into contiguous slices whose
-        hashes are computed on the worker pool; the resulting deltas are
-        then merged into the store in slice order, so the admitted
-        contents and insertion order are bit-identical to a serial
-        ``store.admit_many`` call.  Smaller batches take the store's own
-        vectorised path directly.
-        """
+        """Admit candidates to ``store``; per-clip flags, in batch order."""
         clips = list(clips)
         if not clips:
             return []
-        jobs = min(self.config.jobs, len(clips))
-        if jobs <= 1 or len(clips) < self.config.admit_pool_threshold:
-            return list(store.admit_many(clips))
-        bounds = np.linspace(0, len(clips), jobs + 1).astype(int)
-        slices = [
-            (int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        with self.pools.lease(self.config.pool, self.config.jobs) as pool:
-            deltas = list(
-                pool.map(
-                    compute_delta,
-                    [clips[lo:hi] for lo, hi in slices],
-                    [lo for lo, _ in slices],
-                )
-            )
-        flags: list[bool] = []
-        for delta in sorted(deltas, key=lambda d: d.offset):
-            flags.extend(store.merge(delta))
-        return flags
+        return list(store.admit_many(clips))
 
     # ------------------------------------------------------------------
     # The shared post-processing pipeline
@@ -768,8 +539,6 @@ class BatchExecutor:
 def run_generation(
     request: GenerationRequest,
     *,
-    jobs: int = 1,
-    pool: str = "thread",
     backend: GeneratorBackend | None = None,
     executor: BatchExecutor | None = None,
     rng: np.random.Generator | None = None,
@@ -779,18 +548,13 @@ def run_generation(
 
     The DRC engine comes from ``request.deck`` when given, else from the
     backend's own deck; pass ``executor`` explicitly to reuse one (and its
-    warm DRC cache and worker pools) across requests, and ``library`` to
-    dedup against (and grow) an existing store.  An executor created here
-    is closed before returning; a caller-provided one is left open.
+    warm DRC cache) across requests, and ``library`` to dedup against (and
+    grow) an existing store.
     """
     if backend is None:
         kwargs = {"deck": request.deck} if request.deck is not None else {}
         backend = get_backend(request.backend, **kwargs)
-    if executor is not None:
-        return executor.run(request, backend=backend, rng=rng, library=library)
-    deck = request.deck if request.deck is not None else backend.deck
-    with BatchExecutor(
-        deck.engine(),
-        ExecutorConfig(jobs=jobs, pool=pool),
-    ) as owned:
-        return owned.run(request, backend=backend, rng=rng, library=library)
+    if executor is None:
+        deck = request.deck if request.deck is not None else backend.deck
+        executor = BatchExecutor(deck.engine())
+    return executor.run(request, backend=backend, rng=rng, library=library)

@@ -2,7 +2,7 @@
 
 A :class:`GenerationRequest` describes *what* to generate — which backend,
 how many attempts, under which deck, from which templates/masks and seed —
-without saying anything about *how* (batching, pooling, caching live in
+without saying anything about *how* (batching and caching live in
 :class:`~repro.engine.executor.BatchExecutor`).  Backends answer a request
 with a :class:`CandidateBatch` of raw proposals, and the executor turns
 that into a :class:`GenerationBatch`: validated clips, a legality mask, a

@@ -10,9 +10,9 @@ Everything that stores deduplicated DR-clean clips lives here:
   cached summaries that roll up into one
   :class:`~repro.metrics.diversity.LibrarySummary`;
 * :class:`ShardDelta` / :func:`compute_delta` / :func:`store_delta` — the
-  worker merge protocol: pool workers hash slices locally, the owning
-  store merges deltas in batch order, so pooled and serial runs admit
-  bit-identical libraries for the same seed;
+  merge protocol: slices or whole stores are hashed into deltas that the
+  destination store merges in batch order, admitting bit-identically to
+  one ``admit_many`` call;
 * :func:`save_library` / :func:`load_library` / :func:`merge_libraries` —
   ``.npz``-per-shard snapshot persistence (via :mod:`repro.io`) so
   libraries survive across runs and merge across machines.

@@ -9,12 +9,14 @@ single-population :class:`InMemoryStore` reference implementation.
 :class:`repro.library.ShardedStore` adds hash-prefix partitioning on the
 same protocol.
 
-The merge protocol: pooled executor workers hash and locally dedup a
-contiguous slice of a candidate batch (:func:`compute_delta`, process-pool
-safe), and the owning store applies the resulting deltas in batch order
-(:meth:`LibraryStore.merge`).  Because admission decisions are made
-against the store in slice order, pooled and serial execution admit
-bit-identical contents in identical insertion order for a fixed seed.
+The merge protocol: a caller hashes and locally dedups a contiguous
+slice of a candidate batch (:func:`compute_delta`), or a whole store
+(:func:`store_delta`), and the destination store applies the resulting
+deltas in batch order (:meth:`LibraryStore.merge`).  Because admission
+decisions are made against the store in slice order, merging slice
+deltas admits bit-identical contents, in identical insertion order, to
+admitting the whole batch at once.  Library merges (the fleet's
+reconcile, :func:`~repro.library.merge_libraries`) use it.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ class ShardDelta:
 
 
 def compute_delta(clips: Sequence[np.ndarray], offset: int = 0) -> ShardDelta:
-    """Worker-side half of the merge protocol (module-level: pool safe)."""
+    """Hash and locally dedup one batch slice into a mergeable delta."""
     return ShardDelta.from_clips(clips, offset=offset)
 
 

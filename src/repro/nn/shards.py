@@ -19,7 +19,7 @@ Three process-wide rules live here:
   at-fork hook drops the pool; the child runs every forward as one
   shard, with BLAS pinned to one thread from its first forward.  Fleet
   workers are forked, and they already parallelise at the process
-  level; so are the ``pool="process"`` denoise/DRC workers.
+  level.
 * **Scratch is per thread.**  Layers keep their reusable buffers in
   plain dicts keyed by thread ident (:func:`thread_slot`), not in
   ``threading.local`` attributes, so modules stay picklable and

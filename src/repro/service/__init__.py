@@ -43,7 +43,7 @@ Typical in-process use::
     from repro.engine import GenerationRequest
     from repro.service import ServiceClient, ServiceConfig
 
-    with ServiceClient(ServiceConfig(jobs=4)) as client:
+    with ServiceClient(ServiceConfig(queue_size=16)) as client:
         batches = client.generate_many(
             [GenerationRequest(backend="rule", count=20, seed=s)
              for s in range(8)],

@@ -5,7 +5,7 @@ on a private event loop in a background thread and exposes a blocking
 API, so synchronous code — tests, benchmarks, notebooks — can exercise
 the full queue/scheduler/streaming path without writing any asyncio:
 
-    with ServiceClient(ServiceConfig(jobs=4)) as client:
+    with ServiceClient(ServiceConfig(queue_size=16)) as client:
         batch = client.generate(GenerationRequest(backend="rule", count=20))
         batches = client.generate_many(requests)        # concurrent
         ticket = client.submit(request)                 # streaming

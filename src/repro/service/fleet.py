@@ -46,8 +46,8 @@ worker degrades the fleet instead of fork-bombing the host.  The
 this path deterministically testable.
 
 Process-level parallelism lives at the fleet layer (``workers``); inside
-a worker, the ``jobs`` thread pools and the row-sharded model forwards
-(:mod:`repro.nn.shards`) use threads.
+a worker, only the row-sharded model forwards (:mod:`repro.nn.shards`)
+use threads.
 """
 
 from __future__ import annotations

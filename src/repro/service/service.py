@@ -17,12 +17,10 @@
 * **one compute thread** — micro-batches run FIFO on a single thread
   that keeps warm state: one backend per (backend, deck) (model loaded
   once, built with the deck only) and one
-  :class:`~repro.engine.BatchExecutor` per deck, all drawing their
-  denoise/DRC/admit thread pools from one
-  :class:`~repro.engine.PoolRegistry` (``service.pools``).  The model
-  stage uses every core through row-sharded forwards
-  (:mod:`repro.nn.shards`); process-level parallelism above a
-  micro-batch is the fleet's job (:mod:`repro.service.fleet`);
+  :class:`~repro.engine.BatchExecutor` per deck.  The model stage uses
+  every core through row-sharded forwards (:mod:`repro.nn.shards`);
+  denoise, DRC and admission run serially; process-level parallelism
+  above a micro-batch is the fleet's job (:mod:`repro.service.fleet`);
 * **ordered commit stage** — the compute thread only runs the compute
   stages; every request's admission then passes through a single commit
   thread that reconciles results in **global arrival order** through an
@@ -58,11 +56,9 @@ from ..engine import (
     BatchExecutor,
     CandidateBatch,
     ExecutionPlan,
-    ExecutorConfig,
     GenerationBatch,
     GenerationRequest,
     GeneratorBackend,
-    PoolRegistry,
     RetryPolicy,
     StageTimings,
     deck_key,
@@ -130,9 +126,7 @@ class ServiceConfig:
     """Service-level knobs.
 
     ``queue_size`` bounds the request queue (submission awaits when
-    full).  ``jobs`` sizes the service executors' denoise/DRC/admit
-    thread pool; worker counts never change seeded outputs, so a
-    service-served request is bit-identical to a serial one.
+    full).  A service-served request is bit-identical to a serial one.
     ``stream_chunk`` is the number of candidates per streamed
     :class:`~repro.engine.CandidateBatch` chunk.
     ``pack_models`` runs the model stage of every micro-batch whose
@@ -144,7 +138,6 @@ class ServiceConfig:
     """
 
     queue_size: int = 64
-    jobs: int = 1
     stream_chunk: int = 32
     pack_models: bool = True
     #: Retry policy for the retryable micro-batch stages (model propose,
@@ -160,8 +153,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.queue_size < 1:
             raise ValueError("queue_size must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be positive")
         if self.stream_chunk < 1:
             raise ValueError("stream_chunk must be positive")
 
@@ -336,11 +327,10 @@ class GenerationService:
         self.stats = ServiceStats()
         self._backend_factory = backend_factory
         # Compute stage: one thread running micro-batches FIFO, plus its
-        # warm state — backends per (name, deck key), executors per deck
-        # key, and the pool registry those executors share.  Touched only
-        # by the compute thread until stop() closes it.
+        # warm state — backends per (name, deck key) and executors per
+        # deck key.  Touched only by the compute thread until stop()
+        # drops it.
         self._worker: ThreadPoolExecutor | None = None
-        self.pools: PoolRegistry | None = None
         self._backends: dict[tuple, GeneratorBackend] = {}
         self._executors: dict[tuple, BatchExecutor] = {}
         self._stats_lock = threading.Lock()
@@ -401,7 +391,6 @@ class GenerationService:
             self._live.clear()
             self._cancelled.clear()
         self._draining = False
-        self.pools = PoolRegistry()
         self._worker = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-service-compute"
         )
@@ -449,8 +438,9 @@ class GenerationService:
         if checkpoint:
             self.stats.checkpoints += len(self.sessions.checkpoint_all())
         if worker is not None:
-            # After the commit stage: admissions lease executor pools.
-            await loop.run_in_executor(None, self._close_engine_state)
+            # Compute and commit have drained: drop the warm state.
+            self._backends.clear()
+            self._executors.clear()
 
     async def __aenter__(self) -> "GenerationService":
         return await self.start()
@@ -784,9 +774,7 @@ class GenerationService:
     def _backend_for(self, request: GenerationRequest) -> GeneratorBackend:
         """The long-lived backend for this request (built once, deck only).
 
-        No worker counts are forwarded: the service only calls
-        ``propose`` and the pack hooks, and every worker pool belongs to
-        the per-deck executors (``service.pools``).
+        The service only calls ``propose`` and the pack hooks.
         """
         name, request_deck_key, _, _ = request.compatibility_key()
         key = (name, request_deck_key)
@@ -798,34 +786,13 @@ class GenerationService:
         return backend
 
     def _executor_for(self, deck) -> BatchExecutor:
-        """The warm executor for this deck (pools from ``self.pools``)."""
+        """The warm executor for this deck (its DRC cache stays warm)."""
         key = deck_key(deck)
         executor = self._executors.get(key)
         if executor is None:
-            cfg = self.config
-            executor = BatchExecutor(
-                deck.engine(),
-                ExecutorConfig(jobs=cfg.jobs),
-                pools=self.pools,
-            )
+            executor = BatchExecutor(deck.engine())
             self._executors[key] = executor
         return executor
-
-    def _close_engine_state(self) -> None:
-        """Release backends, executors and pools (after compute drained)."""
-        executors = list(self._executors.values())
-        backends = list(self._backends.values())
-        self._executors.clear()
-        self._backends.clear()
-        for executor in executors:
-            executor.close()  # a no-op for the shared registry's pools
-        for backend in backends:
-            close = getattr(backend, "close", None)
-            if callable(close):
-                close()
-        pools, self.pools = self.pools, None
-        if pools is not None:
-            pools.close()
 
     def _serve_micro_batch(self, micro: MicroBatch) -> None:
         """Serve one micro-batch, then emit its commit tokens.

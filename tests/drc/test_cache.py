@@ -63,12 +63,6 @@ class TestCheckBatch:
         assert engine.cache.misses == 0
         assert list(mask) == [engine.is_clean(c) for c in clips]
 
-    def test_pooled_sweep_matches_serial(self, deck, clips):
-        engine = deck.engine()
-        serial = engine.check_batch(clips, use_cache=False)
-        threaded = engine.check_batch(clips, use_cache=False, jobs=3)
-        np.testing.assert_array_equal(serial, threaded)
-
     def test_empty_batch(self, deck):
         assert deck.engine().check_batch([]).size == 0
 

@@ -1,5 +1,5 @@
-"""BatchExecutor behavior: pooling determinism, caching, chunking,
-close safety, and the staged plan/execute/finalize API."""
+"""BatchExecutor behavior: caching, chunking, concurrent callers, close
+safety, and the staged plan/execute/finalize API."""
 
 import threading
 
@@ -48,10 +48,10 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ExecutorConfig(model_batch=0)
-        with pytest.raises(ValueError):
-            ExecutorConfig(jobs=0)
-        with pytest.raises(ValueError):
-            ExecutorConfig(pool="fiber")
+        # No worker-count or pool knobs: post-processing is serial.
+        for knob in ({"jobs": 2}, {"pool": "thread"}, {"use_cache": False}):
+            with pytest.raises(TypeError):
+                ExecutorConfig(**knob)
 
 
 class TestPostprocess:
@@ -84,40 +84,6 @@ class TestPostprocess:
         result = executor.postprocess([], [], np.random.default_rng(0))
         assert result.clips == []
         assert result.legal.size == 0
-
-
-class TestPoolDeterminism:
-    """Satellite: rng.spawn() per job => pooled == serial, bit for bit."""
-
-    def _run(self, deck, noisy_raws, clips, jobs, pool="thread"):
-        executor = BatchExecutor(
-            deck.engine(), ExecutorConfig(jobs=jobs, pool=pool)
-        )
-        library = PatternLibrary()
-        result = executor.postprocess(
-            noisy_raws, list(clips), np.random.default_rng(7), library=library
-        )
-        return result, library
-
-    def test_thread_pool_matches_serial(self, deck, clips, noisy_raws):
-        serial, lib_serial = self._run(deck, noisy_raws, clips, jobs=1)
-        pooled, lib_pooled = self._run(deck, noisy_raws, clips, jobs=4)
-        assert len(serial.clips) == len(pooled.clips)
-        for a, b in zip(serial.clips, pooled.clips):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(serial.legal, pooled.legal)
-        assert len(lib_serial) == len(lib_pooled)
-        for a, b in zip(lib_serial, lib_pooled):
-            np.testing.assert_array_equal(a, b)
-
-    def test_process_pool_matches_serial(self, deck, clips, noisy_raws):
-        serial, _ = self._run(deck, noisy_raws[:4], clips[:4], jobs=1)
-        pooled, _ = self._run(
-            deck, noisy_raws[:4], clips[:4], jobs=2, pool="process"
-        )
-        for a, b in zip(serial.clips, pooled.clips):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(serial.legal, pooled.legal)
 
 
 class TestCaching:
@@ -171,68 +137,12 @@ class TestModelBatching:
             )
 
 
-class TestPersistentPools:
-    def test_thread_pool_reused_across_calls(self, deck, clips):
-        executor = BatchExecutor(
-            deck.engine(), ExecutorConfig(jobs=2, pool="thread")
-        )
-        executor.denoise_batch(
-            clips, [None] * len(clips), np.random.default_rng(0)
-        )
-        first = executor.pools.get(("thread", 2))
-        assert first is not None
-        executor.denoise_batch(
-            clips, [None] * len(clips), np.random.default_rng(0)
-        )
-        assert executor.pools.get(("thread", 2)) is first
-        executor.close()
-        assert not executor.pools
-
-    def test_context_manager_closes(self, deck, clips):
-        with BatchExecutor(
-            deck.engine(), ExecutorConfig(jobs=2, pool="thread")
-        ) as executor:
-            executor.denoise_batch(
-                clips, [None] * len(clips), np.random.default_rng(0)
-            )
-            assert executor.pools
-        assert not executor.pools
-
-    def test_closed_executor_reopens_lazily(self, deck, clips):
-        executor = BatchExecutor(
-            deck.engine(), ExecutorConfig(jobs=2, pool="thread")
-        )
-        executor.denoise_batch(
-            clips, [None] * len(clips), np.random.default_rng(0)
-        )
-        executor.close()
-        out, _ = executor.denoise_batch(
-            clips, [None] * len(clips), np.random.default_rng(0)
-        )
-        assert len(out) == len(clips)
-        executor.close()
-
-    def test_check_batch_uses_persistent_pool(self, deck):
-        executor = BatchExecutor(
-            deck.engine(), ExecutorConfig(jobs=2, pool="thread", use_cache=False)
-        )
-        clips = [
-            np.random.default_rng(i).integers(0, 2, (32, 32)).astype(np.uint8)
-            for i in range(6)
-        ]
-        mask, _ = executor.check_batch(clips)
-        assert executor.pools.get(("thread", 2)) is not None
-        serial = [deck.engine().is_clean(c) for c in clips]
-        assert list(mask) == serial
-        executor.close()
-
-
 class TestCloseSafety:
-    """Satellite: close() is idempotent and safe under concurrent callers."""
+    """close() stays callable (a no-op) on executors and pipelines."""
 
     def test_double_close_does_not_raise(self, deck, clips):
-        executor = BatchExecutor(deck.engine(), ExecutorConfig(jobs=2))
-        executor.check_batch(list(clips))  # materialise a pool
+        executor = BatchExecutor(deck.engine())
+        executor.check_batch(list(clips))
         executor.close()
         executor.close()
 
@@ -240,7 +150,7 @@ class TestCloseSafety:
         BatchExecutor(deck.engine()).close()
 
     def test_concurrent_close_callers(self, deck, clips):
-        executor = BatchExecutor(deck.engine(), ExecutorConfig(jobs=2))
+        executor = BatchExecutor(deck.engine())
         executor.check_batch(list(clips))
         errors: list[BaseException] = []
 
@@ -258,7 +168,7 @@ class TestCloseSafety:
         assert errors == []
 
     def test_close_while_running_then_reuse(self, deck, clips, noisy_raws):
-        executor = BatchExecutor(deck.engine(), ExecutorConfig(jobs=2))
+        executor = BatchExecutor(deck.engine())
         stop = threading.Event()
         errors: list[BaseException] = []
 
@@ -279,30 +189,8 @@ class TestCloseSafety:
         worker.join()
         executor.close()
         assert errors == []
-        # A closed executor lazily re-creates pools when used again.
         mask, _ = executor.check_batch(list(clips))
         assert mask.shape == (len(clips),)
-        executor.close()
-
-    def test_pipeline_close_propagates_to_owned_executor(self, deck, monkeypatch):
-        from repro.core.pipeline import PatternPaint
-        from repro.diffusion import Ddpm, linear_schedule
-        from repro.nn import TimeUnet, UNetConfig
-
-        ddpm = Ddpm(
-            TimeUnet(UNetConfig(
-                image_size=16, base_channels=8, channel_mults=(1,),
-                num_res_blocks=1, groups=4, time_dim=16, seed=0,
-            )),
-            linear_schedule(16),
-        )
-        pipeline = PatternPaint(ddpm, deck)
-        calls = []
-        monkeypatch.setattr(
-            pipeline.executor, "close", lambda: calls.append("owned")
-        )
-        pipeline.close()
-        assert calls == ["owned"]
 
     def test_pipeline_leaves_shared_executor_open(self, deck, monkeypatch):
         from repro.core.pipeline import PatternPaint
@@ -387,8 +275,7 @@ class TestStagedApi:
 class TestRunGeneration:
     def test_one_call_entry_point(self, deck):
         batch = run_generation(
-            GenerationRequest(backend="rule", count=5, seed=1, deck=deck),
-            jobs=2,
+            GenerationRequest(backend="rule", count=5, seed=1, deck=deck)
         )
         assert batch.backend == "rule"
         assert batch.attempts == 5
@@ -398,88 +285,33 @@ class TestRunGeneration:
         assert batch.timings.total_seconds > 0.0
 
 
-class TestSharedPoolRegistry:
-    """Tentpole: one PoolRegistry backing several executors."""
+class TestConcurrentExecutors:
+    """Executors hold no workers, so threads may drive them side by side
+    (the service's compute and commit threads share one per deck)."""
 
-    def test_executors_share_one_pool_per_shape(self, deck):
-        from repro.engine import PoolRegistry
+    def test_concurrent_executors_match_serial(self, deck, clips, noisy_raws):
+        """Two threads driving two executors on one deck produce the same
+        clips, legality and admissions as one serial executor."""
 
-        registry = PoolRegistry()
-        first = BatchExecutor(
-            deck.engine(), ExecutorConfig(jobs=2, pool="thread"),
-            pools=registry,
-        )
-        second = BatchExecutor(
-            deck.engine(), ExecutorConfig(jobs=2, pool="thread"),
-            pools=registry,
-        )
-        raws = [np.zeros((32, 32), dtype=np.float32) for _ in range(4)]
-        first.denoise_batch(raws, [None] * 4, np.random.default_rng(0))
-        second.denoise_batch(raws, [None] * 4, np.random.default_rng(0))
-        assert len(registry) == 1  # one ("thread", 2) pool between them
-        lease = registry[("thread", 2)]
-        assert registry.get(("thread", 2)) is lease
-        registry.close()
-        assert not registry
+        def run(executor):
+            library = PatternLibrary()
+            result = executor.postprocess(
+                list(noisy_raws), list(clips), np.random.default_rng(7),
+                library=library,
+            )
+            return result, library
 
-    def test_executor_close_leaves_shared_registry_alone(self, deck):
-        from repro.engine import PoolRegistry
-
-        registry = PoolRegistry()
-        executor = BatchExecutor(
-            deck.engine(), ExecutorConfig(jobs=2, pool="thread"),
-            pools=registry,
-        )
-        raws = [np.zeros((32, 32), dtype=np.float32) for _ in range(4)]
-        executor.denoise_batch(raws, [None] * 4, np.random.default_rng(0))
-        executor.close()  # shared registry: must NOT shut the pool down
-        assert ("thread", 2) in registry
-        # The pool is still usable by another lease after the close.
-        clips, _ = executor.denoise_batch(
-            raws, [None] * 4, np.random.default_rng(0)
-        )
-        assert len(clips) == 4
-        registry.close()
-
-    def test_owned_registry_still_closed_by_executor(self, deck):
-        executor = BatchExecutor(
-            deck.engine(), ExecutorConfig(jobs=2, pool="thread")
-        )
-        raws = [np.zeros((32, 32), dtype=np.float32) for _ in range(4)]
-        executor.denoise_batch(raws, [None] * 4, np.random.default_rng(0))
-        assert executor.pools
-        executor.close()
-        assert not executor.pools
-
-    def test_concurrent_executors_on_shared_pools_match_serial(self, deck):
-        """Two threads driving two executors over one registry produce
-        the same clips as the serial single-executor path."""
-        from repro.engine import PoolRegistry
-
-        rng_seed = 7
-        raws = [
-            np.random.default_rng(rng_seed + i).uniform(
-                -1, 1, (32, 32)
-            ).astype(np.float32)
-            for i in range(8)
-        ]
-        serial = BatchExecutor(deck.engine(), ExecutorConfig(jobs=2))
-        want, _ = serial.denoise_batch(
-            raws, [None] * 8, np.random.default_rng(0)
-        )
-        serial.close()
-
-        registry = PoolRegistry()
-        results: dict[int, list] = {}
+        want, want_library = run(BatchExecutor(deck.engine()))
+        results: dict[int, tuple] = {}
+        errors: list[BaseException] = []
 
         def worker(idx):
-            executor = BatchExecutor(
-                deck.engine(), ExecutorConfig(jobs=2), pools=registry
-            )
-            clips, _ = executor.denoise_batch(
-                raws, [None] * 8, np.random.default_rng(0)
-            )
-            results[idx] = clips
+            try:
+                executor = BatchExecutor(deck.engine())
+                for _ in range(3):
+                    results[idx] = run(executor)
+            except BaseException as error:  # noqa: BLE001 - test capture
+                errors.append(error)
 
         threads = [
             threading.Thread(target=worker, args=(i,)) for i in range(2)
@@ -488,17 +320,14 @@ class TestSharedPoolRegistry:
             t.start()
         for t in threads:
             t.join()
-        registry.close()
-        for clips in results.values():
-            assert len(clips) == len(want)
-            for a, b in zip(want, clips):
+        assert errors == []
+        assert len(results) == 2
+        for got, library in results.values():
+            assert len(got.clips) == len(want.clips)
+            for a, b in zip(want.clips, got.clips):
                 np.testing.assert_array_equal(a, b)
-
-    def test_close_racing_leased_stage_is_safe(self, deck):
-        from repro.engine import PoolRegistry
-
-        registry = PoolRegistry()
-        with registry.lease("thread", 2) as pool:
-            registry.close()  # retires the leased pool instead of killing it
-            assert pool.submit(lambda: 41 + 1).result() == 42
-        assert not registry  # the last lessee shut it down on release
+            np.testing.assert_array_equal(want.legal, got.legal)
+            assert got.admitted == want.admitted
+            assert len(library) == len(want_library)
+            for a, b in zip(want_library, library):
+                np.testing.assert_array_equal(a, b)

@@ -119,20 +119,18 @@ class TestRunModelPacked:
         """Tentpole: packing changes batch composition, never outputs."""
         model_fn, packed_fn, _ = self._fns(ddpm)
         job_lists = [_jobs(3, 10), _jobs(5, 11), _jobs(2, 12)]
-        with BatchExecutor(
-            deck.engine(), ExecutorConfig(model_batch=4)
-        ) as executor:
-            serial = [
-                executor.run_model_batched(
-                    model_fn, t, m, np.random.default_rng(100 + i)
-                )[0]
-                for i, (t, m) in enumerate(job_lists)
-            ]
-            result = executor.run_model_packed(
-                packed_fn,
-                job_lists,
-                [np.random.default_rng(100 + i) for i in range(3)],
-            )
+        executor = BatchExecutor(deck.engine(), ExecutorConfig(model_batch=4))
+        serial = [
+            executor.run_model_batched(
+                model_fn, t, m, np.random.default_rng(100 + i)
+            )[0]
+            for i, (t, m) in enumerate(job_lists)
+        ]
+        result = executor.run_model_packed(
+            packed_fn,
+            job_lists,
+            [np.random.default_rng(100 + i) for i in range(3)],
+        )
         assert len(result.plan.batches) < result.plan.num_chunks  # packed
         for want, got in zip(serial, result.outputs):
             assert len(want) == len(got)
@@ -145,21 +143,19 @@ class TestRunModelPacked:
         model_fn, packed_fn, _ = self._fns(ddpm)
         job_lists = [_jobs(2, 20), _jobs(2, 21)]
         plan = pack_chunks([2, 2], 4)
-        with BatchExecutor(
-            deck.engine(), ExecutorConfig(model_batch=4)
-        ) as executor:
-            result = executor.run_model_packed(
-                packed_fn,
-                job_lists,
-                [np.random.default_rng(i) for i in range(2)],
-                packing=plan,
-            )
-            serial = [
-                executor.run_model_batched(
-                    model_fn, t, m, np.random.default_rng(i)
-                )[0]
-                for i, (t, m) in enumerate(job_lists)
-            ]
+        executor = BatchExecutor(deck.engine(), ExecutorConfig(model_batch=4))
+        result = executor.run_model_packed(
+            packed_fn,
+            job_lists,
+            [np.random.default_rng(i) for i in range(2)],
+            packing=plan,
+        )
+        serial = [
+            executor.run_model_batched(
+                model_fn, t, m, np.random.default_rng(i)
+            )[0]
+            for i, (t, m) in enumerate(job_lists)
+        ]
         assert result.plan is plan
         for want, got in zip(serial, result.outputs):
             for a, b in zip(want, got):
@@ -171,27 +167,23 @@ class TestRunModelPacked:
             capacity=4,
             batches=[PackedModelBatch(chunks=[ChunkRef(0, 0, 3)])],
         )
-        with BatchExecutor(
-            deck.engine(), ExecutorConfig(model_batch=4)
-        ) as executor:
-            with pytest.raises(ValueError, match="packing plan"):
-                executor.run_model_packed(
-                    packed_fn,
-                    [_jobs(2, 0)],
-                    [np.random.default_rng(0)],
-                    packing=bogus,
-                )
+        executor = BatchExecutor(deck.engine(), ExecutorConfig(model_batch=4))
+        with pytest.raises(ValueError, match="packing plan"):
+            executor.run_model_packed(
+                packed_fn,
+                [_jobs(2, 0)],
+                [np.random.default_rng(0)],
+                packing=bogus,
+            )
 
     def test_seconds_attributed_per_request(self, ddpm, deck):
         _, packed_fn, _ = self._fns(ddpm)
         job_lists = [_jobs(3, 30), _jobs(1, 31)]
-        with BatchExecutor(
-            deck.engine(), ExecutorConfig(model_batch=8)
-        ) as executor:
-            result = executor.run_model_packed(
-                packed_fn, job_lists,
-                [np.random.default_rng(i) for i in range(2)],
-            )
+        executor = BatchExecutor(deck.engine(), ExecutorConfig(model_batch=8))
+        result = executor.run_model_packed(
+            packed_fn, job_lists,
+            [np.random.default_rng(i) for i in range(2)],
+        )
         assert all(s > 0 for s in result.seconds)
         # 3-job request carries three times the 1-job request's share.
         assert result.seconds[0] == pytest.approx(3 * result.seconds[1])

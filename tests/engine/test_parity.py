@@ -21,7 +21,12 @@ from repro.baselines.topologies import random_topology
 from repro.core import PatternPaint, PatternPaintConfig
 from repro.diffusion import Ddpm, InpaintConfig, linear_schedule
 from repro.drc import advanced_deck, basic_deck
-from repro.engine import BatchExecutor, GenerationRequest, get_backend
+from repro.engine import (
+    BatchExecutor,
+    ExecutorConfig,
+    GenerationRequest,
+    get_backend,
+)
 from repro.geometry import Grid
 from repro.nn import TimeUnet, UNetConfig
 
@@ -151,7 +156,8 @@ class TestPatternPaintParity:
 
 
 class TestPipelinePoolDeterminism:
-    """Satellite: the full pipeline is seed-stable under worker pools."""
+    """The full pipeline is seed-stable: a pipeline on a shared, already
+    warm executor (as the service holds one) matches one on its own."""
 
     def test_pooled_run_matches_serial_run(self, deck, ):
         cfg = UNetConfig(
@@ -160,23 +166,27 @@ class TestPipelinePoolDeterminism:
         )
         starters = generate_library(advanced_deck(GRID), 2, np.random.default_rng(8))
 
-        def run(jobs):
+        config = PatternPaintConfig(
+            inpaint=InpaintConfig(num_steps=3),
+            variations_per_mask=1,
+            samples_per_iteration=4,
+            select_k=2,
+        )
+
+        def run(executor=None):
             ddpm = Ddpm(TimeUnet(cfg), linear_schedule(20))
             pipeline = PatternPaint(
-                ddpm,
-                advanced_deck(GRID),
-                PatternPaintConfig(
-                    inpaint=InpaintConfig(num_steps=3),
-                    variations_per_mask=1,
-                    samples_per_iteration=4,
-                    select_k=2,
-                    jobs=jobs,
-                ),
+                ddpm, advanced_deck(GRID), config, executor=executor
             )
             return pipeline.run(starters, np.random.default_rng(6), iterations=1)
 
-        serial = run(1)
-        pooled = run(3)
+        serial = run()
+        shared = BatchExecutor(
+            advanced_deck(GRID).engine(),
+            ExecutorConfig(model_batch=config.model_batch),
+        )
+        run(shared)  # warm the shared executor's DRC cache
+        pooled = run(shared)
         assert len(serial.library) == len(pooled.library)
         for a, b in zip(serial.library, pooled.library):
             np.testing.assert_array_equal(a, b)

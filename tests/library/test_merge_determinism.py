@@ -1,7 +1,7 @@
-"""Shard-merge determinism: pooled admission == serial, bit for bit.
+"""Shard-count determinism: sharded admission == single store, bit for bit.
 
-The worker merge protocol must make library contents and insertion order a
-function of the seed alone — never of ``jobs`` or the pool flavour.
+Library contents and insertion order must be a function of the seed
+alone — never of the store's shard count.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from repro.diffusion import Ddpm, InpaintConfig, linear_schedule
 from repro.drc import advanced_deck
 from repro.engine import (
     BatchExecutor,
-    ExecutorConfig,
     GenerationRequest,
     run_generation,
 )
@@ -46,29 +45,19 @@ def assert_same_library(a, b):
 
 
 class TestAdmitBatchDeterminism:
-    @pytest.mark.parametrize("make_store", [
-        lambda: InMemoryStore(),
-        lambda: ShardedStore(num_shards=4),
-    ])
-    @pytest.mark.parametrize("jobs,pool", [(3, "thread"), (2, "process")])
-    def test_pooled_matches_serial(self, deck, candidates, make_store, jobs, pool):
-        serial_store = make_store()
-        serial_flags = BatchExecutor(deck.engine()).admit_batch(
-            serial_store, candidates
-        )
-        pooled_store = make_store()
-        pooled_flags = BatchExecutor(
-            deck.engine(),
-            ExecutorConfig(jobs=jobs, pool=pool, admit_pool_threshold=0),
-        ).admit_batch(pooled_store, candidates)
-        assert serial_flags == pooled_flags
-        assert_same_library(serial_store, pooled_store)
+    @pytest.mark.parametrize("num_shards", [2, 3, 4])
+    def test_sharded_matches_serial(self, deck, candidates, num_shards):
+        executor = BatchExecutor(deck.engine())
+        serial_store = InMemoryStore()
+        serial_flags = executor.admit_batch(serial_store, candidates)
+        sharded_store = ShardedStore(num_shards=num_shards)
+        sharded_flags = executor.admit_batch(sharded_store, candidates)
+        assert serial_flags == sharded_flags
+        assert_same_library(serial_store, sharded_store)
 
     def test_flags_align_with_candidates(self, deck, candidates):
         store = ShardedStore(num_shards=4)
-        flags = BatchExecutor(
-            deck.engine(), ExecutorConfig(jobs=3, admit_pool_threshold=0)
-        ).admit_batch(store, candidates)
+        flags = BatchExecutor(deck.engine()).admit_batch(store, candidates)
         assert len(flags) == len(candidates)
         # A candidate is admitted iff it is the first occurrence.
         seen = []
@@ -79,22 +68,21 @@ class TestAdmitBatchDeterminism:
 
 
 class TestRunGenerationDeterminism:
-    def test_jobs_and_shards_do_not_change_the_library(self, deck):
-        def run(jobs, store):
+    def test_shards_do_not_change_the_library(self, deck):
+        def run(store):
             return run_generation(
                 GenerationRequest(backend="rule", count=12, seed=5, deck=deck),
-                jobs=jobs,
                 library=store,
             )
 
-        serial = run(1, InMemoryStore())
-        pooled = run(3, ShardedStore(num_shards=4))
-        assert serial.admitted == pooled.admitted
-        assert_same_library(serial.library, pooled.library)
+        serial = run(InMemoryStore())
+        sharded = run(ShardedStore(num_shards=4))
+        assert serial.admitted == sharded.admitted
+        assert_same_library(serial.library, sharded.library)
 
 
 class TestPipelineShardDeterminism:
-    """Acceptance: ShardedStore + jobs>1 == single store serial, bit-identical."""
+    """Acceptance: a ShardedStore run == a single-store run, bit-identical."""
 
     @pytest.fixture(scope="class")
     def parts(self, deck):
@@ -106,7 +94,7 @@ class TestPipelineShardDeterminism:
         starters = generator.sample_many(2, np.random.default_rng(8))
         return cfg, starters
 
-    def _run(self, deck, parts, *, jobs, shards):
+    def _run(self, deck, parts, *, shards):
         cfg, starters = parts
         pipeline = PatternPaint(
             Ddpm(TimeUnet(cfg), linear_schedule(20)),
@@ -116,19 +104,19 @@ class TestPipelineShardDeterminism:
                 variations_per_mask=1,
                 samples_per_iteration=4,
                 select_k=2,
-                jobs=jobs,
                 library_shards=shards,
             ),
         )
         return pipeline.run(starters, np.random.default_rng(6), iterations=1)
 
-    def test_sharded_pooled_run_matches_serial_run(self, deck, parts):
-        serial = self._run(deck, parts, jobs=1, shards=1)
-        pooled = self._run(deck, parts, jobs=3, shards=4)
-        assert_same_library(serial.library, pooled.library)
+    def test_sharded_run_matches_serial_run(self, deck, parts):
+        serial = self._run(deck, parts, shards=1)
+        sharded = self._run(deck, parts, shards=4)
+        assert sharded.library.num_shards == 4
+        assert_same_library(serial.library, sharded.library)
         assert [s.admitted for s in serial.stats] == [
-            s.admitted for s in pooled.stats
+            s.admitted for s in sharded.stats
         ]
         assert [s.h2 for s in serial.stats] == pytest.approx(
-            [s.h2 for s in pooled.stats]
+            [s.h2 for s in sharded.stats]
         )

@@ -289,18 +289,19 @@ class TestRetryRecovery:
         for a, b in zip(reference, served):
             _assert_batches_identical(a, b)
 
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_exhausted_retries_fail_exactly_one_request(self, jobs):
+    @pytest.mark.parametrize("max_batch", [1, 2, 4])
+    def test_exhausted_retries_fail_exactly_one_request(self, max_batch):
         """Tentpole: with retries disabled, one injected fault fails
         exactly one request; survivors are bit-identical and the ordered
-        commit stage never stalls — at any executor job count."""
+        commit stage never stalls — at any micro-batch size."""
         requests = _rule_requests(4, base_seed=50)
         reference = [run_generation(r) for r in requests]
         install_faults("model:raise@1")
         config = ServiceConfig(
-            jobs=jobs,
             retry=RetryPolicy(max_attempts=1),
-            scheduler=SchedulerConfig(gather_window_s=0.05),
+            scheduler=SchedulerConfig(
+                max_batch_requests=max_batch, gather_window_s=0.05
+            ),
         )
         with ServiceClient(config) as client:
             tickets = [client.submit(r) for r in requests]

@@ -94,9 +94,10 @@ class TestFleetDeterminism:
             _assert_batches_identical(expected, got)
 
     def test_jobs_inside_workers_stay_identical(self, deck):
+        # An explicit ServiceConfig crosses into the forked workers intact.
         requests = _requests(deck, 6, base_seed=40)
         serial = [run_generation(request) for request in requests]
-        config = ServiceConfig(jobs=2)
+        config = ServiceConfig(stream_chunk=2)
         with _fleet_client(2, config) as client:
             batches = client.generate_many(requests)
         for expected, got in zip(serial, batches):

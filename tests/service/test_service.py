@@ -108,10 +108,11 @@ class TestDeterminismUnderConcurrency:
             _assert_batches_identical(reference, results[i])
 
     def test_pooled_service_matches_serial(self, deck):
-        # jobs>1 through the whole service stack stays bit-identical.
+        # A concurrent batch through the whole service stack (coalesced
+        # micro-batch, one DRC sweep, ordered commit) stays bit-identical.
         requests = _requests(deck, 4, count=6, base_seed=40)
         serial = [run_generation(request) for request in requests]
-        with ServiceClient(ServiceConfig(jobs=4)) as client:
+        with ServiceClient(ServiceConfig()) as client:
             served = client.generate_many(requests)
         for a, b in zip(serial, served):
             _assert_batches_identical(a, b)
@@ -167,7 +168,7 @@ class TestMixedKeys:
         )
         serial = [run_generation(request) for request in requests]
         config = ServiceConfig(
-            jobs=3, scheduler=SchedulerConfig(gather_window_s=0.02),
+            scheduler=SchedulerConfig(gather_window_s=0.02),
         )
         with ServiceClient(config) as client:
             served = client.generate_many(requests)
@@ -446,7 +447,7 @@ class TestLifecycleAndErrors:
             return get_backend(name, **kwargs)
 
         service = GenerationService(
-            ServiceConfig(jobs=2), backend_factory=strict_factory
+            ServiceConfig(), backend_factory=strict_factory
         )
         request = GenerationRequest(backend="rule", count=2, deck=deck)
         with ServiceClient(service=service) as client:
@@ -455,8 +456,8 @@ class TestLifecycleAndErrors:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ServiceConfig(queue_size=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(jobs=0)
+        with pytest.raises(TypeError):  # no worker-count knob
+            ServiceConfig(jobs=2)
         with pytest.raises(ValueError):
             ServiceConfig(stream_chunk=0)
 

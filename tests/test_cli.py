@@ -25,11 +25,10 @@ class TestParser:
         assert args.command == "serve"
         assert args.port == 8157 and args.host == "127.0.0.1"
         args = parser.parse_args([
-            "serve", "--port", "0", "--jobs", "4", "--max-batch", "16",
+            "serve", "--port", "0", "--max-batch", "16",
             "--gather-window-ms", "5", "--session-dir", "snaps",
             "--checkpoint-every", "3", "--library-shards", "2",
         ])
-        assert args.jobs == 4
         assert args.max_batch == 16
         assert args.gather_window_ms == 5.0
         assert args.session_dir == "snaps"
@@ -41,18 +40,19 @@ class TestParser:
         assert "--session-dir" in capsys.readouterr().err
 
     def test_model_jobs_defaults_to_one(self, capsys):
-        # The model stage always runs in one process (its forwards shard
-        # across cores on threads): -j sizes the denoise/DRC stages
-        # alone, and no flag sizes a model process pool.
+        # No flag sizes a worker pool: the model stage runs in one process
+        # (its forwards shard across cores on threads) and denoise/DRC/
+        # admit run serially, so -j/--jobs/--model-jobs exit 2.
         parser = build_parser()
         for argv in (["serve", "--port", "0"],
                      ["generate", "--out", "x.npz"]):
-            args = parser.parse_args([*argv, "-j", "4"])
-            assert [key for key in vars(args) if "jobs" in key] == ["jobs"]
-            with pytest.raises(SystemExit) as exit_info:
-                main([*argv, "--model-jobs", "2"])
-            assert exit_info.value.code == 2
-            assert "--model-jobs" in capsys.readouterr().err
+            args = parser.parse_args(argv)
+            assert [key for key in vars(args) if "jobs" in key] == []
+            for flag in ("-j", "--jobs", "--model-jobs"):
+                with pytest.raises(SystemExit) as exit_info:
+                    main([*argv, flag, "2"])
+                assert exit_info.value.code == 2
+                assert flag in capsys.readouterr().err
 
     @staticmethod
     def _stub_start(monkeypatch):
@@ -72,22 +72,23 @@ class TestParser:
         return Started
 
     def test_serve_fleet_with_thread_jobs_starts(self, monkeypatch):
-        # -j sizes thread pools, which daemonic fleet workers can open.
+        # --workers is serve's one parallelism flag; inside a worker the
+        # row-sharded forwards are the only threads.
         started = self._stub_start(monkeypatch)
         with pytest.raises(started):
-            main(["serve", "--port", "0", "--workers", "2", "-j", "2"])
+            main(["serve", "--port", "0", "--workers", "2"])
 
     def test_serve_fleet_rejects_process_pools_before_start(
         self, monkeypatch, capsys
     ):
-        # There is no model process pool to hand a daemonic fleet
-        # worker: argparse rejects the flag before anything starts.
+        # There is no worker pool to hand a daemonic fleet worker:
+        # argparse rejects the flags before anything starts.
         self._stub_start(monkeypatch)
-        with pytest.raises(SystemExit) as exit_info:
-            main(["serve", "--port", "0", "--workers", "2",
-                  "--model-jobs", "2"])
-        assert exit_info.value.code == 2
-        assert "--model-jobs" in capsys.readouterr().err
+        for flag in ("-j", "--model-jobs"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["serve", "--port", "0", "--workers", "2", flag, "2"])
+            assert exit_info.value.code == 2
+            assert flag in capsys.readouterr().err
 
     def test_library_commands_parse(self):
         parser = build_parser()
