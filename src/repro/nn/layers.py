@@ -1,40 +1,51 @@
 """Primitive layers with explicit backward rules.
 
-All spatial layers use NCHW layout and ``float32``.  Training-mode
-convolutions lower the padded batch to an im2col matrix with ``kh * kw``
-block copies and run one stacked GEMM, which numpy executes as one GEMM
-per sample.  Every backward rule is verified against finite differences
-in ``tests/nn/test_gradients.py``.
+All spatial layers use NCHW layout and ``float32``.  Every backward rule
+is verified against finite differences in ``tests/nn/test_gradients.py``.
 
-Every layer also carries an inference fast path, taken when
-``module.training`` is false (``Module.eval()`` / ``inference_mode``).
-It records no backward caches and reuses buffers across timesteps, and
-three kernels change shape:
+The two hot kernels run one op sequence in training and inference, so
+the inference forward is bit-identical to the training forward by
+construction:
 
-* :class:`Conv2d` pads, lowers and multiplies one sample at a time, so a
-  sample's columns stay in cache instead of the whole batch's streaming
-  through memory; each sample still gets the very GEMM the stacked
-  matmul would run.
-* The sigmoid inside :class:`SiLU` and :func:`gn_silu` switches from
-  masked fancy indexing to a select-free formulation over the same
-  stable expressions (``exp(-|x|)`` equals ``exp(-x)`` on the positive
-  branch and ``exp(x)`` on the negative one).
-* :class:`AvgPool2x` adds the four window views in the order ``mean``'s
-  reduction uses.
+* :class:`Conv2d` lowers over padded-width rows.  A sample is padded
+  into an arena one row taller than usual, ``(C, Hp + 1, Wp)``; one
+  copy of its ``(C, k, k, H' * Wp)`` patch view (:func:`_row_patches`,
+  whose inner runs are contiguous) is its column matrix, and one
+  ``(F, C * k * k)`` GEMM over ``H' * Wp`` columns gives ``H'`` output
+  rows ``Wp`` wide.  Their last ``k - 1`` columns wrap into the next
+  row and are dropped while the bias is added.  Training stacks the
+  same lowering over the batch (numpy runs one GEMM per sample), and
+  its col2im is ``k * k`` contiguous shifted adds, with the wrap
+  columns of ``dout`` zeroed first.  OpenBLAS picks its GEMM kernel by
+  column count, so the two modes must share the lowering to share bits.
+* :class:`GroupNorm` centres each (sample, group) row, sums its squares
+  with a per-row ``einsum`` (no squared temporary; the two-pass form,
+  because one-pass ``E[x^2] - mean^2`` cancels in float32) and applies
+  ``y = xc * (inv_std * gamma) + beta`` with the scale folded per
+  (sample, channel).  :class:`SiLU` is ``h * (1 + tanh(h))`` with
+  ``h = x * 0.5``, which is ``x * sigmoid(x)`` without an ``exp``
+  overflow branch.  :func:`gn_silu` runs both sequences into scratch.
 
-Both paths are bit-identical: the fast forms evaluate exactly the same
-IEEE operations in the same order, and buffer reuse only changes *where*
-results are written.  That is what lets sampling run through ``eval()``
-without perturbing a single generated pattern
-(``tests/nn/test_inference_mode.py`` checks each kernel on edge values).
+What inference mode (``module.training`` false, see ``Module.eval()`` /
+``inference_mode``) changes is memory, not arithmetic: it records no
+backward caches, reuses buffers across timesteps and lowers
+convolutions one sample at a time, so a sample's columns stay in cache
+instead of the whole batch's streaming through memory.  Two layers keep
+a separate inference form that is exact by construction:
+:class:`AvgPool2x` adds the four window views in the order ``mean``'s
+reduction uses, and :class:`Upsample2x` copies once instead of twice.
+``tests/nn/test_inference_mode.py`` checks every kernel bit for bit
+against its training forward, and ``tests/nn/test_layers.py`` checks
+both modes against independent references.
 
 The fast path is thread-safe, because the UNet runs row shards of one
 forward on several threads (:mod:`repro.nn.shards`).  Every reused buffer
 is per thread:
 
 * elementwise temporaries come from a per-thread scratch pool;
-* the transient padded-input and im2col buffers of :class:`Conv2d` are
-  views into one per-thread arena that every layer shares;
+* the transient padded-input, column and wide-output buffers of
+  :class:`Conv2d` are views into one per-thread arena that every layer
+  shares;
 * each :class:`Conv2d` keeps its output buffers per thread and per shape,
   because skip connections hold them across layers.
 """
@@ -73,8 +84,8 @@ _MAX_WORKSPACES = 4
 #: within a single layer call.
 _SCRATCH: dict[int, dict[tuple, np.ndarray]] = {}
 
-#: Per-thread arena for the transient pad and im2col buffers of
-#: :class:`Conv2d`, ``{thread ident: {name: flat array}}``.  Each call
+#: Per-thread arena for the transient pad, column and wide-output buffers
+#: of :class:`Conv2d`, ``{thread ident: {name: flat array}}``.  Each call
 #: uses a view of a prefix, so all layers share one buffer per name.
 _ARENA: dict[int, dict[str, np.ndarray]] = {}
 
@@ -107,74 +118,44 @@ def _arena(name: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Vectorised numerically-stable sigmoid, bit-identical to the masked
-    two-branch formulation (never exponentiates a positive value).
+def _row_patches(xp: np.ndarray, k: int) -> np.ndarray:
+    """Read-only ``(..., C, k, k, H' * Wp)`` view of padded input
+    ``(..., C, Hp + 1, Wp)``: entry ``[c, i, j, y * Wp + x]`` is
+    ``xp[c, y + i, x + j]``.
 
-    ``exp(-|x|)`` equals ``exp(-x)`` where ``x >= 0`` and ``exp(x)``
-    elsewhere, so the numerator ``1`` or ``e`` over the shared ``1 + e``
-    denominator evaluates exactly the values of both branches.  The
-    numerator is chosen without a select: ``max(e, x >= 0)`` is ``1``
-    where ``x >= 0`` (there ``e <= 1``) and ``e`` elsewhere (the flag is
-    ``0`` and ``e >= 0``), and a NaN ``x`` keeps its NaN ``e``.  An
-    allocating ``np.where`` would cost more than the rest of the chain,
-    and ``abs`` + ``negative`` is cheaper than ``copysign``.
-    All temporaries come from this thread's scratch pool; the returned
-    array is a scratch buffer, only valid until the next inference-mode
-    layer call on the same thread.
+    One copy of it is the wide column matrix.  Columns ``x >= Wp - k + 1``
+    wrap into the next row (the last row's into the spare row, which is
+    why the arena is one row taller) and are dropped after the GEMM.
     """
-    if x.dtype != np.float32:  # rare path: keep dtype semantics exact
-        e = np.exp(-np.abs(x))
-        num = np.where(x >= 0, x.dtype.type(1.0), e)
-        return num / (1.0 + e)
-    e = _scratch(x.shape, np.float32, 0)
-    num = _scratch(x.shape, np.float32, 1)
-    np.abs(x, out=e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    np.greater_equal(x, np.float32(0.0), out=num, casting="unsafe")
-    np.maximum(e, num, out=num)
-    np.add(e, np.float32(1.0), out=e)  # e becomes the shared denominator
-    np.divide(num, e, out=num)
-    return num
-
-
-def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Lower padded input (N,C,Hp,Wp) to columns (N, C*kh*kw, H'*W').
-
-    Built with ``kh * kw`` contiguous block copies, which on a whole batch
-    is markedly faster on CPU than gathering through a strided 6-D view.
-    The inference path lowers one sample at a time instead, where a
-    single copy of :func:`_patches` wins (see :class:`Conv2d`).
-    """
-    n, c, hp, wp = xp.shape
-    out_h = hp - kh + 1
-    out_w = wp - kw + 1
-    cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=np.float32)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + out_h, j : j + out_w]
-    return cols.reshape(n, c * kh * kw, out_h * out_w)
-
-
-def _patches(xp: np.ndarray, k: int) -> np.ndarray:
-    """Read-only ``(C, k, k, H', W')`` view of every ``k x k`` patch of one
-    padded sample ``(C, Hp, Wp)``: one copy of it is that sample's im2col
-    matrix."""
-    c, hp, wp = xp.shape
-    sc, sh, sw = xp.strides
+    *lead, c, rows, wp = xp.shape
+    *lead_strides, sc, sh, sw = xp.strides
     return as_strided(
         xp,
-        (c, k, k, hp - k + 1, wp - k + 1),
-        (sc, sh, sw, sh, sw),
+        (*lead, c, k, k, (rows - k) * wp),
+        (*lead_strides, sc, sh, sw, sw),
         writeable=False,
     )
+
+
+def _silu_into(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``x * sigmoid(x)`` as ``h * (1 + tanh(h))``, ``h = x * 0.5``, into
+    ``out`` (which may be ``x``), with ``1 + tanh(h)`` left in ``tmp``.
+
+    ``tanh`` saturates instead of overflowing, so no input needs a
+    branch; ``1 + tanh(h)`` rounds to 0 below about ``x = -17``, where
+    the exact value is under ``1e-6`` in magnitude.
+    """
+    np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=tmp)
+    np.add(tmp, 1.0, out=tmp)
+    return np.multiply(out, tmp, out=out)
 
 
 class Conv2d(Module):
     """Stride-1 2-D convolution with symmetric zero padding.
 
-    Forward/backward are GEMM-based (im2col / col2im) for CPU speed.
+    Forward/backward are GEMM-based (wide-row im2col / col2im) for CPU
+    speed; see the module docstring.
     """
 
     def __init__(
@@ -207,30 +188,36 @@ class Conv2d(Module):
             return self._forward_inference(x)
         x = np.ascontiguousarray(x, dtype=np.float32)
         pad = self.padding
-        kh = kw = self.kernel_size
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-        n = x.shape[0]
-        out_h = xp.shape[2] - kh + 1
-        out_w = xp.shape[3] - kw + 1
-        cols = _im2col(xp, kh, kw)  # (N, C*kh*kw, H'*W')
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
-        out = np.matmul(w_mat, cols)  # (N, F, H'*W')
-        out = out.reshape(n, self.out_channels, out_h, out_w)
+        k = self.kernel_size
+        n, c, h, w = x.shape
+        f = self.out_channels
+        hp, wp = h + 2 * pad, w + 2 * pad
+        out_h, out_w = hp - k + 1, wp - k + 1
+        xp = np.zeros((n, c, hp + 1, wp), dtype=np.float32)
+        xp[:, :, pad : pad + h, pad : pad + w] = x
+        cols = np.ascontiguousarray(_row_patches(xp, k))
+        cols = cols.reshape(n, c * k * k, out_h * wp)
+        w_mat = self.weight.data.reshape(f, -1)
+        wide = np.matmul(w_mat, cols).reshape(n, f, out_h, wp)
         if self.bias is not None:
-            out += self.bias.data[None, :, None, None]
-        self._cache = (cols, x.shape, (out_h, out_w))
+            out = wide[..., :out_w] + self.bias.data[:, None, None]
+        else:
+            out = np.ascontiguousarray(wide[..., :out_w])
+        self._cache = (cols, x.shape)
         return out
 
     def _forward_inference(self, x: np.ndarray) -> np.ndarray:
         """No-cache forward reusing per-thread buffers, one sample at a time.
 
-        Each sample is padded into this thread's shared arena, lowered to
-        its im2col columns with one copy of :func:`_patches` and multiplied
-        straight into its rows of the output.  numpy's stacked matmul runs
-        one GEMM per sample too, so this is bit-identical to the batched
-        training forward, but one sample's columns (at most a few MB) stay
-        in cache where the whole batch's would stream through memory.  A
-        pointwise conv needs no columns and keeps one stacked matmul.
+        Each sample is padded into this thread's shared arena, lowered
+        with one copy of :func:`_row_patches` and multiplied into the
+        wide arena, whose valid columns then land in that sample's rows
+        of the output with the bias added.  numpy's stacked matmul runs
+        one GEMM of the same shape per sample, so this is bit-identical
+        to the training forward, but one sample's columns (at most a few
+        MB) stay in cache where the whole batch's would stream through
+        memory.  A pointwise conv needs no columns and keeps one stacked
+        matmul.
 
         The output buffer is kept per thread and per input shape: it is
         valid until this layer's next inference forward on the same thread.
@@ -244,70 +231,78 @@ class Conv2d(Module):
         k = self.kernel_size
         n, c, h, w = x.shape
         f = self.out_channels
-        out_h = h + 2 * pad - k + 1
-        out_w = w + 2 * pad - k + 1
+        hp, wp = h + 2 * pad, w + 2 * pad
+        out_h, out_w = hp - k + 1, wp - k + 1
         outs = thread_slot(self._workspaces)
         out = outs.get(x.shape)
         if out is None:
             if len(outs) >= _MAX_WORKSPACES:
                 outs.pop(next(iter(outs)))
-            out = outs[x.shape] = np.empty((n, f, out_h * out_w), dtype=np.float32)
+            out = outs[x.shape] = np.empty((n, f, out_h, out_w), dtype=np.float32)
         w_mat = self.weight.data.reshape(f, -1)
-        bias = None if self.bias is None else self.bias.data[:, None]
+        bias = None if self.bias is None else self.bias.data[:, None, None]
         if k == 1 and pad == 0:
-            # Pointwise conv: the im2col matrix IS the input, no copies.
-            np.matmul(w_mat, x.reshape(n, c, h * w), out=out)
+            # Pointwise conv: the column matrix IS the input, no copies.
+            np.matmul(w_mat, x.reshape(n, c, h * w), out=out.reshape(n, f, h * w))
             if bias is not None:
                 out += bias
-            return out.reshape(n, f, out_h, out_w)
-        xp = _arena("xp", (c, h + 2 * pad, w + 2 * pad))
-        if pad:
-            # The arena is shared, so the border is re-zeroed each call.
-            xp[:, :pad] = 0.0
-            xp[:, h + pad :] = 0.0
-            xp[:, pad : h + pad, :pad] = 0.0
-            xp[:, pad : h + pad, w + pad :] = 0.0
-        cols = _arena("cols", (c, k, k, out_h, out_w))
-        cols_mat = cols.reshape(c * k * k, out_h * out_w)
+            return out
+        xp = _arena("xp", (c, hp + 1, wp))
+        # The arena is shared, so the border and spare row are re-zeroed
+        # each call.
+        xp[:, :pad] = 0.0
+        xp[:, pad + h :] = 0.0
+        xp[:, pad : pad + h, :pad] = 0.0
+        xp[:, pad : pad + h, pad + w :] = 0.0
+        cols = _arena("cols", (c, k, k, out_h * wp))
+        cols_mat = cols.reshape(c * k * k, out_h * wp)
+        wide = _arena("wide", (f, out_h, wp))
+        wide_mat = wide.reshape(f, out_h * wp)
         for r in range(n):
-            if pad:
-                xp[:, pad : h + pad, pad : w + pad] = x[r]
-                np.copyto(cols, _patches(xp, k))
-            else:
-                np.copyto(cols, _patches(x[r], k))
-            np.matmul(w_mat, cols_mat, out=out[r])
+            xp[:, pad : pad + h, pad : pad + w] = x[r]
+            np.copyto(cols, _row_patches(xp, k))
+            np.matmul(w_mat, cols_mat, out=wide_mat)
             if bias is not None:
-                out[r] += bias
-        return out.reshape(n, f, out_h, out_w)
+                np.add(wide[:, :, :out_w], bias, out=out[r])
+            else:
+                out[r] = wide[:, :, :out_w]
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        cols, x_shape, (out_h, out_w) = self._cache
-        n, c, h, w = x_shape
+        cols, (n, c, h, w) = self._cache
         pad = self.padding
-        kh = kw = self.kernel_size
+        k = self.kernel_size
         f = self.out_channels
-        dout_mat = np.ascontiguousarray(dout, dtype=np.float32).reshape(
-            n, f, out_h * out_w
-        )
+        hp, wp = h + 2 * pad, w + 2 * pad
+        out_h, out_w = hp - k + 1, wp - k + 1
+        dout = np.asarray(dout, dtype=np.float32)
 
         if self.bias is not None:
-            self.bias.grad += dout_mat.sum(axis=(0, 2))
+            self.bias.grad += dout.sum(axis=(0, 2, 3))
+
+        # The gradient over the wide rows: zero at the wrap columns, so
+        # they reach neither dW nor dx.
+        dwide = np.zeros((n, f, out_h, wp), dtype=np.float32)
+        dwide[..., :out_w] = dout
+        dwide = dwide.reshape(n, f, out_h * wp)
 
         # dW: sum over batch of dout @ cols^T.
-        dweight = np.matmul(dout_mat, cols.transpose(0, 2, 1)).sum(axis=0)
+        dweight = np.matmul(dwide, cols.transpose(0, 2, 1)).sum(axis=0)
         self.weight.grad += dweight.reshape(self.weight.data.shape)
 
-        # dX via col2im: scatter-add the column gradients back.
         w_mat = self.weight.data.reshape(f, -1)
-        dcols = np.matmul(w_mat.T, dout_mat)  # (N, C*kh*kw, H'*W')
-        dcols = dcols.reshape(n, c, kh, kw, out_h, out_w)
-        dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i : i + out_h, j : j + out_w] += dcols[:, :, i, j]
-        if pad:
-            dxp = dxp[:, :, pad:-pad, pad:-pad]
-        return np.ascontiguousarray(dxp)
+        dcols = np.matmul(w_mat.T, dwide)  # (N, C*k*k, H'*Wp)
+        # col2im: each (i, j) tap is one contiguous shifted add over the
+        # flattened padded rows.
+        dcols = dcols.reshape(n, c, k, k, out_h * wp)
+        dxp = np.zeros((n, c, (hp + 1) * wp), dtype=np.float32)
+        span = out_h * wp
+        for i in range(k):
+            for j in range(k):
+                at = i * wp + j
+                dxp[:, :, at : at + span] += dcols[:, :, i, j]
+        dxp = dxp.reshape(n, c, hp + 1, wp)
+        return np.ascontiguousarray(dxp[:, :, pad : pad + h, pad : pad + w])
 
 
 class Linear(Module):
@@ -358,52 +353,53 @@ class GroupNorm(Module):
         self.beta = Parameter(zeros_init((num_channels,)), "beta")
         self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training:
-            return self._forward_inference(x)
-        n, c, h, w = x.shape
-        g = self.num_groups
-        xg = x.reshape(n, g, c // g * h * w)
-        mean = xg.mean(axis=2, keepdims=True)
-        var = xg.var(axis=2, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = ((xg - mean) * inv_std).reshape(n, c, h, w)
-        self._cache = (xhat, inv_std, (n, c, h, w))
-        return xhat * self.gamma.data[None, :, None, None] + self.beta.data[
-            None, :, None, None
-        ]
+    def _normalize(self, x: np.ndarray, xc: np.ndarray, out: np.ndarray):
+        """The one normalization sequence of both modes.
 
-    def _forward_inference(self, x: np.ndarray) -> np.ndarray:
-        """Cache-free normalization into a scratch buffer.
-
-        ``np.var`` recomputes the mean internally; here the centered array
-        is computed once and shared between the variance reduction and the
-        normalized output (``mean((x - mean)^2)`` runs the exact reductions
-        ``var`` performs, so the result is bit-identical).  The returned
-        array is this thread's scratch, valid until its next inference-mode
-        layer call of the same shape — inside the UNet every consumer reads
-        it before the next normalization runs.
+        Writes ``x - mean`` into ``xc`` and ``xc * (inv_std * gamma) +
+        beta`` into ``out`` (which may be ``xc``); returns ``inv_std`` as
+        ``(N, G, 1)``.  The variance is the centred sum of squares from a
+        per-row ``einsum``, which needs no squared temporary.
         """
         n, c, h, w = x.shape
         g = self.num_groups
         xg = x.reshape(n, g, c // g * h * w)
-        mean = xg.mean(axis=2, keepdims=True)
-        out = _scratch(x.shape, np.float32, 3).reshape(xg.shape)
-        np.subtract(xg, mean, out=out)
-        sq = _scratch(x.shape, np.float32, 4).reshape(xg.shape)
-        np.multiply(out, out, out=sq)
-        var = sq.mean(axis=2, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        np.multiply(out, inv_std, out=out)
-        out = out.reshape(n, c, h, w)
-        np.multiply(out, self.gamma.data[None, :, None, None], out=out)
-        np.add(out, self.beta.data[None, :, None, None], out=out)
+        rows = xc.reshape(n * g, -1)
+        np.subtract(xg, xg.mean(axis=2, keepdims=True), out=rows.reshape(xg.shape))
+        var = np.einsum("ij,ij->i", rows, rows) / rows.shape[1]
+        inv_std = (1.0 / np.sqrt(var + self.eps)).reshape(n, g, 1)
+        scale = (inv_std * self.gamma.data.reshape(g, -1)).reshape(n, c, 1)
+        y = out.reshape(n, c, h * w)
+        np.multiply(xc.reshape(n, c, h * w), scale, out=y)
+        np.add(y, self.beta.data[:, None], out=y)
+        return inv_std
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if not self.training:
+            return self._forward_inference(x)
+        xc = np.empty_like(x)
+        out = np.empty_like(x)
+        inv_std = self._normalize(x, xc, out)
+        self._cache = (xc, inv_std)
         return out
 
+    def _forward_inference(self, x: np.ndarray) -> np.ndarray:
+        """Cache-free normalization, in place in one scratch buffer.
+
+        The returned array is this thread's scratch, valid until its next
+        inference-mode layer call of the same shape — inside the UNet
+        every consumer reads it before the next normalization runs.
+        """
+        y = _scratch(x.shape, np.float32, 3)
+        self._normalize(x, y, y)
+        return y
+
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        xhat, inv_std, (n, c, h, w) = self._cache
+        xc, inv_std = self._cache
+        n, c, h, w = xc.shape
         g = self.num_groups
         m = c // g * h * w
+        xhat = (xc.reshape(n, g, m) * inv_std).reshape(n, c, h, w)
 
         self.gamma.grad += (dout * xhat).sum(axis=(0, 2, 3))
         self.beta.grad += dout.sum(axis=(0, 2, 3))
@@ -426,16 +422,12 @@ class SiLU(Module):
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training:
-            return x * _stable_sigmoid(x)
-        # Numerically stable sigmoid: never exponentiates a positive value.
-        sig = np.empty_like(x)
-        pos = x >= 0
-        sig[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        sig[~pos] = ex / (1.0 + ex)
-        self._cache = (x, sig)
-        return x * sig
+        out = np.empty_like(x)
+        one_plus_tanh = np.empty_like(x)
+        _silu_into(x, out, one_plus_tanh)
+        if self.training:
+            self._cache = (x, np.multiply(one_plus_tanh, 0.5, out=one_plus_tanh))
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         x, sig = self._cache
@@ -445,14 +437,13 @@ class SiLU(Module):
 def gn_silu(norm: GroupNorm, x: np.ndarray) -> np.ndarray:
     """Fused inference-mode GroupNorm -> SiLU (the ResBlock hot pair).
 
-    Normalizes, applies the affine in place, then multiplies by the stable
-    sigmoid into the same buffer — one fresh allocation for the normalized
-    activations plus the sigmoid temporaries, no backward caches.  Bit-
-    identical to ``SiLU()(GroupNorm(...)(x))`` in either mode.
+    Runs both layers' op sequences in place in one scratch buffer, with
+    one more scratch slot for ``1 + tanh``, and records no backward
+    caches.  Bit-identical to ``SiLU()(GroupNorm(...)(x))`` in either
+    mode.
     """
     y = norm._forward_inference(x)
-    np.multiply(y, _stable_sigmoid(y), out=y)
-    return y
+    return _silu_into(y, y, _scratch(y.shape, np.float32, 0))
 
 
 class Upsample2x(Module):

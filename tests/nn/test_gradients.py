@@ -99,6 +99,25 @@ class TestLayerGradients:
         check_param_grads(module, loss_fn)
         check_input_grad(x, dx, loss_fn)
 
+    @pytest.mark.parametrize("padding", [1, 0])
+    def test_conv2d_wrap_columns(self, padding):
+        """A narrow (2, 3, 5, 4) input, where the wrap columns of the
+        wide-row lowering read the next row's data.  Every weight and
+        every input entry is checked: a wrap column that reached ``dW`` or
+        ``dx`` would show up only at some of them."""
+        module = Conv2d(3, 2, 3, np.random.default_rng(5), padding=padding)
+        x, dx, loss_fn = self.quadratic_setup(module, (2, 3, 5, 4), seed=3)
+        check_param_grads(module, loss_fn, n_checks=module.weight.data.size)
+        for idx in np.ndindex(x.shape):
+            numeric = _richardson(
+                lambda: float(x[idx]),
+                lambda v: x.__setitem__(idx, v),
+                loss_fn,
+            )
+            analytic = float(dx[idx])
+            tol = RTOL * max(abs(numeric), abs(analytic), 5e-3)
+            assert abs(numeric - analytic) <= tol, (idx, numeric, analytic)
+
     def test_linear(self):
         module = Linear(4, 3, np.random.default_rng(1))
         x, dx, loss_fn = self.quadratic_setup(module, (6, 4))

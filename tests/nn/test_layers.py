@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import AvgPool2x, Conv2d, GroupNorm, Linear, SiLU, Upsample2x
-from repro.nn.layers import Chain, Flatten, Identity, Reshape
+from repro.nn.layers import Chain, Flatten, Identity, Reshape, gn_silu
 
 
 def rng():
@@ -28,6 +28,18 @@ def naive_conv(x, w, b, pad):
     return out
 
 
+def gn_silu_reference(x, gamma, beta, groups, eps=1e-5):
+    """GroupNorm -> SiLU in float64, with the sigmoid as
+    ``exp(-log(1 + exp(-y)))``, which neither overflows nor cancels."""
+    n, c, h, w = x.shape
+    xg = x.astype(np.float64).reshape(n, groups, -1)
+    centred = xg - xg.mean(axis=2, keepdims=True)
+    var = (centred**2).mean(axis=2, keepdims=True)
+    y = (centred / np.sqrt(var + eps)).reshape(n, c, h, w)
+    y = y * gamma[None, :, None, None] + beta[None, :, None, None]
+    return y * np.exp(-np.logaddexp(0.0, -y))
+
+
 class TestConv2d:
     def test_matches_naive_convolution(self):
         conv = Conv2d(2, 3, 3, rng())
@@ -35,6 +47,31 @@ class TestConv2d:
         out = conv(x)
         expected = naive_conv(x, conv.weight.data, conv.bias.data, 1)
         np.testing.assert_allclose(out, expected, rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("hw", [(5, 7), (12, 10)])
+    def test_matches_naive_in_both_modes(self, mode, k, padding, n, hw):
+        """Narrow non-square inputs: the wrap columns of the wide-row
+        lowering read the next row's data (or, unpadded, real pixels),
+        so any leak of them into the output shows here."""
+        gen = np.random.default_rng(100 * k + 10 * padding + n)
+        conv = Conv2d(3, 4, k, gen, padding=padding)
+        conv.bias.data[:] = gen.normal(size=4)
+        x = gen.normal(size=(n, 3) + hw).astype(np.float32)
+        if mode == "eval":
+            conv.eval()
+        out = conv(x).copy()
+        expected = naive_conv(
+            x.astype(np.float64),
+            conv.weight.data.astype(np.float64),
+            conv.bias.data.astype(np.float64),
+            padding,
+        )
+        assert out.shape == expected.shape
+        np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-5)
 
     def test_1x1_convolution_is_channel_mix(self):
         conv = Conv2d(4, 2, 1, rng(), padding=0)
@@ -94,6 +131,37 @@ class TestGroupNorm:
     def test_channel_divisibility_enforced(self):
         with pytest.raises(ValueError):
             GroupNorm(3, 4)
+
+
+class TestGnSiLU:
+    @pytest.mark.parametrize("form", ["train", "eval", "fused"])
+    def test_matches_float64_reference(self, form):
+        """Betas from -60 to 60 push the activations far past the point
+        (about -17) where ``1 + tanh(x / 2)`` rounds to 0 in float32; the
+        absolute bound must still hold there."""
+        gen = np.random.default_rng(4)
+        channels, groups = 16, 4
+        x = gen.normal(loc=2.0, scale=3.0, size=(3, channels, 6, 5))
+        x = x.astype(np.float32)
+        norm = GroupNorm(groups, channels)
+        norm.gamma.data[:] = gen.uniform(0.5, 8.0, size=channels)
+        norm.beta.data[:] = np.linspace(-60.0, 60.0, channels)
+        act = SiLU()
+        if form == "train":
+            out = act(norm(x))
+        else:
+            norm.eval()
+            act.eval()
+            out = act(norm(x)) if form == "eval" else gn_silu(norm, x).copy()
+        expected = gn_silu_reference(
+            x, norm.gamma.data.astype(np.float64),
+            norm.beta.data.astype(np.float64), groups,
+        )
+        # A fifth of the activations come from inputs below about -17.
+        assert np.mean((expected < 0.0) & (expected > -1e-6)) > 0.2
+        err = np.abs(out.astype(np.float64) - expected)
+        bound = 2e-6 + 1e-5 * np.abs(expected)
+        assert np.all(err <= bound), float((err - bound).max())
 
 
 class TestSiLU:
