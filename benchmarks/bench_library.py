@@ -1,4 +1,4 @@
-"""Library admit throughput bench: per-clip vs batched vs sharded, plus merge.
+"""Library admit throughput bench: per-clip vs batched.
 
 Measures admission on a synthetic 10k-clip workload with the duplication
 profile of the iterative loop (every pattern proposed roughly twice):
@@ -6,15 +6,10 @@ profile of the iterative loop (every pattern proposed roughly twice):
 * **per-clip**  — ``store.admit`` in a loop: one scalar hash + one set probe
   per clip (the seed's ``PatternLibrary.add`` behaviour);
 * **batched**   — ``InMemoryStore.admit_many``: one vectorised hash pass
-  over the whole batch, vectorised copy of admitted rows;
-* **sharded**   — ``ShardedStore(4).admit_many``: the same batched path
-  against hash-prefix partitioned populations;
-* **merge**     — the worker protocol: ``compute_delta`` over 4 contiguous
-  slices, then ``ShardedStore.merge`` in slice order.
+  over the whole batch, vectorised copy of admitted rows.
 
-Acceptance target (ISSUE 2): batched admission into a 4-shard store >= 2x
-the per-clip baseline's throughput.  Runs standalone
-(``python benchmarks/bench_library.py``) or under pytest.
+Gate: batched admission >= 2x the per-clip baseline's throughput.  Runs
+standalone (``python benchmarks/bench_library.py``) or under pytest.
 """
 
 import time
@@ -28,13 +23,11 @@ except ImportError:  # pragma: no cover - standalone fallback
         print(f"\n=== {title} ===\n{text}")
 
 from repro.experiments.common import format_table
-from repro.library import InMemoryStore, ShardedStore, compute_delta
+from repro.library import InMemoryStore
 
 TOTAL_CLIPS = 10_000
 UNIQUE_CLIPS = 5_000
 CLIP_SHAPE = (32, 32)
-SHARDS = 4
-MERGE_SLICES = 4
 
 
 def _workload() -> list[np.ndarray]:
@@ -57,7 +50,7 @@ def _timed(fn) -> float:
 
 
 def run_bench(runs: int = 5) -> dict[str, float]:
-    """Time the four admission modes; returns seconds per mode."""
+    """Time both admission modes; returns seconds per mode."""
     clips = _workload()
 
     def per_clip():
@@ -68,24 +61,9 @@ def run_bench(runs: int = 5) -> dict[str, float]:
     def batched():
         InMemoryStore().admit_many(clips)
 
-    def sharded():
-        ShardedStore(num_shards=SHARDS).admit_many(clips)
-
-    def merge():
-        store = ShardedStore(num_shards=SHARDS)
-        bounds = np.linspace(0, len(clips), MERGE_SLICES + 1).astype(int)
-        deltas = [
-            compute_delta(clips[lo:hi], offset=int(lo))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        for delta in deltas:
-            store.merge(delta)
-
     return {
         "per-clip": _best_of(runs, per_clip),
         "batched": _best_of(runs, batched),
-        "sharded": _best_of(runs, sharded),
-        "merge": _best_of(runs, merge),
     }
 
 
@@ -104,18 +82,18 @@ def render(times: dict[str, float]) -> str:
         rows,
         title=(
             f"Library admit throughput ({TOTAL_CLIPS} clips, "
-            f"{UNIQUE_CLIPS} unique, {SHARDS} shards)"
+            f"{UNIQUE_CLIPS} unique)"
         ),
     )
 
 
 class TestLibraryThroughput:
-    def test_sharded_batched_admit_at_least_2x_per_clip(self):
+    def test_batched_admit_at_least_2x_per_clip(self):
         times = run_bench()
         report("bench_library: admission modes", render(times))
-        assert times["sharded"] * 2.0 <= times["per-clip"], (
-            f"sharded={times['sharded']:.4f}s per-clip={times['per-clip']:.4f}s: "
-            "batched sharded admission must be >= 2x per-clip throughput"
+        assert times["batched"] * 2.0 <= times["per-clip"], (
+            f"batched={times['batched']:.4f}s per-clip={times['per-clip']:.4f}s: "
+            "batched admission must be >= 2x per-clip throughput"
         )
 
     def test_all_modes_admit_identical_contents(self):
@@ -125,12 +103,9 @@ class TestLibraryThroughput:
             a.admit(clip)
         b = InMemoryStore()
         b.admit_many(clips)
-        c = ShardedStore(num_shards=SHARDS)
-        c.admit_many(clips)
-        assert len(a) == len(b) == len(c)
-        for x, y, z in zip(a, b, c):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
-            np.testing.assert_array_equal(x, z)
 
 
 if __name__ == "__main__":  # pragma: no cover

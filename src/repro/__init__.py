@@ -50,8 +50,6 @@ from .geometry.squish import SquishPattern, squish, unsquish
 from .library import (
     InMemoryStore,
     LibraryStore,
-    ShardDelta,
-    ShardedStore,
     load_library,
     merge_libraries,
     save_library,
@@ -80,8 +78,6 @@ __all__ = [
     "RuleDeck",
     "ServiceClient",
     "ServiceConfig",
-    "ShardDelta",
-    "ShardedStore",
     "SquishPattern",
     "TemplateDenoiseConfig",
     "__version__",

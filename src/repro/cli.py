@@ -2,7 +2,7 @@
 
 Commands cover the full workflow a downstream user needs: generating
 rule-based libraries, running DRC, inspecting squish representations,
-rendering clips, building the model zoo, managing sharded library
+rendering clips, building the model zoo, managing library
 snapshots (``repro library info|merge``, ``generate --library-dir``),
 serving concurrent clients over TCP (``repro serve``), and regenerating
 every table and figure of the paper.
@@ -43,11 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-n", "--count", type=_positive_int, default=20)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output .npz path")
-    gen.add_argument("--library-shards", type=_positive_int, default=None,
-                     metavar="N",
-                     help="shard the dedup library by pattern-hash prefix "
-                          "(contents are identical for any value; default: "
-                          "keep an existing snapshot's layout, else 1)")
     gen.add_argument("--library-dir", default=None, metavar="DIR",
                      help="persistent library snapshot directory: existing "
                           "clips are loaded first (cross-run dedup), and the "
@@ -103,9 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="MS",
                        help="how long to hold the window open for "
                             "co-arriving compatible requests")
-    serve.add_argument("--library-shards", type=_positive_int, default=1,
-                       metavar="N",
-                       help="shard count for session library stores")
     serve.add_argument("--session-dir", default=None, metavar="DIR",
                        help="root directory for per-session library "
                             "snapshots (loaded on first use, checkpointed "
@@ -149,9 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     merge.add_argument("out", help="output snapshot directory")
     merge.add_argument("sources", nargs="+", help="source snapshot directories")
-    merge.add_argument("--shards", type=_positive_int, default=None,
-                       help="re-shard the merged library (default: keep the "
-                            "first source's layout)")
 
     for table in ("table1", "table2", "table3", "fig7", "fig9"):
         exp = sub.add_parser(table, help=f"reproduce {table} of the paper")
@@ -171,7 +160,7 @@ def _cmd_generate(args) -> int:
     from .engine import GenerationRequest, get_backend, run_generation
     from .io.clips import save_clips
     from .library import (
-        ShardedStore,
+        InMemoryStore,
         ensure_snapshot_target,
         is_library_dir,
         load_library,
@@ -190,18 +179,12 @@ def _cmd_generate(args) -> int:
     store = None
     try:
         if args.library_dir and is_library_dir(args.library_dir):
-            # None keeps the snapshot's own shard layout.
-            store = load_library(
-                args.library_dir, num_shards=args.library_shards
-            )
+            store = load_library(args.library_dir)
             print(f"loaded {len(store)} clips from {args.library_dir}")
-        elif args.library_dir or (args.library_shards or 1) > 1:
-            if args.library_dir:
-                # Fail before generation, not after, on an unusable target.
-                ensure_snapshot_target(args.library_dir)
-            store = ShardedStore(
-                num_shards=args.library_shards or 1, name=args.backend
-            )
+        elif args.library_dir:
+            # Fail before generation, not after, on an unusable target.
+            ensure_snapshot_target(args.library_dir)
+            store = InMemoryStore(name=args.backend)
     except (FileNotFoundError, ValueError) as error:
         print(f"repro generate: error: {error}", file=sys.stderr)
         return 2
@@ -233,7 +216,7 @@ def _cmd_generate(args) -> int:
         save_library(batch.library, Path(args.library_dir))
         print(
             f"library snapshot: {len(batch.library)} clips "
-            f"({batch.library.num_shards} shards) in {args.library_dir}"
+            f"in {args.library_dir}"
         )
     if not clips:
         # Faithful outcome for weak backends under strict decks (e.g. CUP
@@ -273,19 +256,15 @@ def _cmd_library(args) -> int:
             print(f"repro library: error: {error}", file=sys.stderr)
             return 2
         summary = store.summary()
-        print(
-            f"{store.name}: {len(store)} clips in {store.num_shards} shards"
-        )
+        print(f"{store.name}: {len(store)} clips")
         print(
             f"unique={summary.unique}  H1={summary.h1:.3f}  "
             f"H2={summary.h2:.3f}  mean_density={summary.mean_density:.3f}"
         )
-        sizes = store.shard_sizes()
-        print("shard sizes: " + ", ".join(str(n) for n in sizes))
         return 0
     if args.library_command == "merge":
         try:
-            merged = merge_libraries(args.sources, num_shards=args.shards)
+            merged = merge_libraries(args.sources)
         except (FileNotFoundError, ValueError) as error:
             print(f"repro library: error: {error}", file=sys.stderr)
             return 2
@@ -294,7 +273,7 @@ def _cmd_library(args) -> int:
         print(
             f"merged {len(args.sources)} libraries ({total} clips, "
             f"{total - len(merged)} duplicates) into {args.out}: "
-            f"{len(merged)} clips in {merged.num_shards} shards"
+            f"{len(merged)} clips"
         )
         return 0
     raise AssertionError(
@@ -326,7 +305,6 @@ def _cmd_serve(args) -> int:
             gather_window_s=args.gather_window_ms / 1000.0,
         ),
         sessions=SessionConfig(
-            library_shards=args.library_shards,
             snapshot_root=args.session_dir,
             checkpoint_every=args.checkpoint_every or 0,
         ),

@@ -2,10 +2,9 @@
 
 The iterative generation loop only admits *clean and new* samples (Section
 V-A).  Deduplicated clip storage now lives in :mod:`repro.library`
-(:class:`~repro.library.InMemoryStore`, :class:`~repro.library.ShardedStore`,
-persistence, the worker merge protocol); :class:`PatternLibrary` survives
-as a thin facade so the original ``add``/``add_many`` vocabulary and
-import path keep working.
+(:class:`~repro.library.InMemoryStore`, snapshot persistence and merging);
+:class:`PatternLibrary` survives as a thin facade so the original
+``add``/``add_many`` vocabulary and import path keep working.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ class PatternLibrary(InMemoryStore):
 
     Identical storage semantics to :class:`~repro.library.InMemoryStore`
     (it *is* one); only the historical method names differ.  New code
-    should use the store protocol (``admit``/``admit_many``/``merge``)
-    directly.
+    should use ``admit``/``admit_many`` directly.
     """
 
     def add(self, clip: np.ndarray) -> bool:

@@ -34,7 +34,7 @@ from ..diffusion.inpaint import InpaintConfig
 from ..drc.decks import RuleDeck
 from ..engine.executor import BatchExecutor, ExecutorConfig
 from ..engine.modelpool import inpaint_jobs
-from ..library import LibraryStore, ShardedStore
+from ..library import LibraryStore
 from .library import PatternLibrary
 from .masks import MaskScheduler, all_masks
 from .selection import density_constraint, select_representative
@@ -52,10 +52,7 @@ class PatternPaintConfig:
     ``keep_raw`` retains pre-denoise model outputs with their templates so
     the Table III harness can re-score them under different denoisers.
     There is no worker count: the inpainting forwards shard their rows
-    across cores on threads.  ``library_shards`` selects the library
-    store the run admits into (1 = the classic single-population store;
-    >1 = a hash-prefix :class:`~repro.library.ShardedStore`); contents
-    and order are identical for any shard count.
+    across cores on threads.
     """
 
     inpaint: InpaintConfig = field(default_factory=InpaintConfig)
@@ -68,7 +65,6 @@ class PatternPaintConfig:
     explained_variance: float = 0.9
     use_horizontal_masks: bool = True
     keep_raw: bool = False
-    library_shards: int = 1
 
 
 @dataclass
@@ -174,11 +170,7 @@ class PatternPaint:
         """A no-op, kept so callers may release any pipeline uniformly."""
 
     def new_library(self) -> LibraryStore:
-        """A fresh store per ``config.library_shards`` (facade when 1)."""
-        if self.config.library_shards > 1:
-            return ShardedStore(
-                num_shards=self.config.library_shards, name="patternpaint"
-            )
+        """A fresh, empty store (the :class:`PatternLibrary` facade)."""
         return PatternLibrary(name="patternpaint")
 
     # ------------------------------------------------------------------
@@ -270,8 +262,7 @@ class PatternPaint:
         Returns ``(library, stats, raw_pairs)`` where ``raw_pairs`` is
         non-empty only when ``config.keep_raw`` is set.  Pass ``library``
         (e.g. a store loaded from a snapshot) to dedup against and extend
-        previous runs; by default a fresh store is created per
-        ``config.library_shards``.
+        previous runs; by default a fresh store is created.
         """
         v = variations_per_mask or self.config.variations_per_mask
         masks = [named.mask for named in all_masks(self._shape)]

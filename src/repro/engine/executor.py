@@ -501,6 +501,7 @@ class BatchExecutor:
                 else cache.misses - plan.cache_misses0
             ),
             admitted=admitted,
+            library_size=len(plan.library),
         )
 
     # ------------------------------------------------------------------

@@ -258,20 +258,25 @@ class GenerationBatch:
 
     ``clips`` are all validated candidates in proposal order, ``legal``
     the per-clip DRC verdict, ``library`` the store the clean+new clips
-    were admitted to (it may have been pre-populated by the caller), and
-    ``admitted`` how many clips *this* run added to it.
+    were admitted to (it may have been pre-populated by the caller),
+    ``admitted`` how many clips *this* run added to it, and
+    ``library_size`` the store's length right after this run's
+    admission.  A batch that crossed a fleet worker's pipe carries
+    ``library=None``: the session store stays in the worker, and
+    ``library_size`` is what the front reports.
     """
 
     request: GenerationRequest
     backend: str
     clips: list[np.ndarray]
     legal: np.ndarray
-    library: "LibraryStore"
+    library: "LibraryStore | None"
     attempts: int
     timings: StageTimings = field(default_factory=StageTimings)
     cache_hits: int = 0
     cache_misses: int = 0
     admitted: int = 0
+    library_size: int = 0
 
     @property
     def legal_clips(self) -> list[np.ndarray]:

@@ -59,17 +59,13 @@ def patternpaint_run(
     iter_budget: int | None = None,
     seed: int = 0,
     use_cache: bool = True,
-    library_shards: int = 4,
 ) -> ModelRun:
     """Full PatternPaint run (init + iterations) for one model variant.
 
     ``init_budget`` is the initial-generation sample count (split over
     20 starters x 10 masks); ``iter_budget`` the *total* iterative count
     (split over ``iterations`` rounds).  Defaults follow the paper's
-    20k/50k ratio at ``REPRO_SCALE`` size.  ``library_shards`` picks the
-    admission store; the clip stream is identical for any value (shard
-    membership is content-derived), so it is deliberately absent from the
-    cache key.
+    20k/50k ratio at ``REPRO_SCALE`` size.
     """
     init_budget = init_budget if init_budget is not None else scaled(200)
     iter_budget = iter_budget if iter_budget is not None else scaled(500)
@@ -95,7 +91,6 @@ def patternpaint_run(
             select_k=20,
             samples_per_iteration=per_iteration,
             keep_raw=True,
-            library_shards=library_shards,
         ),
     )
     rng = np.random.default_rng(10_000 + seed)
@@ -121,7 +116,6 @@ def all_patternpaint_runs(
     seed: int = 0,
     use_cache: bool = True,
     verbose: bool = False,
-    library_shards: int = 4,
 ) -> dict[str, ModelRun]:
     """The four Table I model runs, in paper order."""
     runs: dict[str, ModelRun] = {}
@@ -133,7 +127,6 @@ def all_patternpaint_runs(
             iterations=iterations,
             seed=seed,
             use_cache=use_cache,
-            library_shards=library_shards,
         )
     return runs
 

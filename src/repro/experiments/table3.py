@@ -53,19 +53,10 @@ def _success_percent(clips, engine) -> float:
     return 100.0 * clean / len(clips)
 
 
-def run_table3(
-    *, seed: int = 0, use_cache: bool = True, library_shards: int = 4
-) -> list[Table3Row]:
-    """Compute Table III by re-scoring the cached raw initial outputs.
-
-    ``library_shards`` is forwarded to the underlying Table I runs; it
-    selects the admission store only and does not change the clip stream
-    (or these success rates).
-    """
+def run_table3(*, seed: int = 0, use_cache: bool = True) -> list[Table3Row]:
+    """Compute Table III by re-scoring the cached raw initial outputs."""
     engine = experiment_deck().engine()
-    runs = all_patternpaint_runs(
-        seed=seed, use_cache=use_cache, library_shards=library_shards
-    )
+    runs = all_patternpaint_runs(seed=seed, use_cache=use_cache)
     rows: list[Table3Row] = []
     for name in PATTERNPAINT_MODELS:
         run = runs[name]

@@ -1,4 +1,4 @@
-"""Snapshot persistence for library stores: one ``.npz`` per shard.
+"""Snapshot persistence for the library store.
 
 A saved library is a directory::
 
@@ -6,18 +6,23 @@ A saved library is a directory::
                              # generation number, shard files
     library.prev.json        # the previous generation's manifest
     shard-000002-0000.npz    # repro.io clip archive + sequence/hash meta
-    shard-000002-0003.npz    # (empty shards are simply absent)
 
-Shard files are written with :func:`repro.io.clips.save_clips`, so each is
-itself a valid clip archive readable by ``repro drc`` / ``repro render``.
-Per-clip global sequence numbers and content digests ride in the shard
-metadata, which makes loading order-exact and re-hash-free, and lets
-snapshots taken on different machines be merged deterministically
-(:func:`merge_libraries`): first source's order first, later sources
-contribute only patterns not yet seen, in their own insertion order.
+Each save writes one shard file per generation, with
+:func:`repro.io.clips.save_clips`, so it is itself a valid clip archive
+readable by ``repro drc`` / ``repro render``.  Per-clip sequence numbers
+and content digests ride in its metadata.  The loader reads every file a
+manifest lists and orders clips by sequence number, so snapshots that
+older versions wrote across several hash-prefix shard files still load,
+in their original order.  Loading re-admits the clips into a fresh
+store with one batched ``admit_many``, which re-hashes them; reading
+the archive costs more than that.
+
+Snapshots merge deterministically (:func:`merge_libraries`): the first
+source's store, then each later source's clips admitted in its own
+insertion order, so later sources contribute only patterns not yet seen.
 
 Snapshots are **crash-safe and generational**.  Every save writes a new
-generation's shard files (each atomically: tmp + fsync + rename), then
+generation's shard file (atomically: tmp + fsync + rename), then
 promotes the old manifest to ``library.prev.json`` and atomically
 replaces ``library.json``; only after the new manifest is durable are
 the now-unreferenced older shard files pruned.  A crash at any point —
@@ -37,8 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from ..io.clips import load_clips, save_clips
-from .sharded import ShardedStore
-from .store import LibraryStore, ShardDelta, shard_of, store_delta
+from .store import InMemoryStore
 
 __all__ = [
     "MANIFEST_NAME",
@@ -163,12 +167,12 @@ def _prune_stale_files(path: Path) -> None:
         file.unlink(missing_ok=True)
 
 
-def save_library(store: LibraryStore, path: "str | Path") -> Path:
+def save_library(store: InMemoryStore, path: "str | Path") -> Path:
     """Write a store's contents as a new snapshot generation at ``path``.
 
-    The shard layout follows the store's own ``num_shards``; an existing
-    snapshot at ``path`` is superseded, its manifest kept as
-    ``library.prev.json`` for one generation of load-time fallback (see
+    The generation is one shard file.  An existing snapshot at ``path``
+    is superseded, its manifest kept as ``library.prev.json`` for one
+    generation of load-time fallback (see
     :func:`ensure_snapshot_target` for what is refused).  All writes are
     atomic and the previous generation's files are only pruned after the
     new manifest is durable, so a crash anywhere inside this call leaves
@@ -204,29 +208,23 @@ def save_library(store: LibraryStore, path: "str | Path") -> Path:
     # generational fallback exists for.
     action = _fault_action("snapshot")
 
-    num_shards = max(1, getattr(store, "num_shards", 1))
-    buckets: list[list[tuple[int, str, np.ndarray]]] = [
-        [] for _ in range(num_shards)
-    ]
-    for sequence, (digest, clip) in enumerate(store.items()):
-        buckets[shard_of(digest, num_shards)].append((sequence, digest, clip))
-
     shard_files: dict[str, int] = {}
-    for shard, bucket in enumerate(buckets):
-        if not bucket:
-            continue
-        filename = _shard_filename(generation, shard)
+    if len(store):
+        filename = _shard_filename(generation, 0)
+        hashes, clips = zip(*store.items())
+        # The shard/hash metadata keeps the file loadable by older
+        # versions, which partitioned snapshots by hash prefix.
         save_clips(
             path / filename,
-            [clip for _, _, clip in bucket],
+            list(clips),
             meta={
-                "shard": shard,
-                "num_shards": num_shards,
-                "sequence": [sequence for sequence, _, _ in bucket],
-                "hashes": [digest for _, digest, _ in bucket],
+                "shard": 0,
+                "num_shards": 1,
+                "sequence": list(range(len(clips))),
+                "hashes": list(hashes),
             },
         )
-        shard_files[filename] = len(bucket)
+        shard_files[filename] = len(clips)
 
     if action == "crash":
         from ..service.faults import InjectedFault
@@ -246,7 +244,7 @@ def save_library(store: LibraryStore, path: "str | Path") -> Path:
     manifest = {
         "format": _FORMAT,
         "name": store.name,
-        "num_shards": num_shards,
+        "num_shards": 1,
         "count": len(store),
         "generation": generation,
         "shards": shard_files,
@@ -266,40 +264,31 @@ def save_library(store: LibraryStore, path: "str | Path") -> Path:
     return path
 
 
-def _load_entries(
+def _load_clips(
     path: Path, manifest_name: str = MANIFEST_NAME
-) -> tuple[dict, list[tuple[int, str, np.ndarray]]]:
-    """Manifest plus (sequence, digest, clip) entries in insertion order."""
+) -> tuple[dict, list[np.ndarray]]:
+    """Manifest plus the snapshot's clips in insertion (sequence) order."""
     manifest_path = path / manifest_name
     if not manifest_path.is_file():
         raise FileNotFoundError(f"no {manifest_name} under {path}")
     manifest = json.loads(manifest_path.read_text())
     if manifest.get("format") != _FORMAT:
         raise ValueError(f"unsupported library format {manifest.get('format')!r}")
-    entries: list[tuple[int, str, np.ndarray]] = []
+    entries: list[tuple[int, np.ndarray]] = []
     for filename in manifest.get("shards", {}):
         clips, meta = load_clips(path / filename)
-        entries.extend(zip(meta["sequence"], meta["hashes"], clips))
+        entries.extend(zip(meta["sequence"], clips))
     entries.sort(key=lambda entry: entry[0])
     if len(entries) != manifest.get("count", len(entries)):
         raise ValueError(
             f"{path}: manifest promises {manifest['count']} clips, "
             f"shards hold {len(entries)}"
         )
-    return manifest, entries
+    return manifest, [clip for _, clip in entries]
 
 
-def load_library(
-    path: "str | Path",
-    *,
-    num_shards: int | None = None,
-    name: str | None = None,
-) -> ShardedStore:
-    """Rebuild a store from a snapshot, preserving insertion order.
-
-    ``num_shards`` re-partitions on load (sharding is content-derived, so
-    any shard count yields the same library); by default the snapshot's
-    own layout is kept.
+def _load_snapshot(path: "str | Path") -> tuple[dict, list[np.ndarray]]:
+    """Manifest and ordered clips of the newest generation that loads.
 
     When the current generation will not load — a torn shard file from a
     crash mid-checkpoint, a corrupt or lying manifest — and a previous
@@ -310,50 +299,45 @@ def load_library(
     """
     path = Path(path)
     errors: list[Exception] = []
-    manifest = None
-    entries: list[tuple[int, str, np.ndarray]] = []
     for manifest_name in (MANIFEST_NAME, PREVIOUS_MANIFEST_NAME):
         if not (path / manifest_name).is_file():
             continue
         try:
-            manifest, entries = _load_entries(path, manifest_name)
-            break
+            return _load_clips(path, manifest_name)
         except Exception as error:
             errors.append(error)
-    if manifest is None:
-        if errors:
-            raise errors[0]
-        raise FileNotFoundError(f"no {MANIFEST_NAME} under {path}")
-    store = ShardedStore(
-        num_shards=num_shards or int(manifest["num_shards"]),
-        name=name or manifest.get("name", "library"),
-    )
-    store.merge(
-        ShardDelta(
-            offset=0,
-            hashes=[digest for _, digest, _ in entries],
-            clips=[clip for _, _, clip in entries],
-        )
-    )
+    if errors:
+        raise errors[0]
+    raise FileNotFoundError(f"no {MANIFEST_NAME} under {path}")
+
+
+def load_library(path: "str | Path", *, name: str | None = None) -> InMemoryStore:
+    """Rebuild a store from a snapshot, preserving insertion order.
+
+    The clips are re-admitted in sequence order, so a snapshot written in
+    one file or (by older versions) across several shard files loads the
+    same library.  Falls back to the previous generation when the
+    current one will not load (see :func:`_load_snapshot`).
+    """
+    manifest, clips = _load_snapshot(path)
+    store = InMemoryStore(name=name or manifest.get("name", "library"))
+    store.admit_many(clips)
     return store
 
 
 def merge_libraries(
-    sources: "list[str | Path]",
-    *,
-    num_shards: int | None = None,
-    name: str = "merged",
-) -> ShardedStore:
+    sources: "list[str | Path]", *, name: str = "merged"
+) -> InMemoryStore:
     """Merge snapshot directories into one store, deterministically.
 
-    The first source defines the base ordering (and the default shard
-    count); each later source appends only its not-yet-seen patterns, in
-    that source's insertion order.  The result is therefore identical for
-    a fixed source list regardless of where each snapshot was produced.
+    The first source's store is the base; each later source's clips are
+    admitted in that source's insertion order, so only not-yet-seen
+    patterns are appended.  The result is therefore identical for a
+    fixed source list regardless of where each snapshot was produced.
     """
     if not sources:
         raise ValueError("need at least one source library")
-    first = load_library(sources[0], num_shards=num_shards, name=name)
+    merged = load_library(sources[0], name=name)
     for source in sources[1:]:
-        first.merge(store_delta(load_library(source)))
-    return first
+        merged.admit_many(_load_snapshot(source)[1])
+    return merged

@@ -1,18 +1,15 @@
 """Uniqueness and spread statistics for pattern libraries.
 
-Summaries come in two granularities: :func:`summarize_library` computes a
-:class:`LibrarySummary` over a flat clip collection, while
-:func:`summarize_shard` produces a mergeable :class:`ShardSummary` (class
-histograms instead of entropies) so sharded stores can summarise each
-shard once and :func:`rollup_summaries` the per-shard results into the
-same headline ``LibrarySummary`` without rescanning unchanged shards.
+:func:`summarize_library` computes a :class:`LibrarySummary` (counts,
+uniqueness, H1/H2 entropies and mean density) in one pass over a clip
+collection: each clip is squished once for both entropy histograms.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,10 +20,7 @@ __all__ = [
     "unique_count",
     "unique_clips",
     "LibrarySummary",
-    "ShardSummary",
     "summarize_library",
-    "summarize_shard",
-    "rollup_summaries",
 ]
 
 
@@ -66,91 +60,28 @@ def summarize_library(
 ) -> LibrarySummary:
     """Compute counts, uniqueness, H1/H2 and density for a clip set.
 
+    One pass: each clip is squished once, feeding both the H1 complexity
+    and the H2 geometry class histograms, and its density is recorded.
     Pass ``unique`` when the caller already knows it (a deduplicated
     store's ``unique`` equals its length) to skip re-hashing every clip.
     """
-    from .entropy import h1_entropy, h2_entropy  # avoid import cycle
+    from .entropy import entropy_from_counts  # avoid import cycle
 
     clips = list(clips)
     if not clips:
         return LibrarySummary(0, 0, 0.0, 0.0, 0.0)
-    return LibrarySummary(
-        count=len(clips),
-        unique=unique_count(clips) if unique is None else unique,
-        h1=h1_entropy(clips),
-        h2=h2_entropy(clips),
-        mean_density=float(np.mean([density(c) for c in clips])),
-    )
-
-
-@dataclass(frozen=True)
-class ShardSummary:
-    """Mergeable statistics of one library shard.
-
-    Carries the H1/H2 *class histograms* rather than the entropies, so
-    summaries of disjoint shards can be added before the (non-additive)
-    entropy is taken.  ``unique`` is exact-hash uniqueness *within* the
-    shard; summing it across shards is only correct when the shards
-    partition patterns by content hash (which :class:`repro.library.ShardedStore`
-    guarantees).
-    """
-
-    count: int
-    unique: int
-    density_sum: float
-    h1_counts: Mapping[Hashable, int] = field(default_factory=dict)
-    h2_counts: Mapping[Hashable, int] = field(default_factory=dict)
-
-
-def summarize_shard(
-    clips: Iterable[np.ndarray], *, unique: int | None = None
-) -> ShardSummary:
-    """One pass over a shard: counts, uniqueness, density and histograms.
-
-    As with :func:`summarize_library`, ``unique`` skips the re-hashing
-    pass when the caller guarantees it (shards of a deduplicated store
-    hold only distinct patterns).
-    """
-    clips = list(clips)
     h1: Counter = Counter()
     h2: Counter = Counter()
-    density_sum = 0.0
+    densities: list[float] = []
     for clip in clips:
         pattern = squish_of(clip)
         h1[pattern.complexity] += 1
         h2[pattern.geometry_signature()] += 1
-        density_sum += density(clip)
-    return ShardSummary(
+        densities.append(density(clip))
+    return LibrarySummary(
         count=len(clips),
         unique=unique_count(clips) if unique is None else unique,
-        density_sum=density_sum,
-        h1_counts=dict(h1),
-        h2_counts=dict(h2),
-    )
-
-
-def rollup_summaries(shards: Iterable[ShardSummary]) -> LibrarySummary:
-    """Combine per-shard summaries into one :class:`LibrarySummary`.
-
-    Equal to :func:`summarize_library` over the concatenated shard
-    contents (up to floating-point summation order), provided the shards
-    hold disjoint pattern-hash populations.
-    """
-    from .entropy import entropy_from_counts  # avoid import cycle
-
-    shards = list(shards)
-    count = sum(s.count for s in shards)
-    if count == 0:
-        return LibrarySummary(0, 0, 0.0, 0.0, 0.0)
-    h1: Counter = Counter()
-    h2: Counter = Counter()
-    for s in shards:
-        h1.update(s.h1_counts)
-        h2.update(s.h2_counts)
-    return LibrarySummary(
-        count=count,
-        unique=sum(s.unique for s in shards),
         h1=entropy_from_counts(h1.values()),
         h2=entropy_from_counts(h2.values()),
-        mean_density=float(sum(s.density_sum for s in shards) / count),
+        mean_density=float(np.mean(densities)),
     )

@@ -36,7 +36,8 @@ machinery in a long-lived asyncio service:
   processes each running a full service, sticky key→worker routing,
   the same arrival sequencer keeping results in global arrival
   order, circuit-breaker-gated crash respawn, and drain-time session
-  snapshot reconciliation via the ordered library merge protocol.
+  snapshot reconciliation by ordered admission
+  (:func:`~repro.library.merge_libraries`).
 
 Typical in-process use::
 

@@ -31,9 +31,10 @@ the :class:`GenerationService` one (``submit``/``cancel``/``health``/
 fleet.
 
 Session libraries are per-worker while serving (each worker checkpoints
-its sessions under ``<snapshot_root>/workers/<i>``); at drain and stop
-time the front reconciles them into the shared root with the ordered
-:func:`~repro.library.merge_libraries` / ``store_delta`` protocol
+its sessions under ``<snapshot_root>/workers/<i>``, and results cross
+the pipe with ``library=None``); at drain and stop time the front
+reconciles them into the shared root with the ordered
+:func:`~repro.library.merge_libraries`
 (:func:`reconcile_worker_snapshots`).  Cold sessions on a worker seed
 from the last reconciled merge via ``SessionConfig.fallback_root``.
 
@@ -180,13 +181,13 @@ def reconcile_worker_snapshots(root: "str | Path") -> "dict[str, int]":
     """Merge per-worker session snapshots into the shared root.
 
     For every session id found under ``<root>/workers/*/``, merge —
-    via the ordered :func:`~repro.library.merge_libraries` /
-    ``store_delta`` protocol — the shared root's existing snapshot (the
-    base ordering, when one exists) with each worker's snapshot *in
-    worker-index order*, and save the result to ``<root>/<session_id>``
-    with the same crash-safe generational layout the single-process
-    service writes.  Deterministic for fixed worker contents; a session
-    served by exactly one worker round-trips bit-identically.
+    via the ordered :func:`~repro.library.merge_libraries` — the shared
+    root's existing snapshot (the base ordering, when one exists) with
+    each worker's snapshot *in worker-index order*, and save the result
+    to ``<root>/<session_id>`` with the same crash-safe generational
+    layout the single-process service writes.  Deterministic for fixed
+    worker contents; a session served by exactly one worker round-trips
+    bit-identically.
 
     Returns ``{session_id: merged_pattern_count}``.
     """
@@ -314,7 +315,9 @@ def _worker_main(
             async for chunk in stream.chunks():
                 out.put(("chunk", request_id, chunk))
             batch = await stream.result()
-            out.put(("result", request_id, batch))
+            # The session store stays here: pickling it would make each
+            # result grow with the session's length.
+            out.put(("result", request_id, replace(batch, library=None)))
         except Exception as error:  # noqa: BLE001 - crosses the pipe
             out.put(("error", request_id, _safe_error(error)))
 

@@ -360,7 +360,7 @@ class HttpGateway:
             "attempts": batch.attempts,
             "legal": batch.legal_count,
             "admitted": batch.admitted,
-            "library_size": len(batch.library),
+            "library_size": batch.library_size,
             "seconds": round(batch.timings.total_seconds, 4),
         }
         if entry.payload != "none":

@@ -30,13 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..core.library import PatternLibrary
-from ..library import (
-    LibraryStore,
-    ShardedStore,
-    is_library_dir,
-    load_library,
-    save_library,
-)
+from ..library import LibraryStore, is_library_dir, load_library, save_library
 
 __all__ = ["SessionConfig", "Session", "SessionManager", "SHARED_SESSION"]
 
@@ -50,9 +44,7 @@ _SESSION_ID = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 class SessionConfig:
     """How session stores are built and persisted.
 
-    ``library_shards`` picks the store flavour (1 = flat, >1 = hash-prefix
-    :class:`~repro.library.ShardedStore`).  ``snapshot_root`` enables
-    persistence: each session loads from / checkpoints to its own
+    ``snapshot_root`` enables persistence: each session loads from / checkpoints to its own
     subdirectory.  ``checkpoint_every`` is the number of merged request
     batches between automatic :func:`~repro.library.save_library` calls
     (0 disables periodic checkpoints; a final checkpoint still happens at
@@ -66,14 +58,11 @@ class SessionConfig:
     from the front's last reconciled (merged) snapshot.
     """
 
-    library_shards: int = 1
     snapshot_root: "str | Path | None" = None
     checkpoint_every: int = 0
     fallback_root: "str | Path | None" = None
 
     def __post_init__(self) -> None:
-        if self.library_shards < 1:
-            raise ValueError("library_shards must be positive")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
 
@@ -191,7 +180,6 @@ class SessionManager:
                 load_candidates.append(fallback_dir)
         for candidate in load_candidates:
             try:
-                # None keeps the snapshot's own shard layout.
                 store = load_library(candidate, name=session_id)
             except Exception:  # noqa: BLE001 - cold start beats crash
                 # Both the current and the previous-generation
@@ -201,12 +189,7 @@ class SessionManager:
                 self.load_fallbacks += 1
                 store = None
         if store is None:
-            if cfg.library_shards > 1:
-                store = ShardedStore(
-                    num_shards=cfg.library_shards, name=session_id
-                )
-            else:
-                store = PatternLibrary(name=session_id)
+            store = PatternLibrary(name=session_id)
         return Session(
             session_id,
             store,

@@ -1,21 +1,18 @@
-"""Unit tests for the library stores: dedup, order, sharding, caching."""
+"""Unit tests for the library store: dedup, order, summaries, caching."""
+
+import json
 
 import numpy as np
 import pytest
 
-import repro.library.sharded as sharded_mod
+import repro.geometry.hashing as hashing_mod
 import repro.library.store as store_mod
+import repro.metrics.diversity as diversity_mod
 from repro.core.library import PatternLibrary
-from repro.library import (
-    InMemoryStore,
-    LibraryStore,
-    ShardDelta,
-    ShardedStore,
-    compute_delta,
-    shard_of,
-    store_delta,
-)
+from repro.geometry.raster import density
+from repro.library import InMemoryStore, LibraryStore, load_library
 from repro.metrics.diversity import summarize_library
+from repro.metrics.entropy import h1_entropy, h2_entropy
 
 
 def clip(seed):
@@ -28,21 +25,29 @@ def clip(seed):
     return img
 
 
-UNIQUE = 12  # distinct clips producible by clip() (5 offsets x 3 widths, clipped)
+def noisy_clips(n):
+    """n random rasters: many H1 and H2 classes, with uneven counts."""
+    rng = np.random.default_rng(11)
+    return [(rng.random((6, 6)) < 0.3).astype(np.uint8) for _ in range(n)]
 
 
-def stream(n, dup_every=3):
-    """n clips with a duplicate every ``dup_every`` positions."""
-    return [clip(i if i % dup_every else 0) for i in range(n)]
+def empty_legacy_snapshot(path):
+    """An empty snapshot in the multi-shard layout older versions wrote."""
+    path.mkdir()
+    manifest = {"format": 1, "name": "legacy", "num_shards": 4, "count": 0,
+                "generation": 1, "shards": {}}
+    (path / "library.json").write_text(json.dumps(manifest))
+    return path
 
 
 @pytest.fixture(params=["memory", "sharded", "facade"])
-def store(request):
+def store(request, tmp_path):
     if request.param == "memory":
         return InMemoryStore()
     if request.param == "facade":
         return PatternLibrary()
-    return ShardedStore(num_shards=4)
+    # "sharded": the store a legacy multi-shard snapshot loads into.
+    return load_library(empty_legacy_snapshot(tmp_path / "legacy"))
 
 
 class TestStoreSemantics:
@@ -99,8 +104,12 @@ class TestStoreSemantics:
         assert clip(1) in dup and clip(1) not in store
 
     def test_merge_rejects_delta_internal_duplicates(self, store):
-        delta = compute_delta([clip(0), clip(1), clip(0)])
-        assert store.merge(delta) == [True, True, False]
+        # Mixed shapes take the loose-clip path of admit_many (merging
+        # libraries is ordered admission); it dedups within the batch too.
+        small = np.ones((4, 6), dtype=np.uint8)
+        flags = store.admit_many([clip(0), small, clip(0), small.astype(bool)])
+        assert flags == [True, True, False, False]
+        assert [c.shape for c in store.clips] == [(8, 8), (4, 6)]
 
     def test_summary_matches_flat_computation(self, store):
         store.admit_many([clip(i) for i in range(7)])
@@ -125,17 +134,6 @@ class TestCopyDoesNotRehash:
         dup = library.copy()
         assert len(dup) == 5
 
-    def test_sharded_copy_skips_hashing(self, monkeypatch):
-        store = ShardedStore([clip(i) for i in range(5)], num_shards=3)
-        monkeypatch.setattr(
-            sharded_mod,
-            "pattern_hash",
-            lambda *a: (_ for _ in ()).throw(AssertionError("re-hash")),
-        )
-        dup = store.copy()
-        assert len(dup) == 5
-        assert dup.shard_sizes() == store.shard_sizes()
-
 
 class TestSummaryCaching:
     def test_in_memory_summary_cached_per_generation(self, monkeypatch):
@@ -157,34 +155,35 @@ class TestSummaryCaching:
         store.summary()
         assert calls["n"] == 2
 
-    def test_sharded_rescans_only_dirty_shards(self, monkeypatch):
-        scanned = []
-        real = sharded_mod.summarize_shard
+    def test_summary_squishes_each_clip_once(self, monkeypatch):
+        calls = {"n": 0}
+        real = hashing_mod.squish_of
 
-        def counting(clips, **kwargs):
-            scanned.append(len(list(clips)))
-            return real(clips, **kwargs)
+        def counting(clip):
+            calls["n"] += 1
+            return real(clip)
 
-        monkeypatch.setattr(sharded_mod, "summarize_shard", counting)
-        store = ShardedStore([clip(i) for i in range(9)], num_shards=4)
+        # Both names: the entropy helpers reach squish_of through
+        # repro.geometry.hashing, the one-pass summary through its import.
+        monkeypatch.setattr(hashing_mod, "squish_of", counting)
+        monkeypatch.setattr(diversity_mod, "squish_of", counting)
+        store = InMemoryStore(noisy_clips(40))
         store.summary()
-        first_pass = len(scanned)
-        assert first_pass == 4  # every shard scanned once
+        assert calls["n"] == len(store)
         store.summary()
-        assert len(scanned) == first_pass  # fully cached
+        assert calls["n"] == len(store)  # cached: no second pass
 
-        new = clip(10)
-        assert new not in store
-        store.admit(new)
-        store.summary()
-        # Exactly the one shard that grew is rescanned.
-        assert len(scanned) == first_pass + 1
+    def test_summary_equals_two_pass_computation(self):
+        store = InMemoryStore(noisy_clips(40))
+        clips = list(store.clips)
+        got = store.summary()
+        assert got.count == got.unique == len(clips)
+        assert got.h1 == h1_entropy(clips)
+        assert got.h2 == h2_entropy(clips)
+        assert got.mean_density == float(np.mean([density(c) for c in clips]))
 
     def test_store_summary_skips_uniqueness_rehash(self, monkeypatch):
-        import repro.metrics.diversity as diversity_mod
-
         flat = InMemoryStore([clip(i) for i in range(5)])
-        shard = ShardedStore([clip(i) for i in range(5)], num_shards=3)
         monkeypatch.setattr(
             diversity_mod,
             "unique_count",
@@ -193,58 +192,6 @@ class TestSummaryCaching:
             ),
         )
         assert flat.summary().unique == 5
-        assert shard.summary().unique == 5
-
-
-class TestSharding:
-    @pytest.mark.parametrize("num_shards", [1, 3, 8])
-    def test_contents_and_order_match_in_memory(self, num_shards):
-        clips = stream(30)
-        flat = InMemoryStore(clips)
-        shard = ShardedStore(clips, num_shards=num_shards)
-        assert len(flat) == len(shard)
-        for a, b in zip(flat, shard):
-            np.testing.assert_array_equal(a, b)
-
-    def test_partition_follows_hash_prefix(self):
-        from repro.geometry.hashing import pattern_hash
-
-        store = ShardedStore([clip(i) for i in range(UNIQUE)], num_shards=4)
-        for shard in range(store.num_shards):
-            for c in store.shard_clips(shard):
-                assert shard_of(pattern_hash(c), store.num_shards) == shard
-
-    def test_shard_sizes_sum_to_len(self):
-        store = ShardedStore(stream(25), num_shards=5)
-        assert sum(store.shard_sizes()) == len(store)
-
-    def test_invalid_shard_count_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedStore(num_shards=0)
-
-
-class TestDeltaProtocol:
-    def test_offsets_and_local_dedup(self):
-        clips = [clip(0), clip(0), clip(1)]
-        delta = compute_delta(clips, offset=10)
-        assert delta.offset == 10
-        assert delta.local_new == [True, False, True]
-        assert len(delta) == 3
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            ShardDelta(offset=0, hashes=["a"], clips=[])
-
-    def test_store_delta_round_trips_between_stores(self):
-        src = ShardedStore(stream(12), num_shards=3, name="src")
-        dst = InMemoryStore([clip(0)])
-        flags = dst.merge(store_delta(src))
-        assert len(flags) == len(src)
-        # Everything except the patterns dst already held is admitted.
-        expected = [c for c in src.clips if not np.array_equal(c, clip(0))]
-        assert len(dst) == 1 + len(expected)
-        for a, b in zip(list(dst)[1:], expected):
-            np.testing.assert_array_equal(a, b)
 
 
 class TestFacade:

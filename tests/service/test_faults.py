@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.engine import GenerationRequest, RetryPolicy, run_generation
-from repro.library import ShardedStore, load_library, save_library
+from repro.library import InMemoryStore, load_library, save_library
 from repro.service import (
     DeadlineExceeded,
     FaultPlan,
@@ -365,7 +365,7 @@ class TestSnapshotFaults:
         """Tentpole: a torn write during checkpoint N+1 leaves the
         directory loading checkpoint N."""
         first = [_clip(i) for i in range(6)]
-        store = ShardedStore(list(first), num_shards=2, name="chk")
+        store = InMemoryStore(list(first), name="chk")
         save_library(store, tmp_path / "lib")
         store.admit(_clip(7))
         install_faults("snapshot:torn@1")
@@ -373,11 +373,11 @@ class TestSnapshotFaults:
             save_library(store, tmp_path / "lib")
         clear_faults()
         _same_library(load_library(tmp_path / "lib"),
-                      ShardedStore(first, num_shards=2))
+                      InMemoryStore(first))
 
     def test_crash_before_manifest_promotion_keeps_current(self, tmp_path):
         first = [_clip(i) for i in range(5)]
-        store = ShardedStore(list(first), num_shards=1, name="chk")
+        store = InMemoryStore(list(first), name="chk")
         save_library(store, tmp_path / "lib")
         store.admit(_clip(6))
         install_faults("snapshot:crash@1")
@@ -387,12 +387,12 @@ class TestSnapshotFaults:
         # The manifest was never promoted: the old generation still loads,
         # and the next save supersedes the orphaned shard files cleanly.
         _same_library(load_library(tmp_path / "lib"),
-                      ShardedStore(first, num_shards=1))
+                      InMemoryStore(first))
         save_library(store, tmp_path / "lib")
         _same_library(load_library(tmp_path / "lib"), store)
 
     def test_raise_action_aborts_before_writing(self, tmp_path):
-        store = ShardedStore([_clip(i) for i in range(4)], num_shards=1)
+        store = InMemoryStore([_clip(i) for i in range(4)])
         save_library(store, tmp_path / "lib")
         before = sorted(p.name for p in (tmp_path / "lib").iterdir())
         install_faults("snapshot:raise@1")
@@ -408,7 +408,7 @@ class TestSnapshotFaults:
         from repro.service import SessionConfig, SessionManager
 
         root = tmp_path / "sessions"
-        store = ShardedStore([_clip(i) for i in range(4)], num_shards=1)
+        store = InMemoryStore([_clip(i) for i in range(4)])
         save_library(store, root / "tenant")
         (root / "tenant" / MANIFEST_NAME).write_text("torn{")
         manager = SessionManager(SessionConfig(snapshot_root=root))

@@ -9,6 +9,7 @@ width.  ``TestFleetChaos`` runs only under a ``fleet``-site fault plan
 workers legitimately fail their in-flight requests.
 """
 
+import pickle
 import threading
 import time
 
@@ -53,6 +54,7 @@ def _assert_batches_identical(a, b):
         np.testing.assert_array_equal(x, y)
     assert a.legal_count == b.legal_count
     assert a.admitted == b.admitted
+    assert a.library_size == b.library_size
 
 
 def _fleet_client(workers, config=None):
@@ -157,6 +159,23 @@ class TestFleetSessions:
         for got, expected in zip(merged.clips, reference.clips):
             np.testing.assert_array_equal(got, expected)
 
+    def test_results_stay_small_as_the_session_grows(self, deck):
+        # The session store stays in its worker: a result's pickled size
+        # must not grow with the session's length.
+        requests = _requests(deck, 200, count=2, base_seed=1000)
+        with _fleet_client(1) as client:
+            batches = client.generate_many(requests, session="long")
+        first, last = (len(pickle.dumps(b)) for b in (batches[0], batches[-1]))
+        assert last < 2 * first
+        assert all(batch.library is None for batch in batches)
+        reference = PatternLibrary(name="reference")
+        sizes = [
+            run_generation(request, library=reference).library_size
+            for request in requests
+        ]
+        assert [batch.library_size for batch in batches] == sizes
+        assert sizes[-1] == len(reference) > 100
+
     def test_sessions_pin_to_one_worker(self, deck, tmp_path):
         config = ServiceConfig(
             sessions=SessionConfig(snapshot_root=tmp_path)
@@ -213,14 +232,12 @@ class TestReconcileWorkerSnapshots:
         merged = reconcile_worker_snapshots(tmp_path)
         assert set(merged) == {"s"}
         store = load_library(tmp_path / "s", name="s")
-        # Ordered delta merge: the shared root defines the base order,
+        # Ordered admission: the shared root defines the base order,
         # then each worker's unseen patterns append in worker-index
         # order — same sequence as merging by hand.
-        from repro.library import store_delta
-
         by_hand = base
-        by_hand.merge(store_delta(w0))
-        by_hand.merge(store_delta(w1))
+        by_hand.admit_many(w0.clips)
+        by_hand.admit_many(w1.clips)
         assert len(store) == len(by_hand)
         for got, want in zip(store.clips, by_hand.clips):
             np.testing.assert_array_equal(got, want)
@@ -394,7 +411,7 @@ class TestFleetCrashRecovery:
                         batch = client.generate(
                             request, session="t", timeout=120
                         )
-                        grown.append(len(batch.library))
+                        grown.append(batch.library_size)
                     except Exception:  # noqa: BLE001 - the killed one
                         grown.append(None)
         finally:

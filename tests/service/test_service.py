@@ -468,7 +468,6 @@ class TestSessionPersistence:
 
         config = ServiceConfig(
             sessions=SessionConfig(
-                library_shards=2,
                 snapshot_root=tmp_path,
                 checkpoint_every=2,
             ),
@@ -482,7 +481,7 @@ class TestSessionPersistence:
         # close() checkpoints once more: the snapshot holds everything.
         store = load_library(tmp_path / "tenant-a")
         assert len(store) == total
-        assert store.num_shards == 2
+        assert store.name == "tenant-a"
 
     def test_restarted_service_resumes_from_snapshot(self, tmp_path, deck):
         config = ServiceConfig(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.library import ShardedStore, load_library, save_library
+from repro.library import InMemoryStore, load_library, save_library
 from repro.service import SessionConfig, SessionManager
 
 
@@ -15,8 +15,8 @@ def _clip(seed: int) -> np.ndarray:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SessionConfig(library_shards=0)
+        with pytest.raises(TypeError):  # no shard knob: one store
+            SessionConfig(library_shards=2)
         with pytest.raises(ValueError):
             SessionConfig(checkpoint_every=-1)
 
@@ -36,8 +36,10 @@ class TestManager:
         assert len(b.store) == 0
 
     def test_sharded_store_flavour(self):
-        manager = SessionManager(SessionConfig(library_shards=4))
-        assert manager.get("t").store.num_shards == 4
+        # Every session gets the one store flavour, named after it.
+        store = SessionManager().get("t").store
+        assert isinstance(store, InMemoryStore)
+        assert store.name == "t"
 
     def test_invalid_ids_rejected(self):
         manager = SessionManager()
@@ -46,12 +48,12 @@ class TestManager:
                 manager.get(bad)
 
     def test_snapshot_loaded_on_first_use(self, tmp_path):
-        seeded = ShardedStore([_clip(i) for i in range(5)], num_shards=2)
+        seeded = InMemoryStore([_clip(i) for i in range(5)])
         save_library(seeded, tmp_path / "tenant-a")
         manager = SessionManager(SessionConfig(snapshot_root=tmp_path))
         session = manager.get("tenant-a")
         assert len(session.store) == 5
-        assert session.store.num_shards == 2  # snapshot layout kept
+        assert session.store.name == "tenant-a"
         # Re-admitting a snapshot clip is a duplicate: cross-restart dedup.
         assert session.store.admit(_clip(0)) is False
 

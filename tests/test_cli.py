@@ -27,7 +27,7 @@ class TestParser:
         args = parser.parse_args([
             "serve", "--port", "0", "--max-batch", "16",
             "--gather-window-ms", "5", "--session-dir", "snaps",
-            "--checkpoint-every", "3", "--library-shards", "2",
+            "--checkpoint-every", "3",
         ])
         assert args.max_batch == 16
         assert args.gather_window_ms == 5.0
@@ -90,7 +90,7 @@ class TestParser:
             assert exit_info.value.code == 2
             assert flag in capsys.readouterr().err
 
-    def test_library_commands_parse(self):
+    def test_library_commands_parse(self, capsys):
         parser = build_parser()
         info = parser.parse_args(["library", "info", "d"])
         assert info.command == "library"
@@ -99,11 +99,17 @@ class TestParser:
         assert merge.library_command == "merge"
         assert merge.sources == ["a", "b"]
         gen = parser.parse_args(
-            ["generate", "--out", "x.npz", "--library-shards", "4",
-             "--library-dir", "lib"]
+            ["generate", "--out", "x.npz", "--library-dir", "lib"]
         )
-        assert gen.library_shards == 4
         assert gen.library_dir == "lib"
+        # The library is one store: no flag shards it.
+        for argv in (["generate", "--out", "x.npz", "--library-shards", "4"],
+                     ["serve", "--port", "0", "--library-shards", "2"],
+                     ["library", "merge", "out", "a", "--shards", "4"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert argv[-2] in capsys.readouterr().err
 
 
 class TestGenerateAndDrc:
@@ -170,7 +176,7 @@ class TestLibraryWorkflow:
         out1 = tmp_path / "one.npz"
         code = main([
             "generate", "-n", "4", "--seed", "3", "--out", str(out1),
-            "--library-shards", "4", "--library-dir", str(lib_dir),
+            "--library-dir", str(lib_dir),
         ])
         assert code == 0
         assert (lib_dir / "library.json").exists()
@@ -202,19 +208,26 @@ class TestLibraryWorkflow:
             assert len(clips) == len(store) - 4
 
     def test_generate_keeps_snapshot_shard_layout(self, tmp_path, capsys):
+        import json
+
         lib_dir = tmp_path / "lib"
         main([
             "generate", "-n", "3", "--out", str(tmp_path / "x.npz"),
-            "--library-shards", "4", "--library-dir", str(lib_dir),
+            "--library-dir", str(lib_dir),
         ])
-        # No --library-shards on the second run: layout must survive.
         main([
             "generate", "-n", "3", "--seed", "9",
             "--out", str(tmp_path / "y.npz"), "--library-dir", str(lib_dir),
         ])
         from repro.library import load_library
 
-        assert load_library(lib_dir).num_shards == 4
+        # Each save writes one file per generation; the previous
+        # generation's manifest stays behind as the load fallback.
+        manifest = json.loads((lib_dir / "library.json").read_text())
+        assert manifest["generation"] == 2
+        assert list(manifest["shards"]) == ["shard-000002-0000.npz"]
+        assert manifest["count"] == len(load_library(lib_dir))
+        assert (lib_dir / "library.prev.json").exists()
 
     def test_generate_rejects_bad_library_dir_before_running(
         self, tmp_path, capsys
@@ -232,14 +245,15 @@ class TestLibraryWorkflow:
         lib_dir = tmp_path / "lib"
         main([
             "generate", "-n", "3", "--out", str(tmp_path / "x.npz"),
-            "--library-shards", "2", "--library-dir", str(lib_dir),
+            "--library-dir", str(lib_dir),
         ])
         capsys.readouterr()
         code = main(["library", "info", str(lib_dir)])
         assert code == 0
         captured = capsys.readouterr().out
-        assert "3 clips in 2 shards" in captured
+        assert "rule: 3 clips\n" in captured
         assert "H2=" in captured
+        assert "shard" not in captured
 
     def test_library_info_missing_dir(self, tmp_path, capsys):
         code = main(["library", "info", str(tmp_path / "nope")])
@@ -248,28 +262,23 @@ class TestLibraryWorkflow:
     def test_library_merge(self, tmp_path, capsys):
         import numpy as np
 
-        from repro.library import ShardedStore, load_library, save_library
+        from repro.library import InMemoryStore, load_library, save_library
 
         def clip(seed):
             img = np.zeros((8, 8), dtype=np.uint8)
             img[:, seed % 5 : seed % 5 + 2 + seed % 3] = 1
             return img
 
+        save_library(InMemoryStore([clip(i) for i in range(6)]), tmp_path / "a")
         save_library(
-            ShardedStore([clip(i) for i in range(6)], num_shards=2),
-            tmp_path / "a",
-        )
-        save_library(
-            ShardedStore([clip(i) for i in range(3, 9)], num_shards=3),
-            tmp_path / "b",
+            InMemoryStore([clip(i) for i in range(3, 9)]), tmp_path / "b"
         )
         code = main([
             "library", "merge", str(tmp_path / "out"),
-            str(tmp_path / "a"), str(tmp_path / "b"), "--shards", "4",
+            str(tmp_path / "a"), str(tmp_path / "b"),
         ])
         assert code == 0
         merged = load_library(tmp_path / "out")
-        assert merged.num_shards == 4
         assert "duplicates" in capsys.readouterr().out
         combined = {
             tuple(c.flatten()) for c in load_library(tmp_path / "a")
