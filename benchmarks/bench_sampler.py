@@ -206,39 +206,6 @@ def render(times: dict[str, float], samples: dict[str, list[float]]) -> str:
     )
 
 
-def warm_start_demo() -> dict:
-    """Exercise the sampler-plan warm cache and return its hit counters.
-
-    Builds a sampler plan into a throwaway disk cache, drops the memory
-    memo and rebuilds (disk hit) — the second-run warm path, measured in
-    one process.
-    """
-    import tempfile
-
-    from repro.diffusion.plan import (
-        clear_plan_memory,
-        configure_plan_cache,
-        plan_cache_stats,
-        sampler_plan,
-    )
-
-    ddpm = Ddpm(TimeUnet(UNET), linear_schedule(TRAIN_STEPS))
-    config = InpaintConfig(num_steps=NUM_STEPS)
-    try:
-        with tempfile.TemporaryDirectory() as root:
-            configure_plan_cache(root)
-            clear_plan_memory()
-            sampler_plan(ddpm.schedule, config.num_steps, config.eta)  # build
-            clear_plan_memory()
-            sampler_plan(ddpm.schedule, config.num_steps, config.eta)  # disk
-            plan_stats = plan_cache_stats()
-            plan_stats["dir"] = "<tmp>"  # throwaway path is noise
-    finally:
-        configure_plan_cache(None)
-        clear_plan_memory()
-    return {"sampler_plan": plan_stats}
-
-
 def write_artifact(
     times: dict[str, float], samples: dict[str, list[float]]
 ) -> str:
@@ -273,7 +240,6 @@ def write_artifact(
             }
             for mode, sec in times.items()
         },
-        "warm_start": warm_start_demo(),
     }
     out = bench_dir() / "BENCH_sampler.json"
     out.write_text(json.dumps(payload, indent=2))

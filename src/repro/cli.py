@@ -48,11 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "clips are loaded first (cross-run dedup), and the "
                           "grown library is saved back after generation")
     gen.add_argument("--drc-cache-dir", default=None, metavar="DIR",
-                     help="persist the content-hash DRC verdict cache and "
-                          "the sampler-plan warm cache here across runs "
-                          "(loaded before generation, saved after; stale "
-                          "files from edited decks are ignored "
-                          "automatically)")
+                     help="persist the content-hash DRC verdict cache "
+                          "here across runs (loaded before generation, "
+                          "saved after; stale files from edited decks are "
+                          "ignored automatically)")
 
     drc = sub.add_parser("drc", help="run DRC over a clip library")
     drc.add_argument("library", help=".npz produced by 'generate' or the API")
@@ -109,9 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "default: only at shutdown)")
     serve.add_argument("--drc-cache-dir", default=None, metavar="DIR",
                        help="persist the content-hash DRC verdict cache "
-                            "and the sampler-plan warm cache here across "
-                            "server runs (loaded at startup, saved at "
-                            "shutdown; shared by every worker process)")
+                            "here across server runs (loaded at startup, "
+                            "saved at shutdown; fleet workers inherit it "
+                            "and hand their verdicts back when they stop)")
     serve.add_argument("--workers", type=_positive_int, default=1,
                        metavar="N",
                        help="worker *processes*: 2+ fronts a multi-process "
@@ -191,14 +190,12 @@ def _cmd_generate(args) -> int:
     preloaded = len(store) if store is not None else 0
 
     if args.drc_cache_dir:
-        from .diffusion.plan import configure_plan_cache
         from .drc.cache import load_shared_caches
 
         loaded = load_shared_caches(args.drc_cache_dir)
         if loaded:
             print(f"DRC cache: loaded {loaded} verdicts "
                   f"from {args.drc_cache_dir}")
-        configure_plan_cache(args.drc_cache_dir)
 
     request = GenerationRequest(
         backend=args.backend, count=args.count, seed=args.seed, deck=deck
@@ -312,15 +309,13 @@ def _cmd_serve(args) -> int:
 
     async def main() -> None:
         if args.drc_cache_dir:
-            from .diffusion.plan import configure_plan_cache
             from .drc.cache import load_shared_caches
 
+            # Before start(): forked fleet workers inherit the verdicts.
             loaded = load_shared_caches(args.drc_cache_dir)
             if loaded:
                 print(f"repro serve: DRC cache: loaded {loaded} verdicts "
                       f"from {args.drc_cache_dir}")
-            # Before start(): forked fleet workers inherit the setting.
-            configure_plan_cache(args.drc_cache_dir)
         # The fleet front mirrors the GenerationService surface
         # (submit/cancel/health/stats_payload/drain/stop), so the TCP
         # server and the signal->drain->stop block below are one shared

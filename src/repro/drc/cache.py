@@ -23,7 +23,10 @@ stores from such a directory.  The fingerprint inside every file is the
 staleness guard — a file whose recorded deck fingerprint does not hash
 to its own filename (renamed, edited, or written by a different deck
 definition) is skipped rather than trusted.  ``repro serve`` and
-``repro generate`` expose this as ``--drc-cache-dir``.
+``repro generate`` expose this as ``--drc-cache-dir``.  Both halves go
+through one in-memory form, :func:`snapshot_shared_caches` and
+:func:`merge_shared_caches`, which is also how fleet workers hand their
+verdicts back to the front process at stop time.
 """
 
 from __future__ import annotations
@@ -46,7 +49,9 @@ __all__ = [
     "DrcCache",
     "clear_shared_caches",
     "load_shared_caches",
+    "merge_shared_caches",
     "save_shared_caches",
+    "snapshot_shared_caches",
 ]
 
 #: Deck fingerprint -> (lock, legality memo) shared by all equal engines.
@@ -79,6 +84,50 @@ def _cache_path(root: Path, fingerprint: tuple[str, str]) -> Path:
     return root / f"drc-{_fingerprint_digest(fingerprint)}.json"
 
 
+def snapshot_shared_caches() -> dict[tuple[str, str], dict[str, bool]]:
+    """A copy of every non-empty shared store, keyed by deck fingerprint.
+
+    The portable form of the shared stores: :func:`save_shared_caches`
+    writes it to disk, and a fleet worker hands it to the front in its
+    stop reply so verdicts found in worker processes persist too.
+    """
+    with _SHARED_LOCK:
+        stores = list(_SHARED_STORES.items())
+    snapshot = {}
+    for fingerprint, (lock, store) in stores:
+        with lock:
+            entries = dict(store)
+        if entries:
+            snapshot[fingerprint] = entries
+    return snapshot
+
+
+def merge_shared_caches(
+    snapshot: dict[tuple[str, str], dict[str, bool]],
+    *,
+    maxsize: int = DEFAULT_MAXSIZE,
+) -> int:
+    """Merge a :func:`snapshot_shared_caches` result in; returns entries added.
+
+    Entries already memoised in-process win; merging stops filling a
+    store at ``maxsize``.
+    """
+    added = 0
+    for fingerprint, entries in snapshot.items():
+        with _SHARED_LOCK:
+            lock, store = _SHARED_STORES.setdefault(
+                fingerprint, (threading.Lock(), {})
+            )
+        with lock:
+            for key, value in entries.items():
+                if len(store) >= maxsize:
+                    break
+                if key not in store:
+                    store[key] = bool(value)
+                    added += 1
+    return added
+
+
 def save_shared_caches(root: str | Path) -> int:
     """Persist every shared legality store under ``root``; returns files written.
 
@@ -89,17 +138,8 @@ def save_shared_caches(root: str | Path) -> int:
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    with _SHARED_LOCK:
-        snapshot = {
-            fingerprint: (lock, store)
-            for fingerprint, (lock, store) in _SHARED_STORES.items()
-        }
     written = 0
-    for fingerprint, (lock, store) in snapshot.items():
-        with lock:
-            entries = dict(store)
-        if not entries:
-            continue
+    for fingerprint, entries in snapshot_shared_caches().items():
         payload = {
             "format": _DISK_FORMAT,
             "fingerprint": list(fingerprint),
@@ -126,13 +166,13 @@ def load_shared_caches(
     different deck definition (rules edited, deck renamed) gets a new
     digest, so the stale file is simply ignored rather than poisoning
     fresh runs with verdicts from old rules.  Corrupt or wrong-format
-    files are skipped.  Entries already memoised in-process win over
-    disk; loading stops filling a store at ``maxsize``.
+    files are skipped.  The files merge in through
+    :func:`merge_shared_caches`, so in-process entries win over disk.
     """
     root = Path(root)
     if not root.is_dir():
         return 0
-    loaded = 0
+    snapshot = {}
     for path in sorted(root.glob("drc-*.json")):
         try:
             payload = json.loads(path.read_text())
@@ -147,18 +187,8 @@ def load_shared_caches(
             continue  # corrupt file: worst case is a cold cache
         if _cache_path(root, fingerprint) != path:
             continue  # stale: fingerprint no longer matches the filename
-        with _SHARED_LOCK:
-            lock, store = _SHARED_STORES.setdefault(
-                fingerprint, (threading.Lock(), {})
-            )
-        with lock:
-            for key, value in entries.items():
-                if len(store) >= maxsize:
-                    break
-                if key not in store:
-                    store[key] = bool(value)
-                    loaded += 1
-    return loaded
+        snapshot[fingerprint] = entries
+    return merge_shared_caches(snapshot, maxsize=maxsize)
 
 
 class DrcCache:

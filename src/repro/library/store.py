@@ -144,14 +144,6 @@ class InMemoryStore:
             )
         return self._summary_cache[1]
 
-    def copy(self) -> "InMemoryStore":
-        """Independent duplicate; copies the hash set instead of re-hashing."""
-        dup = type(self)(name=self.name)
-        dup._clips = list(self._clips)
-        dup._hashes = set(self._hashes)
-        dup._hash_list = list(self._hash_list)
-        return dup
-
 
 #: The store type consumers annotate against (one implementation).
 LibraryStore = InMemoryStore

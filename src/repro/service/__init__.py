@@ -11,8 +11,8 @@ machinery in a long-lived asyncio service:
   and periodic snapshot checkpoints;
 * :class:`MicroBatchScheduler` / :class:`SchedulerConfig` — the pure
   coalescing rules (group by compatibility key, arrival order inside a
-  batch, priority across batches) plus the cross-request model-batch
-  packing plan (:meth:`MicroBatchScheduler.pack`);
+  batch, priority across batches); the service packs each micro-batch's
+  sampling chunks with :func:`repro.engine.pack_chunks`;
 * :class:`ArrivalSequencer` — runs per-request commits in global
   arrival order; the service's commit stage and the fleet front share
   it;

@@ -37,6 +37,9 @@ reconciles them into the shared root with the ordered
 :func:`~repro.library.merge_libraries`
 (:func:`reconcile_worker_snapshots`).  Cold sessions on a worker seed
 from the last reconciled merge via ``SessionConfig.fallback_root``.
+DRC verdicts travel the same way: workers inherit the front's shared
+stores at fork, and each worker's stop reply carries its stores back
+for the front to merge, so ``--drc-cache-dir`` saves what workers found.
 
 A worker crash (detected as EOF on its pipe) fails that worker's
 in-flight requests with terminal error events — released through the
@@ -66,6 +69,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from ..drc.cache import merge_shared_caches, snapshot_shared_caches
 from ..engine import GenerationRequest
 from ..engine.retry import CircuitBreaker
 from ..library import is_library_dir, merge_libraries, save_library
@@ -373,13 +377,14 @@ def _worker_main(
             _, seq, checkpoint = message
             # Let in-flight request coroutines deliver their terminal
             # events before the loop goes away; stop() resolves their
-            # streams, the futures then enqueue the events.
+            # streams, the futures then enqueue the events.  The reply
+            # carries this worker's DRC verdicts for the front to keep.
             try:
                 asyncio.run_coroutine_threadsafe(
                     service.stop(checkpoint=checkpoint), loop
                 ).result()
                 concurrent.futures.wait(list(serve_futures), timeout=10.0)
-                out.put(("rsp", seq, True, True))
+                out.put(("rsp", seq, True, snapshot_shared_caches()))
             except Exception as error:  # noqa: BLE001 - crosses the pipe
                 out.put(("rsp", seq, False, _safe_error(error)))
             running = False
@@ -622,9 +627,12 @@ class FleetService:
             pending.append((handle, future))
         for handle, future in pending:
             try:
-                future.result(timeout=self.config.rpc_timeout_s)
+                verdicts = future.result(timeout=self.config.rpc_timeout_s)
             except Exception:  # noqa: BLE001 - worker died mid-stop
-                pass
+                continue
+            # Workers ran every DRC sweep: fold their verdicts into the
+            # front's stores, which --drc-cache-dir saves.
+            merge_shared_caches(verdicts)
         for handle in self._workers.values():
             process = handle.process
             if process is not None:
@@ -1181,7 +1189,6 @@ class FleetService:
             peak = max(peak, int(payload.get("peak_coalesced", 0)))
             worker_queue_depth += int(payload.get("queue_depth", 0))
             stages.merge_snapshot(payload.get("stages", {}))
-        from ..diffusion.plan import plan_cache_stats
         from .faults import injection_stats
 
         with self._stats_lock:
@@ -1221,10 +1228,9 @@ class FleetService:
                 (float(p.get("pack_fill", 0.0)) for p in payloads.values()),
                 default=0.0,
             ),
-            # Front-process caches and fault plan (workers report their
-            # own under fleet.workers[*].stats) — kept for shape parity
-            # with the single-process payload.
-            "warm_caches": {"sampler_plan": plan_cache_stats()},
+            # Front-process fault plan (workers report their own under
+            # fleet.workers[*].stats) — kept for shape parity with the
+            # single-process payload.
             "faults": injection_stats(),
             "stages": stages.snapshot(),
             "fleet": {

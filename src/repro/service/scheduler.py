@@ -20,14 +20,12 @@ Ordering rules:
   cannot stretch a micro-batch (and every co-batched client's latency)
   without bound.
 
-Beyond grouping, the scheduler also emits the **model-batch packing
-plan** for a micro-batch (:meth:`MicroBatchScheduler.pack`): the
-requests' sampling chunks — the unit of per-request rng spawning —
-interleaved first-fit into shared, full-width model batches.  Requests
-in one micro-batch share a compatibility key by construction, which is
-exactly the precondition for their chunks to share a model invocation;
-the executor validates the plan against the real job lists before
-running it (:meth:`repro.engine.BatchExecutor.run_model_packed`).
+Requests in one micro-batch share a compatibility key by construction,
+which is exactly the precondition for their sampling chunks to share a
+model invocation: the service packs them with
+:func:`repro.engine.pack_chunks` and the executor validates that plan
+against the real job lists before running it
+(:meth:`repro.engine.BatchExecutor.run_model_packed`).
 
 Coalescing can run a later arrival before an earlier one (groups are
 per key), so results are put back in order by the
@@ -43,7 +41,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from ..engine import GenerationRequest, PackingPlan, pack_chunks
+from ..engine import GenerationRequest
 
 __all__ = [
     "ArrivalSequencer",
@@ -158,24 +156,6 @@ class MicroBatchScheduler:
             key=lambda b: (-b.priority, min(e.arrival for e in b.entries))
         )
         return batches
-
-    def pack(
-        self, counts: Sequence[int], model_batch: int
-    ) -> PackingPlan:
-        """Emit the cross-request packing plan for one micro-batch.
-
-        ``counts`` is the per-request model-stage job count in entry
-        order (for the built-in inpainting backends this is
-        ``request.count``).  Each request is split into sampling chunks
-        exactly as the serial model stage would
-        (``model_batch``-job chunks; the chunk is the rng-spawn unit,
-        keyed by its request and chunk index), and the chunks are packed
-        first-fit into shared model batches of at most ``model_batch``
-        total jobs.  Pure and deterministic — grouping compatible
-        requests is :meth:`coalesce`'s job, deciding which of their
-        chunks sample together is this one's.
-        """
-        return pack_chunks(counts, model_batch)
 
 
 class ArrivalSequencer:

@@ -63,6 +63,7 @@ from ..engine import (
     StageTimings,
     deck_key,
     get_backend,
+    pack_chunks,
 )
 from .faults import maybe_fire, protected
 from .scheduler import (
@@ -623,7 +624,6 @@ class GenerationService:
         worker processes — exports exactly the same shape.  See
         ``docs/SERVING.md`` for the field reference.
         """
-        from ..diffusion.plan import plan_cache_stats
         from .faults import injection_stats
 
         stats = self.stats
@@ -647,9 +647,6 @@ class GenerationService:
             "packed_jobs": stats.packed_jobs,
             "packed_fallbacks": stats.packed_fallbacks,
             "pack_fill": round(stats.last_pack_fill, 4),
-            # Warm-start cache counters (on-disk sampler plans under
-            # --drc-cache-dir).
-            "warm_caches": {"sampler_plan": plan_cache_stats()},
             # Active fault-injection plan state (chaos runs;
             # {"installed": false} in normal operation).
             "faults": injection_stats(),
@@ -858,9 +855,8 @@ class GenerationService:
         )
         try:
             job_lists = [pack_jobs(plan.request) for _, plan in prepared]
-            packing = self.scheduler.pack(
-                [len(templates) for templates, _ in job_lists],
-                capacity,
+            packing = pack_chunks(
+                [len(templates) for templates, _ in job_lists], capacity
             )
             result = executor.run_model_packed(
                 pack_model_fn(),

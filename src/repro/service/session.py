@@ -16,10 +16,10 @@ stores), and :meth:`Session.checkpoint` / ``checkpoint_every`` write the
 grown store back with :func:`repro.library.save_library` between batches,
 so a crashed or restarted service resumes from the last checkpoint.
 
-Admission itself happens on the service's scheduler thread, one request
-at a time in arrival order — see
-:meth:`repro.service.GenerationService._run_cycle` — which is what makes
-a session's final store deterministic for a fixed submission order.
+Admission itself happens on the service's commit thread, one request
+at a time in global arrival order — see
+:meth:`repro.service.GenerationService._commit_loop` — which is what
+makes a session's final store deterministic for a fixed submission order.
 """
 
 from __future__ import annotations

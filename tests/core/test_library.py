@@ -51,13 +51,6 @@ class TestLibrary:
         assert summary.unique == 5
         assert summary.h2 > 0
 
-    def test_copy_is_independent(self):
-        library = PatternLibrary([clip(0)])
-        duplicate = library.copy()
-        duplicate.add(clip(1))
-        assert len(library) == 1
-        assert len(duplicate) == 2
-
     def test_iteration(self):
         clips = [clip(i) for i in range(3)]
         library = PatternLibrary(clips)

@@ -56,90 +56,6 @@ class TestPlanCache:
             plan.sigma[0] = 0.0
 
 
-@pytest.fixture
-def plan_disk(tmp_path):
-    """Enable the on-disk plan cache for one test, then disable it.
-
-    The memory memo is cleared on entry and exit so other tests keep
-    their process-wide ``is``-identity semantics untouched.
-    """
-    from repro.diffusion.plan import clear_plan_memory, configure_plan_cache
-
-    clear_plan_memory()
-    configure_plan_cache(tmp_path)
-    try:
-        yield tmp_path
-    finally:
-        configure_plan_cache(None)
-        clear_plan_memory()
-
-
-class TestPlanDiskCache:
-    def test_reload_is_bit_identical(self, plan_disk):
-        from dataclasses import fields
-
-        from repro.diffusion.plan import clear_plan_memory, plan_cache_stats
-
-        schedule = linear_schedule(40)
-        built = sampler_plan(schedule, 9, 0.3)
-        assert plan_cache_stats()["writes"] == 1
-        clear_plan_memory()
-        loaded = sampler_plan(schedule, 9, 0.3)
-        assert plan_cache_stats()["hits"] == 1
-        assert loaded is not built
-        for field in fields(built):
-            a, b = getattr(built, field.name), getattr(loaded, field.name)
-            if isinstance(a, np.ndarray):
-                assert a.dtype == b.dtype
-                np.testing.assert_array_equal(a, b)
-                assert not b.flags.writeable
-            else:
-                assert a == b
-
-    def test_wrong_key_file_is_rebuilt_not_trusted(self, plan_disk):
-        import pathlib
-
-        from repro.diffusion.plan import clear_plan_memory, plan_cache_stats
-
-        schedule = linear_schedule(40)
-        reference = sampler_plan(schedule, 9, 0.0)
-        # A different plan's bytes dropped onto this key's filename must
-        # fail the stored-key guard and trigger a rebuild.
-        (victim,) = pathlib.Path(plan_disk).glob("plan-*.npz")
-        clear_plan_memory()
-        sampler_plan(linear_schedule(40), 5, 0.0)
-        other = next(
-            p for p in pathlib.Path(plan_disk).glob("plan-*.npz")
-            if p != victim
-        )
-        victim.write_bytes(other.read_bytes())
-        clear_plan_memory()
-        rebuilt = sampler_plan(schedule, 9, 0.0)
-        np.testing.assert_array_equal(rebuilt.sigma, reference.sigma)
-        assert rebuilt.num_steps == 9
-
-    def test_garbage_file_is_rebuilt(self, plan_disk):
-        import pathlib
-
-        from repro.diffusion.plan import clear_plan_memory
-
-        schedule = linear_schedule(40)
-        reference = sampler_plan(schedule, 7, 0.0)
-        (path,) = pathlib.Path(plan_disk).glob("plan-*.npz")
-        path.write_bytes(b"not an npz")
-        clear_plan_memory()
-        rebuilt = sampler_plan(schedule, 7, 0.0)
-        np.testing.assert_array_equal(
-            rebuilt.timesteps, reference.timesteps
-        )
-
-    def test_disabled_cache_reports_inactive(self):
-        from repro.diffusion.plan import plan_cache_stats
-
-        stats = plan_cache_stats()
-        assert stats["dir"] is None
-
-
 class TestPlanValues:
     """Each table entry equals the scalar re-derivation it replaced."""
 

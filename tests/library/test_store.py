@@ -95,14 +95,6 @@ class TestStoreSemantics:
             pattern_hash(c) for _, c in items
         ]
 
-    def test_copy_is_independent(self, store):
-        store.admit(clip(0))
-        dup = store.copy()
-        dup.admit(clip(1))
-        assert len(store) == 1
-        assert len(dup) == 2
-        assert clip(1) in dup and clip(1) not in store
-
     def test_merge_rejects_delta_internal_duplicates(self, store):
         # Mixed shapes take the loose-clip path of admit_many (merging
         # libraries is ordered admission); it dedups within the batch too.
@@ -120,19 +112,6 @@ class TestStoreSemantics:
         assert got.h1 == pytest.approx(expected.h1)
         assert got.h2 == pytest.approx(expected.h2)
         assert got.mean_density == pytest.approx(expected.mean_density)
-
-
-class TestCopyDoesNotRehash:
-    def test_facade_copy_skips_hashing(self, monkeypatch):
-        library = PatternLibrary([clip(i) for i in range(5)])
-
-        def boom(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("copy() must not re-hash clips")
-
-        monkeypatch.setattr(store_mod, "pattern_hash", boom)
-        monkeypatch.setattr(store_mod, "pattern_hashes", boom)
-        dup = library.copy()
-        assert len(dup) == 5
 
 
 class TestSummaryCaching:

@@ -8,7 +8,12 @@ import pytest
 from repro.core import PatternPaintConfig
 from repro.diffusion import Ddpm, InpaintConfig, linear_schedule
 from repro.drc import basic_deck
-from repro.engine import GenerationRequest, register_backend, run_generation
+from repro.engine import (
+    GenerationRequest,
+    pack_chunks,
+    register_backend,
+    run_generation,
+)
 from repro.engine.backends import PatternPaintBackend
 from repro.geometry import Grid
 from repro.nn import TimeUnet, UNetConfig
@@ -102,15 +107,13 @@ def _assert_batches_identical(a, b):
 
 class TestSchedulerPack:
     def test_micro_batch_chunks_interleave(self):
-        scheduler = MicroBatchScheduler()
-        plan = scheduler.pack([3, 3, 3], 8)
+        plan = pack_chunks([3, 3, 3], 8)
         assert plan.capacity == 8
         assert len(plan.batches) == 2  # 3+3 <= 8, third chunk spills
         assert plan.packed_jobs == 9
 
     def test_pack_is_pure_and_deterministic(self):
-        scheduler = MicroBatchScheduler()
-        assert scheduler.pack([5, 2], 4).batches == scheduler.pack(
+        assert pack_chunks([5, 2], 4).batches == pack_chunks(
             [5, 2], 4
         ).batches
 
