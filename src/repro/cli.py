@@ -115,9 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="worker *processes*: 2+ fronts a multi-process "
                             "fleet (sticky key->worker routing, results "
-                            "kept in global arrival order, crashed "
-                            "workers respawned, session snapshots merged "
-                            "at drain/shutdown); 1 (the default) runs the "
+                            "kept in global arrival order, each session "
+                            "owned by one worker that checkpoints it into "
+                            "--session-dir, crashed workers respawned and "
+                            "their sessions resumed from the last "
+                            "checkpoint); 1 (the default) runs the "
                             "single-process service")
     serve.add_argument("--drain-timeout", type=float, default=10.0,
                        metavar="S",

@@ -11,9 +11,9 @@ Two small, composable pieces:
 * :class:`CircuitBreaker` — a failure-windowed breaker: ``threshold``
   failures inside ``window_s`` open it for ``cooldown_s``; while open,
   :meth:`~CircuitBreaker.allow` returns ``False`` so callers degrade
-  (the fleet stops respawning a crash-looping worker slot).  After the
-  cooldown one trial is allowed through (half-open): success closes the
-  breaker, another failure re-opens it.
+  (the fleet stops respawning a crash-looping worker slot).  Once the
+  cooldown lapses, calls are allowed again; failures keep counting
+  toward the next trip.
 
 :class:`TransientError` is the marker base class for errors that are
 worth retrying by construction — the fault-injection harness's
@@ -113,14 +113,14 @@ class RetryPolicy:
 
 
 class CircuitBreaker:
-    """Failure-windowed breaker: closed -> open (cooldown) -> half-open.
+    """Failure-windowed breaker: closed -> open (cooldown) -> closed.
 
     ``threshold`` failures within ``window_s`` seconds trip the breaker
     open for ``cooldown_s``; :meth:`allow` then returns ``False`` so the
-    caller takes its degraded path.  Once the cooldown elapses the next
-    caller is allowed through as a half-open trial: a success closes the
-    breaker (failure history cleared), a failure counts toward tripping
-    it again.  Thread-safe; ``clock`` is injectable for tests.
+    caller takes its degraded path.  Once the cooldown lapses,
+    :meth:`allow` returns ``True`` again; nothing closes the breaker
+    early, and later failures count toward tripping it again.
+    Thread-safe; ``clock`` is injectable for tests.
     """
 
     def __init__(
@@ -145,7 +145,7 @@ class CircuitBreaker:
         self._lock = threading.Lock()
 
     def allow(self) -> bool:
-        """True when a call may proceed (closed, or half-open trial)."""
+        """True when a call may proceed (no cooldown holds)."""
         with self._lock:
             return self._clock() >= self._open_until
 
@@ -164,23 +164,8 @@ class CircuitBreaker:
                 return True
             return False
 
-    def record_success(self) -> None:
-        """Close the breaker (clears the failure window and any cooldown)."""
-        with self._lock:
-            self._failures.clear()
-            self._open_until = 0.0
-
     @property
     def state(self) -> str:
         """``"open"`` while the cooldown holds, else ``"closed"``."""
         return "closed" if self.allow() else "open"
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            open_now = self._clock() < self._open_until
-            return {
-                "state": "open" if open_now else "closed",
-                "failures": len(self._failures),
-                "trips": self.trips,
-            }
 

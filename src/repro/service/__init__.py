@@ -32,12 +32,13 @@ machinery in a long-lived asyncio service:
   gateway (``repro serve --http-port``): ``POST /v1/generate``, polled
   and chunked-streamed results, ``/v1/stats``, ``/v1/healthz``;
 * :class:`FleetService` / :class:`FleetConfig` — the multi-process
-  shard-aware front (``repro serve --workers N``): N forked worker
-  processes each running a full service, sticky key→worker routing,
-  the same arrival sequencer keeping results in global arrival
-  order, circuit-breaker-gated crash respawn, and drain-time session
-  snapshot reconciliation by ordered admission
-  (:func:`~repro.library.merge_libraries`).
+  front (``repro serve --workers N``): N forked worker processes each
+  running a full service, sticky key→worker routing with one owner
+  worker per session (which checkpoints the session into the shared
+  snapshot root), the same arrival sequencer keeping results in global
+  arrival order, and circuit-breaker-gated crash respawn, after which a
+  dead worker's sessions move to live owners that load their last
+  checkpoint.
 
 Typical in-process use::
 
@@ -74,12 +75,7 @@ from .faults import (
     maybe_fire,
     reset_faults_for_worker,
 )
-from .fleet import (
-    FleetConfig,
-    FleetService,
-    FleetStats,
-    reconcile_worker_snapshots,
-)
+from .fleet import FleetConfig, FleetService, FleetStats
 from .gateway import DEFAULT_MAX_BODY, HttpGateway, serve_http
 from .payload import (
     PAYLOAD_MODES,
@@ -161,7 +157,6 @@ __all__ = [
     "install_faults",
     "maybe_fire",
     "payload_frames",
-    "reconcile_worker_snapshots",
     "reset_faults_for_worker",
     "serve",
     "serve_http",

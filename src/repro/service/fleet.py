@@ -9,10 +9,13 @@ the one concurrency layer above that: it spawns ``workers`` child
 * the routing key is the request's session id when it has one, else its
   :meth:`~repro.engine.GenerationRequest.compatibility_key`;
 * a key's first request claims the least-recently-claimed live worker
-  and the key stays pinned there (bounded LRU table, stale keys evicted),
-  so one session's requests land on one worker in arrival order — which
-  is exactly the property that makes a session's store deterministic in
-  the single-process service, preserved across the process boundary;
+  and the key stays pinned there.  A session's route is never evicted:
+  its worker is the session's one owner until that worker dies, so one
+  session's requests land on one worker in arrival order — exactly the
+  property that makes a session's store deterministic in the
+  single-process service, preserved across the process boundary.
+  Compatibility-key routes live in a bounded LRU table (8 per worker),
+  where stickiness only affects throughput;
 * terminal events pass through the same
   :class:`~repro.service.scheduler.ArrivalSequencer` the service's
   commit stage uses: every request's result or error is published in
@@ -30,24 +33,24 @@ the :class:`GenerationService` one (``submit``/``cancel``/``health``/
 :class:`~repro.service.ServiceClient` work unchanged in front of a
 fleet.
 
-Session libraries are per-worker while serving (each worker checkpoints
-its sessions under ``<snapshot_root>/workers/<i>``, and results cross
-the pipe with ``library=None``); at drain and stop time the front
-reconciles them into the shared root with the ordered
-:func:`~repro.library.merge_libraries`
-(:func:`reconcile_worker_snapshots`).  Cold sessions on a worker seed
-from the last reconciled merge via ``SessionConfig.fallback_root``.
-DRC verdicts travel the same way: workers inherit the front's shared
+A session's store lives in its owner worker (results cross the pipe
+with ``library=None``), and the owner checkpoints it straight into
+``<snapshot_root>/<session>`` with the crash-safe generational
+:func:`~repro.library.save_library`, exactly as the single-process
+service does: one writer per session, so there is nothing to merge.
+DRC verdicts go the other way: workers inherit the front's shared
 stores at fork, and each worker's stop reply carries its stores back
 for the front to merge, so ``--drc-cache-dir`` saves what workers found.
 
 A worker crash (detected as EOF on its pipe) fails that worker's
 in-flight requests with terminal error events — released through the
-sequencer so ordering holds for the survivors — and respawns the slot
-behind a :class:`~repro.engine.retry.CircuitBreaker`, so a crash-looping
-worker degrades the fleet instead of fork-bombing the host.  The
-``fleet`` fault-injection site (``REPRO_FAULTS=fleet:kill@1``) makes
-this path deterministically testable.
+sequencer so ordering holds for the survivors — and drops the dead
+worker's routes: each of its sessions' next request makes a live worker
+the new owner, which loads the session's last checkpoint.  The slot
+respawns behind a :class:`~repro.engine.retry.CircuitBreaker`, so a
+crash-looping worker degrades the fleet instead of fork-bombing the
+host.  The ``fleet`` fault-injection site (``REPRO_FAULTS=fleet:kill@1``)
+makes this path deterministically testable.
 
 Process-level parallelism lives at the fleet layer (``workers``); inside
 a worker, only the row-sharded model forwards (:mod:`repro.nn.shards`)
@@ -67,12 +70,10 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 from ..drc.cache import merge_shared_caches, snapshot_shared_caches
 from ..engine import GenerationRequest
 from ..engine.retry import CircuitBreaker
-from ..library import is_library_dir, merge_libraries, save_library
 from .faults import maybe_fire, protected, reset_faults_for_worker
 from .scheduler import ArrivalSequencer
 from .service import (
@@ -88,11 +89,20 @@ __all__ = [
     "FleetConfig",
     "FleetStats",
     "FleetService",
-    "reconcile_worker_snapshots",
 ]
 
-#: Subdirectory of the snapshot root holding per-worker session roots.
-WORKER_SUBDIR = "workers"
+#: A slot's respawn breaker: this many crashes within the window trip it
+#: open for the cooldown, i.e. one respawn per crash burst rather than a
+#: crash loop.
+_RESPAWN_FAILURES = 2
+_RESPAWN_WINDOW_S = 60.0
+_RESPAWN_COOLDOWN_S = 30.0
+
+#: Bound on one control-plane round trip (stats/health/drain/stop).
+_CONTROL_TIMEOUT_S = 60.0
+
+#: Compatibility-key routes kept per worker (session routes are unbounded).
+_KEY_ROUTES_PER_WORKER = 8
 
 #: Exit code a worker uses for an injected ``fleet:kill`` crash.
 _KILL_EXIT = 17
@@ -105,30 +115,19 @@ class FleetConfig:
     """Fleet-level knobs (per-worker knobs live in ``service``).
 
     ``workers`` is the process count.  ``service`` is the
-    :class:`~repro.service.ServiceConfig` every worker runs — the front
-    derives each worker's private variant (a per-worker snapshot
-    subdirectory) from it.  ``respawn``
-    enables crash recovery: a dead worker slot is re-forked as long as
-    its circuit breaker (``breaker_threshold`` failures within
-    ``breaker_window_s`` trip it open for ``breaker_cooldown_s``)
-    allows, i.e. by default one respawn per crash burst rather than a
-    crash loop.  ``rpc_timeout_s`` bounds
-    the control-plane round trips (stats/health/checkpoint/stop).
+    :class:`~repro.service.ServiceConfig` every worker runs unchanged.
+    ``respawn`` enables crash recovery: a dead worker slot is re-forked
+    as long as its circuit breaker allows (one respawn per crash burst
+    rather than a crash loop).
     """
 
     workers: int = 2
     service: ServiceConfig = field(default_factory=ServiceConfig)
     respawn: bool = True
-    breaker_threshold: int = 2
-    breaker_window_s: float = 60.0
-    breaker_cooldown_s: float = 30.0
-    rpc_timeout_s: float = 60.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.rpc_timeout_s <= 0:
-            raise ValueError("rpc_timeout_s must be positive")
 
 
 @dataclass
@@ -154,73 +153,6 @@ class FleetStats:
     crashed_requests: int = 0
     unroutable: int = 0
     respawns: int = 0
-    reconciled_sessions: int = 0
-
-
-def _worker_dirname(worker_id: int) -> str:
-    return f"{worker_id:04d}"
-
-
-def _worker_config(cfg: FleetConfig, worker_id: int) -> ServiceConfig:
-    """The per-worker :class:`ServiceConfig`: a private snapshot dir.
-
-    Each worker checkpoints sessions under its own subdirectory of the
-    shared snapshot root (two processes must never race one manifest);
-    cold sessions still warm-start from the shared root — the last
-    reconciled merge — via ``fallback_root``.
-    """
-    base = cfg.service
-    sessions = base.sessions
-    if sessions.snapshot_root is not None:
-        root = Path(sessions.snapshot_root)
-        sessions = replace(
-            sessions,
-            snapshot_root=root / WORKER_SUBDIR / _worker_dirname(worker_id),
-            fallback_root=root,
-        )
-    return replace(base, sessions=sessions)
-
-
-def reconcile_worker_snapshots(root: "str | Path") -> "dict[str, int]":
-    """Merge per-worker session snapshots into the shared root.
-
-    For every session id found under ``<root>/workers/*/``, merge —
-    via the ordered :func:`~repro.library.merge_libraries` — the shared
-    root's existing snapshot (the base ordering, when one exists) with
-    each worker's snapshot *in worker-index order*, and save the result
-    to ``<root>/<session_id>`` with the same crash-safe generational
-    layout the single-process service writes.  Deterministic for fixed
-    worker contents; a session served by exactly one worker round-trips
-    bit-identically.
-
-    Returns ``{session_id: merged_pattern_count}``.
-    """
-    root = Path(root)
-    workers_root = root / WORKER_SUBDIR
-    if not workers_root.is_dir():
-        return {}
-    worker_dirs = sorted(
-        path for path in workers_root.iterdir() if path.is_dir()
-    )
-    session_ids = set()
-    for worker_dir in worker_dirs:
-        for sub in worker_dir.iterdir():
-            if is_library_dir(sub):
-                session_ids.add(sub.name)
-    merged: dict[str, int] = {}
-    for session_id in sorted(session_ids):
-        sources = []
-        if is_library_dir(root / session_id):
-            sources.append(root / session_id)
-        sources.extend(
-            worker_dir / session_id
-            for worker_dir in worker_dirs
-            if is_library_dir(worker_dir / session_id)
-        )
-        store = merge_libraries(sources, name=session_id)
-        save_library(store, root / session_id)
-        merged[session_id] = len(store)
-    return merged
 
 
 # ----------------------------------------------------------------------
@@ -334,8 +266,6 @@ def _worker_main(
             return asyncio.run_coroutine_threadsafe(
                 service.drain(payload), loop
             ).result()
-        if verb == "checkpoint":
-            return len(service.sessions.checkpoint_all())
         raise ValueError(f"unknown fleet rpc verb {verb!r}")
 
     running = True
@@ -472,7 +402,8 @@ class FleetService:
         self._loop: "asyncio.AbstractEventLoop | None" = None
         self._submit_lock: "asyncio.Lock | None" = None
         self._workers: "dict[int, _WorkerHandle]" = {}
-        self._routes: "OrderedDict[tuple, int]" = OrderedDict()
+        self._session_routes: "dict[tuple, int]" = {}
+        self._key_routes: "OrderedDict[tuple, int]" = OrderedDict()
         self._route_lock = threading.Lock()
         self._route_clock = 0
         self._route_queue: "queue_module.Queue | None" = None
@@ -513,9 +444,9 @@ class FleetService:
             handle = _WorkerHandle(
                 worker_id,
                 CircuitBreaker(
-                    self.config.breaker_threshold,
-                    self.config.breaker_window_s,
-                    self.config.breaker_cooldown_s,
+                    _RESPAWN_FAILURES,
+                    _RESPAWN_WINDOW_S,
+                    _RESPAWN_COOLDOWN_S,
                 ),
             )
             self._workers[worker_id] = handle
@@ -539,7 +470,7 @@ class FleetService:
             args=(
                 handle.worker_id,
                 child_conn,
-                _worker_config(self.config, handle.worker_id),
+                self.config.service,
                 respawn,
             ),
             name=f"repro-fleet-worker-{handle.worker_id}",
@@ -569,14 +500,14 @@ class FleetService:
                 )
 
     async def stop(self, *, checkpoint: bool = True) -> None:
-        """Stop routing, stop every worker, reconcile snapshots (idempotent).
+        """Stop routing and stop every worker (idempotent).
 
         Workers run their own ``GenerationService.stop`` (in-flight
         micro-batches finish and commit; queued requests fail), take a
-        final session checkpoint unless ``checkpoint=False``, and exit;
-        the front then merges all per-worker session snapshots into the
-        shared root so a restart — fleet or single-process — sees one
-        consistent library per session.
+        final checkpoint of the sessions they own unless
+        ``checkpoint=False``, and exit.  Each session has one owner, so
+        the shared snapshot root then holds one library per session,
+        just as a single-process service leaves it.
         """
         if not self._running and not self._workers:
             return
@@ -588,8 +519,6 @@ class FleetService:
             await loop.run_in_executor(None, self._router.join)
             self._router = None
         await loop.run_in_executor(None, self._stop_workers, checkpoint)
-        if checkpoint:
-            self._reconcile()
         # Anything still unresolved (a worker died during stop) fails
         # now; the sequencer then force-publishes in arrival order.
         with self._live_lock:
@@ -604,7 +533,8 @@ class FleetService:
             self._sequencer.flush()
         self._workers.clear()
         with self._route_lock:
-            self._routes.clear()
+            self._session_routes.clear()
+            self._key_routes.clear()
         self._stopping = False
 
     def _stop_workers(self, checkpoint: bool) -> None:
@@ -627,7 +557,7 @@ class FleetService:
             pending.append((handle, future))
         for handle, future in pending:
             try:
-                verdicts = future.result(timeout=self.config.rpc_timeout_s)
+                verdicts = future.result(timeout=_CONTROL_TIMEOUT_S)
             except Exception:  # noqa: BLE001 - worker died mid-stop
                 continue
             # Workers ran every DRC sweep: fold their verdicts into the
@@ -636,7 +566,7 @@ class FleetService:
         for handle in self._workers.values():
             process = handle.process
             if process is not None:
-                process.join(timeout=self.config.rpc_timeout_s)
+                process.join(timeout=_CONTROL_TIMEOUT_S)
                 if process.is_alive():  # pragma: no cover - stuck worker
                     process.terminate()
                     process.join(timeout=5.0)
@@ -647,17 +577,6 @@ class FleetService:
                     handle.conn.close()
             except OSError:
                 pass
-
-    def _reconcile(self) -> None:
-        root = self.config.service.sessions.snapshot_root
-        if root is None:
-            return
-        try:
-            merged = reconcile_worker_snapshots(root)
-        except Exception:  # noqa: BLE001 - reconcile must not mask stop
-            return
-        with self._stats_lock:
-            self.stats.reconciled_sessions += len(merged)
 
     async def __aenter__(self) -> "FleetService":
         return await self.start()
@@ -735,21 +654,25 @@ class FleetService:
     def _claim_worker(self, key: tuple) -> _WorkerHandle:
         """Sticky worker for ``key``; LRU claim on first sight.
 
-        A known key goes back to its worker while that worker lives; an unknown (or orphaned)
-        key claims the least-recently-claimed live worker.  The table is
-        bounded (8 keys per worker), evicting least-recently-used keys —
-        an evicted key that returns simply re-claims, which is safe
-        because stickiness is a throughput property here, not a
-        correctness one (sessions excepted, and live sessions are
-        re-pinned before their table entry can be evicted by virtue of
-        being re-used).
+        A known route goes back to its worker while that worker lives;
+        an unknown one claims the least-recently-claimed live worker.
+        A session route is never evicted: its
+        worker owns the session's store until the worker dies (see
+        :meth:`_worker_died`), so the session never lands on a second
+        live worker.  Compatibility-key routes are bounded (8 per
+        worker) and evict least-recently-used first; an evicted key
+        that returns simply re-claims, because for them stickiness is a
+        throughput property, not a correctness one.
         """
+        session = key[0] == "session"
+        routes = self._session_routes if session else self._key_routes
         with self._route_lock:
-            worker_id = self._routes.get(key)
+            worker_id = routes.get(key)
             if worker_id is not None:
                 handle = self._workers.get(worker_id)
                 if handle is not None and handle.alive:
-                    self._routes.move_to_end(key)
+                    if not session:
+                        routes.move_to_end(key)
                     return handle
             live = [h for h in self._workers.values() if h.alive]
             if not live:
@@ -757,11 +680,12 @@ class FleetService:
             handle = min(live, key=lambda h: (h.last_claimed, h.worker_id))
             handle.last_claimed = self._route_clock
             self._route_clock += 1
-            self._routes[key] = handle.worker_id
-            self._routes.move_to_end(key)
-            limit = 8 * max(1, len(self._workers))
-            while len(self._routes) > limit:
-                self._routes.popitem(last=False)
+            routes[key] = handle.worker_id
+            if not session:
+                routes.move_to_end(key)
+                limit = _KEY_ROUTES_PER_WORKER * len(self._workers)
+                while len(routes) > limit:
+                    routes.popitem(last=False)
             return handle
 
     def _route_loop(self) -> None:
@@ -950,14 +874,17 @@ class FleetService:
                     f"(exitcode={process.exitcode})"
                 ),
             )
-        # Un-pin the dead worker's keys so they re-claim live workers.
+        # Un-pin the dead worker's routes so they re-claim live workers:
+        # each of its sessions gets a new owner, which loads the
+        # session's last checkpoint on first use.
         with self._route_lock:
-            stale = [
-                key for key, wid in self._routes.items()
-                if wid == handle.worker_id
-            ]
-            for key in stale:
-                del self._routes[key]
+            for routes in (self._session_routes, self._key_routes):
+                stale = [
+                    key for key, wid in routes.items()
+                    if wid == handle.worker_id
+                ]
+                for key in stale:
+                    del routes[key]
         handle.breaker.record_failure()
         # Gate on the state observed at death time (`expected` above),
         # not re-read state: resolving the swept requests unblocks their
@@ -1014,7 +941,7 @@ class FleetService:
         }
         results: "dict[int, object]" = {}
         deadline = time.monotonic() + (
-            timeout if timeout is not None else self.config.rpc_timeout_s
+            timeout if timeout is not None else _CONTROL_TIMEOUT_S
         )
         for worker_id, future in futures.items():
             remaining = max(0.05, deadline - time.monotonic())
@@ -1025,14 +952,13 @@ class FleetService:
         return results
 
     async def drain(self, timeout: "float | None" = None) -> bool:
-        """Refuse new submissions; drain every worker; reconcile.
+        """Refuse new submissions and await in-flight completion.
 
-        The fleet half of graceful shutdown: stop accepting, wait for
-        the front routing queue to empty, ask every worker to drain
-        within the remaining budget, then checkpoint all workers and
-        merge their session snapshots into the shared root — so the
-        post-drain on-disk state is what a single-process service would
-        have written.  Returns ``True`` when everything drained in time.
+        Same contract as :meth:`GenerationService.drain`: stop
+        accepting, wait for the front routing queue to empty, then ask
+        every worker to drain within the remaining budget.  Returns
+        ``True`` when everything drained in time.  Sessions checkpoint
+        in :meth:`stop`, as in one process.
         """
         self._draining = True
         loop = asyncio.get_running_loop()
@@ -1051,15 +977,8 @@ class FleetService:
             if deadline is not None
             else None
         )
-        results = self._broadcast(
-            "drain",
-            remaining,
-            timeout=remaining if remaining is not None else None,
-        )
-        drained = all(result is True for result in results.values())
-        self._broadcast("checkpoint")
-        self._reconcile()
-        return drained
+        results = self._broadcast("drain", remaining, timeout=remaining)
+        return all(result is True for result in results.values())
 
     # -- observability ---------------------------------------------------
     @property
@@ -1200,7 +1119,6 @@ class FleetService:
                 "crashed_requests": self.stats.crashed_requests,
                 "unroutable": self.stats.unroutable,
                 "respawns": self.stats.respawns,
-                "reconciled_sessions": self.stats.reconciled_sessions,
             }
         workers_section = []
         for worker_id, handle in sorted(self._workers.items()):

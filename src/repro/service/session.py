@@ -49,18 +49,10 @@ class SessionConfig:
     batches between automatic :func:`~repro.library.save_library` calls
     (0 disables periodic checkpoints; a final checkpoint still happens at
     service shutdown when a snapshot root is set).
-
-    ``fallback_root`` is a *load-only* second root: when a session has no
-    snapshot under its own ``snapshot_root`` yet, its store is seeded
-    from ``<fallback_root>/<session_id>`` instead (checkpoints still go
-    to ``snapshot_root``).  The fleet uses this to give every worker
-    process a private snapshot root while cold sessions still warm-start
-    from the front's last reconciled (merged) snapshot.
     """
 
     snapshot_root: "str | Path | None" = None
     checkpoint_every: int = 0
-    fallback_root: "str | Path | None" = None
 
     def __post_init__(self) -> None:
         if self.checkpoint_every < 0:
@@ -168,26 +160,15 @@ class SessionManager:
         store: LibraryStore | None = None
         if cfg.snapshot_root is not None:
             snapshot_dir = Path(cfg.snapshot_root) / session_id
-        load_candidates = []
         if snapshot_dir is not None and is_library_dir(snapshot_dir):
-            load_candidates.append(snapshot_dir)
-        elif cfg.fallback_root is not None:
-            # Load-only fallback: a cold session (no snapshot of its own
-            # yet) seeds from the shared root — the fleet's reconciled
-            # merge — while checkpoints keep going to snapshot_dir.
-            fallback_dir = Path(cfg.fallback_root) / session_id
-            if is_library_dir(fallback_dir):
-                load_candidates.append(fallback_dir)
-        for candidate in load_candidates:
             try:
-                store = load_library(candidate, name=session_id)
+                store = load_library(snapshot_dir, name=session_id)
             except Exception:  # noqa: BLE001 - cold start beats crash
                 # Both the current and the previous-generation
                 # manifest failed to load (torn beyond the last good
                 # snapshot).  Serving an empty session is strictly
                 # better than refusing to serve the tenant at all.
                 self.load_fallbacks += 1
-                store = None
         if store is None:
             store = PatternLibrary(name=session_id)
         return Session(

@@ -119,18 +119,6 @@ class TestCircuitBreaker:
         assert not breaker.record_failure()
         assert breaker.allow()
 
-    def test_half_open_trial_success_closes(self):
-        clock = _Clock()
-        breaker = CircuitBreaker(2, window_s=10, cooldown_s=5, clock=clock)
-        breaker.record_failure()
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock.now = 6.0  # cooldown over: half-open trial allowed
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.snapshot()["failures"] == 0
-
     def test_half_open_trial_failure_counts_toward_reopening(self):
         clock = _Clock()
         breaker = CircuitBreaker(2, window_s=100, cooldown_s=5, clock=clock)
@@ -142,9 +130,4 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert not breaker.allow()
         assert breaker.trips == 2
-
-    def test_snapshot_shape(self):
-        breaker = CircuitBreaker()
-        snap = breaker.snapshot()
-        assert snap == {"state": "closed", "failures": 0, "trips": 0}
 

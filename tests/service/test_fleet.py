@@ -1,5 +1,5 @@
-"""Fleet front behaviour: cross-process bit-identity, routing, snapshot
-reconciliation, crash recovery, and the aggregated stats/health surface.
+"""Fleet front behaviour: cross-process bit-identity, routing, session
+ownership, crash recovery, and the aggregated stats/health surface.
 
 The determinism tests here mirror ``test_service.py`` one level up:
 fleet outputs must be bit-identical to a serial
@@ -20,7 +20,7 @@ from repro.core.library import PatternLibrary
 from repro.drc import advanced_deck
 from repro.engine import GenerationRequest, run_generation
 from repro.geometry import Grid
-from repro.library import load_library, save_library
+from repro.library import load_library
 from repro.service import (
     FleetConfig,
     FleetService,
@@ -29,7 +29,6 @@ from repro.service import (
     SessionConfig,
     active_plan,
 )
-from repro.service.fleet import WORKER_SUBDIR, reconcile_worker_snapshots
 
 GRID = Grid(nm_per_px=16.0, width_px=32, height_px=32)
 
@@ -158,6 +157,8 @@ class TestFleetSessions:
         assert len(merged) == len(reference)
         for got, expected in zip(merged.clips, reference.clips):
             np.testing.assert_array_equal(got, expected)
+        # The owner worker checkpointed into the shared root directly.
+        assert not (tmp_path / "workers").exists()
 
     def test_results_stay_small_as_the_session_grows(self, deck):
         # The session store stays in its worker: a result's pickled size
@@ -185,10 +186,34 @@ class TestFleetSessions:
                 client.generate(request, session="pinned", timeout=120)
             depths = client.service.queue_depths()
             assert set(depths) == {"submit", "in_flight", "workers"}
-        # Exactly one worker directory holds the session's snapshot.
-        worker_dirs = sorted((tmp_path / WORKER_SUBDIR).iterdir())
-        holders = [d for d in worker_dirs if (d / "pinned").is_dir()]
-        assert len(holders) == 1
+            workers = client.service.stats_payload()["fleet"]["workers"]
+        # One worker owns the session: it was routed all four requests.
+        assert sorted(entry["routed"] for entry in workers) == [0, 4]
+
+    def test_sessions_beyond_the_key_table_keep_their_owner(self, deck):
+        # More sessions than the 8-per-worker compatibility-key table
+        # holds: a session's route must never be evicted, or a returning
+        # session lands on a worker with an empty store.
+        sessions = [f"s{i}" for i in range(17)]
+        rounds = [
+            _requests(deck, len(sessions), count=4, base_seed=base)
+            for base in (800, 900)
+        ]
+        references = {sid: PatternLibrary(name=sid) for sid in sessions}
+        expected = [
+            run_generation(request, library=references[sid])
+            for requests in rounds
+            for sid, request in zip(sessions, requests)
+        ]
+        with _fleet_client(2) as client:
+            got = [
+                client.generate(request, session=sid, timeout=120)
+                for requests in rounds
+                for sid, request in zip(sessions, requests)
+            ]
+        assert [(b.admitted, b.library_size) for b in got] == [
+            (b.admitted, b.library_size) for b in expected
+        ]
 
     def test_two_tenants_reconcile_independently(self, deck, tmp_path):
         config = ServiceConfig(
@@ -207,59 +232,6 @@ class TestFleetSessions:
                 run_generation(request, library=reference)
             merged = load_library(tmp_path / session_id, name=session_id)
             assert len(merged) == len(reference)
-
-
-class TestReconcileWorkerSnapshots:
-    """Pure on-disk merge logic — fault plans are irrelevant here."""
-
-    def _store_from(self, deck, seeds, name):
-        store = PatternLibrary(name=name)
-        for seed in seeds:
-            run_generation(
-                GenerationRequest(backend="rule", count=4, seed=seed,
-                                  deck=deck),
-                library=store,
-            )
-        return store
-
-    def test_merge_order_is_base_then_worker_index(self, deck, tmp_path):
-        base = self._store_from(deck, [1], "s")
-        w0 = self._store_from(deck, [2], "s")
-        w1 = self._store_from(deck, [3], "s")
-        save_library(base, tmp_path / "s")
-        save_library(w0, tmp_path / WORKER_SUBDIR / "0000" / "s")
-        save_library(w1, tmp_path / WORKER_SUBDIR / "0001" / "s")
-        merged = reconcile_worker_snapshots(tmp_path)
-        assert set(merged) == {"s"}
-        store = load_library(tmp_path / "s", name="s")
-        # Ordered admission: the shared root defines the base order,
-        # then each worker's unseen patterns append in worker-index
-        # order — same sequence as merging by hand.
-        by_hand = base
-        by_hand.admit_many(w0.clips)
-        by_hand.admit_many(w1.clips)
-        assert len(store) == len(by_hand)
-        for got, want in zip(store.clips, by_hand.clips):
-            np.testing.assert_array_equal(got, want)
-
-    def test_single_worker_session_round_trips(self, deck, tmp_path):
-        only = self._store_from(deck, [4, 5], "solo")
-        save_library(only, tmp_path / WORKER_SUBDIR / "0000" / "solo")
-        merged = reconcile_worker_snapshots(tmp_path)
-        assert merged == {"solo": len(only)}
-        store = load_library(tmp_path / "solo", name="solo")
-        for got, want in zip(store.clips, only.clips):
-            np.testing.assert_array_equal(got, want)
-
-    def test_no_worker_dir_is_a_noop(self, tmp_path):
-        assert reconcile_worker_snapshots(tmp_path) == {}
-
-    def test_reconcile_is_idempotent(self, deck, tmp_path):
-        solo = self._store_from(deck, [6], "t")
-        save_library(solo, tmp_path / WORKER_SUBDIR / "0000" / "t")
-        first = reconcile_worker_snapshots(tmp_path)
-        second = reconcile_worker_snapshots(tmp_path)
-        assert first == second
 
 
 @_skip_under_fleet_faults
@@ -436,17 +408,24 @@ class TestFleetCrashRecovery:
             len(burst) + len(followups)
         )
 
-    def test_respawned_worker_reloads_session_snapshot(self, deck, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_respawned_worker_reloads_session_snapshot(
+        self, deck, tmp_path, workers
+    ):
         from repro.service import clear_faults, install_faults
 
         config = ServiceConfig(
             sessions=SessionConfig(snapshot_root=tmp_path,
                                    checkpoint_every=1)
         )
-        requests = _requests(deck, 4, base_seed=500)
+        requests = _requests(deck, 5, base_seed=500)
+        # The session's owner dies on its third request.  With one
+        # worker the respawned slot takes the session over; with two,
+        # the other worker does.  Either way the new owner loads the
+        # last checkpoint.
         install_faults("fleet:kill@3", scope="all")
         try:
-            with _fleet_client(1, config) as client:
+            with _fleet_client(workers, config) as client:
                 grown = []
                 for request in requests:
                     try:
@@ -456,14 +435,16 @@ class TestFleetCrashRecovery:
                         grown.append(batch.library_size)
                     except Exception:  # noqa: BLE001 - the killed one
                         grown.append(None)
+                        self._await_respawn(client.service)
         finally:
             clear_faults()
-        assert None in grown
+        assert grown[2] is None
+        assert None not in grown[:2] + grown[3:]
         # The post-crash batches saw the checkpointed store, not an
-        # empty one: library size keeps growing across the respawn.
+        # empty one: library size keeps growing across the crash.
+        assert grown[3] > grown[1]
         sizes = [g for g in grown if g is not None]
         assert sizes == sorted(sizes)
-        assert sizes[-1] > sizes[0]
 
     def test_no_respawn_when_disabled(self, deck):
         from repro.service import clear_faults, install_faults

@@ -375,3 +375,84 @@ class TestWarmCacheDir:
         # Loaded before the service (and any forked fleet worker)
         # starts, so every worker process inherits the verdicts.
         assert events == [warm, "start"]
+
+
+class TestServeProcess:
+    """``repro serve`` as a real process: signal -> drain -> stop."""
+
+    def test_sigterm_leaves_fleet_sessions_checkpointed(self, tmp_path):
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        import threading
+        from pathlib import Path
+
+        import repro
+        from repro.core.library import PatternLibrary
+        from repro.drc.decks import deck_by_name
+        from repro.engine import GenerationRequest, run_generation
+        from repro.library import load_library
+        from repro.service import RemoteClient
+        from repro.zoo.corpora import EXPERIMENT_GRID
+
+        root = tmp_path / "sessions"
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+            PYTHONUNBUFFERED="1",
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--workers", "2",
+             "--session-dir", str(root), "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        seeds = [0, 1, 2]
+        # Bounds the wait for the "listening on" line: a server that
+        # hangs at startup is killed, which ends the read with EOF.
+        watchdog = threading.Timer(120.0, proc.kill)
+        watchdog.start()
+        try:
+            port = None
+            for line in proc.stdout:
+                match = re.search(r"listening on \S+:(\d+)", line)
+                if match:
+                    port = int(match.group(1))
+                    break
+            assert port is not None, "repro serve exited before listening"
+            with RemoteClient("127.0.0.1", port) as client:
+                results = [
+                    client.generate({"backend": "rule", "count": 4,
+                                     "seed": seed, "session": "cli"})
+                    for seed in seeds
+                ]
+            proc.send_signal(signal.SIGTERM)
+            output, _ = proc.communicate(timeout=120)
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, output
+        deck = deck_by_name("advanced", EXPERIMENT_GRID)
+        reference = PatternLibrary(name="reference")
+        sizes = [
+            run_generation(
+                GenerationRequest(backend="rule", count=4, seed=seed,
+                                  deck=deck),
+                library=reference,
+            ).library_size
+            for seed in seeds
+        ]
+        assert [result["library_size"] for result in results] == sizes
+        # The session's owner worker checkpointed it at stop, straight
+        # into the shared root.
+        saved = load_library(root / "cli", name="cli")
+        assert len(saved) == len(reference) > 0
+        for got, want in zip(saved.clips, reference.clips):
+            np.testing.assert_array_equal(got, want)
+        assert not (root / "workers").exists()
