@@ -9,14 +9,14 @@ request against a small diffusion model, and serves the burst four ways:
   request **rehydrates the model from its checkpoint** and builds its own
   executor;
 * **service-serial** — the async :class:`~repro.service.GenerationService`
-  with micro-batching disabled (``max_batch_requests=1``): long-lived
-  backend (model loaded once) and executor, but every request is its own
-  scheduling cycle;
-* **coalesced** — the same service with the gather window open but
-  packing off (``pack_models=False``): PR 4's serving mode — compatible
-  requests coalesce into micro-batches sharing the warm backend and one
-  cached DRC sweep, but the model stage still samples one request at a
-  time;
+  with micro-batching disabled (``max_batch_requests=1``) on the
+  pack-less backend: long-lived backend (model loaded once) and
+  executor, but every request is its own scheduling cycle;
+* **coalesced** — the same service with the gather window open, on a
+  pack-less twin of the backend (same jobs, same model, no pack hooks):
+  compatible requests coalesce into micro-batches sharing the warm
+  backend and one cached DRC sweep, but the model stage still samples
+  one request at a time;
 * **packed** — coalescing plus cross-request model-batch packing: the
   micro-batch's sampling chunks interleave into shared full-width model
   batches, so the burst walks **one** denoising loop instead of N.
@@ -143,19 +143,18 @@ def _mixed_checkpoint() -> str:
     return _save_checkpoint(MIXED_UNET, "mixed-unet")
 
 
-class BenchInpaintBackend:
-    """Inpainting backend with one-shot construction semantics.
+class BenchSerialInpaintBackend:
+    """Inpainting backend with one-shot construction semantics, no packing.
 
     Construction rehydrates the model from its checkpoint — the cost a
     per-request server pays every time, and the cost the service's
-    long-lived backend registry pays exactly once.  The backend is
-    pack-capable: ``propose`` consumes its rng through the per-chunk
-    spawn discipline (one child per ``MODEL_BATCH``-job chunk), which is
-    what lets the service pack chunks from different requests into
-    shared model batches bit-identically.
+    long-lived backend registry pays exactly once.  Without pack hooks
+    the service samples it one request at a time through ``propose``,
+    which consumes its rng through the per-chunk spawn discipline (one
+    child per ``MODEL_BATCH``-job chunk).
     """
 
-    name = "bench-inpaint"
+    name = "bench-inpaint-serial"
     MODEL_BATCH = 32
 
     def __init__(self, deck=None):
@@ -179,25 +178,13 @@ class BenchInpaintBackend:
     def deck(self):
         return self._deck
 
-    def pack_jobs(self, request):
+    def _jobs(self, request):
         templates = [self._template] * request.count
         masks = [self._mask] * request.count
         return templates, masks
 
-    def pack_model_batch(self):
-        return self.MODEL_BATCH
-
-    def pack_model_fn(self):
-        def packed_fn(seg_templates, seg_masks, seg_rngs):
-            return inpaint_jobs_packed(
-                self._model, self._schedule, seg_templates, seg_masks,
-                seg_rngs, self._config,
-            )
-
-        return packed_fn
-
     def propose(self, request, rng):
-        templates, masks = self.pack_jobs(request)
+        templates, masks = self._jobs(request)
         t0 = time.perf_counter()
         sizes = chunk_sizes(len(templates), self.MODEL_BATCH)
         raws, offset = [], 0
@@ -218,6 +205,32 @@ class BenchInpaintBackend:
         )
 
 
+class BenchInpaintBackend(BenchSerialInpaintBackend):
+    """The same backend with the three pack hooks: the service samples
+    every micro-batch of it as shared packed model batches,
+    bit-identically to ``propose``."""
+
+    name = "bench-inpaint"
+
+    def pack_jobs(self, request):
+        return self._jobs(request)
+
+    def pack_model_batch(self):
+        return self.MODEL_BATCH
+
+    def pack_model_fn(self):
+        def packed_fn(seg_templates, seg_masks, seg_rngs):
+            return inpaint_jobs_packed(
+                self._model, self._schedule, seg_templates, seg_masks,
+                seg_rngs, self._config,
+            )
+
+        return packed_fn
+
+
+register_backend(
+    "bench-inpaint-serial", BenchSerialInpaintBackend, overwrite=True
+)
 register_backend("bench-inpaint", BenchInpaintBackend, overwrite=True)
 
 
@@ -284,11 +297,11 @@ class BenchMixedBackend:
 register_backend("bench-mixed", BenchMixedBackend, overwrite=True)
 
 
-def _requests():
+def _requests(backend="bench-inpaint"):
     deck = basic_deck(GRID)
     return [
         GenerationRequest(
-            backend="bench-inpaint", count=COUNT, seed=100 + i, deck=deck
+            backend=backend, count=COUNT, seed=100 + i, deck=deck
         )
         for i in range(NUM_CLIENTS)
     ]
@@ -305,7 +318,7 @@ def _sequential(requests):
     return time.perf_counter() - t0, latencies, results, None
 
 
-def _service(requests, *, coalesce: bool, pack: bool = False):
+def _service(requests, *, coalesce: bool):
     """N client threads against one service; per-client latencies."""
     scheduler = (
         SchedulerConfig(
@@ -315,8 +328,7 @@ def _service(requests, *, coalesce: bool, pack: bool = False):
         else SchedulerConfig(max_batch_requests=1, gather_window_s=0.0)
     )
     config = ServiceConfig(
-        queue_size=NUM_CLIENTS * 2, pack_models=pack,
-        scheduler=scheduler,
+        queue_size=NUM_CLIENTS * 2, scheduler=scheduler,
     )
     with ServiceClient(config) as client:
         wall, latencies, results = _threaded_burst(client, requests)
@@ -377,7 +389,7 @@ def _fleet_mode(requests, workers):
     """
     _mixed_checkpoint()  # write pre-fork: workers inherit the path
     config = ServiceConfig(
-        queue_size=len(requests) * 2, pack_models=False,
+        queue_size=len(requests) * 2,
         scheduler=SchedulerConfig(
             max_batch_requests=len(requests), gather_window_s=0.05
         ),
@@ -474,11 +486,12 @@ def run_payload_bench():
 def run_bench():
     """Times and outputs per mode; asserts bitwise-equal results."""
     requests = _requests()
+    unpacked = _requests("bench-inpaint-serial")
     modes = {
         "sequential": lambda: _sequential(requests),
-        "service-serial": lambda: _service(requests, coalesce=False),
-        "coalesced": lambda: _service(requests, coalesce=True),
-        "packed": lambda: _service(requests, coalesce=True, pack=True),
+        "service-serial": lambda: _service(unpacked, coalesce=False),
+        "coalesced": lambda: _service(unpacked, coalesce=True),
+        "packed": lambda: _service(requests, coalesce=True),
     }
     walls: dict[str, float] = {}
     latencies: dict[str, list[float]] = {}
@@ -515,7 +528,7 @@ def run_bench():
         "packed mode never packed a model batch; the benchmark is not "
         "measuring cross-request packing"
     )
-    assert stats["packed"].packed_fallbacks == 0
+    assert stats["coalesced"].packed_jobs == 0
     return walls, latencies, stats, trajectory
 
 
@@ -617,7 +630,6 @@ def write_artifact(walls, latencies, stats, trajectory, fleet_walls=None,
         "packing": {
             "packed_batches": packed.packed_batches,
             "packed_jobs": packed.packed_jobs,
-            "packed_fallbacks": packed.packed_fallbacks,
             "last_pack_fill": round(packed.last_pack_fill, 4),
             "model_batch": BenchInpaintBackend.MODEL_BATCH,
             "speedup_vs_coalesced": round(

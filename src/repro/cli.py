@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "drain)")
 
     lib = sub.add_parser(
-        "library", help="inspect / merge sharded library snapshots"
+        "library", help="inspect / merge library snapshots"
     )
     lib_sub = lib.add_subparsers(dest="library_command", required=True)
     info = lib_sub.add_parser(

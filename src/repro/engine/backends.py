@@ -121,9 +121,10 @@ class PatternPaintBackend:
         variation, truncated to ``request.count`` — used by
         :meth:`propose` and by the service's cross-request packed model
         stage, so the two paths can never enumerate different jobs.
-        Building jobs consumes no rng, which is what lets the packed
-        path fall back to per-request sampling cleanly if packing is
-        not possible.
+        Every template and mask must have the pipeline's clip shape
+        (``ValueError`` otherwise): the service builds each request's
+        jobs on its own, so a malformed request fails alone before
+        anything is packed.  Building jobs consumes no rng.
         """
         pipeline = self.pipeline
         shape = pipeline.clip_shape
@@ -135,6 +136,8 @@ class PatternPaintBackend:
             masks = [np.asarray(m, dtype=bool) for m in request.masks]
         else:
             masks = [named.mask for named in all_masks(shape)]
+        if any(np.shape(array) != shape for array in [*templates, *masks]):
+            raise ValueError(f"templates and masks must be {shape} clips")
 
         per_combo = max(1, -(-request.count // (len(templates) * len(masks))))
         jobs_t, jobs_m = pipeline.build_jobs(templates, masks, per_combo)

@@ -257,6 +257,7 @@ class BatchExecutor:
         packing changes which forwards execute together, never which
         random numbers a request sees.
         """
+        _fault_action("model")  # chaos hook: may raise InjectedFault
         job_lists = list(job_lists)
         rngs = list(rngs)
         if len(job_lists) != len(rngs):

@@ -82,8 +82,8 @@ class ClientTicket:
     def result(self, timeout: float | None = None) -> GenerationBatch:
         """Block for the final batch (raises if the request failed).
 
-        Works after the client is closed too: a stream the service
-        resolved before shutdown still yields its result (or error).
+        A resolved stream (also after close) answers at once, without
+        the event-loop thread, so no ``timeout`` can expire on it.
 
         On ``timeout`` the waiting coroutine is cancelled *and* a
         service-side cancellation of the request is requested, so a
@@ -96,7 +96,7 @@ class ClientTicket:
         ``timeout`` bounds the *wait*, it is not a guarantee the
         request died.
         """
-        if self._loop.is_closed():
+        if self._stream.done or self._loop.is_closed():
             return self._stream.result_now()
         future = asyncio.run_coroutine_threadsafe(
             self._stream.result(), self._loop

@@ -17,7 +17,9 @@ Sites wired through the stack:
 
 ``model``
     top of :meth:`repro.engine.BatchExecutor.execute` (per-request model
-    stage); action ``raise``.
+    stage) and of :meth:`~repro.engine.BatchExecutor.run_model_packed`
+    (a micro-batch's packed model stage, one firing per attempt);
+    action ``raise``.
 ``drc``
     top of :meth:`repro.engine.BatchExecutor.check_batch`; ``raise``.
 ``admit``

@@ -1096,7 +1096,6 @@ class FleetService:
         summed = (
             "retries", "deadline_drops", "cancelled", "cycles",
             "micro_batches", "checkpoints", "packed_batches", "packed_jobs",
-            "packed_fallbacks",
         )
         totals = {key: 0 for key in summed}
         peak = 0

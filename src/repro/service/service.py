@@ -101,6 +101,8 @@ class RequestCancelled(RuntimeError):
     or :meth:`GenerationService.cancel`) before it completed."""
 
 _DONE = object()  # chunk-queue sentinel: no more chunks
+# A backend defining all three is sampled through the packed model stage.
+_PACK_HOOKS = ("pack_jobs", "pack_model_batch", "pack_model_fn")
 _COMMIT_STOP = object()  # commit-queue sentinel: flush and exit
 
 
@@ -129,24 +131,20 @@ class ServiceConfig:
     ``queue_size`` bounds the request queue (submission awaits when
     full).  A service-served request is bit-identical to a serial one.
     ``stream_chunk`` is the number of candidates per streamed
-    :class:`~repro.engine.CandidateBatch` chunk.
-    ``pack_models`` runs the model stage of every micro-batch whose
-    backend supports it (``pack_jobs``/``pack_model_fn``) as packed
-    batches, a lone request included; packing only changes which
-    forwards sample together — per-request outputs are bit-identical
-    either way — so disabling it is purely a benchmarking/debugging
-    knob.
+    :class:`~repro.engine.CandidateBatch` chunk.  Model-stage dispatch
+    is not configurable: a backend with all three pack hooks is always
+    sampled through the packed stage (see
+    :meth:`GenerationService._packed_model_stage`).
     """
 
     queue_size: int = 64
     stream_chunk: int = 32
-    pack_models: bool = True
-    #: Retry policy for the retryable micro-batch stages (model propose,
-    #: DRC sweep): bounded attempts with capped exponential backoff and
-    #: request-seeded jitter, so retries are deterministic.  A retried
-    #: model stage re-seeds the plan's root rng first — a request that
-    #: succeeds on attempt 2 is bit-identical to one that succeeded on
-    #: attempt 1.
+    #: Retry policy for the retryable micro-batch stages (the model
+    #: stage, packed or per request, and the DRC sweep): bounded
+    #: attempts with capped exponential backoff and deterministic
+    #: jitter.  A retried model stage re-seeds its plans' root rngs
+    #: first — a request that succeeds on attempt 2 is bit-identical to
+    #: one that succeeded on attempt 1.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     sessions: SessionConfig = field(default_factory=SessionConfig)
@@ -181,8 +179,8 @@ class ServiceStats:
     failed: int = 0
     # Fault-tolerance counters: every recovery event is visible on the
     # ``stats`` verb.  ``retries`` counts retried stage attempts (model
-    # propose + DRC sweep), ``deadline_drops`` requests failed with
-    # DeadlineExceeded, ``cancelled`` requests failed with
+    # stage, packed or not, and DRC sweep), ``deadline_drops`` requests
+    # failed with DeadlineExceeded, ``cancelled`` requests failed with
     # RequestCancelled (both are also included in ``failed``).
     retries: int = 0
     deadline_drops: int = 0
@@ -193,7 +191,6 @@ class ServiceStats:
     checkpoints: int = 0
     packed_batches: int = 0  # shared model batches dispatched
     packed_jobs: int = 0  # sampling jobs served through packed batches
-    packed_fallbacks: int = 0  # packed stages that fell back to per-request
     last_pack_fill: float = 0.0  # gauge: latest packed stage's fill ratio
     queue_depth: int = 0  # gauge: submit-queue depth at latest cycle dispatch
     stages: StageLatencies = field(default_factory=StageLatencies)
@@ -645,7 +642,6 @@ class GenerationService:
             "queue_depth_at_cycle": stats.queue_depth,
             "packed_batches": stats.packed_batches,
             "packed_jobs": stats.packed_jobs,
-            "packed_fallbacks": stats.packed_fallbacks,
             "pack_fill": round(stats.last_pack_fill, 4),
             # Active fault-injection plan state (chaos runs;
             # {"installed": false} in normal operation).
@@ -826,52 +822,49 @@ class GenerationService:
     def _packed_model_stage(self, executor, prepared):
         """Sample the micro-batch's model stages as shared packed batches.
 
-        The service's one model-stage path for pack-capable backends, at
-        any micro-batch size: a lone request walks the same chunks, rng
-        children and forwards as the backend's own serial model stage.
-
-        Returns ``True`` after setting every prepared plan's
-        ``proposal``/``generate_seconds``, or ``False`` to fall back to
-        serial per-request execution — packing disabled, a backend
-        without the ``pack_jobs``/``pack_model_fn`` hooks, or a
-        packed-stage failure (counted in ``stats.packed_fallbacks``;
-        every plan's root rng is re-seeded first, so the per-request
-        fallback remains bit-identical to a serial run even if the
-        packed stage had already consumed spawns).
+        A lone request walks the same chunks, rng children and forwards
+        as the backend's own ``propose``.  A request whose jobs cannot be
+        built fails alone before packing; the packed run is then one
+        retried stage, and when retries run out every request in it
+        fails, as with the shared DRC sweep.  Returns the ``(pending,
+        plan)`` pairs whose ``proposal`` is now set.
         """
-        if not self.config.pack_models:
-            return False
         backend = prepared[0][1].backend
-        pack_jobs = getattr(backend, "pack_jobs", None)
-        pack_model_fn = getattr(backend, "pack_model_fn", None)
-        if pack_jobs is None or pack_model_fn is None:
-            return False
-        # Chunk capacity must mirror the backend's serial model stage
-        # (its propose-side rng spawn discipline), not this executor's.
-        pack_model_batch = getattr(backend, "pack_model_batch", None)
-        capacity = (
-            pack_model_batch() if pack_model_batch is not None
-            else executor.config.model_batch
-        )
+        built, job_lists = [], []
+        for pending, plan in prepared:
+            try:
+                job_lists.append(backend.pack_jobs(plan.request))
+                built.append((pending, plan))
+            except Exception as error:  # noqa: BLE001 - surfaced per request
+                self._fail_request(pending, error)
+        if not built:
+            return []
         try:
-            job_lists = [pack_jobs(plan.request) for _, plan in prepared]
+            # Chunk capacity mirrors the backend's own model stage (its
+            # propose-side rng spawn discipline), not this executor's.
             packing = pack_chunks(
-                [len(templates) for templates, _ in job_lists], capacity
+                [len(templates) for templates, _ in job_lists],
+                backend.pack_model_batch(),
             )
-            result = executor.run_model_packed(
-                pack_model_fn(),
-                job_lists,
-                [plan.rng for _, plan in prepared],
-                packing=packing,
+            packed_fn = backend.pack_model_fn()
+            # Fixed jitter seed: the stage is shared, so no single
+            # request's seed may steer it.
+            result = self._retry_model_stage(
+                lambda: executor.run_model_packed(
+                    packed_fn,
+                    job_lists,
+                    [plan.rng for _, plan in built],
+                    packing=packing,
+                ),
+                built,
+                0x6D6F64656C,
             )
-        except Exception:  # noqa: BLE001 - packed stage is best-effort
-            for _, plan in prepared:
-                plan.rng = plan.request.rng()
-            with self._stats_lock:
-                self.stats.packed_fallbacks += 1
-            return False
-        for (pending, plan), (templates, _), raws, seconds in zip(
-            prepared, job_lists, result.outputs, result.seconds
+        except Exception as error:  # noqa: BLE001 - fail the whole stage
+            for pending, _ in built:
+                self._fail_request(pending, error)
+            return []
+        for (_, plan), (templates, _), raws, seconds in zip(
+            built, job_lists, result.outputs, result.seconds
         ):
             plan.proposal = CandidateBatch(
                 raws=raws,
@@ -887,41 +880,35 @@ class GenerationService:
             self.stats.last_pack_fill = (
                 result.plan.packed_jobs / slots if slots else 0.0
             )
-        return True
+        return built
 
     def _count_retry(self, attempt: int, error: BaseException) -> None:
         """on_retry hook: surface every retried stage attempt in stats."""
         with self._stats_lock:
             self.stats.retries += 1
 
-    def _execute_with_retry(self, executor, pending, plan) -> CandidateBatch:
-        """Run the model stage under the service's retry policy.
+    def _retry_model_stage(self, run, entries, jitter):
+        """Run a model stage under the retry policy (``jitter`` seeds the
+        backoff jitter, so the schedule is deterministic).
 
-        Each retry re-seeds the plan's root rng from the request before
-        re-proposing: a failed attempt may have consumed part of the
-        stream, and the contract is that a request served on attempt N
-        is bit-identical to one served on attempt 1.  The backoff jitter
-        is drawn from a request-derived generator, so the retry schedule
-        itself is deterministic per request.
+        Each retry first re-seeds every entry's plan rng from its request:
+        a request served on attempt N is bit-identical to attempt 1's.
         """
 
         def on_retry(attempt: int, error: BaseException) -> None:
-            plan.rng = pending.request.rng()
-            plan.proposal = None
+            for pending, plan in entries:
+                plan.rng = pending.request.rng()
             self._count_retry(attempt, error)
 
         with protected():  # env-scoped fault plans may fire in here
             return self.config.retry.run(
-                lambda: executor.execute(plan),
-                rng=np.random.default_rng(
-                    [0x6D6F64656C, abs(int(pending.request.seed))]
-                ),
-                on_retry=on_retry,
+                run, rng=np.random.default_rng(jitter), on_retry=on_retry
             )
 
     def _run_micro_batch(self, micro: MicroBatch):
-        """Model stage (packed when possible) + denoise per request, then
-        one DRC sweep; no admission (the commit stage owns that)."""
+        """Model stage (packed for a pack-capable backend) + denoise per
+        request, then one DRC sweep; no admission (the commit stage owns
+        that)."""
         prepared: list[tuple[PendingRequest, ExecutionPlan]] = []
         executor = None
         for pending in micro.entries:
@@ -946,12 +933,16 @@ class GenerationService:
         if not prepared:
             return []
 
-        # Model-stage dispatch: packed whenever the backend can pack (one
-        # model stage for the whole micro-batch — chunks from different
-        # requests share full-width batches, per-chunk rng spawned from
-        # each request's own stream), else per-request execution.  Either
-        # way outputs are bit-identical to serial.
-        packed = self._packed_model_stage(executor, prepared)
+        # Model-stage dispatch, one fixed rule: a backend with all three
+        # pack hooks samples the micro-batch as one packed stage (chunks
+        # from different requests share full-width batches, per-chunk
+        # rng spawned from each request's own stream); any other backend
+        # proposes per request.  Either way outputs are bit-identical to
+        # serial.
+        backend = prepared[0][1].backend
+        packed = all(hasattr(backend, hook) for hook in _PACK_HOOKS)
+        if packed:
+            prepared = self._packed_model_stage(executor, prepared)
 
         staged: list[tuple[PendingRequest, ExecutionPlan, list[np.ndarray], float]] = []
         for pending, plan in prepared:
@@ -962,11 +953,13 @@ class GenerationService:
                 self._fail_request(pending, boundary)
                 continue
             try:
-                t_model = time.perf_counter()
-                proposal = (
-                    plan.proposal if packed
-                    else self._execute_with_retry(executor, pending, plan)
-                )
+                proposal = plan.proposal
+                if not packed:
+                    proposal = self._retry_model_stage(
+                        functools.partial(executor.execute, plan),
+                        [(pending, plan)],
+                        [0x6D6F64656C, abs(int(pending.request.seed))],
+                    )
                 for chunk in proposal.chunks(self.config.stream_chunk):
                     if chunk.raws:
                         self._publish(
@@ -977,11 +970,9 @@ class GenerationService:
                 )
                 # Model-stage latency: sampling (attributed job share
                 # under packing) plus this request's denoise.
-                model_seconds = (
-                    plan.generate_seconds if packed
-                    else time.perf_counter() - t_model
-                ) + denoise_seconds
-                self.stats.stages.observe("model", model_seconds)
+                self.stats.stages.observe(
+                    "model", plan.generate_seconds + denoise_seconds
+                )
                 staged.append((pending, plan, clips, denoise_seconds))
             except Exception as error:  # noqa: BLE001 - surfaced per request
                 self._fail_request(pending, error)

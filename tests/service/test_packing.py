@@ -1,4 +1,4 @@
-"""Cross-request packed serving: scheduler plans, determinism, fallbacks."""
+"""Cross-request packed serving: scheduler plans, determinism, retries."""
 
 import threading
 
@@ -10,6 +10,7 @@ from repro.diffusion import Ddpm, InpaintConfig, linear_schedule
 from repro.drc import basic_deck
 from repro.engine import (
     GenerationRequest,
+    RetryPolicy,
     pack_chunks,
     register_backend,
     run_generation,
@@ -18,10 +19,14 @@ from repro.engine.backends import PatternPaintBackend
 from repro.geometry import Grid
 from repro.nn import TimeUnet, UNetConfig
 from repro.service import (
+    InjectedFault,
     MicroBatchScheduler,
     SchedulerConfig,
     ServiceClient,
     ServiceConfig,
+    active_plan,
+    injection_stats,
+    install_faults,
 )
 
 GRID = Grid(nm_per_px=32.0, width_px=16, height_px=16)
@@ -57,7 +62,7 @@ register_backend("pp-pack-test", _pp_factory, overwrite=True)
 
 
 class _BrokenPackBackend(PatternPaintBackend):
-    """Pack hooks present but exploding: exercises the fallback path."""
+    """Pack hooks present but the packed sampler always raises."""
 
     name = "pp-broken-pack"
 
@@ -83,6 +88,18 @@ register_backend(
 @pytest.fixture(scope="module")
 def deck():
     return basic_deck(GRID)
+
+
+@pytest.fixture
+def faults():
+    """Install a fault plan for one test, then restore the active one.
+
+    A ``$REPRO_FAULTS`` schedule therefore keeps running (from fresh
+    counters) in the tests after this one.
+    """
+    previous, scope = active_plan(), injection_stats().get("scope", "all")
+    yield install_faults
+    install_faults(previous, scope=scope)
 
 
 def _requests(deck, n, *, backend="pp-pack-test", count=3, base_seed=0,
@@ -164,7 +181,6 @@ class TestPackedServingDeterminism:
             served = client.generate_many(requests)
             stats = client.service.stats
         assert stats.packed_jobs > 0, "packing never engaged"
-        assert stats.packed_fallbacks == 0
         assert stats.peak_coalesced > 1
         for a, b in zip(serial, served):
             _assert_batches_identical(a, b)
@@ -180,7 +196,6 @@ class TestPackedServingDeterminism:
             stats = client.service.stats
         assert stats.peak_coalesced == 1
         assert stats.packed_jobs == 8
-        assert stats.packed_fallbacks == 0
         _assert_batches_identical(serial, served)
 
     def test_threaded_clients_bit_identical_under_packing(self, deck):
@@ -222,19 +237,6 @@ class TestPackedServingDeterminism:
         for a, b in zip(serial, served):
             _assert_batches_identical(a, b)
 
-    def test_pack_disabled_still_bit_identical(self, deck):
-        requests = _requests(deck, 4, base_seed=400)
-        serial = [run_generation(request) for request in requests]
-        config = ServiceConfig(
-            pack_models=False,
-            scheduler=SchedulerConfig(gather_window_s=0.05),
-        )
-        with ServiceClient(config) as client:
-            served = client.generate_many(requests)
-            assert client.service.stats.packed_jobs == 0
-        for a, b in zip(serial, served):
-            _assert_batches_identical(a, b)
-
     def test_collision_groups_pack_separately_but_serve_correctly(self, deck):
         """Satellite: differing params split micro-batches end to end."""
         group_a = _requests(deck, 2, base_seed=500, params={"flavour": "a"})
@@ -255,23 +257,98 @@ class TestPackedServingDeterminism:
             _assert_batches_identical(a, b)
 
 
-class TestPackedFallback:
-    def test_broken_packed_stage_falls_back_bit_identically(self, deck):
-        requests = _requests(
-            deck, 4, backend="pp-broken-pack", base_seed=600
-        )
+def _outcomes(tickets):
+    """Each ticket's batch, or the exception its request failed with."""
+    outcomes = []
+    for ticket in tickets:
+        try:
+            outcomes.append(ticket.result(timeout=120))
+        except Exception as error:  # noqa: BLE001 - the outcome under test
+            outcomes.append(error)
+    return outcomes
+
+
+class TestPackedStageRetry:
+    def test_packed_model_fault_is_retried_bit_identically(
+        self, deck, faults
+    ):
+        """A transient fault in the packed stage is retried with every
+        plan re-seeded; results equal the fault-free serial run."""
+        requests = _requests(deck, 3, base_seed=600)
         serial = [run_generation(request) for request in requests]
+        faults("model:raise@1")
         config = ServiceConfig(
-            scheduler=SchedulerConfig(gather_window_s=0.05),
+            scheduler=SchedulerConfig(gather_window_s=0.2),
         )
         with ServiceClient(config) as client:
             served = client.generate_many(requests)
             stats = client.service.stats
-        assert stats.packed_fallbacks > 0
-        assert stats.packed_jobs == 0
+        assert injection_stats()["fired"] == ["model:raise@1"]
+        assert stats.retries == 1
         assert stats.failed == 0
+        assert stats.packed_jobs == 9  # counted once, for the good attempt
         for a, b in zip(serial, served):
             _assert_batches_identical(a, b)
+
+    @pytest.mark.parametrize("cause", ["injected", "broken-sampler"])
+    def test_exhausted_retries_fail_every_request_once(
+        self, deck, faults, cause
+    ):
+        """When the packed stage cannot succeed, each of its requests
+        fails exactly once, and the service goes on serving."""
+        later = _requests(deck, 1, base_seed=620)[0]
+        reference = run_generation(later)
+        if cause == "injected":
+            faults("model:raise@1")
+            doomed = _requests(deck, 3, base_seed=610)
+        else:
+            faults(None)
+            doomed = _requests(
+                deck, 3, backend="pp-broken-pack", base_seed=610
+            )
+        config = ServiceConfig(
+            retry=RetryPolicy(max_attempts=1),
+            scheduler=SchedulerConfig(gather_window_s=0.2),
+        )
+        with ServiceClient(config) as client:
+            outcomes = _outcomes([client.submit(r) for r in doomed])
+            served = client.generate(later, timeout=120)
+            stats = client.service.stats
+        expected = InjectedFault if cause == "injected" else RuntimeError
+        assert all(isinstance(o, expected) for o in outcomes)
+        assert stats.failed == len(doomed)
+        assert stats.completed == 1
+        assert stats.completed + stats.failed == stats.submitted
+        assert stats.retries == 0
+        _assert_batches_identical(reference, served)
+
+    def test_malformed_request_fails_alone(self, deck):
+        """A wrong-shape mask fails its own request before packing; its
+        neighbours pack once and equal serial."""
+        healthy = _requests(deck, 3, base_seed=630)
+        bad = GenerationRequest(
+            backend="pp-pack-test", count=3, seed=639, deck=deck,
+            masks=[np.zeros((8, 8), dtype=bool)],
+        )
+        with pytest.raises(ValueError):
+            run_generation(bad)
+        serial = [run_generation(request) for request in healthy]
+        config = ServiceConfig(
+            scheduler=SchedulerConfig(gather_window_s=0.5),
+        )
+        with ServiceClient(config) as client:
+            tickets = [client.submit(r) for r in healthy[:2] + [bad]]
+            tickets.append(client.submit(healthy[2]))
+            outcomes = _outcomes(tickets)
+            stats = client.service.stats
+        assert stats.peak_coalesced == 4, "the four requests never coalesced"
+        assert isinstance(outcomes[2], ValueError)
+        assert stats.failed == 1
+        assert stats.packed_jobs == 9  # the healthy requests', once each
+        for reference, served in zip(
+            serial, outcomes[:2] + outcomes[3:]
+        ):
+            _assert_batches_identical(reference, served)
 
 
 class TestPackingStats:

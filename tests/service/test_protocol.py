@@ -482,6 +482,17 @@ class TestClientTicketTimeout:
             # never raises the shim TimeoutError.
             assert ticket.result(timeout=0.001).attempts == 2
 
+    def test_resolved_ticket_does_not_wait_on_a_busy_loop(self):
+        """A resolved ticket answers without the event-loop thread."""
+        with ServiceClient(ServiceConfig()) as client:
+            ticket = client.submit(
+                GenerationRequest(backend="rule", count=2, seed=1)
+            )
+            ticket.result(timeout=60)
+            client._loop.call_soon_threadsafe(time.sleep, 1.0)
+            assert ticket.result(timeout=0.01).attempts == 2
+            assert client.service.stats.cancelled == 0
+
 
 if __name__ == "__main__":
     import sys

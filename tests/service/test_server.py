@@ -116,7 +116,7 @@ class TestProtocol:
         # The queue-depth gauge and packing telemetry ride the same verb.
         for field in (
             "queue_depth", "queue_depth_at_cycle", "packed_batches",
-            "packed_jobs", "packed_fallbacks", "pack_fill",
+            "packed_jobs", "pack_fill",
         ):
             assert field in stats
         assert stats["queue_depth"] >= 0
@@ -124,7 +124,6 @@ class TestProtocol:
         # The rule backend is not pack-capable: the packed counters must
         # stay untouched rather than miscounting.
         assert stats["packed_jobs"] == 0
-        assert stats["packed_fallbacks"] == 0
         # Per-stage latency histograms (all five stages) ride the same
         # verb.
         assert set(stats["stages"]) == {

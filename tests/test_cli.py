@@ -110,6 +110,17 @@ class TestParser:
                 main(argv)
             assert exit_info.value.code == 2
             assert argv[-2] in capsys.readouterr().err
+        # ...and no help text still describes sharded snapshots.
+        for argv in (["--help"], ["library", "--help"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 0
+            out = capsys.readouterr().out
+            library_lines = [
+                line for line in out.splitlines() if "library" in line
+            ]
+            assert library_lines
+            assert not any("shard" in line for line in library_lines)
 
 
 class TestGenerateAndDrc:
