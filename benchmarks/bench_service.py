@@ -538,7 +538,7 @@ def run_fleet_bench():
     Serves the mixed 4-tenant burst through the shard-aware fleet
     front.  Asserts the fleet outputs are
     bit-identical both to serial one-shot generation and to the
-    single-worker service (the front's commit sequencer contract), and
+    single-worker service (sticky routing keeps each session's order), and
     that the multi-worker run actually routed requests to >= 2 worker
     processes.
     """

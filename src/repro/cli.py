@@ -114,9 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=_positive_int, default=1,
                        metavar="N",
                        help="worker *processes*: 2+ fronts a multi-process "
-                            "fleet (sticky key->worker routing, results "
-                            "kept in global arrival order, each session "
-                            "owned by one worker that checkpoints it into "
+                            "fleet (sticky key->worker routing, each "
+                            "session owned by one worker that admits it in "
+                            "arrival order and checkpoints it into "
                             "--session-dir, crashed workers respawned and "
                             "their sessions resumed from the last "
                             "checkpoint); 1 (the default) runs the "

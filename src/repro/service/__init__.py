@@ -14,8 +14,7 @@ machinery in a long-lived asyncio service:
   batch, priority across batches); the service packs each micro-batch's
   sampling chunks with :func:`repro.engine.pack_chunks`;
 * :class:`ArrivalSequencer` — runs per-request commits in global
-  arrival order; the service's commit stage and the fleet front share
-  it;
+  arrival order; the service's commit stage is its one user;
 * :class:`LatencyHistogram` / :class:`StageLatencies` — per-stage
   serving latency histograms (:data:`STAGES`), exported by the
   ``op: "stats"`` verb;
@@ -32,12 +31,14 @@ machinery in a long-lived asyncio service:
   gateway (``repro serve --http-port``): ``POST /v1/generate``, polled
   and chunked-streamed results, ``/v1/stats``, ``/v1/healthz``;
 * :class:`FleetService` / :class:`FleetConfig` — the multi-process
-  front (``repro serve --workers N``): N forked worker processes each
-  running a full service, sticky key→worker routing with one owner
-  worker per session (which checkpoints the session into the shared
-  snapshot root), the same arrival sequencer keeping results in global
-  arrival order, and circuit-breaker-gated crash respawn, after which a
-  dead worker's sessions move to live owners that load their last
+  front (``repro serve --workers N``): a thin router over N forked
+  worker processes each running a full service — ``submit`` routes
+  sticky by key with one owner worker per session (which admits the
+  session's requests in arrival order and checkpoints it into the
+  shared snapshot root), results publish as their worker commits them,
+  ``submit`` awaits at the fleet's capacity, ``drain`` waits for
+  accepted requests, and circuit-breaker-gated crash respawn moves a
+  dead worker's sessions to live owners that load their last
   checkpoint.
 
 Typical in-process use::

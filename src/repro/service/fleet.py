@@ -16,14 +16,18 @@ the one concurrency layer above that: it spawns ``workers`` child
   single-process service, preserved across the process boundary.
   Compatibility-key routes live in a bounded LRU table (8 per worker),
   where stickiness only affects throughput;
-* terminal events pass through the same
-  :class:`~repro.service.scheduler.ArrivalSequencer` the service's
-  commit stage uses: every request's result or error is published in
-  *global arrival order*, so
-  fleet outputs are bit-identical to a serial
+* ``submit`` routes each request itself, under the lock that fixes
+  arrival order, so a session's requests reach their owner worker in
+  arrival order and that worker's commit stage admits them in that
+  order.  Terminal events publish as soon as their worker delivers
+  them, from that worker's reader thread, behind the request's chunks;
+  there is no cross-worker publish order, because no output depends on
+  one.  Fleet outputs are bit-identical to a serial
   :func:`~repro.engine.run_generation` pass over the same submission
-  order.  Chunks stream through immediately, matching the in-process
-  semantics where only commits are ordered.
+  order;
+* ``submit`` awaits while ``workers × (queue_size + max(queue_size,
+  max_batch_requests))`` requests are accepted and unresolved: what N
+  single-process services hold before their own ``submit`` awaits.
 
 The front speaks to each worker over a private :func:`multiprocessing
 .Pipe` carrying Python objects (requests, chunks, batches, exceptions)
@@ -43,8 +47,7 @@ stores at fork, and each worker's stop reply carries its stores back
 for the front to merge, so ``--drc-cache-dir`` saves what workers found.
 
 A worker crash (detected as EOF on its pipe) fails that worker's
-in-flight requests with terminal error events — released through the
-sequencer so ordering holds for the survivors — and drops the dead
+in-flight requests with terminal error events and drops the dead
 worker's routes: each of its sessions' next request makes a live worker
 the new owner, which loads the session's last checkpoint.  The slot
 respawns behind a :class:`~repro.engine.retry.CircuitBreaker`, so a
@@ -75,7 +78,6 @@ from ..drc.cache import merge_shared_caches, snapshot_shared_caches
 from ..engine import GenerationRequest
 from ..engine.retry import CircuitBreaker
 from .faults import maybe_fire, protected, reset_faults_for_worker
-from .scheduler import ArrivalSequencer
 from .service import (
     GenerationService,
     RequestCancelled,
@@ -98,7 +100,7 @@ _RESPAWN_FAILURES = 2
 _RESPAWN_WINDOW_S = 60.0
 _RESPAWN_COOLDOWN_S = 30.0
 
-#: Bound on one control-plane round trip (stats/health/drain/stop).
+#: Bound on one control-plane round trip (stats/health/stop).
 _CONTROL_TIMEOUT_S = 60.0
 
 #: Compatibility-key routes kept per worker (session routes are unbounded).
@@ -106,8 +108,6 @@ _KEY_ROUTES_PER_WORKER = 8
 
 #: Exit code a worker uses for an injected ``fleet:kill`` crash.
 _KILL_EXIT = 17
-
-_ROUTE_STOP = object()
 
 
 @dataclass(frozen=True)
@@ -257,15 +257,11 @@ def _worker_main(
         except Exception as error:  # noqa: BLE001 - crosses the pipe
             out.put(("error", request_id, _safe_error(error)))
 
-    def _rpc_result(verb: str, payload) -> object:
+    def _rpc_result(verb: str) -> object:
         if verb == "stats":
             return service.stats_payload()
         if verb == "health":
             return service.health()
-        if verb == "drain":
-            return asyncio.run_coroutine_threadsafe(
-                service.drain(payload), loop
-            ).result()
         raise ValueError(f"unknown fleet rpc verb {verb!r}")
 
     running = True
@@ -296,9 +292,9 @@ def _worker_main(
         elif kind == "cancel":
             service.cancel(message[1])
         elif kind == "rpc":
-            _, seq, verb, payload = message
+            _, seq, verb = message
             try:
-                result = _rpc_result(verb, payload)
+                result = _rpc_result(verb)
             except Exception as error:  # noqa: BLE001 - crosses the pipe
                 out.put(("rsp", seq, False, _safe_error(error)))
             else:
@@ -342,10 +338,9 @@ def _worker_main(
 class _FleetPending:
     """One in-flight request's front-side bookkeeping."""
 
-    __slots__ = ("arrival", "request", "session_id", "stream", "worker_id")
+    __slots__ = ("request", "session_id", "stream", "worker_id")
 
-    def __init__(self, arrival, request, session_id, stream):
-        self.arrival = arrival
+    def __init__(self, request, session_id, stream):
         self.request = request
         self.session_id = session_id
         self.stream = stream
@@ -372,7 +367,7 @@ class _WorkerHandle:
         self.rpcs: "dict[int, concurrent.futures.Future]" = {}
 
     def send(self, message) -> None:
-        """Serialised pipe send (router, cancel and RPC threads share it)."""
+        """Serialised pipe send (routing, cancel and RPC callers share it)."""
         with self.send_lock:
             self.conn.send(message)
 
@@ -387,6 +382,11 @@ class FleetService:
     thread, ``await drain(...)``/``await stop()`` to wind down.  The TCP
     server (:func:`repro.service.server.serve`) and
     :class:`~repro.service.ServiceClient` accept it unchanged.
+
+    The front is a thin router: no thread or queue of its own between
+    ``submit`` and the worker pipes.  Its one registry, ``_live``, holds
+    every accepted-but-unresolved request; backpressure, drain and the
+    stop sweep all read it.
     """
 
     def __init__(self, config: "FleetConfig | None" = None):
@@ -401,15 +401,19 @@ class FleetService:
             ) from None
         self._loop: "asyncio.AbstractEventLoop | None" = None
         self._submit_lock: "asyncio.Lock | None" = None
+        # Set (on the loop) whenever a request resolves or the fleet
+        # stops: wakes a submit waiting for capacity.
+        self._freed: "asyncio.Event | None" = None
+        service = self.config.service
+        self._capacity = self.config.workers * (
+            service.queue_size
+            + max(service.queue_size, service.scheduler.max_batch_requests)
+        )
         self._workers: "dict[int, _WorkerHandle]" = {}
         self._session_routes: "dict[tuple, int]" = {}
         self._key_routes: "OrderedDict[tuple, int]" = OrderedDict()
         self._route_lock = threading.Lock()
         self._route_clock = 0
-        self._route_queue: "queue_module.Queue | None" = None
-        self._router: "threading.Thread | None" = None
-        self._sequencer: "ArrivalSequencer | None" = None
-        self._arrival = 0
         self._live: "dict[str, _FleetPending]" = {}
         self._live_lock = threading.Lock()
         self._cancelled: "set[str]" = set()
@@ -417,7 +421,6 @@ class FleetService:
         self._rpc_seq = itertools.count()
         self._running = False
         self._draining = False
-        self._stopping = False
 
     # -- lifecycle -------------------------------------------------------
     @property
@@ -425,21 +428,13 @@ class FleetService:
         return self._running
 
     async def start(self) -> "FleetService":
-        """Fork the workers, await readiness, start routing (idempotent)."""
+        """Fork the workers and await their readiness (idempotent)."""
         if self._running:
             return self
         self._loop = asyncio.get_running_loop()
         self._submit_lock = asyncio.Lock()
-        self._arrival = 0
+        self._freed = asyncio.Event()
         self._draining = False
-        self._stopping = False
-        self._sequencer = ArrivalSequencer()
-        self._route_queue = queue_module.Queue(
-            maxsize=self.config.service.queue_size
-        )
-        with self._live_lock:
-            self._live.clear()
-            self._cancelled.clear()
         for worker_id in range(self.config.workers):
             handle = _WorkerHandle(
                 worker_id,
@@ -457,10 +452,6 @@ class FleetService:
         except Exception:
             await self.stop(checkpoint=False)
             raise
-        self._router = threading.Thread(
-            target=self._route_loop, name="repro-fleet-router", daemon=True
-        )
-        self._router.start()
         return self
 
     def _fork_worker(self, handle: _WorkerHandle, *, respawn: bool) -> None:
@@ -502,40 +493,34 @@ class FleetService:
     async def stop(self, *, checkpoint: bool = True) -> None:
         """Stop routing and stop every worker (idempotent).
 
-        Workers run their own ``GenerationService.stop`` (in-flight
-        micro-batches finish and commit; queued requests fail), take a
-        final checkpoint of the sessions they own unless
-        ``checkpoint=False``, and exit.  Each session has one owner, so
-        the shared snapshot root then holds one library per session,
-        just as a single-process service leaves it.
+        Submits still waiting for capacity fail with ``RuntimeError``.
+        The submit lock is held while the workers stop, so no routing
+        send races a worker's stop message.  Workers run their own
+        ``GenerationService.stop`` (in-flight micro-batches finish and
+        commit; queued requests fail), take a final checkpoint of the
+        sessions they own unless ``checkpoint=False``, and exit.  Each
+        session has one owner, so the shared snapshot root then holds
+        one library per session, just as a single-process service
+        leaves it.
         """
         if not self._running and not self._workers:
             return
         loop = asyncio.get_running_loop()
         self._running = False
-        self._stopping = True
-        if self._router is not None:
-            self._route_queue.put(_ROUTE_STOP)
-            await loop.run_in_executor(None, self._router.join)
-            self._router = None
-        await loop.run_in_executor(None, self._stop_workers, checkpoint)
-        # Anything still unresolved (a worker died during stop) fails
-        # now; the sequencer then force-publishes in arrival order.
+        self._freed.set()
+        async with self._submit_lock:
+            await loop.run_in_executor(None, self._stop_workers, checkpoint)
+        # Anything still unresolved (a worker died during stop) fails now.
         with self._live_lock:
             leftovers = list(self._live.values())
-            self._live.clear()
-            self._cancelled.clear()
         for pending in leftovers:
             self._resolve(
                 pending, error=RuntimeError("fleet service stopped")
             )
-        if self._sequencer is not None:
-            self._sequencer.flush()
         self._workers.clear()
         with self._route_lock:
             self._session_routes.clear()
             self._key_routes.clear()
-        self._stopping = False
 
     def _stop_workers(self, checkpoint: bool) -> None:
         pending: "list[tuple[_WorkerHandle, concurrent.futures.Future]]" = []
@@ -591,13 +576,17 @@ class FleetService:
         *,
         session: "str | None" = None,
     ) -> ResultStream:
-        """Queue a request for the fleet; returns its :class:`ResultStream`.
+        """Route a request to its worker; returns its :class:`ResultStream`.
 
-        Same contract as :meth:`GenerationService.submit`: awaits when
-        the front routing queue is full (backpressure), refuses while
-        draining or stopped, validates the session id on the submit
-        path.  The arrival index assigned here is the global commit
-        order — results publish in exactly this order fleet-wide.
+        Same contract as :meth:`GenerationService.submit`: awaits while
+        the fleet holds its capacity of accepted-but-unresolved requests
+        (``workers × (queue_size + max(queue_size,
+        max_batch_requests))``, what that many single-process services
+        hold), refuses while draining or stopped, validates the session
+        id on the submit path.  Routing runs here, in the executor,
+        under the lock that fixes arrival order, so each worker receives
+        its requests in arrival order.  A submit still waiting for
+        capacity when the fleet stops raises ``RuntimeError``.
         """
         if not self._running:
             raise RuntimeError("generation service is not running")
@@ -608,17 +597,21 @@ class FleetService:
         if session is not None:
             SessionManager.validate_id(session)
         stream = ResultStream(request, self._loop)
+        pending = _FleetPending(request, session, stream)
         async with self._submit_lock:
-            pending = _FleetPending(self._arrival, request, session, stream)
-            self._arrival += 1
+            # Clear-then-wait on the loop thread cannot miss a wakeup:
+            # _resolve sets the event with call_soon_threadsafe, which
+            # runs only after this coroutine yields.
+            while self._running and len(self._live) >= self._capacity:
+                self._freed.clear()
+                await self._freed.wait()
+            if not self._running:
+                raise RuntimeError("generation service is not running")
             with self._live_lock:
                 self._live[request.request_id] = pending
-            # Blocking put runs in the executor: backpressure without
-            # stalling the event loop; the submit lock keeps routing-
-            # queue order equal to arrival order.
-            await self._loop.run_in_executor(
-                None, self._route_queue.put, pending
-            )
+            # The pipe send pickles the request and may block: it runs
+            # in the executor, so the event loop keeps serving.
+            await self._loop.run_in_executor(None, self._route, pending)
         with self._stats_lock:
             self.stats.submitted += 1
         return stream
@@ -626,9 +619,10 @@ class FleetService:
     def cancel(self, request_id: str) -> bool:
         """Mark a live request cancelled; ``True`` when the mark took.
 
-        Before routing, the router fails the request at dispatch; after
-        routing, the mark is forwarded to the owning worker, whose
-        service applies the usual stage-boundary cancellation.
+        Before routing, :meth:`_route` fails the request instead of
+        sending it; after routing, the mark is forwarded to the owning
+        worker, whose service applies the usual stage-boundary
+        cancellation.
         """
         with self._live_lock:
             pending = self._live.get(request_id)
@@ -645,7 +639,7 @@ class FleetService:
                     pass  # dead worker: the death sweep fails it anyway
         return True
 
-    # -- routing (router thread) ----------------------------------------
+    # -- routing (submit's executor hop) --------------------------------
     def _routing_key(self, pending: _FleetPending) -> tuple:
         if pending.session_id is not None:
             return ("session", pending.session_id)
@@ -688,65 +682,46 @@ class FleetService:
                     routes.popitem(last=False)
             return handle
 
-    def _route_loop(self) -> None:
-        while True:
-            pending = self._route_queue.get()
-            if pending is _ROUTE_STOP:
-                return
-            if self._stopping:
-                self._resolve(
-                    pending, error=RuntimeError("fleet service stopped")
-                )
-                continue
-            with self._live_lock:
-                cancelled = pending.request.request_id in self._cancelled
-            if cancelled:
-                self._resolve(
-                    pending,
-                    error=RequestCancelled(
-                        f"request {pending.request.request_id} was cancelled"
-                    ),
-                )
-                continue
+    def _route(self, pending: _FleetPending) -> None:
+        """Send one accepted request to its sticky worker, or fail it."""
+        request_id = pending.request.request_id
+        with self._live_lock:
+            cancelled = request_id in self._cancelled
+        if cancelled:
+            self._resolve(
+                pending,
+                error=RequestCancelled(f"request {request_id} was cancelled"),
+            )
+            return
+        try:
+            key = self._routing_key(pending)
+        except Exception as error:  # noqa: BLE001 - poisoned request
+            self._fail_unrouted(pending, error)
+            return
+        for _ in range(max(1, len(self._workers))):
             try:
-                key = self._routing_key(pending)
-            except Exception as error:  # noqa: BLE001 - poisoned request
+                handle = self._claim_worker(key)
+            except RuntimeError as error:
                 self._fail_unrouted(pending, error)
-                continue
-            routed = False
-            for _ in range(max(1, len(self._workers))):
-                try:
-                    handle = self._claim_worker(key)
-                except RuntimeError as error:
-                    self._fail_unrouted(pending, error)
-                    routed = True  # resolved (as a failure)
-                    break
+                return
+            with handle.lock:
+                if not handle.alive:
+                    continue  # died since the claim: re-claim
+                handle.inflight[request_id] = pending
+                pending.worker_id = handle.worker_id
+            try:
+                handle.send(("submit", pending.request, pending.session_id))
+            except (OSError, ValueError):
+                # Died between claim and send: pull the registration back
+                # (the death sweep may have missed it) and try another
+                # worker.
                 with handle.lock:
-                    if not handle.alive:
-                        continue  # died since the claim: re-claim
-                    handle.inflight[pending.request.request_id] = pending
-                    pending.worker_id = handle.worker_id
-                try:
-                    handle.send(
-                        ("submit", pending.request, pending.session_id)
-                    )
-                except (OSError, ValueError):
-                    # Died between claim and send: pull the registration
-                    # back (the death sweep may have missed it) and try
-                    # another worker.
-                    with handle.lock:
-                        handle.inflight.pop(
-                            pending.request.request_id, None
-                        )
-                    pending.worker_id = None
-                    continue
-                handle.routed += 1
-                routed = True
-                break
-            if not routed:
-                self._fail_unrouted(
-                    pending, RuntimeError("no live fleet workers")
-                )
+                    handle.inflight.pop(request_id, None)
+                pending.worker_id = None
+                continue
+            handle.routed += 1
+            return
+        self._fail_unrouted(pending, RuntimeError("no live fleet workers"))
 
     def _fail_unrouted(self, pending: _FleetPending, error: Exception) -> None:
         with self._stats_lock:
@@ -773,7 +748,7 @@ class FleetService:
                     pending = handle.inflight.get(request_id)
                 if pending is not None:
                     self._publish(
-                        pending.stream, ResultStream._deliver_chunk, chunk
+                        ResultStream._deliver_chunk, pending.stream, chunk
                     )
             elif kind == "result":
                 self._terminal(handle, message[1], batch=message[2])
@@ -800,12 +775,14 @@ class FleetService:
         self._resolve(pending, batch=batch, error=error)
 
     def _resolve(self, pending, *, batch=None, error=None) -> None:
-        """Count + publish one terminal event, in arrival order.
+        """Count + publish one terminal event, now.
 
-        The single exactly-once funnel: every assigned arrival passes
+        The single exactly-once funnel: every accepted request passes
         through here exactly once (worker event, unrouted failure,
         dead-worker sweep, or stop sweep) — duplicates are cut off by
-        the live-registry pop.
+        the live-registry pop.  A worker's events arrive on its reader
+        thread, so a request's chunks and result share one FIFO path
+        to the loop.
         """
         with self._live_lock:
             live = self._live.pop(pending.request.request_id, None)
@@ -820,23 +797,15 @@ class FleetService:
                 if isinstance(error, RequestCancelled):
                     self.stats.cancelled += 1
         if batch is not None:
-            self._sequencer.release(
-                pending.arrival,
-                lambda: self._publish(
-                    pending.stream, ResultStream._deliver_result, batch
-                ),
-            )
+            self._publish(ResultStream._deliver_result, pending.stream, batch)
         else:
-            self._sequencer.release(
-                pending.arrival,
-                lambda: self._publish(
-                    pending.stream, ResultStream._deliver_error, error
-                ),
-            )
+            self._publish(ResultStream._deliver_error, pending.stream, error)
+        self._publish(self._freed.set)
 
-    def _publish(self, stream, deliver, payload) -> None:
+    def _publish(self, callback, *args) -> None:
+        """Run ``callback(*args)`` on the event loop (any thread)."""
         try:
-            self._loop.call_soon_threadsafe(deliver.__get__(stream), payload)
+            self._loop.call_soon_threadsafe(callback, *args)
         except RuntimeError:  # pragma: no cover - loop already closed
             pass
 
@@ -850,7 +819,7 @@ class FleetService:
             handle.inflight.clear()
             rpcs = list(handle.rpcs.values())
             handle.rpcs.clear()
-        expected = self._stopping or not self._running
+        expected = not self._running
         for future in rpcs:
             if not future.done():
                 future.set_exception(
@@ -902,7 +871,7 @@ class FleetService:
             # worker strips fleet-site fault specs so a kill schedule
             # cannot crash-loop the slot.
             self._fork_worker(handle, respawn=True)
-            if self._stopping or not self._running:
+            if not self._running:
                 # stop() won the race while we forked: _stop_workers may
                 # already have passed this slot, so reap the fresh
                 # worker here instead of leaking it.
@@ -913,7 +882,7 @@ class FleetService:
                 process.join(timeout=5.0)
 
     # -- control plane ---------------------------------------------------
-    def _rpc_start(self, handle: _WorkerHandle, verb: str, payload=None):
+    def _rpc_start(self, handle: _WorkerHandle, verb: str):
         seq = next(self._rpc_seq)
         future: concurrent.futures.Future = concurrent.futures.Future()
         with handle.lock:
@@ -924,7 +893,7 @@ class FleetService:
                 return future
             handle.rpcs[seq] = future
         try:
-            handle.send(("rpc", seq, verb, payload))
+            handle.send(("rpc", seq, verb))
         except (OSError, ValueError) as error:
             with handle.lock:
                 handle.rpcs.pop(seq, None)
@@ -932,17 +901,15 @@ class FleetService:
                 future.set_exception(error)
         return future
 
-    def _broadcast(self, verb: str, payload=None, *, timeout=None):
+    def _broadcast(self, verb: str) -> dict:
         """RPC every live worker; ``{worker_id: result | exception}``."""
         futures = {
-            worker_id: self._rpc_start(handle, verb, payload)
+            worker_id: self._rpc_start(handle, verb)
             for worker_id, handle in self._workers.items()
             if handle.alive
         }
         results: "dict[int, object]" = {}
-        deadline = time.monotonic() + (
-            timeout if timeout is not None else _CONTROL_TIMEOUT_S
-        )
+        deadline = time.monotonic() + _CONTROL_TIMEOUT_S
         for worker_id, future in futures.items():
             remaining = max(0.05, deadline - time.monotonic())
             try:
@@ -954,44 +921,40 @@ class FleetService:
     async def drain(self, timeout: "float | None" = None) -> bool:
         """Refuse new submissions and await in-flight completion.
 
-        Same contract as :meth:`GenerationService.drain`: stop
-        accepting, wait for the front routing queue to empty, then ask
-        every worker to drain within the remaining budget.  Returns
-        ``True`` when everything drained in time.  Sessions checkpoint
-        in :meth:`stop`, as in one process.
+        Same contract as :meth:`GenerationService.drain`: stop accepting
+        and wait until every accepted request has resolved.  Returns
+        ``True`` when that happened within ``timeout`` seconds, ``False``
+        otherwise (the rest are still being served).  Sessions
+        checkpoint in :meth:`stop`, as in one process.
         """
         self._draining = True
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self._drain_blocking, timeout)
-
-    def _drain_blocking(self, timeout: "float | None") -> bool:
         deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
-        while self._route_queue is not None and self._route_queue.qsize():
+        while self._live:
             if deadline is not None and time.monotonic() >= deadline:
                 return False
-            time.sleep(0.02)
-        remaining = (
-            max(0.05, deadline - time.monotonic())
-            if deadline is not None
-            else None
-        )
-        results = self._broadcast("drain", remaining, timeout=remaining)
-        return all(result is True for result in results.values())
+            await asyncio.sleep(0.02)
+        return True
 
     # -- observability ---------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        """Requests waiting in the front routing queue."""
-        return self._route_queue.qsize() if self._route_queue is not None else 0
+        """Accepted requests not yet routed to a worker."""
+        routed = 0
+        for handle in self._workers.values():
+            with handle.lock:
+                routed += len(handle.inflight)
+        with self._live_lock:
+            accepted = len(self._live)
+        return max(0, accepted - routed)
 
     def queue_depths(self) -> dict:
         """Everything queued anywhere, now including the front.
 
         ``{"submit": N, "in_flight": M, "workers": {id: depth}}`` —
-        ``submit`` is the front routing queue (the fleet's analogue of
-        the single-process submit queue), ``in_flight`` every
+        ``submit`` counts accepted requests not yet routed to a worker,
+        ``in_flight`` every
         accepted-but-unresolved request fleet-wide, ``workers`` each
         live worker's forwarded-but-unresolved count.
         """
@@ -1137,8 +1100,8 @@ class FleetService:
             "failed": front["failed"],
             **totals,
             "peak_coalesced": peak,
-            # Front routing queue + every worker's submit queue: the
-            # whole fleet's queued-anywhere gauge.
+            # Unrouted front requests + every worker's submit queue:
+            # the whole fleet's queued-anywhere gauge.
             "queue_depth": self.queue_depth + worker_queue_depth,
             "queue_depth_at_cycle": worker_queue_depth,
             "pack_fill": max(
@@ -1157,11 +1120,6 @@ class FleetService:
                 ),
                 **{k: v for k, v in front.items() if k != "submitted"},
                 "front_queue_depth": self.queue_depth,
-                "sequencer_pending": (
-                    self._sequencer.pending
-                    if self._sequencer is not None
-                    else 0
-                ),
                 "workers": workers_section,
             },
         }

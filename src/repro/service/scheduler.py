@@ -29,8 +29,8 @@ against the real job lists before running it
 
 Coalescing can run a later arrival before an earlier one (groups are
 per key), so results are put back in order by the
-:class:`ArrivalSequencer`, which the service's commit stage and the
-fleet front share.
+:class:`ArrivalSequencer`, whose one user is the service's commit
+stage.
 """
 
 from __future__ import annotations
@@ -168,6 +168,10 @@ class ArrivalSequencer:
     whatever is still held, in arrival order, at shutdown.  Callbacks run
     under the lock, so they must be short (a queue hand-off, an
     admission) and must not call back into the sequencer.
+
+    The service's commit stage is its one user.  A fleet front needs no
+    sequencer: a session's requests all reach one owner worker in
+    arrival order, and only per-session order reaches any output.
     """
 
     def __init__(self) -> None:

@@ -245,7 +245,9 @@ async def handle_connection(
     """
     write_lock = asyncio.Lock()
     forwarders: set[asyncio.Task] = set()
-    submitted: dict[str, ResultStream] = {}
+    # Streams whose forwarder has not finished yet: an entry leaves when
+    # its forwarder does, so a long-lived connection holds no results.
+    unfinished: set[ResultStream] = set()
 
     async def emit(payload: dict) -> None:
         async with write_lock:
@@ -320,7 +322,7 @@ async def handle_connection(
             ) as error:
                 await emit({"event": "error", "message": str(error)})
                 continue
-            submitted[stream.request_id] = stream
+            unfinished.add(stream)
             await emit({"event": "accepted", "request_id": stream.request_id})
             task = asyncio.ensure_future(
                 _forward(
@@ -334,6 +336,9 @@ async def handle_connection(
             )
             forwarders.add(task)
             task.add_done_callback(forwarders.discard)
+            task.add_done_callback(
+                lambda _task, stream=stream: unfinished.discard(stream)
+            )
         if forwarders:
             await asyncio.gather(*forwarders, return_exceptions=True)
     except ConnectionError:
@@ -341,9 +346,9 @@ async def handle_connection(
     finally:
         # A vanished client's unfinished requests are cancelled so they
         # stop consuming compute time; finished streams are left alone.
-        for request_id, stream in submitted.items():
+        for stream in unfinished:
             if not stream.done:
-                service.cancel(request_id)
+                service.cancel(stream.request_id)
         for task in list(forwarders):
             task.cancel()
         writer.close()

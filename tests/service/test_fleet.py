@@ -9,6 +9,7 @@ width.  ``TestFleetChaos`` runs only under a ``fleet``-site fault plan
 workers legitimately fail their in-flight requests.
 """
 
+import asyncio
 import pickle
 import threading
 import time
@@ -18,12 +19,14 @@ import pytest
 
 from repro.core.library import PatternLibrary
 from repro.drc import advanced_deck
-from repro.engine import GenerationRequest, run_generation
+from repro.engine import GenerationRequest, register_backend, run_generation
+from repro.engine.backends import RuleBackend
 from repro.geometry import Grid
 from repro.library import load_library
 from repro.service import (
     FleetConfig,
     FleetService,
+    SchedulerConfig,
     ServiceClient,
     ServiceConfig,
     SessionConfig,
@@ -330,6 +333,156 @@ class TestFleetObservability:
         client.close()
         assert client.service.health()["status"] == "stopped"
         assert client.service.running is False
+
+
+class _SleepyBackend(RuleBackend):
+    """The rule backend, after sleeping ``params["sleep_s"]`` in propose."""
+
+    name = "test-sleepy"
+
+    def propose(self, request, rng):
+        time.sleep(request.params["sleep_s"])
+        return super().propose(request, rng)
+
+
+@pytest.fixture
+def sleepy(deck):
+    """Registers the sleeping backend in the front, before any fleet forks
+    (workers inherit it); returns a request factory."""
+    register_backend("test-sleepy", _SleepyBackend, overwrite=True)
+
+    def make(seed, sleep_s=1.0):
+        return GenerationRequest(backend="test-sleepy", count=2, seed=seed,
+                                 deck=deck, params={"sleep_s": sleep_s})
+
+    return make
+
+
+@_skip_under_fleet_faults
+class TestFleetFront:
+    """The front only routes: no cross-worker publish order, a real
+    capacity bound on accepted requests, and drain on that registry."""
+
+    def test_slow_worker_does_not_hold_back_another(self, deck, sleepy):
+        with _fleet_client(2) as client:
+            slow = client.submit(sleepy(0, sleep_s=2.0))
+            fast = client.submit(_requests(deck, 1, base_seed=1100)[0])
+            # The rule request's key claims the idle worker; its result
+            # publishes as soon as that worker commits it.
+            assert fast.result(timeout=1.0).attempts == 5
+            assert client.service.queue_depths()["in_flight"] == 1
+            assert slow.result(timeout=30).attempts == 2
+            names = {thread.name for thread in threading.enumerate()}
+        assert "repro-fleet-router" not in names
+
+    def test_submit_awaits_while_the_fleet_is_full(self, sleepy):
+        # One worker with queue_size=1 and max_batch_requests=1 holds
+        # 1 × (1 + max(1, 1)) = 2 accepted requests, like one process.
+        config = ServiceConfig(
+            queue_size=1, scheduler=SchedulerConfig(max_batch_requests=1)
+        )
+        with _fleet_client(1, config) as client:
+            started = time.monotonic()
+            first, second = (client.submit(sleepy(s)) for s in (1, 2))
+            assert time.monotonic() - started < 0.5
+            third = []
+
+            def submit_third():
+                ticket = client.submit(sleepy(3))
+                # Capacity frees only when a request resolves, and the
+                # first one resolves first: it is already done here.
+                third.append((ticket, first.result(timeout=0)))
+
+            thread = threading.Thread(target=submit_third)
+            thread.start()
+            thread.join(0.5)
+            assert not third, "the third submit must await capacity"
+            thread.join(60)
+            assert third
+            ticket, _ = third[0]
+            for pending in (second, ticket):
+                assert pending.result(timeout=60).attempts == 2
+
+    def test_threaded_submits_at_capacity_resolve_once(self, deck):
+        # More workers than cores, a capacity of 3 × 2 = 6 and eight
+        # submitting threads on a short switch interval: a lost wakeup
+        # hangs a submit, a lost update leaves a request live.
+        import sys
+
+        requests = _requests(deck, 24, count=2, base_seed=1300)
+        serial = [run_generation(request) for request in requests]
+        config = ServiceConfig(
+            queue_size=1, scheduler=SchedulerConfig(max_batch_requests=1)
+        )
+        results = [None] * len(requests)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _fleet_client(3, config) as client:
+
+                def worker(offset):
+                    for index in range(offset, len(requests), 8):
+                        results[index] = client.generate(
+                            requests[index], timeout=60
+                        )
+
+                threads = [
+                    threading.Thread(target=worker, args=(offset,))
+                    for offset in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(120)
+                assert not any(thread.is_alive() for thread in threads)
+                depths = client.service.queue_depths()
+                payload = client.service.stats_payload()
+        finally:
+            sys.setswitchinterval(interval)
+        assert depths["in_flight"] == depths["submit"] == 0
+        assert payload["submitted"] == payload["completed"] == len(requests)
+        for expected, got in zip(serial, results):
+            _assert_batches_identical(expected, got)
+
+    def test_stop_fails_submits_waiting_for_capacity(self, sleepy):
+        config = ServiceConfig(
+            queue_size=1, scheduler=SchedulerConfig(max_batch_requests=1)
+        )
+        client = _fleet_client(1, config).start()
+        for seed in (4, 5):
+            client.submit(sleepy(seed))
+        errors = []
+
+        def submit_waiting():
+            try:
+                client.submit(sleepy(6))
+            except RuntimeError as error:
+                errors.append(error)
+
+        thread = threading.Thread(target=submit_waiting)
+        thread.start()
+        thread.join(0.3)
+        client.close()
+        thread.join(30)
+        assert not thread.is_alive()
+        assert len(errors) == 1
+
+    def test_drain_waits_for_accepted_requests(self, deck, sleepy):
+        with _fleet_client(2) as client:
+            ticket = client.submit(sleepy(7))
+
+            def drain(timeout):
+                return asyncio.run_coroutine_threadsafe(
+                    client.service.drain(timeout), client._loop
+                ).result()
+
+            assert drain(0.2) is False
+            assert client.service.health()["draining"] is True
+            with pytest.raises(RuntimeError, match="draining"):
+                client.submit(_requests(deck, 1, base_seed=1200)[0])
+            assert drain(None) is True
+            assert client.service.queue_depths()["in_flight"] == 0
+            assert ticket.result(timeout=0).attempts == 2
 
 
 @_skip_under_fleet_faults

@@ -138,6 +138,56 @@ class TestProtocol:
                 histogram["count"]
             )
 
+    def test_open_connection_keeps_no_finished_streams(self):
+        # One long-lived connection: once a request's result is on the
+        # wire, the handler must let go of its ResultStream (and with it
+        # the final batch and its clips).
+        import gc
+
+        from repro.service import ResultStream
+
+        n = 60
+
+        def live_streams():
+            gc.collect()
+            return sum(isinstance(o, ResultStream) for o in gc.get_objects())
+
+        async def run():
+            service = GenerationService()
+            await service.start()
+            server = await serve(service, "127.0.0.1", 0,
+                                 default_deck="advanced")
+            port = server.sockets[0].getsockname()[1]
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                for seed in range(n):
+                    writer.write(json.dumps(
+                        {"backend": "rule", "count": 1, "seed": seed}
+                    ).encode() + b"\n")
+                await writer.drain()
+                results = 0
+                while results < n:
+                    raw = await asyncio.wait_for(reader.readline(), timeout=30)
+                    results += json.loads(raw)["event"] == "result"
+                # The connection is still open; a forwarder finishes just
+                # after writing its result, so give the last ones a beat.
+                for _ in range(25):
+                    live = live_streams()
+                    if live < n // 10:
+                        break
+                    await asyncio.sleep(0.02)
+                writer.close()
+                await writer.wait_closed()
+                return live
+            finally:
+                server.close()
+                await server.wait_closed()
+                await service.stop()
+
+        assert asyncio.run(run()) < n // 10
+
 
 class TestFaultVerbs:
     def test_health_verb_reports_ok_with_recovery_counters(self):
