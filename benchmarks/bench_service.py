@@ -1,7 +1,8 @@
 """Serving throughput: packed vs coalesced vs one-request-at-a-time.
 
 Simulates N concurrent clients, each submitting one seeded inpainting
-request against a small diffusion model, and serves the burst four ways:
+request.  A burst of one-job requests against a small 16-px model, where
+per-request overhead dominates, is served three ways:
 
 * **sequential** — the one-shot path: a fresh backend per request via
   :func:`repro.engine.run_generation`, requests served one after another.
@@ -12,20 +13,31 @@ request against a small diffusion model, and serves the burst four ways:
   with micro-batching disabled (``max_batch_requests=1``) on the
   pack-less backend: long-lived backend (model loaded once) and
   executor, but every request is its own scheduling cycle;
-* **coalesced** — the same service with the gather window open, on a
-  pack-less twin of the backend (same jobs, same model, no pack hooks):
-  compatible requests coalesce into micro-batches sharing the warm
-  backend and one cached DRC sweep, but the model stage still samples
-  one request at a time;
-* **packed** — coalescing plus cross-request model-batch packing: the
-  micro-batch's sampling chunks interleave into shared full-width model
-  batches, so the burst walks **one** denoising loop instead of N.
+* **coalesced** — the same service with the gather window open, on the
+  pack-less backend: compatible requests coalesce into micro-batches
+  sharing the warm backend and one cached DRC sweep, but the model stage
+  still samples one request at a time.
 
-All four modes produce **bit-identical per-request outputs** (asserted):
-the model/denoise stages consume each request's own seeded rng stream
-(per-chunk spawn under packing), so serving mode changes wall-clock,
-never results.  The shared DRC stores are cleared before each mode so
-none inherits another's warm cache.
+A burst of 1-4-job requests against the committed pinned ``sd1-ft``
+checkpoint (``perfbench/model/finetuned-sd1-32.npz``, read only), where
+the model dominates, is served two ways:
+
+* **coalesced-pinned** — coalescing on a pack-less twin of the backend
+  (same jobs, same model, no pack hooks);
+* **packed-pinned** — coalescing plus cross-request model-batch packing:
+  the micro-batch's sampling chunks interleave into shared full-width
+  model batches, so the burst walks **one** denoising loop instead of N.
+  Small forwards shard poorly on their own, so packing them pays on the
+  real model.
+
+Every mode produces **bit-identical per-request outputs** (asserted:
+each against serial generation, and packed against coalesced): the
+model/denoise stages consume each request's own seeded rng stream
+(per-chunk spawn under packing), and the model conditions on time once
+per distinct timestep, so rows sharing a sampler step get the same bits
+at any batch size.  Serving mode changes wall-clock, never results.
+The shared DRC stores are cleared before each mode so none inherits
+another's warm cache.
 
 A **payload delivery** arm (ISSUE 10) serves one request burst over a
 real TCP connection three times — clip payloads off, base64, npz — via
@@ -46,7 +58,7 @@ the single-worker arm.
 
 Acceptance targets: coalesced micro-batching beats sequential per-request
 serving (ISSUE 4), packed serving reaches >= 1.3x coalesced
-throughput on the >= 8 small-concurrent-request burst, and the
+throughput on the pinned-model burst, and the
 multi-process fleet reaches >= 1.3x the single-worker service on the
 mixed burst.
 Single-core hosts skip whichever gate falls short,
@@ -62,6 +74,7 @@ import tempfile
 import threading
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,13 +102,25 @@ from repro.engine.packing import chunk_sizes
 from repro.experiments.common import format_table
 from repro.geometry import Grid
 from repro.nn import TimeUnet, UNetConfig
-from repro.nn.serialize import load_module_state, save_module
+from repro.nn.serialize import load_into, load_module_state, save_module
 from repro.service import SchedulerConfig, ServiceClient, ServiceConfig
+from repro.zoo.artifacts import model_config
 
 NUM_CLIENTS = 12
 COUNT = 1  # inpainting attempts per request: the many-small-requests regime
 NUM_STEPS = 8  # DDIM steps per attempt
 RUNS = 2
+
+#: The packing burst: client *i* asks for ``PINNED_COUNTS[i % 4]`` jobs of
+#: the committed benchmark checkpoint, sampled on its training schedule.
+PINNED_COUNTS = (1, 2, 3, 4)
+PINNED_WEIGHTS = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "model"
+    / "finetuned-sd1-32.npz"
+)
+PINNED_UNET = model_config("sd1", 32)
+PINNED_SCHEDULE_STEPS = 250
+PINNED_GRID = Grid(nm_per_px=16.0, width_px=32, height_px=32)
 
 GRID = Grid(nm_per_px=32.0, width_px=16, height_px=16)
 UNET = UNetConfig(
@@ -156,23 +181,29 @@ class BenchSerialInpaintBackend:
 
     name = "bench-inpaint-serial"
     MODEL_BATCH = 32
+    GRID = GRID
 
     def __init__(self, deck=None):
-        self._deck = deck if deck is not None else basic_deck(GRID)
+        self._deck = deck if deck is not None else basic_deck(self.GRID)
+        self._model, self._schedule = self._load_model()
+        self._config = InpaintConfig(num_steps=NUM_STEPS)
+        size = self.GRID.width_px
+        scale = size // 16
+        template = np.zeros((size, size), dtype=np.uint8)
+        template[:, 2 * scale:5 * scale] = 1
+        template[:, 9 * scale:12 * scale] = 1
+        self._template = template
+        mask = np.zeros((size, size), dtype=bool)
+        mask[:, size // 2:] = True
+        self._mask = mask
+
+    def _load_model(self) -> tuple[TimeUnet, NoiseSchedule]:
         state, meta = load_module_state(_checkpoint())
         cfg = dict(meta["unet"])
         cfg["channel_mults"] = tuple(cfg["channel_mults"])
-        self._model = TimeUnet(UNetConfig(**cfg))
-        self._model.load_state_dict(state)
-        self._schedule: NoiseSchedule = linear_schedule(TRAIN_STEPS)
-        self._config = InpaintConfig(num_steps=NUM_STEPS)
-        template = np.zeros((UNET.image_size,) * 2, dtype=np.uint8)
-        template[:, 2:5] = 1
-        template[:, 9:12] = 1
-        self._template = template
-        mask = np.zeros((UNET.image_size,) * 2, dtype=bool)
-        mask[:, UNET.image_size // 2:] = True
-        self._mask = mask
+        model = TimeUnet(UNetConfig(**cfg))
+        model.load_state_dict(state)
+        return model, linear_schedule(TRAIN_STEPS)
 
     @property
     def deck(self):
@@ -205,12 +236,24 @@ class BenchSerialInpaintBackend:
         )
 
 
-class BenchInpaintBackend(BenchSerialInpaintBackend):
+class BenchPinnedSerialBackend(BenchSerialInpaintBackend):
+    """The pack-less backend on the committed pinned checkpoint."""
+
+    name = "bench-pinned-serial"
+    GRID = PINNED_GRID
+
+    def _load_model(self) -> tuple[TimeUnet, NoiseSchedule]:
+        model = TimeUnet(PINNED_UNET)
+        load_into(model, PINNED_WEIGHTS)
+        return model, linear_schedule(PINNED_SCHEDULE_STEPS)
+
+
+class BenchPinnedBackend(BenchPinnedSerialBackend):
     """The same backend with the three pack hooks: the service samples
     every micro-batch of it as shared packed model batches,
     bit-identically to ``propose``."""
 
-    name = "bench-inpaint"
+    name = "bench-pinned"
 
     def pack_jobs(self, request):
         return self._jobs(request)
@@ -231,7 +274,10 @@ class BenchInpaintBackend(BenchSerialInpaintBackend):
 register_backend(
     "bench-inpaint-serial", BenchSerialInpaintBackend, overwrite=True
 )
-register_backend("bench-inpaint", BenchInpaintBackend, overwrite=True)
+register_backend(
+    "bench-pinned-serial", BenchPinnedSerialBackend, overwrite=True
+)
+register_backend("bench-pinned", BenchPinnedBackend, overwrite=True)
 
 
 class BenchMixedBackend:
@@ -297,11 +343,23 @@ class BenchMixedBackend:
 register_backend("bench-mixed", BenchMixedBackend, overwrite=True)
 
 
-def _requests(backend="bench-inpaint"):
+def _requests(backend):
     deck = basic_deck(GRID)
     return [
         GenerationRequest(
             backend=backend, count=COUNT, seed=100 + i, deck=deck
+        )
+        for i in range(NUM_CLIENTS)
+    ]
+
+
+def _pinned_requests(backend):
+    """The packing burst: 1-4 jobs per request on the pinned checkpoint."""
+    deck = basic_deck(PINNED_GRID)
+    return [
+        GenerationRequest(
+            backend=backend, count=PINNED_COUNTS[i % len(PINNED_COUNTS)],
+            seed=100 + i, deck=deck,
         )
         for i in range(NUM_CLIENTS)
     ]
@@ -483,15 +541,28 @@ def run_payload_bench():
     }
 
 
+#: Each mode's baseline: the ``speedup`` it reports is against this mode,
+#: which serves the same burst.
+BASELINES = {
+    "sequential": "sequential",
+    "service-serial": "sequential",
+    "coalesced": "sequential",
+    "coalesced-pinned": "coalesced-pinned",
+    "packed-pinned": "coalesced-pinned",
+}
+
+
 def run_bench():
     """Times and outputs per mode; asserts bitwise-equal results."""
-    requests = _requests()
     unpacked = _requests("bench-inpaint-serial")
+    pinned = _pinned_requests("bench-pinned")
+    pinned_unpacked = _pinned_requests("bench-pinned-serial")
     modes = {
-        "sequential": lambda: _sequential(requests),
+        "sequential": lambda: _sequential(unpacked),
         "service-serial": lambda: _service(unpacked, coalesce=False),
         "coalesced": lambda: _service(unpacked, coalesce=True),
-        "packed": lambda: _service(requests, coalesce=True),
+        "coalesced-pinned": lambda: _service(pinned_unpacked, coalesce=True),
+        "packed-pinned": lambda: _service(pinned, coalesce=True),
     }
     walls: dict[str, float] = {}
     latencies: dict[str, list[float]] = {}
@@ -510,25 +581,33 @@ def run_bench():
                 best = run
         walls[name], latencies[name], outputs[name], stats[name] = best
 
-    reference = outputs["sequential"]
-    for name in ("service-serial", "coalesced", "packed"):
-        for got, want in zip(outputs[name], reference):
+    clear_shared_caches()
+    outputs["serial-pinned"] = [run_generation(r) for r in pinned_unpacked]
+    for name, ref_name in (
+        ("service-serial", "sequential"),
+        ("coalesced", "sequential"),
+        ("coalesced-pinned", "serial-pinned"),
+        ("packed-pinned", "serial-pinned"),
+        ("packed-pinned", "coalesced-pinned"),
+    ):
+        for got, want in zip(outputs[name], outputs[ref_name]):
             assert got.attempts == want.attempts
             for a, b in zip(want.clips, got.clips):
                 np.testing.assert_array_equal(
-                    a, b, err_msg=f"{name} output diverged from sequential"
+                    a, b, err_msg=f"{name} output diverged from {ref_name}"
                 )
             np.testing.assert_array_equal(want.legal, got.legal)
             assert got.admitted == want.admitted
-    assert stats["coalesced"].peak_coalesced > 1, (
-        "gather window never coalesced anything; the benchmark is not "
-        "measuring micro-batching"
-    )
-    assert stats["packed"].packed_jobs > 0, (
+    for name in ("coalesced", "coalesced-pinned"):
+        assert stats[name].peak_coalesced > 1, (
+            "gather window never coalesced anything; the benchmark is not "
+            "measuring micro-batching"
+        )
+        assert stats[name].packed_jobs == 0
+    assert stats["packed-pinned"].packed_jobs > 0, (
         "packed mode never packed a model batch; the benchmark is not "
         "measuring cross-request packing"
     )
-    assert stats["coalesced"].packed_jobs == 0
     return walls, latencies, stats, trajectory
 
 
@@ -592,16 +671,18 @@ def render(walls, latencies) -> str:
             round(NUM_CLIENTS / wall, 1),
             round(_percentile(latencies[mode], 50) * 1e3, 1),
             round(_percentile(latencies[mode], 95) * 1e3, 1),
-            round(walls["sequential"] / wall, 2),
+            BASELINES[mode],
+            round(walls[BASELINES[mode]] / wall, 2),
         ]
         for mode, wall in walls.items()
     ]
     return format_table(
-        ["mode", "wall s", "req/s", "p50 ms", "p95 ms", "speedup"],
+        ["mode", "wall s", "req/s", "p50 ms", "p95 ms", "vs", "speedup"],
         rows,
         title=(
-            f"Serving throughput ({NUM_CLIENTS} clients x {COUNT} inpaint "
-            f"attempts, {NUM_STEPS} steps)"
+            f"Serving throughput ({NUM_CLIENTS} clients, {NUM_STEPS} steps: "
+            f"{COUNT} attempt each on a {GRID.width_px}-px model; "
+            f"{min(PINNED_COUNTS)}-{max(PINNED_COUNTS)} on the pinned sd1-ft)"
         ),
     )
 
@@ -611,16 +692,28 @@ def write_artifact(walls, latencies, stats, trajectory, fleet_walls=None,
     from repro.experiments.common import bench_dir
 
     coalesced = stats["coalesced"]
-    packed = stats["packed"]
+    packed = stats["packed-pinned"]
     payload = {
         "host": host_fingerprint(),
         "workload": {
             "clients": NUM_CLIENTS,
             "count_per_request": COUNT,
             "num_steps": NUM_STEPS,
-            "backend": "bench-inpaint",
+            "backend": "bench-inpaint-serial",
             "deck": "basic",
             "image_size": UNET.image_size,
+        },
+        "pinned_workload": {
+            "clients": NUM_CLIENTS,
+            "count_per_request": [
+                PINNED_COUNTS[i % len(PINNED_COUNTS)]
+                for i in range(NUM_CLIENTS)
+            ],
+            "num_steps": NUM_STEPS,
+            "backend": "bench-pinned",
+            "checkpoint": "perfbench/model/finetuned-sd1-32.npz",
+            "deck": "basic",
+            "image_size": PINNED_UNET.image_size,
         },
         "coalescing": {
             "micro_batches": coalesced.micro_batches,
@@ -631,9 +724,9 @@ def write_artifact(walls, latencies, stats, trajectory, fleet_walls=None,
             "packed_batches": packed.packed_batches,
             "packed_jobs": packed.packed_jobs,
             "last_pack_fill": round(packed.last_pack_fill, 4),
-            "model_batch": BenchInpaintBackend.MODEL_BATCH,
+            "model_batch": BenchPinnedBackend.MODEL_BATCH,
             "speedup_vs_coalesced": round(
-                walls["coalesced"] / walls["packed"], 3
+                walls["coalesced-pinned"] / walls["packed-pinned"], 3
             ),
         },
         "summary": {
@@ -642,7 +735,10 @@ def write_artifact(walls, latencies, stats, trajectory, fleet_walls=None,
                 "requests_per_s": round(NUM_CLIENTS / wall, 2),
                 "p50_ms": round(_percentile(latencies[mode], 50) * 1e3, 2),
                 "p95_ms": round(_percentile(latencies[mode], 95) * 1e3, 2),
-                "speedup_vs_sequential": round(walls["sequential"] / wall, 3),
+                "baseline": BASELINES[mode],
+                "speedup_vs_baseline": round(
+                    walls[BASELINES[mode]] / wall, 3
+                ),
             }
             for mode, wall in walls.items()
         },
@@ -752,7 +848,8 @@ class TestServingThroughput:
         )
 
     def test_packed_serving_beats_coalesced(self, bench_results):
-        """ISSUE 5 gate: cross-request packing >= 1.3x PR 4 coalescing.
+        """Gate: cross-request packing >= 1.3x coalescing, on the pinned
+        checkpoint.
 
         Bit-identity of the packed outputs is asserted unconditionally
         inside ``run_bench``; the throughput ratio is gated on
@@ -760,15 +857,15 @@ class TestServingThroughput:
         single-core escape hatch as the other gates.
         """
         walls, _, stats, _, _ = bench_results
-        ratio = walls["coalesced"] / walls["packed"]
+        ratio = walls["coalesced-pinned"] / walls["packed-pinned"]
         if (os.cpu_count() or 1) < 2 and ratio < 1.3:
             pytest.skip(
                 f"single-core host: packed {ratio:.2f}x coalesced "
                 "(>= 1.3x gate enforced on the multi-core CI job)"
             )
         assert ratio >= 1.3, (
-            f"packed={walls['packed']:.3f}s coalesced="
-            f"{walls['coalesced']:.3f}s ({ratio:.2f}x): cross-request "
+            f"packed={walls['packed-pinned']:.3f}s coalesced="
+            f"{walls['coalesced-pinned']:.3f}s ({ratio:.2f}x): cross-request "
             "model-batch packing must reach 1.3x coalesced throughput on "
             f"{NUM_CLIENTS} small concurrent requests"
         )

@@ -123,9 +123,11 @@ class PackedModelResult:
 
     ``outputs[r]`` is request *r*'s raw model outputs in job order —
     bit-identical to what :meth:`BatchExecutor.run_model_batched` would
-    have produced for that request alone.  ``seconds[r]`` is the
-    wall-clock sampler time attributed to the request (each packed
-    batch's time split by job share).  ``plan`` is the packing that ran,
+    have produced for that request alone: chunk rngs are spawned per
+    chunk, and the model conditions on time once per distinct timestep,
+    so rows sharing a timestep get the same bits at any batch size.
+    ``seconds[r]`` is the wall-clock sampler time attributed to the
+    request (each packed batch's time split by job share).  ``plan`` is the packing that ran,
     whose ``fill_ratio`` the service exports as a gauge.
     """
 

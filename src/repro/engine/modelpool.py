@@ -56,7 +56,10 @@ def inpaint_jobs_packed(
     through a single :func:`~repro.diffusion.inpaint.inpaint_packed`
     call — one denoising loop, full-width model forwards — with noise
     drawn per segment, so every returned segment is bit-identical to
-    running :func:`inpaint_jobs` on it alone with the same rng.
+    running :func:`inpaint_jobs` on it alone with the same rng.  The
+    model conditions on time once per distinct timestep, and rows
+    sharing a timestep (every row of a sampler step) get the same bits
+    at any batch size.
 
     Returns the per-segment output lists, in segment order.
     """

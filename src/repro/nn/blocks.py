@@ -8,8 +8,6 @@ features.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .layers import Conv2d, GroupNorm, Identity, Linear, SiLU, gn_silu
@@ -32,22 +30,6 @@ def sinusoidal_embedding(t: np.ndarray, dim: int, *, max_period: float = 10_000.
     return np.concatenate([np.sin(args), np.cos(args)], axis=1).astype(np.float32)
 
 
-@lru_cache(maxsize=512)
-def _sinusoidal_cached(
-    t_bytes: bytes, dtype_str: str, dim: int, max_period: float
-) -> np.ndarray:
-    """Memoised timestep-embedding rows (parameter-free, so always valid).
-
-    Sampling calls the model with the same constant-``t`` vectors on every
-    batch — one entry per (timestep, batch-size) covers a whole schedule.
-    The cached array is marked read-only; consumers never mutate inputs.
-    """
-    t = np.frombuffer(t_bytes, dtype=np.dtype(dtype_str))
-    emb = sinusoidal_embedding(t, dim, max_period=max_period)
-    emb.setflags(write=False)
-    return emb
-
-
 class TimeMlp(Module):
     """Two-layer MLP on sinusoidal timestep features."""
 
@@ -58,13 +40,7 @@ class TimeMlp(Module):
         self.fc2 = Linear(dim * 2, dim * 2, rng)
 
     def forward(self, t: np.ndarray) -> np.ndarray:
-        if self.training:
-            emb = sinusoidal_embedding(t, self.dim)
-        else:
-            arr = np.ascontiguousarray(t)
-            emb = _sinusoidal_cached(
-                arr.tobytes(), arr.dtype.str, self.dim, 10_000.0
-            )
+        emb = sinusoidal_embedding(t, self.dim)
         return self.fc2(self.act(self.fc1(emb)))
 
     def backward(self, dout: np.ndarray) -> None:
@@ -102,39 +78,44 @@ class ResBlock(Module):
             self.skip = Identity()
         else:
             self.skip = Conv2d(in_channels, out_channels, 1, rng, padding=0)
-
-    def time_bias(self, t_emb: np.ndarray) -> np.ndarray:
-        """The timestep projection as an ``(N, C, 1, 1)`` per-channel bias."""
-        return self.time_proj(t_emb)[:, :, None, None]
+        self._cache: tuple | None = None
 
     def forward(
-        self,
-        x: np.ndarray,
-        t_emb: np.ndarray | None,
-        t_bias: np.ndarray | None = None,
+        self, x: np.ndarray, t_emb: np.ndarray, rows: np.ndarray | None = None
     ) -> np.ndarray:
-        """``t_bias`` (inference only) is :meth:`time_bias` precomputed;
-        the sharded UNet forward passes row slices of it with no
-        ``t_emb``."""
+        """``t_emb`` holds one embedding per distinct timestep and
+        ``rows[i]`` picks sample *i*'s; ``rows=None`` means one embedding
+        per sample.  Projecting before the gather keeps a sample's bias
+        bits independent of how many samples share the forward."""
+        bias = self.time_proj(t_emb)
+        if rows is not None:
+            bias = bias[rows]
+        bias = bias[:, :, None, None]
         if not self.training:
-            if t_bias is None:
-                t_bias = self.time_bias(t_emb)
             # Fused GN->SiLU, in-place adds on the fresh conv outputs.
             h = self.conv1(gn_silu(self.norm1, x))
-            h += t_bias
+            h += bias
             h = self.conv2(gn_silu(self.norm2, h))
             h += self.skip(x)
             return h
+        self._cache = (rows, len(t_emb))
         h = self.conv1(self.act1(self.norm1(x)))
-        h = h + self.time_proj(t_emb)[:, :, None, None]
+        h = h + bias
         h = self.conv2(self.act2(self.norm2(h)))
         return h + self.skip(x)
 
     def backward(self, dout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Returns ``(dx, dt_emb)``."""
+        """Returns ``(dx, dt_emb)``, ``dt_emb`` shaped like ``t_emb``."""
+        rows, n_emb = self._cache
         dh = self.conv2.backward(dout)
         dh = self.norm2.backward(self.act2.backward(dh))
-        dt_emb = self.time_proj.backward(dh.sum(axis=(2, 3)))
+        dbias = dh.sum(axis=(2, 3))
+        if rows is not None:
+            # Every sample sharing a timestep adds into that step's row.
+            per_step = np.zeros((n_emb, dbias.shape[1]), dtype=dbias.dtype)
+            np.add.at(per_step, rows, dbias)
+            dbias = per_step
+        dt_emb = self.time_proj.backward(dbias)
         dx = self.conv1.backward(dh)
         dx = self.norm1.backward(self.act1.backward(dx))
         return dx + self.skip.backward(dout), dt_emb

@@ -3,9 +3,10 @@ the BLAS thread count.
 
 An inference UNet forward splits its batch into contiguous row shards,
 one per usable core, and runs them on one process-wide thread pool (the
-calling thread runs the first shard itself).  Every op below the time
-projection is per-sample, so shards are bitwise equal to the unsharded
-forward; see :meth:`repro.nn.unet.TimeUnet._forward_inference`.
+calling thread runs the first shard itself).  Every shard projects the
+same distinct-timestep embeddings and every other op is per-sample, so
+shards are bitwise equal to the unsharded forward; see
+:meth:`repro.nn.unet.TimeUnet.forward`.
 
 Three process-wide rules live here:
 

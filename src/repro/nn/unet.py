@@ -3,8 +3,9 @@
 A miniature DDPM UNet (Ho et al., 2020): stem convolution, a down path of
 residual blocks with 2x average-pool downsampling, a bottleneck with optional
 self-attention, and an up path consuming skip connections by channel
-concatenation.  The forward pass records an op tape so ``backward`` replays
-the exact graph in reverse, including the concat splits of skip connections.
+concatenation.  A training forward records an op tape so ``backward``
+replays the exact graph in reverse, including the concat splits of skip
+connections.
 
 At reproduction scale (base 16-32 channels, 1-2 levels, 32-64 px clips) the
 model has 50k-500k parameters — enough to learn track grammar from a layout
@@ -13,7 +14,7 @@ corpus while training in minutes on CPU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,111 +126,51 @@ class TimeUnet(Module):
     # Forward
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """``x``: (N, C, H, W) in [-1, 1]-ish scale; ``t``: (N,) int steps."""
-        if not self.training:
-            return self._forward_inference(x, t)
-        cfg = self.config
-        n_levels = len(cfg.channel_mults)
-        n_res = cfg.num_res_blocks
-        tape: list[tuple] = []
+        """``x``: (N, C, H, W) in [-1, 1]-ish scale; ``t``: (N,) int steps.
 
-        t_emb = self.time_mlp(t)
+        Time conditioning runs once per distinct timestep: the time MLP
+        embeds the U distinct steps and each ResBlock projects those U rows
+        before gathering a bias per sample.  A sample's output therefore
+        depends on the other samples of its forward only through the set
+        of timesteps, which a sampler step shares across every row.
 
-        h = self.stem(np.asarray(x, dtype=np.float32))
-        skips: list[np.ndarray] = [h]
-        skip_grads: list[np.ndarray | None] = [None]
-
-        down_iter = iter(self.down_res)
-        down_sample_iter = iter(self.downsamples)
-        for i in range(n_levels):
-            for _ in range(n_res):
-                block = next(down_iter)
-                h = block(h, t_emb)
-                tape.append(("res_down", block))
-                skips.append(h)
-                skip_grads.append(None)
-            if i != n_levels - 1:
-                pool = next(down_sample_iter)
-                h = pool(h)
-                tape.append(("down", pool))
-                skips.append(h)
-                skip_grads.append(None)
-
-        h = self.mid1(h, t_emb)
-        tape.append(("res_mid", self.mid1))
-        if self.attn is not None:
-            h = self.attn(h)
-            tape.append(("attn", self.attn))
-        h = self.mid2(h, t_emb)
-        tape.append(("res_mid", self.mid2))
-
-        up_iter = iter(self.up_res)
-        upsample_iter = iter(self.upsamples)
-        for i in reversed(range(n_levels)):
-            for _ in range(n_res + 1):
-                block = next(up_iter)
-                skip_index = len(skips) - 1
-                skip = skips.pop()
-                h = block(np.concatenate([h, skip], axis=1), t_emb)
-                tape.append(("res_up", block, skip_index, skip.shape[1]))
-            if i != 0:
-                up = next(upsample_iter)
-                h = up(h)
-                tape.append(("up", up))
-
-        out = self.head_conv(self.head_act(self.head_norm(h)))
-        self._tape = tape
-        self._skip_grads = skip_grads
-        return out
-
-    def _forward_inference(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Inference fast path: no op tape, rows sharded across cores.
-
-        Identical graph and identical floating-point operations as the
-        training forward (submodules dispatch to their own inference
-        branches), so the output is bit-for-bit the same.
-
-        The time MLP and every ResBlock's time projection run once on the
-        full batch: :class:`~repro.nn.layers.Linear` is not row-invariant
-        (OpenBLAS picks its GEMM kernel by row count), so projecting per
-        shard would change the bits.  Everything below them — convs,
-        GroupNorm, SiLU, attention, pool, concat — is per-sample, so the
-        rest runs on contiguous row shards
-        (:func:`~repro.nn.shards.run_shards`) that write their rows of one
-        output.
+        Training walks the whole batch and records the op tape; inference
+        walks contiguous row shards (:func:`~repro.nn.shards.run_shards`)
+        that write their rows of one output.  Both modes run the same
+        graph and the same floating-point operations, so their outputs
+        are bit-for-bit equal.
         """
         x = np.asarray(x, dtype=np.float32)
-        t_emb = self.time_mlp(t)
-        t_biases = [block.time_bias(t_emb) for block in self._res_blocks()]
+        steps, rows = np.unique(np.asarray(t).reshape(-1), return_inverse=True)
+        t_emb = self.time_mlp(steps)
+        if self.training:
+            out, self._tape = self._walk(x, t_emb, rows)
+            return out
         out_shape = (len(x), self.config.in_channels) + x.shape[2:]
         out = np.empty(out_shape, dtype=np.float32)
 
         def shard(lo: int, hi: int) -> None:
             # Copied out of the head conv's per-thread workspace, so the
             # returned prediction stays valid across subsequent forwards.
-            out[lo:hi] = self._forward_rows(
-                x[lo:hi], [bias[lo:hi] for bias in t_biases]
-            )
+            out[lo:hi] = self._walk(x[lo:hi], t_emb, rows[lo:hi])[0]
 
         run_shards(shard, len(x))
         return out
 
-    def _res_blocks(self) -> list[ResBlock]:
-        """Every ResBlock in the order a forward runs them."""
-        return [*self.down_res, self.mid1, self.mid2, *self.up_res]
+    def _walk(
+        self, x: np.ndarray, t_emb: np.ndarray, rows: np.ndarray
+    ) -> tuple[np.ndarray, list[tuple]]:
+        """The graph, once, for both modes; returns ``(out, op tape)``.
 
-    def _forward_rows(
-        self, x: np.ndarray, t_biases: list[np.ndarray]
-    ) -> np.ndarray:
-        """The network below the time projections, on one row shard.
-
-        ``t_biases`` holds this shard's rows of each ResBlock's time bias,
-        in :meth:`_res_blocks` order.  Returns the head conv's workspace.
+        Training keeps the tape for :meth:`backward`.  Inference drops it,
+        stores nothing on the modules (shards run concurrently) and uses
+        the workspace concat and the fused head GroupNorm -> SiLU; its
+        output is the head conv's per-thread workspace.
         """
         cfg = self.config
         n_levels = len(cfg.channel_mults)
         n_res = cfg.num_res_blocks
-        bias = iter(t_biases)
+        tape: list[tuple] = []
 
         h = self.stem(x)
         skips: list[np.ndarray] = [h]
@@ -238,27 +179,46 @@ class TimeUnet(Module):
         down_sample_iter = iter(self.downsamples)
         for i in range(n_levels):
             for _ in range(n_res):
-                h = next(down_iter)(h, None, next(bias))
+                block = next(down_iter)
+                h = block(h, t_emb, rows)
+                tape.append(("res_down", block))
                 skips.append(h)
             if i != n_levels - 1:
-                h = next(down_sample_iter)(h)
+                pool = next(down_sample_iter)
+                h = pool(h)
+                tape.append(("down", pool))
                 skips.append(h)
 
-        h = self.mid1(h, None, next(bias))
+        h = self.mid1(h, t_emb, rows)
+        tape.append(("res_mid", self.mid1))
         if self.attn is not None:
             h = self.attn(h)
-        h = self.mid2(h, None, next(bias))
+            tape.append(("attn", self.attn))
+        h = self.mid2(h, t_emb, rows)
+        tape.append(("res_mid", self.mid2))
 
         up_iter = iter(self.up_res)
         upsample_iter = iter(self.upsamples)
         for i in reversed(range(n_levels)):
             for _ in range(n_res + 1):
-                h = self._concat(h, skips.pop())
-                h = next(up_iter)(h, None, next(bias))
+                block = next(up_iter)
+                skip = skips.pop()
+                tape.append(("res_up", block, len(skips), skip.shape[1]))
+                if self.training:
+                    h = np.concatenate([h, skip], axis=1)
+                else:
+                    h = self._concat(h, skip)
+                h = block(h, t_emb, rows)
             if i != 0:
-                h = next(upsample_iter)(h)
+                up = next(upsample_iter)
+                h = up(h)
+                tape.append(("up", up))
 
-        return self.head_conv(gn_silu(self.head_norm, h))
+        if self.training:
+            h = self.head_act(self.head_norm(h))
+        else:
+            h = gn_silu(self.head_norm, h)
+        return self.head_conv(h), tape
 
     def _concat(self, h: np.ndarray, skip: np.ndarray) -> np.ndarray:
         """Channel concat into a reused per-thread, per-shape workspace
@@ -289,7 +249,11 @@ class TimeUnet(Module):
         """Accumulate parameter grads; returns gradient w.r.t. the input."""
         if self._tape is None:
             raise RuntimeError("backward called before forward")
-        skip_grads = self._skip_grads
+        # One pending-gradient slot per skip the forward pushed: the stem
+        # output plus every down-path block and pool output.
+        skip_grads: list[np.ndarray | None] = [None] * (
+            1 + sum(entry[0] in ("res_down", "down") for entry in self._tape)
+        )
         dt_emb_total: np.ndarray | None = None
 
         dh = self.head_norm.backward(

@@ -144,20 +144,30 @@ class TestLayerGradients:
 
 class TestBlockGradients:
     def test_resblock(self):
+        """``rows=None``: each sample has its own embedding."""
+        self.check_resblock(None)
+
+    def test_resblock_shared_embedding(self):
+        """Samples 0 and 2 share embedding 1, whose gradient must add up."""
+        self.check_resblock(np.array([1, 0, 1]))
+
+    def check_resblock(self, rows):
         rng = np.random.default_rng(3)
         module = ResBlock(4, 6, 8, 2, rng)
         randomize(module, rng)
-        x = rng.normal(size=(2, 4, 4, 4)).astype(np.float32)
+        n = 2 if rows is None else len(rows)
+        x = rng.normal(size=(n, 4, 4, 4)).astype(np.float32)
         t_emb = rng.normal(size=(2, 8)).astype(np.float32)
-        target = rng.normal(size=(2, 6, 4, 4)).astype(np.float32)
+        target = rng.normal(size=(n, 6, 4, 4)).astype(np.float32)
 
         def loss_fn():
-            out = module.forward(x, t_emb)
+            out = module.forward(x, t_emb, rows)
             return float(np.sum((out - target) ** 2, dtype=np.float64))
 
-        out = module.forward(x, t_emb)
+        out = module.forward(x, t_emb, rows)
         module.zero_grad()
         dx, dt = module.backward(2.0 * (out - target))
+        assert dt.shape == t_emb.shape
         check_param_grads(module, loss_fn)
         check_input_grad(x, dx, loss_fn)
         check_input_grad(t_emb, dt, loss_fn, n_checks=4)
@@ -180,8 +190,17 @@ class TestBlockGradients:
 
 
 class TestUnetGradients:
-    @pytest.mark.parametrize("attention", [False, True])
-    def test_end_to_end(self, attention):
+    @pytest.mark.parametrize(
+        "attention,steps",
+        [
+            pytest.param(False, [3, 7], id="False"),
+            pytest.param(True, [3, 7], id="True"),
+            pytest.param(True, [3, 3, 7], id="True-repeated-step"),
+        ],
+    )
+    def test_end_to_end(self, attention, steps):
+        """``[3, 3, 7]`` repeats a timestep, so two samples' time gradients
+        accumulate into one embedding row."""
         cfg = UNetConfig(
             image_size=8,
             base_channels=8,
@@ -195,9 +214,9 @@ class TestUnetGradients:
         net = TimeUnet(cfg)
         rng = np.random.default_rng(42)
         randomize(net, rng, scale=0.2)
-        x = rng.normal(size=(2, 1, 8, 8)).astype(np.float32)
-        t = np.array([3, 7])
-        target = rng.normal(size=(2, 1, 8, 8)).astype(np.float32)
+        t = np.array(steps)
+        x = rng.normal(size=(len(t), 1, 8, 8)).astype(np.float32)
+        target = rng.normal(size=(len(t), 1, 8, 8)).astype(np.float32)
 
         def loss_fn():
             out = net.forward(x, t)
