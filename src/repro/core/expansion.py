@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..diffusion.ddpm import Ddpm, clips_to_model_space
-from ..diffusion.inpaint import InpaintConfig, inpaint
+from ..diffusion.ddpm import Ddpm
+from ..diffusion.inpaint import InpaintConfig
+from ..engine.modelpool import inpaint_jobs
 from .template_denoise import TemplateDenoiseConfig, template_denoise
 
 __all__ = ["ExpansionConfig", "expand_pattern", "expansion_windows"]
@@ -137,15 +138,9 @@ def expand_pattern(
         patch = canvas[view]
         mask = ~window_known  # regenerate exactly the unknown part
 
-        known_model = clips_to_model_space([patch])
-        raw = inpaint(
-            ddpm.model,
-            ddpm.schedule,
-            known_model,
-            mask[None, None],
-            rng,
-            config.inpaint,
-        )[0, 0]
+        raw = inpaint_jobs(
+            ddpm.model, ddpm.schedule, [patch], [mask], rng, config.inpaint
+        )[0]
         # Snap against the committed content, periodically extended so the
         # novel region has track-aligned scan lines to land on.
         template = _extended_template(patch, window_known, config.track_pitch_px)

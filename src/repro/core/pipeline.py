@@ -120,44 +120,14 @@ class PatternPaint:
         ddpm: Ddpm,
         deck: RuleDeck,
         config: PatternPaintConfig | None = None,
-        *,
-        executor: BatchExecutor | None = None,
     ):
         self.ddpm = ddpm
         self.deck = deck
         self.config = config or PatternPaintConfig()
-        if executor is not None:
-            # Shared executor (e.g. the generation service's): its DRC
-            # cache stays warm across many pipelines and requests.
-            # model_batch and the denoise config change seeded outputs
-            # (chunk-level rng spawning / denoise behaviour), so a shared
-            # executor must agree with this pipeline's config on both —
-            # refuse a silent mismatch.
-            if executor.config.model_batch != self.config.model_batch:
-                raise ValueError(
-                    f"shared executor model_batch="
-                    f"{executor.config.model_batch} differs from "
-                    f"PatternPaintConfig.model_batch="
-                    f"{self.config.model_batch}; seeded outputs would "
-                    "change"
-                )
-            if executor.config.denoise != self.config.denoise:
-                raise ValueError(
-                    "shared executor's denoise config differs from "
-                    "PatternPaintConfig.denoise; seeded outputs would "
-                    "change"
-                )
-            self.engine = executor.engine
-            self.executor = executor
-        else:
-            self.engine = deck.engine()
-            self.executor = BatchExecutor(
-                self.engine,
-                ExecutorConfig(
-                    model_batch=self.config.model_batch,
-                    denoise=self.config.denoise,
-                ),
-            )
+        self.engine = deck.engine()
+        self.executor = BatchExecutor(
+            self.engine, ExecutorConfig(denoise=self.config.denoise)
+        )
         size = ddpm.model.config.image_size
         self._shape = (size, size)
 
@@ -222,7 +192,9 @@ class PatternPaint:
                 self.config.inpaint,
             )
 
-        return self.executor.run_model_batched(model_fn, templates, masks, rng)
+        return self.executor.run_model_batched(
+            model_fn, templates, masks, rng, self.config.model_batch
+        )
 
     def denoise_and_check(
         self,

@@ -144,13 +144,13 @@ class PatternPaintBackend:
         return jobs_t[: request.count], jobs_m[: request.count]
 
     def pack_model_batch(self) -> int:
-        """Chunk capacity the packed stage must mirror.
+        """The chunk size the service passes to the packed stage.
 
-        :meth:`propose` samples through the pipeline's executor, which
-        chunks jobs by ``PatternPaintConfig.model_batch`` and spawns one
-        rng child per chunk; the cross-request packed stage has to use
-        the same capacity for its chunking or its spawned children would
-        not line up with a serial run's.
+        :meth:`propose` samples through
+        :meth:`~repro.engine.BatchExecutor.run_model_batched` with
+        ``PatternPaintConfig.model_batch``; the service passes this same
+        value to :meth:`~repro.engine.BatchExecutor.run_model_packed`,
+        so both stages spawn the same per-chunk rng children.
         """
         return self._config.model_batch
 

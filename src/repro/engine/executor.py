@@ -97,24 +97,40 @@ def _denoise_one(
     return template_denoise(raw, template, config, rng)
 
 
+def _chunks(
+    num_jobs: int, rng: np.random.Generator, model_batch: int
+) -> list[tuple[int, int, np.random.Generator]]:
+    """``(lo, hi, child)`` per model-sized chunk of ``num_jobs`` jobs.
+
+    The one chunk-and-spawn rule of both model stages: boundaries from
+    :func:`~repro.engine.packing.chunk_sizes`, one ``rng.spawn()`` child
+    per chunk in chunk order, and nothing spawned for an empty job list.
+    It is what keeps packed outputs bit-identical to serial ones.
+    """
+    sizes = chunk_sizes(num_jobs, model_batch)
+    children = rng.spawn(len(sizes)) if sizes else []
+    starts = range(0, num_jobs, model_batch)
+    return [
+        (lo, lo + size, child)
+        for lo, size, child in zip(starts, sizes, children)
+    ]
+
+
 @dataclass(frozen=True)
 class ExecutorConfig:
     """Execution knobs shared by every backend.
 
-    ``model_batch`` is the chunk size for
-    :meth:`BatchExecutor.run_model_batched`; ``denoise`` configures the
-    template-denoise stage.  There is no worker count: each inference
-    forward runs its rows as shards on threads across every core
-    (:mod:`repro.nn.shards`), and the post-processing stages run
-    serially.
+    ``denoise`` configures the template-denoise stage.  The model-stage
+    chunk size is not here: it fixes which rng child each job draws
+    from, so the backend or pipeline that owns it passes it on every
+    :meth:`BatchExecutor.run_model_batched` /
+    :meth:`~BatchExecutor.run_model_packed` call.  There is no worker
+    count: each inference forward runs its rows as shards on threads
+    across every core (:mod:`repro.nn.shards`), and the post-processing
+    stages run serially.
     """
 
-    model_batch: int = 32
     denoise: TemplateDenoiseConfig = field(default_factory=TemplateDenoiseConfig)
-
-    def __post_init__(self) -> None:
-        if self.model_batch < 1:
-            raise ValueError("model_batch must be positive")
 
 
 @dataclass
@@ -127,8 +143,9 @@ class PackedModelResult:
     chunk, and the model conditions on time once per distinct timestep,
     so rows sharing a timestep get the same bits at any batch size.
     ``seconds[r]`` is the wall-clock sampler time attributed to the
-    request (each packed batch's time split by job share).  ``plan`` is the packing that ran,
-    whose ``fill_ratio`` the service exports as a gauge.
+    request (each packed batch's time split by job share).  ``plan`` is
+    the first-fit packing that ran; the service exports its
+    ``fill_ratio`` as a gauge.
     """
 
     outputs: list[list[np.ndarray]]
@@ -197,28 +214,23 @@ class BatchExecutor:
         templates: list[np.ndarray],
         masks: list[np.ndarray],
         rng: np.random.Generator,
+        model_batch: int,
     ) -> tuple[list[np.ndarray], float]:
-        """Run ``model_fn`` over (template, mask) jobs in model-sized chunks.
+        """Run ``model_fn`` over (template, mask) jobs in ``model_batch``-sized
+        chunks, one spawned rng child per chunk (:func:`_chunks`).
 
-        Every chunk gets an independent child generator from
-        ``rng.spawn()`` (consumed in chunk order), so a request's outputs
-        are identical whether its chunks run here one by one or packed
-        with other requests' chunks (:meth:`run_model_packed`).
+        A request's outputs are therefore identical whether its chunks
+        run here one by one or packed with other requests' chunks
+        (:meth:`run_model_packed`).
 
         Returns the concatenated outputs and the wall-clock seconds spent
         inside the model stage.
         """
         if len(templates) != len(masks):
             raise ValueError("templates and masks must pair up")
-        if not templates:
-            return [], 0.0
-        batch = self.config.model_batch
-        bounds = list(range(0, len(templates), batch))
-        chunks = [(start, min(start + batch, len(templates))) for start in bounds]
-        children = rng.spawn(len(chunks))
         outputs: list[np.ndarray] = []
         seconds = 0.0
-        for (lo, hi), child in zip(chunks, children):
+        for lo, hi, child in _chunks(len(templates), rng, model_batch):
             t0 = time.perf_counter()
             outputs.extend(model_fn(templates[lo:hi], masks[lo:hi], child))
             seconds += time.perf_counter() - t0
@@ -236,23 +248,19 @@ class BatchExecutor:
         ],
         job_lists: Sequence[tuple[list[np.ndarray], list[np.ndarray]]],
         rngs: Sequence[np.random.Generator],
-        *,
-        packing: PackingPlan | None = None,
+        model_batch: int,
     ) -> PackedModelResult:
         """Run several requests' model stages as shared packed batches.
 
         ``job_lists[r]`` is request *r*'s (templates, masks) job pair and
-        ``rngs[r]`` its root generator.  Each request is chunked exactly
-        like :meth:`run_model_batched` (``model_batch`` jobs per chunk)
-        and its rng spawned into per-chunk children in chunk order, so
-        every generator is consumed precisely as the serial path consumes
-        it; the chunks are then interleaved across requests into
-        full-width packed batches — ``packing`` (a scheduler-emitted
-        :class:`~repro.engine.packing.PackingPlan`, validated here
-        against the actual job counts) or a first-fit plan computed on
-        the spot.  ``packed_fn`` samples one packed batch: it receives
-        per-chunk template/mask/rng segments and returns per-chunk output
-        lists (see :func:`~repro.engine.modelpool.inpaint_jobs_packed`).
+        ``rngs[r]`` its root generator.  Each request is chunked and its
+        rng spawned by the same rule as :meth:`run_model_batched`
+        (:func:`_chunks`); the chunks are then interleaved across
+        requests into full-width batches by a first-fit
+        :func:`~repro.engine.packing.pack_chunks` plan.  ``packed_fn``
+        samples one packed batch: it receives per-chunk
+        template/mask/rng segments and returns per-chunk output lists
+        (see :func:`~repro.engine.modelpool.inpaint_jobs_packed`).
 
         Per-request outputs are reassembled in chunk order and are
         bit-identical to that request's serial ``run_model_batched`` run:
@@ -261,78 +269,36 @@ class BatchExecutor:
         """
         _fault_action("model")  # chaos hook: may raise InjectedFault
         job_lists = list(job_lists)
-        rngs = list(rngs)
         if len(job_lists) != len(rngs):
             raise ValueError("job_lists and rngs must pair up")
-        counts = []
-        for templates, masks in job_lists:
-            if len(templates) != len(masks):
-                raise ValueError("templates and masks must pair up")
-            counts.append(len(templates))
-        if packing is None:
-            packing = pack_chunks(counts, self.config.model_batch)
-        # The plan's capacity is the chunking unit: it must equal the
-        # chunk size the requests' serial model stage uses (the service
-        # asks the backend via ``pack_model_batch``), or the spawned
-        # children would not line up with a serial run's.
-        batch = packing.capacity
-        # Spawn per-chunk children request by request, in chunk order —
-        # the serial consumption discipline (an empty job list spawns
-        # nothing, exactly like run_model_batched's early return).
-        children: dict[tuple[int, int], np.random.Generator] = {}
-        slices: dict[tuple[int, int], tuple[int, int]] = {}
-        for entry, count in enumerate(counts):
-            sizes = chunk_sizes(count, batch)
-            if sizes:
-                for chunk, child in enumerate(rngs[entry].spawn(len(sizes))):
-                    children[(entry, chunk)] = child
-                    lo = chunk * batch
-                    slices[(entry, chunk)] = (lo, lo + sizes[chunk])
-        planned = {
-            (ref.entry, ref.chunk): ref.jobs
-            for packed in packing.batches
-            for ref in packed.chunks
-        }
-        expected = {key: hi - lo for key, (lo, hi) in slices.items()}
-        if planned != expected or packing.num_chunks != len(expected):
-            raise ValueError(
-                "packing plan does not cover the submitted job lists "
-                "(every chunk exactly once, with matching job counts)"
-            )
-
-        chunk_outputs: dict[tuple[int, int], list[np.ndarray]] = {}
+        if any(len(templates) != len(masks) for templates, masks in job_lists):
+            raise ValueError("templates and masks must pair up")
+        chunks = [
+            _chunks(len(templates), rng, model_batch)
+            for (templates, _), rng in zip(job_lists, rngs)
+        ]
+        plan = pack_chunks([len(t) for t, _ in job_lists], model_batch)
+        chunk_outputs: list[list] = [[None] * len(c) for c in chunks]
         seconds = [0.0] * len(job_lists)
-
-        def segments(packed):
-            seg_t, seg_m, seg_rngs = [], [], []
-            for ref in packed.chunks:
-                lo, hi = slices[(ref.entry, ref.chunk)]
-                templates, masks = job_lists[ref.entry]
-                seg_t.append(templates[lo:hi])
-                seg_m.append(masks[lo:hi])
-                seg_rngs.append(children[(ref.entry, ref.chunk)])
-            return seg_t, seg_m, seg_rngs
-
-        def record(packed, outs, elapsed):
-            total = max(packed.jobs, 1)
-            for ref, out in zip(packed.chunks, outs):
-                chunk_outputs[(ref.entry, ref.chunk)] = list(out)
-                seconds[ref.entry] += elapsed * (ref.jobs / total)
-
-        for packed in packing.batches:
+        for packed in plan.batches:
+            segments = [
+                (job_lists[ref.entry], chunks[ref.entry][ref.chunk])
+                for ref in packed.chunks
+            ]
             t0 = time.perf_counter()
-            outs = packed_fn(*segments(packed))
-            record(packed, outs, time.perf_counter() - t0)
-
-        outputs: list[list[np.ndarray]] = []
-        for entry, count in enumerate(counts):
-            merged: list[np.ndarray] = []
-            for chunk in range(len(chunk_sizes(count, batch))):
-                merged.extend(chunk_outputs[(entry, chunk)])
-            outputs.append(merged)
-        return PackedModelResult(
-            outputs=outputs, seconds=seconds, plan=packing
-        )
+            outs = packed_fn(
+                [templates[lo:hi] for (templates, _), (lo, hi, _) in segments],
+                [masks[lo:hi] for (_, masks), (lo, hi, _) in segments],
+                [child for _, (_, _, child) in segments],
+            )
+            elapsed = time.perf_counter() - t0
+            for ref, out in zip(packed.chunks, outs):
+                chunk_outputs[ref.entry][ref.chunk] = out
+                seconds[ref.entry] += elapsed * (ref.jobs / packed.jobs)
+        outputs = [
+            [out for chunk in entry for out in chunk] for entry in chunk_outputs
+        ]
+        return PackedModelResult(outputs=outputs, seconds=seconds, plan=plan)
 
     def denoise_batch(
         self,

@@ -1,28 +1,28 @@
 """Cross-request model-batch packing: the pure bin-packing plan.
 
-The micro-batch scheduler coalesces compatible requests, but through PR 4
-the model stage still sampled one request at a time: a burst of small
-requests paid one sampler invocation — one python step loop, one set of
-small BLAS calls — per request.  Packing interleaves the *sampling
-chunks* of different requests into shared, full-width model batches, so
-eight requests of three jobs each become one batch of 24 samples walking
-the denoising loop once.
+The micro-batch scheduler coalesces compatible requests, but a model
+stage that sampled one request at a time would still pay one sampler
+invocation — one python step loop, one set of small BLAS calls — per
+request.  Packing interleaves the *sampling chunks* of different
+requests into shared, full-width model batches, so eight requests of
+three jobs each become one batch of 24 samples walking the denoising
+loop once.
 
 Determinism is preserved by keeping the chunk — not the packed batch —
-the unit of rng consumption: every request's root generator is spawned
-into per-chunk children exactly as the serial
-:meth:`~repro.engine.executor.BatchExecutor.run_model_batched` path does
-(chunk boundaries of ``model_batch`` jobs, children consumed in chunk
-order), and the packed sampler draws each chunk's noise from that chunk's
-own child (see :class:`repro.diffusion.SegmentedGenerator`).  Packing
-therefore changes which forward passes run together, never which random
-numbers a request sees — per-request outputs stay bit-identical to a
-serial :func:`~repro.engine.executor.run_generation`.
+the unit of rng consumption: both model stages of
+:class:`~repro.engine.executor.BatchExecutor` chunk a request by
+:func:`chunk_sizes` and spawn one rng child per chunk, in chunk order,
+through one shared helper, and the packed sampler draws each chunk's
+noise from that chunk's own child (see
+:class:`repro.diffusion.SegmentedGenerator`).  Packing therefore changes
+which forward passes run together, never which random numbers a request
+sees — per-request outputs stay bit-identical to a serial
+:func:`~repro.engine.executor.run_generation`.
 
 This module is deliberately pure (sizes in, plan out, no numpy, no
-engine state): :class:`~repro.service.MicroBatchScheduler` emits plans
-from request counts, :meth:`BatchExecutor.run_model_packed` validates a
-plan against the actual job lists before dispatching it.
+engine state).  Its one caller in the engine is
+:meth:`BatchExecutor.run_model_packed`, which builds a first-fit plan
+from the job counts and chunk size it is given.
 """
 
 from __future__ import annotations

@@ -11,8 +11,10 @@ machinery in a long-lived asyncio service:
   and periodic snapshot checkpoints;
 * :class:`MicroBatchScheduler` / :class:`SchedulerConfig` — the pure
   coalescing rules (group by compatibility key, arrival order inside a
-  batch, priority across batches); the service packs each micro-batch's
-  sampling chunks with :func:`repro.engine.pack_chunks`;
+  batch, priority across batches); the service samples each
+  micro-batch of a pack-capable backend through
+  :meth:`repro.engine.BatchExecutor.run_model_packed`, which packs the
+  requests' sampling chunks with :func:`repro.engine.pack_chunks`;
 * :class:`ArrivalSequencer` — runs per-request commits in global
   arrival order; the service's commit stage is its one user;
 * :class:`LatencyHistogram` / :class:`StageLatencies` — per-stage

@@ -22,10 +22,9 @@ Ordering rules:
 
 Requests in one micro-batch share a compatibility key by construction,
 which is exactly the precondition for their sampling chunks to share a
-model invocation: the service packs them with
-:func:`repro.engine.pack_chunks` and the executor validates that plan
-against the real job lists before running it
-(:meth:`repro.engine.BatchExecutor.run_model_packed`).
+model invocation: the service hands their job lists and the backend's
+chunk size to :meth:`repro.engine.BatchExecutor.run_model_packed`,
+which packs the chunks with :func:`repro.engine.pack_chunks`.
 
 Coalescing can run a later arrival before an earlier one (groups are
 per key), so results are put back in order by the

@@ -63,7 +63,6 @@ from ..engine import (
     StageTimings,
     deck_key,
     get_backend,
-    pack_chunks,
 )
 from .faults import maybe_fire, protected
 from .scheduler import (
@@ -840,12 +839,9 @@ class GenerationService:
         if not built:
             return []
         try:
-            # Chunk capacity mirrors the backend's own model stage (its
-            # propose-side rng spawn discipline), not this executor's.
-            packing = pack_chunks(
-                [len(templates) for templates, _ in job_lists],
-                backend.pack_model_batch(),
-            )
+            # The backend's own chunk size: its propose spawns one rng
+            # child per chunk, and packed == serial needs the same chunks.
+            model_batch = backend.pack_model_batch()
             packed_fn = backend.pack_model_fn()
             # Fixed jitter seed: the stage is shared, so no single
             # request's seed may steer it.
@@ -854,7 +850,7 @@ class GenerationService:
                     packed_fn,
                     job_lists,
                     [plan.rng for _, plan in built],
-                    packing=packing,
+                    model_batch,
                 ),
                 built,
                 0x6D6F64656C,
@@ -876,10 +872,7 @@ class GenerationService:
         with self._stats_lock:
             self.stats.packed_batches += len(result.plan.batches)
             self.stats.packed_jobs += result.plan.packed_jobs
-            slots = result.plan.capacity * len(result.plan.batches)
-            self.stats.last_pack_fill = (
-                result.plan.packed_jobs / slots if slots else 0.0
-            )
+            self.stats.last_pack_fill = result.plan.fill_ratio
         return built
 
     def _count_retry(self, attempt: int, error: BaseException) -> None:

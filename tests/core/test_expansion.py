@@ -83,6 +83,24 @@ class TestExpansion:
         b = expand_pattern(ddpm, starter, (24, 24), np.random.default_rng(7), cfg)
         np.testing.assert_array_equal(a, b)
 
+    def test_samples_through_inference_fast_path(self, monkeypatch):
+        """Every window forward runs in inference mode (no backward caches)."""
+        ddpm = tiny_ddpm()
+        modes = []
+        forward = TimeUnet.forward
+
+        def spy(self, *args, **kwargs):
+            modes.append(self.training)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(TimeUnet, "forward", spy)
+        expand_pattern(
+            ddpm, wire_starter(), (24, 24), np.random.default_rng(0),
+            ExpansionConfig(inpaint=InpaintConfig(num_steps=3)),
+        )
+        assert modes and not any(modes)
+        assert ddpm.model.training  # the caller's mode is restored
+
 
 class TestExpansionWithTrainedModel:
     @pytest.mark.parametrize("canvas_shape", [(32, 64)])

@@ -45,9 +45,16 @@ def noisy_raws(clips):
 
 
 class TestConfig:
-    def test_validation(self):
+    def test_validation(self, deck):
+        # The chunk size travels with each model-stage call and is
+        # checked there, not held by the config.
+        with pytest.raises(TypeError):
+            ExecutorConfig(model_batch=8)
+        items = [np.zeros((4, 4))]
         with pytest.raises(ValueError):
-            ExecutorConfig(model_batch=0)
+            BatchExecutor(deck.engine()).run_model_batched(
+                lambda t, m, r: t, items, items, np.random.default_rng(0), 0
+            )
         # No worker-count or pool knobs: post-processing is serial.
         for knob in ({"jobs": 2}, {"pool": "thread"}, {"use_cache": False}):
             with pytest.raises(TypeError):
@@ -111,7 +118,7 @@ class TestCaching:
 
 class TestModelBatching:
     def test_chunk_sizes(self, deck):
-        executor = BatchExecutor(deck.engine(), ExecutorConfig(model_batch=3))
+        executor = BatchExecutor(deck.engine())
         seen: list[int] = []
 
         def model_fn(chunk_t, chunk_m, rng):
@@ -120,7 +127,7 @@ class TestModelBatching:
 
         items = [np.zeros((4, 4), dtype=np.uint8)] * 8
         outputs, seconds = executor.run_model_batched(
-            model_fn, items, items, np.random.default_rng(0)
+            model_fn, items, items, np.random.default_rng(0), 3
         )
         assert seen == [3, 3, 2]
         assert len(outputs) == 8
@@ -134,6 +141,7 @@ class TestModelBatching:
                 [np.zeros((4, 4))],
                 [],
                 np.random.default_rng(0),
+                4,
             )
 
 
@@ -192,12 +200,11 @@ class TestCloseSafety:
         mask, _ = executor.check_batch(list(clips))
         assert mask.shape == (len(clips),)
 
-    def test_pipeline_leaves_shared_executor_open(self, deck, monkeypatch):
+    def test_pipeline_rejects_mismatched_shared_executor(self, deck):
         from repro.core.pipeline import PatternPaint
         from repro.diffusion import Ddpm, linear_schedule
         from repro.nn import TimeUnet, UNetConfig
 
-        shared = BatchExecutor(deck.engine())
         ddpm = Ddpm(
             TimeUnet(UNetConfig(
                 image_size=16, base_channels=8, channel_mults=(1,),
@@ -205,32 +212,10 @@ class TestCloseSafety:
             )),
             linear_schedule(16),
         )
-        pipeline = PatternPaint(ddpm, deck, executor=shared)
-        calls = []
-        monkeypatch.setattr(shared, "close", lambda: calls.append("shared"))
-        pipeline.close()
-        assert calls == []  # the owner closes shared executors
-        assert pipeline.executor is shared
-
-    def test_pipeline_rejects_mismatched_shared_executor(self, deck):
-        from repro.core.pipeline import PatternPaint, PatternPaintConfig
-        from repro.diffusion import Ddpm, linear_schedule
-        from repro.nn import TimeUnet, UNetConfig
-
-        shared = BatchExecutor(deck.engine(), ExecutorConfig(model_batch=8))
-        ddpm = Ddpm(
-            TimeUnet(UNetConfig(
-                image_size=16, base_channels=8, channel_mults=(1,),
-                num_res_blocks=1, groups=4, time_dim=16, seed=0,
-            )),
-            linear_schedule(16),
-        )
-        # model_batch changes rng chunking => seeded outputs; refuse it.
-        with pytest.raises(ValueError, match="model_batch"):
-            PatternPaint(
-                ddpm, deck, PatternPaintConfig(model_batch=32),
-                executor=shared,
-            )
+        # A pipeline owns its executor: there is no shared one to pass,
+        # so no model_batch or denoise config can disagree with it.
+        with pytest.raises(TypeError):
+            PatternPaint(ddpm, deck, executor=BatchExecutor(deck.engine()))
 
 
 class TestStagedApi:

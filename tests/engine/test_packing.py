@@ -1,13 +1,16 @@
-"""Cross-request model-batch packing: the pure plan and the executor stage."""
+"""Cross-request model-batch packing: the pure plan, the executor stage and
+the one chunk-and-spawn rule both model stages share."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.diffusion import Ddpm, InpaintConfig, linear_schedule
 from repro.drc import basic_deck
-from repro.engine import BatchExecutor, ExecutorConfig, pack_chunks
+from repro.engine import BatchExecutor, pack_chunks
 from repro.engine.modelpool import inpaint_jobs, inpaint_jobs_packed
-from repro.engine.packing import ChunkRef, PackedModelBatch, PackingPlan, chunk_sizes
+from repro.engine.packing import chunk_sizes
 from repro.geometry import Grid
 from repro.nn import TimeUnet, UNetConfig
 
@@ -119,10 +122,10 @@ class TestRunModelPacked:
         """Tentpole: packing changes batch composition, never outputs."""
         model_fn, packed_fn, _ = self._fns(ddpm)
         job_lists = [_jobs(3, 10), _jobs(5, 11), _jobs(2, 12)]
-        executor = BatchExecutor(deck.engine(), ExecutorConfig(model_batch=4))
+        executor = BatchExecutor(deck.engine())
         serial = [
             executor.run_model_batched(
-                model_fn, t, m, np.random.default_rng(100 + i)
+                model_fn, t, m, np.random.default_rng(100 + i), 4
             )[0]
             for i, (t, m) in enumerate(job_lists)
         ]
@@ -130,6 +133,7 @@ class TestRunModelPacked:
             packed_fn,
             job_lists,
             [np.random.default_rng(100 + i) for i in range(3)],
+            4,
         )
         assert len(result.plan.batches) < result.plan.num_chunks  # packed
         for want, got in zip(serial, result.outputs):
@@ -139,51 +143,51 @@ class TestRunModelPacked:
                     a.view(np.uint32), b.view(np.uint32)
                 )
 
-    def test_scheduler_emitted_plan_round_trips(self, ddpm, deck):
-        model_fn, packed_fn, _ = self._fns(ddpm)
-        job_lists = [_jobs(2, 20), _jobs(2, 21)]
-        plan = pack_chunks([2, 2], 4)
-        executor = BatchExecutor(deck.engine(), ExecutorConfig(model_batch=4))
-        result = executor.run_model_packed(
-            packed_fn,
-            job_lists,
-            [np.random.default_rng(i) for i in range(2)],
-            packing=plan,
-        )
-        serial = [
-            executor.run_model_batched(
-                model_fn, t, m, np.random.default_rng(i)
-            )[0]
-            for i, (t, m) in enumerate(job_lists)
-        ]
-        assert result.plan is plan
-        for want, got in zip(serial, result.outputs):
-            for a, b in zip(want, got):
-                np.testing.assert_array_equal(a, b)
-
-    def test_mismatched_plan_rejected(self, ddpm, deck):
-        _, packed_fn, _ = self._fns(ddpm)
-        bogus = PackingPlan(
-            capacity=4,
-            batches=[PackedModelBatch(chunks=[ChunkRef(0, 0, 3)])],
-        )
-        executor = BatchExecutor(deck.engine(), ExecutorConfig(model_batch=4))
-        with pytest.raises(ValueError, match="packing plan"):
-            executor.run_model_packed(
-                packed_fn,
-                [_jobs(2, 0)],
-                [np.random.default_rng(0)],
-                packing=bogus,
-            )
-
     def test_seconds_attributed_per_request(self, ddpm, deck):
         _, packed_fn, _ = self._fns(ddpm)
         job_lists = [_jobs(3, 30), _jobs(1, 31)]
-        executor = BatchExecutor(deck.engine(), ExecutorConfig(model_batch=8))
+        executor = BatchExecutor(deck.engine())
         result = executor.run_model_packed(
             packed_fn, job_lists,
             [np.random.default_rng(i) for i in range(2)],
+            8,
         )
         assert all(s > 0 for s in result.seconds)
         # 3-job request carries three times the 1-job request's share.
         assert result.seconds[0] == pytest.approx(3 * result.seconds[1])
+
+
+class TestChunkAndSpawnRule:
+    """Packed and serial model stages chunk and spawn by one rule."""
+
+    @given(
+        st.lists(st.integers(0, 9), max_size=6),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_packed_matches_serial_and_leaves_rngs_alike(
+        self, deck, counts, model_batch, seed
+    ):
+        executor = BatchExecutor(deck.engine())
+        job_lists = [([None] * n, [None] * n) for n in counts]
+
+        def model_fn(templates, masks, rng):
+            return rng.standard_normal(len(templates))
+
+        def packed_fn(seg_t, seg_m, seg_rngs):
+            return [rng.standard_normal(len(t)) for t, rng in zip(seg_t, seg_rngs)]
+
+        serial_rngs = [np.random.default_rng([seed, i]) for i in range(len(counts))]
+        packed_rngs = [np.random.default_rng([seed, i]) for i in range(len(counts))]
+        serial = [
+            executor.run_model_batched(model_fn, t, m, rng, model_batch)[0]
+            for (t, m), rng in zip(job_lists, serial_rngs)
+        ]
+        result = executor.run_model_packed(
+            packed_fn, job_lists, packed_rngs, model_batch
+        )
+        assert [len(out) for out in result.outputs] == counts
+        assert [list(out) for out in result.outputs] == serial
+        for a, b in zip(serial_rngs, packed_rngs):
+            assert a.spawn(1)[0].random() == b.spawn(1)[0].random()

@@ -23,7 +23,6 @@ from repro.diffusion import Ddpm, InpaintConfig, linear_schedule
 from repro.drc import advanced_deck, basic_deck
 from repro.engine import (
     BatchExecutor,
-    ExecutorConfig,
     GenerationRequest,
     get_backend,
 )
@@ -156,8 +155,9 @@ class TestPatternPaintParity:
 
 
 class TestPipelinePoolDeterminism:
-    """The full pipeline is seed-stable: a pipeline on a shared, already
-    warm executor (as the service holds one) matches one on its own."""
+    """The full pipeline is seed-stable: a second fresh pipeline, whose
+    DRC cache is already warm (``DrcCache.for_engine`` shares one store
+    per deck fingerprint), matches a cold one."""
 
     def test_pooled_run_matches_serial_run(self, deck, ):
         cfg = UNetConfig(
@@ -173,20 +173,13 @@ class TestPipelinePoolDeterminism:
             select_k=2,
         )
 
-        def run(executor=None):
+        def run():
             ddpm = Ddpm(TimeUnet(cfg), linear_schedule(20))
-            pipeline = PatternPaint(
-                ddpm, advanced_deck(GRID), config, executor=executor
-            )
+            pipeline = PatternPaint(ddpm, advanced_deck(GRID), config)
             return pipeline.run(starters, np.random.default_rng(6), iterations=1)
 
         serial = run()
-        shared = BatchExecutor(
-            advanced_deck(GRID).engine(),
-            ExecutorConfig(model_batch=config.model_batch),
-        )
-        run(shared)  # warm the shared executor's DRC cache
-        pooled = run(shared)
+        pooled = run()  # same deck fingerprint: the DRC cache is warm
         assert len(serial.library) == len(pooled.library)
         for a, b in zip(serial.library, pooled.library):
             np.testing.assert_array_equal(a, b)
