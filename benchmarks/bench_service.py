@@ -15,8 +15,9 @@ per-request overhead dominates, is served three ways:
   executor, but every request is its own scheduling cycle;
 * **coalesced** — the same service with the gather window open, on the
   pack-less backend: compatible requests coalesce into micro-batches
-  sharing the warm backend and one cached DRC sweep, but the model stage
-  still samples one request at a time.
+  sharing the warm backend and executor, but the model stage still
+  samples one request at a time (and each request runs its own cached
+  DRC check).
 
 A burst of 1-4-job requests against the committed pinned ``sd1-ft``
 checkpoint (``perfbench/model/finetuned-sd1-32.npz``, read only), where

@@ -25,7 +25,7 @@ experiment harnesses.  The async service layer drives the same machinery
 through the **staged** API instead — :meth:`BatchExecutor.plan` /
 :meth:`~BatchExecutor.execute` / :meth:`~BatchExecutor.finalize` — which
 splits a run into resumable pieces an external scheduler can interleave
-across requests (e.g. one DRC sweep over a whole micro-batch).  For
+across requests.  For
 pack-capable backends the service replaces per-request ``execute`` calls
 with :meth:`BatchExecutor.run_model_packed` on every micro-batch, a lone
 request included: it interleaves the requests' sampling chunks into
@@ -168,8 +168,8 @@ class ExecutionPlan:
     """One request's staged execution state (plan -> execute -> finalize).
 
     Built by :meth:`BatchExecutor.plan`, the plan pins everything a run
-    depends on — resolved backend, the request's root rng stream, the
-    destination store and the DRC-cache counters at start — so the model
+    depends on — resolved backend, the request's root rng stream and the
+    destination store — so the model
     stage (:meth:`~BatchExecutor.execute`) and the post-processing stage
     (:meth:`~BatchExecutor.finalize`) can run at different times, from a
     scheduler, while staying bit-identical to a monolithic
@@ -181,8 +181,6 @@ class ExecutionPlan:
     backend: GeneratorBackend
     rng: np.random.Generator
     library: LibraryStore
-    cache_hits0: int = 0
-    cache_misses0: int = 0
     proposal: CandidateBatch | None = None
     generate_seconds: float = 0.0
 
@@ -389,14 +387,8 @@ class BatchExecutor:
         rng = rng if rng is not None else request.rng()
         if library is None:
             library = PatternLibrary(name=backend.name)
-        cache = self.engine.cache
         return ExecutionPlan(
-            request=request,
-            backend=backend,
-            rng=rng,
-            library=library,
-            cache_hits0=cache.hits,
-            cache_misses0=cache.misses,
+            request=request, backend=backend, rng=rng, library=library
         )
 
     def execute(self, plan: ExecutionPlan) -> CandidateBatch:
@@ -435,22 +427,13 @@ class BatchExecutor:
         legal: np.ndarray,
         admitted: int,
         timings: StageTimings,
-        *,
-        cache_hits: int | None = None,
-        cache_misses: int | None = None,
     ) -> GenerationBatch:
         """Build the final :class:`GenerationBatch` from staged pieces.
 
         Used by :meth:`finalize` and by schedulers that ran the denoise /
-        DRC / admission stages themselves (e.g. one DRC sweep across a
-        whole micro-batch) and now need the per-request result object.
-        By default cache traffic is the engine-counter delta since
-        :meth:`plan`; a scheduler whose DRC sweep spanned several
-        requests passes each request's attributed ``cache_hits`` /
-        ``cache_misses`` explicitly (the shared counters would otherwise
-        charge the whole sweep to every request).
+        DRC / admission stages themselves and now need the per-request
+        result object.
         """
-        cache = self.engine.cache
         total = StageTimings(generate_seconds=plan.generate_seconds)
         total.add(timings)
         return GenerationBatch(
@@ -461,14 +444,6 @@ class BatchExecutor:
             library=plan.library,
             attempts=plan.proposal.attempts if plan.proposal else 0,
             timings=total,
-            cache_hits=(
-                cache_hits if cache_hits is not None
-                else cache.hits - plan.cache_hits0
-            ),
-            cache_misses=(
-                cache_misses if cache_misses is not None
-                else cache.misses - plan.cache_misses0
-            ),
             admitted=admitted,
             library_size=len(plan.library),
         )
@@ -491,9 +466,9 @@ class BatchExecutor:
         :meth:`execute` (the model stage) and :meth:`finalize` (denoise
         -> DRC -> admit, which builds the result via :meth:`assemble`).
         External schedulers drive those same stages separately to
-        interleave work across requests (one DRC sweep per micro-batch,
-        cross-request packed model batches); both paths are
-        bit-identical for the same request and rng.
+        interleave work across requests (cross-request packed model
+        batches); both paths are bit-identical for the same request and
+        rng.
 
         Pass ``library`` to admit into an existing store (e.g. one
         loaded from a snapshot, for cross-run dedup); by default each

@@ -64,7 +64,8 @@ class GenerationRequest:
 
     Three fields exist for the service layer.  ``request_id`` uniquely
     identifies the request end to end — queue entries and streamed wire
-    events key on it (a fresh id is generated when not supplied); inside
+    events key on it (a fresh id is generated when not supplied, and a
+    service refuses an id that is still in flight); inside
     a packed model stage, chunks are attributed by the request's
     *position* in its micro-batch plus the chunk index, with every rng
     child spawned from the request's own seeded stream.  ``priority``
@@ -75,8 +76,8 @@ class GenerationRequest:
     generation parameters.  :meth:`compatibility_key` is the coalescing
     and packing boundary: only requests with equal keys (same backend,
     deck geometry *and* rule content, clip shape, params) may share a
-    micro-batch, a DRC sweep, or a packed model batch — requests that
-    differ in any of those can never be served by one model invocation.
+    micro-batch and its packed model batches — requests that differ in
+    any of those can never be served by one model invocation.
 
     Validation happens at construction: a non-positive ``count`` or a
     backend name that is not in the registry raises ``ValueError`` here,
@@ -156,7 +157,7 @@ class GenerationRequest:
         under the same deck — geometry *and* rule content, so two decks
         that merely share a name can never trade DRC verdicts — and imply
         the same clip shape with the same backend params; i.e. they can
-        be served by one shared backend instance and one DRC sweep.
+        be served by one shared backend instance and one warm executor.
         Seed, count, priority and id deliberately do not participate:
         those vary per client.
         """
@@ -273,8 +274,6 @@ class GenerationBatch:
     library: "LibraryStore | None"
     attempts: int
     timings: StageTimings = field(default_factory=StageTimings)
-    cache_hits: int = 0
-    cache_misses: int = 0
     admitted: int = 0
     library_size: int = 0
 

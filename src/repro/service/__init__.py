@@ -58,8 +58,8 @@ Typical in-process use::
 Every served request is bit-identical to a serial ``run_generation`` of
 the same request: the model and denoise stages consume the request's own
 seeded rng stream (per-chunk spawns when several requests' chunks pack
-into one shared model batch), and the content-keyed DRC sweep is shared
-across a micro-batch.  ``docs/SERVING.md`` documents the wire protocol
+into one shared model batch), and each request runs its own cached DRC
+check, as the serial call does.  ``docs/SERVING.md`` documents the wire protocol
 and telemetry; ``docs/ARCHITECTURE.md`` the determinism contract.
 """
 

@@ -582,10 +582,11 @@ class FleetService:
         the fleet holds its capacity of accepted-but-unresolved requests
         (``workers × (queue_size + max(queue_size,
         max_batch_requests))``, what that many single-process services
-        hold), refuses while draining or stopped, validates the session
-        id on the submit path.  Routing runs here, in the executor,
-        under the lock that fixes arrival order, so each worker receives
-        its requests in arrival order.  A submit still waiting for
+        hold), refuses while draining or stopped, refuses a
+        ``request_id`` that is still live with ``ValueError``, validates
+        the session id on the submit path.  Routing runs here, in the
+        executor, under the lock that fixes arrival order, so each
+        worker receives its requests in arrival order.  A submit still waiting for
         capacity when the fleet stops raises ``RuntimeError``.
         """
         if not self._running:
@@ -608,6 +609,11 @@ class FleetService:
             if not self._running:
                 raise RuntimeError("generation service is not running")
             with self._live_lock:
+                if request.request_id in self._live:
+                    raise ValueError(
+                        f"request_id {request.request_id!r} is already in "
+                        "flight"
+                    )
                 self._live[request.request_id] = pending
             # The pipe send pickles the request and may block: it runs
             # in the executor, so the event loop keeps serving.

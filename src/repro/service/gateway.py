@@ -49,6 +49,7 @@ from .server import (
     DEFAULT_LINE_LIMIT,
     _payload_mode,
     _request_from_message,
+    _result_fields,
     stream_events,
 )
 from .service import (
@@ -357,17 +358,12 @@ class HttpGateway:
         response = {
             "request_id": request_id,
             "status": "done",
-            "attempts": batch.attempts,
-            "legal": batch.legal_count,
-            "admitted": batch.admitted,
-            "library_size": batch.library_size,
-            "seconds": round(batch.timings.total_seconds, 4),
+            **_result_fields(batch, with_payload=entry.payload != "none"),
         }
         if entry.payload != "none":
             if entry.encoded is None:
                 entry.encoded = encode_payload(batch.clips, entry.payload)
             meta, data = entry.encoded
-            response["legal_mask"] = [int(v) for v in batch.legal]
             response["payload"] = {**meta, "data": data}
         return 200, response
 

@@ -16,7 +16,7 @@ Ordering rules:
   (descending), ties broken by earliest arrival — priorities reorder
   whole batches, never the requests inside one;
 * a group splits when it exceeds ``max_batch_requests`` requests or
-  ``max_batch_attempts`` summed attempt counts, so one large client
+  :data:`MAX_BATCH_ATTEMPTS` summed attempt counts, so one large client
   cannot stretch a micro-batch (and every co-batched client's latency)
   without bound.
 
@@ -50,6 +50,10 @@ __all__ = [
     "MicroBatchScheduler",
 ]
 
+#: Summed attempt counts one micro-batch may hold (a single larger
+#: request still gets a micro-batch of its own).
+MAX_BATCH_ATTEMPTS = 1024
+
 
 @dataclass(frozen=True)
 class SchedulerConfig:
@@ -57,19 +61,17 @@ class SchedulerConfig:
 
     ``gather_window_s`` is how long the service keeps the window open for
     co-arriving requests after the first one is dequeued (the classic
-    micro-batching latency/throughput trade); the two ``max_batch_*``
-    caps bound what one micro-batch may contain.
+    micro-batching latency/throughput trade); ``max_batch_requests``
+    and :data:`MAX_BATCH_ATTEMPTS` bound what one micro-batch may
+    contain.
     """
 
     max_batch_requests: int = 8
-    max_batch_attempts: int = 1024
     gather_window_s: float = 0.002
 
     def __post_init__(self) -> None:
         if self.max_batch_requests < 1:
             raise ValueError("max_batch_requests must be positive")
-        if self.max_batch_attempts < 1:
-            raise ValueError("max_batch_attempts must be positive")
         if self.gather_window_s < 0:
             raise ValueError("gather_window_s must be non-negative")
 
@@ -141,7 +143,7 @@ class MicroBatchScheduler:
             for entry in entries:
                 overfull = batch.entries and (
                     len(batch) >= cfg.max_batch_requests
-                    or attempts + entry.request.count > cfg.max_batch_attempts
+                    or attempts + entry.request.count > MAX_BATCH_ATTEMPTS
                 )
                 if overfull:
                     batches.append(batch)

@@ -121,6 +121,24 @@ def _request_from_message(message: dict, default_deck: str | None) -> Generation
     )
 
 
+def _result_fields(batch, *, with_payload: bool) -> dict:
+    """A finished request's accounting fields, in wire order.
+
+    Shared by the TCP ``result`` event and the HTTP poll response;
+    ``legal_mask`` rides along only when a clip payload was requested.
+    """
+    fields = {
+        "attempts": batch.attempts,
+        "legal": batch.legal_count,
+        "admitted": batch.admitted,
+        "library_size": batch.library_size,
+        "seconds": round(batch.timings.total_seconds, 4),
+    }
+    if with_payload:
+        fields["legal_mask"] = [int(v) for v in batch.legal]
+    return fields
+
+
 async def stream_events(
     stream: ResultStream,
     *,
@@ -159,14 +177,9 @@ async def stream_events(
     event = {
         "event": "result",
         "request_id": request_id,
-        "attempts": batch.attempts,
-        "legal": batch.legal_count,
-        "admitted": batch.admitted,
-        "library_size": batch.library_size,
-        "seconds": round(batch.timings.total_seconds, 4),
+        **_result_fields(batch, with_payload=payload != "none"),
     }
     if payload != "none":
-        event["legal_mask"] = [int(v) for v in batch.legal]
         meta, data = encode_payload(batch.clips, payload)
         field, frames = payload_frames(
             request_id, "result", meta, data, limit=limit

@@ -12,8 +12,9 @@
   coalesces compatible ones (same backend/deck/shape) into micro-batches:
   with a pack-capable backend the model stage of every micro-batch (a
   lone request too) samples **chunks from different requests as shared
-  full-width model batches**, and the DRC stage runs as **one** cached
-  sweep over the whole micro-batch;
+  full-width model batches**.  The model stage is all a micro-batch
+  shares: each request then runs its own denoise and cached DRC check,
+  the same calls as serial :func:`~repro.engine.run_generation`;
 * **one compute thread** — micro-batches run FIFO on a single thread
   that keeps warm state: one backend per (backend, deck) (model loaded
   once, built with the deck only) and one
@@ -103,24 +104,7 @@ _DONE = object()  # chunk-queue sentinel: no more chunks
 # A backend defining all three is sampled through the packed model stage.
 _PACK_HOOKS = ("pack_jobs", "pack_model_batch", "pack_model_fn")
 _COMMIT_STOP = object()  # commit-queue sentinel: flush and exit
-
-
-def _split_by_share(total: int, sizes: list[int]) -> list[int]:
-    """Split an integer ``total`` proportionally to ``sizes`` (sums exactly).
-
-    Cumulative rounding: share_i = floor(total * cum_i / n) - floor(total *
-    cum_{i-1} / n), so the parts always add up to ``total``.
-    """
-    n = sum(sizes)
-    if n == 0:
-        return [0] * len(sizes)
-    out, cum, prev = [], 0, 0
-    for size in sizes:
-        cum += size
-        cut = total * cum // n
-        out.append(cut - prev)
-        prev = cut
-    return out
+_STREAM_CHUNK = 32  # candidates per streamed CandidateBatch chunk
 
 
 @dataclass(frozen=True)
@@ -129,17 +113,14 @@ class ServiceConfig:
 
     ``queue_size`` bounds the request queue (submission awaits when
     full).  A service-served request is bit-identical to a serial one.
-    ``stream_chunk`` is the number of candidates per streamed
-    :class:`~repro.engine.CandidateBatch` chunk.  Model-stage dispatch
-    is not configurable: a backend with all three pack hooks is always
-    sampled through the packed stage (see
+    Model-stage dispatch is not configurable: a backend with all three
+    pack hooks is always sampled through the packed stage (see
     :meth:`GenerationService._packed_model_stage`).
     """
 
     queue_size: int = 64
-    stream_chunk: int = 32
-    #: Retry policy for the retryable micro-batch stages (the model
-    #: stage, packed or per request, and the DRC sweep): bounded
+    #: Retry policy for the retryable compute stages (the model stage,
+    #: packed or per request, and each request's DRC check): bounded
     #: attempts with capped exponential backoff and deterministic
     #: jitter.  A retried model stage re-seeds its plans' root rngs
     #: first — a request that succeeds on attempt 2 is bit-identical to
@@ -151,8 +132,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.queue_size < 1:
             raise ValueError("queue_size must be positive")
-        if self.stream_chunk < 1:
-            raise ValueError("stream_chunk must be positive")
 
 
 @dataclass
@@ -178,7 +157,7 @@ class ServiceStats:
     failed: int = 0
     # Fault-tolerance counters: every recovery event is visible on the
     # ``stats`` verb.  ``retries`` counts retried stage attempts (model
-    # stage, packed or not, and DRC sweep), ``deadline_drops`` requests
+    # stage, packed or not, and DRC check), ``deadline_drops`` requests
     # failed with DeadlineExceeded, ``cancelled`` requests failed with
     # RequestCancelled (both are also included in ``failed``).
     retries: int = 0
@@ -462,8 +441,9 @@ class GenerationService:
 
         A draining service (graceful shutdown in progress) refuses new
         submissions with ``RuntimeError`` while it finishes the requests
-        it already accepted.  The request's ``deadline_s``, if any,
-        starts counting here.
+        it already accepted.  A ``request_id`` that is still live (its
+        stream has not resolved) is refused with ``ValueError``.  The
+        request's ``deadline_s``, if any, starts counting here.
         """
         if not self.running or self._queue is None:
             raise RuntimeError("generation service is not running")
@@ -482,6 +462,14 @@ class GenerationService:
         # always equals arrival order, even when the queue is full and
         # several submitters are waiting.
         async with self._submit_lock:
+            # Refuse a live duplicate before an arrival index is taken:
+            # a skipped index would stall the commit sequencer.
+            with self._live_lock:
+                live = self._live.get(request.request_id)
+            if live is not None and not live.stream.done:
+                raise ValueError(
+                    f"request_id {request.request_id!r} is already in flight"
+                )
             submitted_at = time.perf_counter()
             pending = PendingRequest(
                 arrival=self._arrival,
@@ -501,6 +489,7 @@ class GenerationService:
             # any moment, and its release must find the registration.
             with self._live_lock:
                 self._live[request.request_id] = pending
+                self._cancelled.discard(request.request_id)
             await self._queue.put(pending)
         if not self.running:
             # stop() ran while we were waiting on a full queue; the drain
@@ -536,7 +525,7 @@ class GenerationService:
         with self._live_lock:
             if self._live.get(pending.request.request_id) is pending:
                 del self._live[pending.request.request_id]
-            self._cancelled.discard(pending.request.request_id)
+                self._cancelled.discard(pending.request.request_id)
 
     def _boundary_error(self, pending: PendingRequest) -> "Exception | None":
         """The stage-boundary verdict: cancelled, past deadline, or None."""
@@ -825,8 +814,8 @@ class GenerationService:
         as the backend's own ``propose``.  A request whose jobs cannot be
         built fails alone before packing; the packed run is then one
         retried stage, and when retries run out every request in it
-        fails, as with the shared DRC sweep.  Returns the ``(pending,
-        plan)`` pairs whose ``proposal`` is now set.
+        fails: it is the one stage the micro-batch shares.  Returns the
+        ``(pending, plan)`` pairs whose ``proposal`` is now set.
         """
         backend = prepared[0][1].backend
         built, job_lists = [], []
@@ -845,15 +834,15 @@ class GenerationService:
             packed_fn = backend.pack_model_fn()
             # Fixed jitter seed: the stage is shared, so no single
             # request's seed may steer it.
-            result = self._retry_model_stage(
+            result = self._retried(
                 lambda: executor.run_model_packed(
                     packed_fn,
                     job_lists,
                     [plan.rng for _, plan in built],
                     model_batch,
                 ),
-                built,
                 0x6D6F64656C,
+                built,
             )
         except Exception as error:  # noqa: BLE001 - fail the whole stage
             for pending, _ in built:
@@ -880,12 +869,13 @@ class GenerationService:
         with self._stats_lock:
             self.stats.retries += 1
 
-    def _retry_model_stage(self, run, entries, jitter):
-        """Run a model stage under the retry policy (``jitter`` seeds the
+    def _retried(self, run, jitter, entries=()):
+        """Run a stage under the retry policy (``jitter`` seeds the
         backoff jitter, so the schedule is deterministic).
 
-        Each retry first re-seeds every entry's plan rng from its request:
-        a request served on attempt N is bit-identical to attempt 1's.
+        Each retry first re-seeds every ``(pending, plan)`` entry's plan
+        rng from its request: a model stage served on attempt N is
+        bit-identical to attempt 1's.  A DRC check passes no entries.
         """
 
         def on_retry(attempt: int, error: BaseException) -> None:
@@ -899,9 +889,9 @@ class GenerationService:
             )
 
     def _run_micro_batch(self, micro: MicroBatch):
-        """Model stage (packed for a pack-capable backend) + denoise per
-        request, then one DRC sweep; no admission (the commit stage owns
-        that)."""
+        """Model stage (packed for a pack-capable backend), then denoise
+        and DRC check per request; no admission (the commit stage owns
+        that).  Only the model stage is shared by the micro-batch."""
         prepared: list[tuple[PendingRequest, ExecutionPlan]] = []
         executor = None
         for pending in micro.entries:
@@ -937,7 +927,7 @@ class GenerationService:
         if packed:
             prepared = self._packed_model_stage(executor, prepared)
 
-        staged: list[tuple[PendingRequest, ExecutionPlan, list[np.ndarray], float]] = []
+        ready = []
         for pending, plan in prepared:
             boundary = self._boundary_error(pending)
             if boundary is not None:
@@ -946,14 +936,15 @@ class GenerationService:
                 self._fail_request(pending, boundary)
                 continue
             try:
+                seed = abs(int(pending.request.seed))
                 proposal = plan.proposal
                 if not packed:
-                    proposal = self._retry_model_stage(
+                    proposal = self._retried(
                         functools.partial(executor.execute, plan),
+                        [0x6D6F64656C, seed],
                         [(pending, plan)],
-                        [0x6D6F64656C, abs(int(pending.request.seed))],
                     )
-                for chunk in proposal.chunks(self.config.stream_chunk):
+                for chunk in proposal.chunks(_STREAM_CHUNK):
                     if chunk.raws:
                         self._publish(
                             pending.stream, ResultStream._deliver_chunk, chunk
@@ -966,58 +957,22 @@ class GenerationService:
                 self.stats.stages.observe(
                     "model", plan.generate_seconds + denoise_seconds
                 )
-                staged.append((pending, plan, clips, denoise_seconds))
+                # The request's own DRC check, as in serial
+                # run_generation.  It consumes no rng, so a retry
+                # re-seeds nothing.
+                legal, drc_seconds = self._retried(
+                    functools.partial(executor.check_batch, clips),
+                    [0x647263, seed],
+                )
+                self.stats.stages.observe("drc", drc_seconds)
             except Exception as error:  # noqa: BLE001 - surfaced per request
                 self._fail_request(pending, error)
-        if not staged:
-            return []
-
-        # One cached DRC sweep over the whole micro-batch: per-clip
-        # verdicts are content-keyed, so splitting the mask back per
-        # request is bit-identical to per-request sweeps.
-        all_clips = [clip for _, _, clips, _ in staged for clip in clips]
-        cache = executor.engine.cache
-        hits0, misses0 = cache.hits, cache.misses
-        try:
-            # The sweep is retryable: DRC is a pure content-keyed check,
-            # so re-running it consumes no request rng state.  The
-            # jitter generator is fixed-seeded — the sweep is shared, so
-            # no single request's seed may steer it.
-            with protected():  # env-scoped fault plans may fire in here
-                legal_all, drc_seconds = self.config.retry.run(
-                    lambda: executor.check_batch(all_clips),
-                    rng=np.random.default_rng(0x647263),
-                    on_retry=self._count_retry,
-                )
-        except Exception as error:  # noqa: BLE001 - fail the whole batch
-            for pending, _, _, _ in staged:
-                self._fail_request(pending, error)
-            return []
-        # Attribute the sweep's cache traffic by candidate share, so a
-        # request's batch reports its own traffic, not the whole sweep's.
-        sizes = [len(clips) for _, _, clips, _ in staged]
-        hit_shares = _split_by_share(cache.hits - hits0, sizes)
-        miss_shares = _split_by_share(cache.misses - misses0, sizes)
-
-        out = []
-        offset = 0
-        total = max(len(all_clips), 1)
-        for (pending, plan, clips, denoise_seconds), hits, misses in zip(
-            staged, hit_shares, miss_shares
-        ):
-            legal = legal_all[offset:offset + len(clips)]
-            offset += len(clips)
-            drc_share = drc_seconds * (len(clips) / total)
-            self.stats.stages.observe("drc", drc_share)
+                continue
             timings = StageTimings(
-                denoise_seconds=denoise_seconds,
-                # The shared sweep's cost, attributed by candidate share.
-                drc_seconds=drc_share,
+                denoise_seconds=denoise_seconds, drc_seconds=drc_seconds
             )
-            out.append(
-                (pending, executor, plan, clips, legal, timings, hits, misses)
-            )
-        return out
+            ready.append((pending, executor, plan, clips, legal, timings))
+        return ready
 
     # ------------------------------------------------------------------
     # Ordered commit stage (commit-thread side)
@@ -1050,9 +1005,7 @@ class GenerationService:
         try:
             if token.ready is None:
                 return
-            pending, executor, plan, clips, legal, timings, hits, misses = (
-                token.ready
-            )
+            pending, executor, plan, clips, legal, timings = token.ready
             # Last boundary check: a request cancelled (or expired) while
             # it waited in the sequencer is dropped *before* admission —
             # nothing of it reaches the session store.
@@ -1073,10 +1026,7 @@ class GenerationService:
                     maybe_fire("admit")
                 legal_clips = [c for c, ok in zip(clips, legal) if ok]
                 admitted = sum(executor.admit_batch(plan.library, legal_clips))
-                batch = executor.assemble(
-                    plan, clips, legal, admitted, timings,
-                    cache_hits=hits, cache_misses=misses,
-                )
+                batch = executor.assemble(plan, clips, legal, admitted, timings)
                 if pending.session_id is not None:
                     session = self.sessions.get(pending.session_id)
                     if session.record_batch() is not None:

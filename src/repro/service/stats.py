@@ -30,9 +30,8 @@ __all__ = ["STAGES", "LatencyHistogram", "StageLatencies"]
 
 #: The five serving stages a request passes through, in pipeline order:
 #: time waiting in the submit queue, time held by the gather window,
-#: model sampling + per-request denoise, the request's attributed share
-#: of the micro-batch's shared DRC sweep, and the ordered admission/commit
-#: stage.
+#: model sampling + per-request denoise, the request's own DRC check,
+#: and the ordered admission/commit stage.
 STAGES = ("queue", "gather", "model", "drc", "admit")
 
 #: Log-spaced bucket upper bounds in seconds: 100 µs doubling to ~210 s.

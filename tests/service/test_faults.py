@@ -289,14 +289,19 @@ class TestRetryRecovery:
         for a, b in zip(reference, served):
             _assert_batches_identical(a, b)
 
-    @pytest.mark.parametrize("max_batch", [1, 2, 4])
-    def test_exhausted_retries_fail_exactly_one_request(self, max_batch):
-        """Tentpole: with retries disabled, one injected fault fails
+    @pytest.mark.parametrize(
+        "site, max_batch",
+        [pytest.param("model", n, id=str(n)) for n in (1, 2, 4)]
+        + [pytest.param("drc", n, id=f"drc-{n}") for n in (1, 2, 4)],
+    )
+    def test_exhausted_retries_fail_exactly_one_request(self, site, max_batch):
+        """With retries disabled, one injected model or DRC fault fails
         exactly one request; survivors are bit-identical and the ordered
-        commit stage never stalls — at any micro-batch size."""
+        commit stage never stalls — at any micro-batch size.  Only the
+        packed model stage is shared, and the rule backend has none."""
         requests = _rule_requests(4, base_seed=50)
         reference = [run_generation(r) for r in requests]
-        install_faults("model:raise@1")
+        install_faults(f"{site}:raise@1")
         config = ServiceConfig(
             retry=RetryPolicy(max_attempts=1),
             scheduler=SchedulerConfig(

@@ -101,7 +101,7 @@ class TestFleetDeterminism:
         # An explicit ServiceConfig crosses into the forked workers intact.
         requests = _requests(deck, 6, base_seed=40)
         serial = [run_generation(request) for request in requests]
-        config = ServiceConfig(stream_chunk=2)
+        config = ServiceConfig(queue_size=3)
         with _fleet_client(2, config) as client:
             batches = client.generate_many(requests)
         for expected, got in zip(serial, batches):
@@ -374,6 +374,34 @@ class TestFleetFront:
             assert slow.result(timeout=30).attempts == 2
             names = {thread.name for thread in threading.enumerate()}
         assert "repro-fleet-router" not in names
+
+    @_skip_under_fleet_faults
+    def test_duplicate_live_request_id_is_refused(self, deck):
+        # The worker holds the first request in a gather window that only
+        # a second accepted request closes, so it is live at the dup.
+        first, dup, other = (
+            GenerationRequest(backend="rule", count=3, seed=seed, deck=deck,
+                              request_id=rid)
+            for seed, rid in ((1, "dup"), (2, "dup"), (3, "other"))
+        )
+        config = ServiceConfig(scheduler=SchedulerConfig(
+            max_batch_requests=2, gather_window_s=30.0
+        ))
+        with _fleet_client(1, config) as client:
+            ticket = client.submit(first)
+            with pytest.raises(ValueError, match="already in flight"):
+                client.submit(dup)
+            client.submit(other)
+            _assert_batches_identical(
+                ticket.result(timeout=60), run_generation(first)
+            )
+            # A resolved id is free again.
+            again = client.submit(dup)
+            client.submit(GenerationRequest(backend="rule", count=1,
+                                            deck=deck))
+            _assert_batches_identical(
+                again.result(timeout=60), run_generation(dup)
+            )
 
     def test_submit_awaits_while_the_fleet_is_full(self, sleepy):
         # One worker with queue_size=1 and max_batch_requests=1 holds

@@ -290,7 +290,7 @@ class TestRemoteClientDelivery:
         for got, want in zip(result["clips"], serial.clips):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
-        # Chunk payloads decode too (one chunk for count <= stream_chunk).
+        # Chunk payloads decode too (one chunk for count <= 32).
         assert result.get("chunk_arrays")
 
     def test_pipelined_payload_requests_demultiplex(self):

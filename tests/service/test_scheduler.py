@@ -12,6 +12,7 @@ from repro.service import (
     PendingRequest,
     SchedulerConfig,
 )
+from repro.service.scheduler import MAX_BATCH_ATTEMPTS
 
 GRID = Grid(nm_per_px=16.0, width_px=32, height_px=32)
 
@@ -30,8 +31,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SchedulerConfig(max_batch_requests=0)
-        with pytest.raises(ValueError):
-            SchedulerConfig(max_batch_attempts=0)
         with pytest.raises(ValueError):
             SchedulerConfig(gather_window_s=-1.0)
 
@@ -102,17 +101,18 @@ class TestSplitting:
 
     def test_max_batch_attempts_splits(self):
         deck = advanced_deck(GRID)
-        scheduler = MicroBatchScheduler(SchedulerConfig(max_batch_attempts=10))
-        batches = scheduler.coalesce(
-            [_pending(i, deck=deck, count=4) for i in range(4)]
+        batches = MicroBatchScheduler().coalesce(
+            [_pending(i, deck=deck, count=400) for i in range(4)]
         )
-        assert [b.attempts for b in batches] == [8, 8]
+        assert MAX_BATCH_ATTEMPTS == 1024
+        assert [b.attempts for b in batches] == [800, 800]
 
     def test_oversized_single_request_still_served(self):
         deck = advanced_deck(GRID)
-        scheduler = MicroBatchScheduler(SchedulerConfig(max_batch_attempts=2))
-        batches = scheduler.coalesce([_pending(0, deck=deck, count=50)])
-        assert len(batches) == 1 and batches[0].attempts == 50
+        batches = MicroBatchScheduler().coalesce(
+            [_pending(0, deck=deck, count=5000)]
+        )
+        assert len(batches) == 1 and batches[0].attempts == 5000
 
 
 class TestPriorities:

@@ -297,13 +297,13 @@ class TestStageTelemetry:
 
 class TestStreaming:
     def test_chunks_then_final_result(self, deck):
-        request = GenerationRequest(backend="rule", count=9, seed=1, deck=deck)
-        with ServiceClient(ServiceConfig(stream_chunk=4)) as client:
+        request = GenerationRequest(backend="rule", count=65, seed=1, deck=deck)
+        with ServiceClient() as client:
             ticket = client.submit(request)
             chunks = list(ticket.chunks())
             final = ticket.result()
-        assert [len(c.raws) for c in chunks] == [4, 4, 1]
-        assert sum(c.attempts for c in chunks) == final.attempts == 9
+        assert [len(c.raws) for c in chunks] == [32, 32, 1]
+        assert sum(c.attempts for c in chunks) == final.attempts == 65
         streamed = [raw for chunk in chunks for raw in chunk.raws]
         for raw, clip in zip(streamed, final.clips):
             np.testing.assert_array_equal(raw, clip)
@@ -381,19 +381,32 @@ class TestLifecycleAndErrors:
         with pytest.raises(RuntimeError, match="stopped"):
             ticket.result(timeout=10)
 
-    def test_coalesced_cache_counters_stay_per_request(self, deck):
-        # The shared micro-batch sweep's cache traffic is attributed by
-        # candidate share: no request reports the whole sweep's counters.
-        requests = _requests(deck, 4, count=6, base_seed=80)
-        config = ServiceConfig(
-            scheduler=SchedulerConfig(gather_window_s=0.05)
+    def test_duplicate_live_request_id_is_refused(self, deck):
+        # The first request waits in a gather window that only a second
+        # accepted request closes, so it is live at the duplicate submit.
+        first, dup, other = (
+            GenerationRequest(backend="rule", count=3, seed=seed, deck=deck,
+                              request_id=rid)
+            for seed, rid in ((1, "dup"), (2, "dup"), (3, "other"))
         )
+        config = ServiceConfig(scheduler=SchedulerConfig(
+            max_batch_requests=2, gather_window_s=30.0
+        ))
         with ServiceClient(config) as client:
-            served = client.generate_many(requests)
-            assert client.service.stats.peak_coalesced > 1
-        for batch in served:
-            traffic = batch.cache_hits + batch.cache_misses
-            assert traffic <= len(batch.clips)
+            ticket = client.submit(first)
+            with pytest.raises(ValueError, match="already in flight"):
+                client.submit(dup)
+            client.submit(other)
+            _assert_batches_identical(
+                ticket.result(timeout=60), run_generation(first)
+            )
+            # A resolved id is free again.
+            again = client.submit(dup)
+            client.submit(GenerationRequest(backend="rule", count=1,
+                                            deck=deck))
+            _assert_batches_identical(
+                again.result(timeout=60), run_generation(dup)
+            )
 
     def test_poisoned_request_fields_fail_only_their_batch(self, deck):
         # compatibility_key() reprs user-supplied params on the
@@ -458,8 +471,6 @@ class TestLifecycleAndErrors:
             ServiceConfig(queue_size=0)
         with pytest.raises(TypeError):  # no worker-count knob
             ServiceConfig(jobs=2)
-        with pytest.raises(ValueError):
-            ServiceConfig(stream_chunk=0)
 
 
 class TestSessionPersistence:
