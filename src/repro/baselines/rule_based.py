@@ -25,6 +25,12 @@ A second parameterization (:func:`pretrain_node_config`) describes a
 *different* proxy technology node (pitch 10, widths {2, 4, 6}) used to build
 the foundation-model pretraining corpus — the domain gap that few-shot
 finetuning must close (see DESIGN.md).
+
+Gap and strap rows are drawn with ``rng.choice`` from candidate lists found
+by plain-int passes over a track's run-length segments: one numpy pass finds
+the runs of a mask, then a gap candidate checks only the two pieces it leaves
+and the gaps beside them.  A scan thus costs O(H) int steps per gap or strap
+for an H-row clip, where a per-row mask copy and run scan would cost O(H²).
 """
 
 from __future__ import annotations
@@ -203,64 +209,50 @@ class TrackPatternGenerator:
                 n_gaps = 0
             for _ in range(n_gaps):
                 gap_len = int(rng.integers(deck.e2e_px, deck.e2e_px + 4))
-                placed = self._place_gap(mask, prev_blocked, gap_len, min_seg, rng)
-                if not placed:
+                rows = self._gap_candidates(mask, prev_blocked, gap_len, min_seg)
+                if not rows:
                     break
+                y0 = int(rng.choice(rows))
+                mask[y0 : y0 + gap_len] = False
             masks.append(mask)
             prev_blocked = ~mask
         return masks
 
-    def _place_gap(
-        self,
-        mask: np.ndarray,
-        prev_blocked: np.ndarray,
-        gap_len: int,
-        min_seg: int,
-        rng: np.random.Generator,
-    ) -> bool:
-        """Try to carve one end-to-end gap into ``mask``; True on success."""
-        height = mask.size
+    def _gap_candidates(
+        self, mask: np.ndarray, prev_blocked: np.ndarray, gap_len: int, min_seg: int
+    ) -> list[int]:
+        """Ascending rows ``y0`` where carving ``[y0, y0 + gap_len)`` keeps
+        the track legal: the gap lies inside one segment, its one-row guard
+        band clears ``prev_blocked``, every remaining segment spans
+        ``min_seg`` rows to the max-area length and every inner gap spans
+        the E2E spacing."""
+        deck, height = self.deck, mask.size
+        e2e, max_seg = deck.e2e_px, deck.area_window_px2[1] // deck.max_width_px
+        segs = _runs(mask)
+        bad = {j for j, (s, e) in enumerate(segs) if not min_seg <= e - s <= max_seg}
+        short = {j for j in range(len(segs) - 1) if segs[j + 1][0] - segs[j][1] < e2e}
+        # Row spans a gap may cover with its guard band clear of prev_blocked.
+        free = [(f0 + (f0 > 0), f1 - (f1 < height)) for f0, f1 in _runs(~prev_blocked)]
         candidates = []
-        for y0 in range(0, height - gap_len + 1):
-            y1 = y0 + gap_len
-            guard0 = max(0, y0 - 1)
-            guard1 = min(height, y1 + 1)
-            if prev_blocked[guard0:guard1].any():
-                continue
-            if not mask[y0:y1].all():
-                continue
-            if not self._segments_stay_legal(mask, y0, y1, min_seg):
-                continue
-            candidates.append(y0)
-        if not candidates:
-            return False
-        y0 = int(rng.choice(candidates))
-        mask[y0 : y0 + gap_len] = False
-        return True
-
-    def _segments_stay_legal(
-        self, mask: np.ndarray, y0: int, y1: int, min_seg: int
-    ) -> bool:
-        """Would carving rows [y0, y1) leave all remaining segments legal?"""
-        trial = mask.copy()
-        trial[y0:y1] = False
-        padded = np.concatenate(([False], trial, [False]))
-        changes = np.flatnonzero(padded[1:] != padded[:-1])
-        seg_lengths = changes[1::2] - changes[0::2]
-        if seg_lengths.size == 0:
-            return False  # never empty a populated track via gaps
-        if (seg_lengths < min_seg).any():
-            return False
-        gap_changes = np.flatnonzero(padded[1:] != padded[:-1])
-        starts, stops = gap_changes[0::2], gap_changes[1::2]
-        inner_gaps = starts[1:] - stops[:-1]
-        deck = self.deck
-        if inner_gaps.size and (inner_gaps < deck.e2e_px).any():
-            return False
-        max_area = deck.area_window_px2[1]
-        if (seg_lengths * deck.max_width_px > max_area).any():
-            return False
-        return True
+        for i, (s, e) in enumerate(segs):
+            if not bad <= {i} or not short <= {i - 1, i}:
+                continue  # a segment or gap the carve leaves alone is illegal
+            left = segs[i - 1][1] if i else -np.inf
+            right = segs[i + 1][0] if i + 1 < len(segs) else np.inf
+            for f0, f1 in free:
+                for y0 in range(max(s, f0), min(e, f1) - gap_len + 1):
+                    y1 = y0 + gap_len
+                    a, b = y0 - s, e - y1  # segment rows kept before / after
+                    if a and not (min_seg <= a <= max_seg and s - left >= e2e):
+                        continue
+                    if b and not (min_seg <= b <= max_seg and right - e >= e2e):
+                        continue
+                    # The carved gap merges with a neighbour gap where a or b is 0.
+                    if (y1 if b else right) - (y0 if a else left) < e2e:
+                        continue
+                    if a or b or len(segs) > 1:  # never empty a populated track
+                        candidates.append(y0)
+        return candidates
 
     def _add_connectors(
         self,
@@ -286,41 +278,35 @@ class TrackPatternGenerator:
             k = int(rng.choice(pairs))
             thickness = int(rng.integers(deck.min_seg_px, deck.min_seg_px + 3))
             both = masks[k] & masks[k + 1]
-            y0 = self._pick_strap_rows(
-                both, thickness, channel_used.get(k, []), rng
-            )
-            if y0 is None:
+            rows = self._strap_candidates(both, thickness, channel_used.get(k, []))
+            if not rows:
                 continue
+            y0 = int(rng.choice(rows))
             x0 = spans[k][0]
             x1 = spans[k + 1][1]
             clip[y0 : y0 + thickness, x0:x1] = 1
             channel_used.setdefault(k, []).append((y0, y0 + thickness))
 
-    def _pick_strap_rows(
-        self,
-        both: np.ndarray,
-        thickness: int,
-        used: list[tuple[int, int]],
-        rng: np.random.Generator,
-    ) -> int | None:
-        """A row band of ``thickness`` inside ``both`` segment rows, clear of
-        other straps in the same channel by at least the E2E spacing."""
-        deck = self.deck
-        height = both.size
-        candidates = []
-        for y0 in range(0, height - thickness + 1):
-            y1 = y0 + thickness
-            if not both[y0:y1].all():
-                continue
-            margin_ok = all(
-                y1 + deck.e2e_px <= u0 or u1 + deck.e2e_px <= y0
-                for u0, u1 in used
-            )
-            if margin_ok:
-                candidates.append(y0)
-        if not candidates:
-            return None
-        return int(rng.choice(candidates))
+    def _strap_candidates(
+        self, both: np.ndarray, thickness: int, used: list[tuple[int, int]]
+    ) -> list[int]:
+        """Ascending rows ``y0`` of ``thickness``-row bands inside ``both``
+        segment rows, clear of other straps in the same channel by at least
+        the E2E spacing."""
+        e2e = self.deck.e2e_px
+        return [
+            y0
+            for s, e in _runs(both)
+            for y0 in range(s, e - thickness + 1)
+            if all(y0 + thickness + e2e <= u0 or u1 + e2e <= y0 for u0, u1 in used)
+        ]
+
+
+def _runs(rows: np.ndarray) -> list[tuple[int, int]]:
+    """The ``[start, stop)`` runs of True rows, ascending, as plain ints."""
+    padded = np.concatenate(([False], rows, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    return list(zip(edges[0::2], edges[1::2]))
 
 
 # ----------------------------------------------------------------------

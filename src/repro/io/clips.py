@@ -49,7 +49,9 @@ def save_clips(
 
 def load_clips(path: "str | Path") -> tuple[list[np.ndarray], dict]:
     """Load a clip library saved by :func:`save_clips`."""
-    with np.load(Path(path)) as archive:
+    # np.load hands a file it opened to NpzFile before parsing the zip, so a
+    # torn archive (``BadZipFile``) would leak it: open the file here.
+    with open(path, "rb") as handle, np.load(handle) as archive:
         shape = tuple(int(v) for v in archive["shape"])
         packed = archive["clips"]
         meta_raw = archive["meta"].tobytes() if "meta" in archive else b"{}"

@@ -1,5 +1,9 @@
 """Unit tests for clip persistence and ASCII rendering."""
 
+import gc
+import warnings
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -32,6 +36,17 @@ class TestClipPersistence:
     def test_empty_library_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_clips(tmp_path / "x.npz", [])
+
+    def test_torn_archive_closes_its_file(self, tmp_path):
+        path = save_clips(tmp_path / "torn.npz", [wire(1), wire(3)])
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(zipfile.BadZipFile):
+                load_clips(path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestAsciiRendering:
