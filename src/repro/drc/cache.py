@@ -11,8 +11,9 @@ pixels, so results are memoised by the exact raster hash from
   e.g. by separate experiment harnesses — share one memo table and
   re-checks of identical clips across iterations and experiments are free.
 
-The cache is bounded (FIFO eviction) and thread-safe: the service's
-compute and commit threads sweep through the same engines concurrently.
+The cache is bounded (FIFO eviction) and thread-safe: the shared stores
+are process-wide, so threads driving equal engines side by side (two
+services or executors in one process) check through one memo table.
 It is deliberately *not* pickled with its contents: pickling an engine
 yields a fresh empty cache.
 

@@ -189,8 +189,8 @@ class BatchExecutor:
     """Runs the shared generation machinery against one DRC engine.
 
     An executor holds no threads or processes of its own; it may be
-    driven from several threads at once (the service's compute and
-    commit threads share one per deck).
+    driven from several threads at once (its DRC cache is thread-safe),
+    as when two services in one process serve the same deck.
     """
 
     def __init__(self, engine: DrcEngine, config: ExecutorConfig | None = None):

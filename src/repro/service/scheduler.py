@@ -167,12 +167,13 @@ class ArrivalSequencer:
     every earlier arrival has been released.  Every index must be
     released exactly once or the sequence stalls; :meth:`flush` runs
     whatever is still held, in arrival order, at shutdown.  Callbacks run
-    under the lock, so they must be short (a queue hand-off, an
-    admission) and must not call back into the sequencer.
+    under the lock, so they must not call back into the sequencer.
 
-    The service's commit stage is its one user.  A fleet front needs no
-    sequencer: a session's requests all reach one owner worker in
-    arrival order, and only per-session order reaches any output.
+    The service's commit stage is its one user: its compute thread
+    releases every request and runs the admissions now due.  A fleet
+    front needs no sequencer: a session's requests all reach one owner
+    worker in arrival order, and only per-session order reaches any
+    output.
     """
 
     def __init__(self) -> None:

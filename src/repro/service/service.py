@@ -1,4 +1,4 @@
-"""The asyncio generation service: queue -> scheduler -> compute -> commit.
+"""The asyncio generation service: queue -> scheduler -> compute, commit.
 
 :class:`GenerationService` turns the one-shot
 :func:`repro.engine.run_generation` machinery into a long-lived server:
@@ -22,14 +22,14 @@
   every core through row-sharded forwards (:mod:`repro.nn.shards`);
   denoise, DRC and admission run serially; process-level parallelism
   above a micro-batch is the fleet's job (:mod:`repro.service.fleet`);
-* **ordered commit stage** — the compute thread only runs the compute
-  stages; every request's admission then passes through a single commit
-  thread that reconciles results in **global arrival order** through an
-  :class:`~repro.service.scheduler.ArrivalSequencer` (coalescing groups
-  by key, so a later arrival can finish first), which keeps session
-  stores bit-identical to serial :func:`~repro.engine.run_generation`
-  calls — the load-bearing determinism invariant — and overlaps
-  admission with the next micro-batch's compute;
+* **ordered commit stage** — after its compute stages, the compute
+  thread hands every request to an
+  :class:`~repro.service.scheduler.ArrivalSequencer`, which admits
+  results in **global arrival order** (coalescing groups by key, so a
+  later arrival can finish first).  That keeps session stores
+  bit-identical to serial :func:`~repro.engine.run_generation` calls —
+  the load-bearing determinism invariant — and leaves the compute
+  thread the only one that ever touches a session store;
 * **streaming results** — each request's proposal is streamed back as
   :class:`~repro.engine.CandidateBatch` chunks, followed by the final
   :class:`~repro.engine.GenerationBatch`;
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import queue as queue_module
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -103,7 +102,6 @@ class RequestCancelled(RuntimeError):
 _DONE = object()  # chunk-queue sentinel: no more chunks
 # A backend defining all three is sampled through the packed model stage.
 _PACK_HOOKS = ("pack_jobs", "pack_model_batch", "pack_model_fn")
-_COMMIT_STOP = object()  # commit-queue sentinel: flush and exit
 _STREAM_CHUNK = 32  # candidates per streamed CandidateBatch chunk
 
 
@@ -181,8 +179,8 @@ class _CommitToken:
     Every dispatched request emits exactly one token — ``ready`` carries
     the staged results awaiting admission, ``None`` marks a request that
     already failed (its error was delivered on the compute thread) and
-    only needs its arrival slot released.  The commit thread admits
-    strictly by ``arrival``.  ``pending`` is always set: the commit
+    only needs its arrival slot released.  The service's sequencer
+    admits strictly by ``arrival``.  ``pending`` is always set: the commit
     stage uses it to release the request from the live (cancellable)
     registry exactly once.
     """
@@ -302,10 +300,10 @@ class GenerationService:
         self.sessions = session_manager or SessionManager(self.config.sessions)
         self.stats = ServiceStats()
         self._backend_factory = backend_factory
-        # Compute stage: one thread running micro-batches FIFO, plus its
-        # warm state — backends per (name, deck key) and executors per
-        # deck key.  Touched only by the compute thread until stop()
-        # drops it.
+        # Compute stage: one thread running micro-batches FIFO and
+        # committing them, plus its warm state — backends per (name,
+        # deck key) and executors per deck key.  Touched only by the
+        # compute thread until stop() drops it.
         self._worker: ThreadPoolExecutor | None = None
         self._backends: dict[tuple, GeneratorBackend] = {}
         self._executors: dict[tuple, BatchExecutor] = {}
@@ -316,9 +314,8 @@ class GenerationService:
         self._submit_lock: asyncio.Lock | None = None
         self._arrival = 0
         # Ordered commit stage: one token per dispatched request; the
-        # commit thread admits strictly by arrival index.
-        self._commit_queue: queue_module.Queue | None = None
-        self._commit_thread: threading.Thread | None = None
+        # compute thread releases each and admits strictly by arrival.
+        self._sequencer = ArrivalSequencer()
         # Dispatch backpressure: requests dispatched but not yet
         # committed; the gather loop pauses above the in-flight limit.
         self._inflight = 0
@@ -355,7 +352,7 @@ class GenerationService:
         return {"submit": self.queue_depth, "in_flight": self._inflight}
 
     async def start(self) -> "GenerationService":
-        """Start the scheduler loop, compute and commit stages (idempotent)."""
+        """Start the scheduler loop and the compute thread (idempotent)."""
         if self.running:
             return self
         self._loop = asyncio.get_running_loop()
@@ -363,6 +360,10 @@ class GenerationService:
         self._submit_lock = asyncio.Lock()
         self._dispatch_event = asyncio.Event()
         self._inflight = 0
+        # Arrival indices restart with the sequencer, so a restarted
+        # service does not wait on indices its last run never released.
+        self._arrival = 0
+        self._sequencer = ArrivalSequencer()
         with self._live_lock:
             self._live.clear()
             self._cancelled.clear()
@@ -370,11 +371,6 @@ class GenerationService:
         self._worker = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-service-compute"
         )
-        self._commit_queue = queue_module.Queue()
-        self._commit_thread = threading.Thread(
-            target=self._commit_loop, name="repro-service-commit", daemon=True
-        )
-        self._commit_thread.start()
         self._task = self._loop.create_task(self._run())
         return self
 
@@ -394,16 +390,12 @@ class GenerationService:
                 await task
             except asyncio.CancelledError:
                 pass
-        # Compute drains first (every dispatched micro-batch emits its
-        # commit tokens), then the commit thread flushes and exits.
+        # Every dispatched micro-batch runs and releases its tokens;
+        # the compute thread's last task commits whatever is still held.
         worker, self._worker = self._worker, None
         if worker is not None:
+            worker.submit(self._sequencer.flush)
             await loop.run_in_executor(None, worker.shutdown)
-        commit_thread, self._commit_thread = self._commit_thread, None
-        if commit_thread is not None:
-            self._commit_queue.put(_COMMIT_STOP)
-            await loop.run_in_executor(None, commit_thread.join)
-        self._commit_queue = None
         if self._queue is not None:
             while not self._queue.empty():
                 self._fail_pending(self._queue.get_nowait())
@@ -414,7 +406,7 @@ class GenerationService:
         if checkpoint:
             self.stats.checkpoints += len(self.sessions.checkpoint_all())
         if worker is not None:
-            # Compute and commit have drained: drop the warm state.
+            # The compute thread has drained: drop the warm state.
             self._backends.clear()
             self._executors.clear()
 
@@ -485,12 +477,20 @@ class GenerationService:
             )
             self._arrival += 1
             # Register as live *before* the enqueue: once the queue holds
-            # the entry the compute (or commit) thread may finish it at
-            # any moment, and its release must find the registration.
+            # the entry the compute thread may finish it at any moment,
+            # and its release must find the registration.
             with self._live_lock:
                 self._live[request.request_id] = pending
                 self._cancelled.discard(request.request_id)
-            await self._queue.put(pending)
+            try:
+                await self._queue.put(pending)
+            except asyncio.CancelledError:
+                # Never accepted: give back its arrival index (the lock
+                # kept any later one from being taken) and its live
+                # entry, or the commit order and drain() wait forever.
+                self._arrival -= 1
+                self._release_live(pending)
+                raise
         if not self.running:
             # stop() ran while we were waiting on a full queue; the drain
             # may already have missed this entry, so fail it here (the
@@ -560,24 +560,22 @@ class GenerationService:
     async def drain(self, timeout: "float | None" = None) -> bool:
         """Refuse new submissions and await in-flight completion.
 
-        Returns ``True`` once the queue and all in-flight requests are
-        empty, ``False`` when ``timeout`` seconds pass first (the
-        remaining requests are still being served — callers typically
-        proceed to :meth:`stop`, which fails whatever is still queued).
-        Idempotent; the service keeps running either way so a final
-        checkpoint can still happen.
+        Returns ``True`` once every accepted request has resolved —
+        queued, gathering or dispatched — and ``False`` when ``timeout``
+        seconds pass first (the rest are still being served — callers
+        typically proceed to :meth:`stop`, which fails whatever is still
+        queued).  Idempotent; the service keeps running either way so a
+        final checkpoint can still happen.
         """
         self._draining = True
         deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
-        while True:
-            queued = self._queue.qsize() if self._queue is not None else 0
-            if queued == 0 and self._inflight == 0:
-                return True
+        while self._live:
             if deadline is not None and time.monotonic() >= deadline:
                 return False
             await asyncio.sleep(0.02)
+        return True
 
     def health(self) -> dict:
         """Liveness snapshot (the ``op: "health"`` verb).
@@ -723,10 +721,11 @@ class GenerationService:
                     error = bad
             if error is not None:
                 self._fail_request(pending, error)
-                # Release the arrival slot: the commit stage must not
-                # wait forever on a request nothing will ever serve.
-                self._commit_queue.put(
-                    _CommitToken(pending.arrival, pending=pending)
+                # Release the arrival slot (on the compute thread, so no
+                # admission runs here): the commit stage must not wait
+                # forever on a request nothing will ever serve.
+                self._worker.submit(
+                    self._release, _CommitToken(pending.arrival, pending=pending)
                 )
             else:
                 healthy.append(pending)
@@ -776,7 +775,7 @@ class GenerationService:
         return executor
 
     def _serve_micro_batch(self, micro: MicroBatch) -> None:
-        """Serve one micro-batch, then emit its commit tokens.
+        """Serve one micro-batch, then release its commit tokens.
 
         Every request the micro-batch carried emits **exactly one**
         token — ``ready`` results await ordered admission, failures
@@ -798,14 +797,12 @@ class GenerationService:
         finally:
             staged = {id(item[0]) for item in ready}
             for item in ready:
-                self._commit_queue.put(
+                self._release(
                     _CommitToken(item[0].arrival, ready=item, pending=item[0])
                 )
             for pending in micro.entries:
                 if id(pending) not in staged:
-                    self._commit_queue.put(
-                        _CommitToken(pending.arrival, pending=pending)
-                    )
+                    self._release(_CommitToken(pending.arrival, pending=pending))
 
     def _packed_model_stage(self, executor, prepared):
         """Sample the micro-batch's model stages as shared packed batches.
@@ -975,29 +972,22 @@ class GenerationService:
         return ready
 
     # ------------------------------------------------------------------
-    # Ordered commit stage (commit-thread side)
+    # Ordered commit stage (compute-thread side)
     # ------------------------------------------------------------------
-    def _commit_loop(self) -> None:
-        """Admit computed results strictly by arrival index.
+    def _release(self, token: _CommitToken) -> None:
+        """Hand one token to the sequencer; commit every arrival now due.
 
         Coalescing groups a gather window by key, so micro-batches can
         finish a later arrival before an earlier one; the sequencer holds
         each token until every earlier arrival has committed, so session
         stores grow in **global arrival order**.  Every dequeued request
-        emits exactly one token (ready or skip), and dequeueing itself is
-        FIFO by arrival, so no index is ever skipped over.  On shutdown
-        (sentinel) any held tokens flush in arrival order regardless of
-        gaps.
+        releases exactly one token (ready or skip), and dequeueing itself
+        is FIFO by arrival, so no index is ever skipped over.  At stop
+        the compute thread flushes any held tokens in arrival order.
         """
-        sequencer = ArrivalSequencer()
-        while True:
-            token = self._commit_queue.get()
-            if token is _COMMIT_STOP:
-                break
-            sequencer.release(
-                token.arrival, functools.partial(self._commit_one, token)
-            )
-        sequencer.flush()
+        self._sequencer.release(
+            token.arrival, functools.partial(self._commit_one, token)
+        )
 
     def _commit_one(self, token: _CommitToken) -> None:
         """Admit one request's results (or release a failed slot)."""

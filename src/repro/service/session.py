@@ -16,10 +16,11 @@ stores), and :meth:`Session.checkpoint` / ``checkpoint_every`` write the
 grown store back with :func:`repro.library.save_library` between batches,
 so a crashed or restarted service resumes from the last checkpoint.
 
-Admission itself happens on the service's commit thread, one request
+Admission itself happens on the service's compute thread, one request
 at a time in global arrival order — see
-:meth:`repro.service.GenerationService._commit_loop` — which is what
-makes a session's final store deterministic for a fixed submission order.
+:meth:`repro.service.GenerationService._release` — which is what makes
+a session's final store deterministic for a fixed submission order, and
+leaves that thread the only one that touches a session store.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ The service keeps one :class:`StageLatencies` in
 exports it as JSON (see ``docs/SERVING.md`` for the wire format), and
 the fleet front folds its workers' snapshots into one with
 :meth:`StageLatencies.merge_snapshot`.  Both classes are thread-safe for
-observation: the loop thread records queue/gather, the compute thread
-records model/drc, and the commit thread records admit.
+observation: the loop thread records queue/gather, and the compute
+thread records model/drc and, as it commits, admit.
 """
 
 from __future__ import annotations

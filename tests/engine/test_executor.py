@@ -274,7 +274,7 @@ class TestRunGeneration:
 
 class TestConcurrentExecutors:
     """Executors hold no workers, so threads may drive them side by side
-    (the service's compute and commit threads share one per deck)."""
+    (as when two services in one process serve the same deck)."""
 
     def test_concurrent_executors_match_serial(self, deck, clips, noisy_raws):
         """Two threads driving two executors on one deck produce the same

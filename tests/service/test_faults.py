@@ -453,3 +453,73 @@ class TestDrain:
             for ticket in tickets:
                 ticket.result(timeout=60)  # in-flight work completed
             assert client.service.health()["draining"] is True
+
+    def test_drain_waits_for_a_request_in_the_gather_window(self):
+        """A request the gather loop has dequeued but not yet dispatched
+        is accepted work: drain must wait for it, so the stop() that
+        follows (as in ``repro serve`` on SIGTERM) cannot drop it."""
+        import asyncio
+        import time
+
+        request = _rule_requests(1, base_seed=40)[0]
+        serial = run_generation(request)
+        client = ServiceClient(ServiceConfig(
+            scheduler=SchedulerConfig(gather_window_s=0.5),
+        )).start()
+        try:
+            ticket = client.submit(request)
+            time.sleep(0.05)  # inside the gather window
+            drained = asyncio.run_coroutine_threadsafe(
+                client.service.drain(timeout=10), client._loop
+            ).result(timeout=30)
+            assert drained is True
+        finally:
+            client.close()
+        _assert_batches_identical(serial, ticket.result(timeout=0))
+
+    def test_cancelled_submit_is_not_accepted(self):
+        """A submit cancelled while it waits on a full queue was never
+        accepted: later requests still commit, and drain does not wait
+        for it."""
+        import asyncio
+        import time
+
+        from repro.engine import get_backend
+        from repro.service import GenerationService
+
+        class _SlowRule:
+            name = "rule"
+
+            def __init__(self, **kwargs):
+                self._inner = get_backend("rule", **kwargs)
+                self.deck = self._inner.deck
+
+            def propose(self, request, rng):
+                time.sleep(1.0)  # holds the queue full while r2 waits
+                return self._inner.propose(request, rng)
+
+        service = GenerationService(
+            ServiceConfig(
+                queue_size=1,
+                scheduler=SchedulerConfig(
+                    gather_window_s=0.0, max_batch_requests=1
+                ),
+            ),
+            backend_factory=lambda name, **kwargs: _SlowRule(**kwargs),
+        )
+        requests = _rule_requests(4, base_seed=50)
+        with ServiceClient(service=service) as client:
+            first = client.submit(requests[0])  # dispatched, computing
+            time.sleep(0.05)
+            second = client.submit(requests[1])  # fills the queue
+            with pytest.raises(asyncio.TimeoutError):
+                asyncio.run_coroutine_threadsafe(
+                    asyncio.wait_for(service.submit(requests[2]), 0.05),
+                    client._loop,
+                ).result(timeout=30)
+            fourth = client.submit(requests[3])
+            for ticket in (first, second, fourth):
+                ticket.result(timeout=30)
+            assert asyncio.run_coroutine_threadsafe(
+                service.drain(timeout=10), client._loop
+            ).result(timeout=30) is True

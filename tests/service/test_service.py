@@ -9,10 +9,11 @@ import pytest
 
 from repro.core.library import PatternLibrary
 from repro.drc import advanced_deck
-from repro.engine import GenerationRequest, run_generation
+from repro.engine import BatchExecutor, GenerationRequest, run_generation
 from repro.geometry import Grid
 from repro.service import (
     STAGES,
+    GenerationService,
     SchedulerConfig,
     ServiceClient,
     ServiceConfig,
@@ -197,11 +198,15 @@ class TestMixedKeys:
             _assert_batches_identical(reference, got)
 
     @pytest.mark.parametrize("order", ["grouped", "interleaved"])
-    def test_mixed_key_admissions_in_arrival_order(self, deck, order):
+    def test_mixed_key_admissions_in_arrival_order(
+        self, deck, order, monkeypatch
+    ):
         """The ordered commit stage: the session store must grow exactly
         like a serial loop.  Interleaved keys (k0, k1, k2, k0, k1, k2)
         coalesce into per-key micro-batches that compute arrivals 0, 3,
-        1, 4, 2, 5, so the commit stage has to put them back in order."""
+        1, 4, 2, 5, so the commit stage has to put them back in order.
+        Every admission runs on the compute thread: the service starts
+        no thread of its own besides it."""
         requests = _mixed_requests(
             deck, keys=3, per_key=2, count=4, base_seed=400
         )
@@ -211,6 +216,14 @@ class TestMixedKeys:
         for request in requests:
             run_generation(request, library=reference)
 
+        admitted_on = []
+        admit_batch = BatchExecutor.admit_batch
+
+        def recording_admit_batch(self, *args, **kwargs):
+            admitted_on.append(threading.current_thread().name)
+            return admit_batch(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchExecutor, "admit_batch", recording_admit_batch)
         for trial in range(2):
             config = ServiceConfig(
                 scheduler=SchedulerConfig(gather_window_s=0.02),
@@ -218,9 +231,13 @@ class TestMixedKeys:
             with ServiceClient(config) as client:
                 client.generate_many(requests, session="tenant")
                 store = client.service.sessions.get("tenant").store
+                running = [t.name for t in threading.enumerate()]
+            assert not any(n.startswith("repro-service-commit") for n in running)
             assert len(store) == len(reference)
             for a, b in zip(reference, store):
                 np.testing.assert_array_equal(a, b)
+        assert len(admitted_on) == 2 * len(requests)
+        assert all(n.startswith("repro-service-compute") for n in admitted_on)
 
 
 class TestCrashIsolation:
@@ -363,6 +380,19 @@ class TestLifecycleAndErrors:
         client.generate(GenerationRequest(backend="rule", count=2, deck=deck))
         client.close()
         client.close()
+
+    def test_stopped_service_restarts_and_serves(self, deck):
+        # Arrival indices start over with each run: a restarted service
+        # must not hold its first request behind the last run's indices.
+        service = GenerationService()
+        for seed in range(2):
+            request = GenerationRequest(
+                backend="rule", count=2, seed=seed, deck=deck
+            )
+            with ServiceClient(service=service) as client:
+                _assert_batches_identical(
+                    run_generation(request), client.generate(request, timeout=60)
+                )
 
     def test_stop_mid_gather_fails_dequeued_requests(self, deck):
         # A request pulled into a (long) gather window when the service
