@@ -47,11 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="persistent library snapshot directory: existing "
                           "clips are loaded first (cross-run dedup), and the "
                           "grown library is saved back after generation")
-    gen.add_argument("--drc-cache-dir", default=None, metavar="DIR",
-                     help="persist the content-hash DRC verdict cache "
-                          "here across runs (loaded before generation, "
-                          "saved after; stale files from edited decks are "
-                          "ignored automatically)")
 
     drc = sub.add_parser("drc", help="run DRC over a clip library")
     drc.add_argument("library", help=".npz produced by 'generate' or the API")
@@ -106,11 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="snapshot a session's store every N merged "
                             "request batches (needs --session-dir; "
                             "default: only at shutdown)")
-    serve.add_argument("--drc-cache-dir", default=None, metavar="DIR",
-                       help="persist the content-hash DRC verdict cache "
-                            "here across server runs (loaded at startup, "
-                            "saved at shutdown; fleet workers inherit it "
-                            "and hand their verdicts back when they stop)")
     serve.add_argument("--workers", type=_positive_int, default=1,
                        metavar="N",
                        help="worker *processes*: 2+ fronts a multi-process "
@@ -191,24 +181,10 @@ def _cmd_generate(args) -> int:
         return 2
     preloaded = len(store) if store is not None else 0
 
-    if args.drc_cache_dir:
-        from .drc.cache import load_shared_caches
-
-        loaded = load_shared_caches(args.drc_cache_dir)
-        if loaded:
-            print(f"DRC cache: loaded {loaded} verdicts "
-                  f"from {args.drc_cache_dir}")
-
     request = GenerationRequest(
         backend=args.backend, count=args.count, seed=args.seed, deck=deck
     )
-    try:
-        batch = run_generation(request, backend=backend, library=store)
-    finally:
-        if args.drc_cache_dir:
-            from .drc.cache import save_shared_caches
-
-            save_shared_caches(args.drc_cache_dir)
+    batch = run_generation(request, backend=backend, library=store)
     # Only this run's admissions go to --out; the snapshot dir keeps all.
     clips = list(batch.library.clips[preloaded:])
     if args.library_dir:
@@ -310,14 +286,6 @@ def _cmd_serve(args) -> int:
     )
 
     async def main() -> None:
-        if args.drc_cache_dir:
-            from .drc.cache import load_shared_caches
-
-            # Before start(): forked fleet workers inherit the verdicts.
-            loaded = load_shared_caches(args.drc_cache_dir)
-            if loaded:
-                print(f"repro serve: DRC cache: loaded {loaded} verdicts "
-                      f"from {args.drc_cache_dir}")
         # The fleet front mirrors the GenerationService surface
         # (submit/cancel/health/stats_payload/drain/stop), so the TCP
         # server and the signal->drain->stop block below are one shared
@@ -389,18 +357,14 @@ def _cmd_serve(args) -> int:
             if gateway is not None:
                 await gateway.close()
             await service.stop()
-            if args.drc_cache_dir:
-                from .drc.cache import save_shared_caches
-
-                save_shared_caches(args.drc_cache_dir)
 
     import signal
 
     def _sigterm(signum, frame):
         # Fallback for platforms where the event loop cannot hook
         # signals: SIGTERM takes the same path as Ctrl-C — stop the
-        # service, checkpoint sessions, save the DRC cache.  The default
-        # action would kill the process mid-flight.
+        # service and checkpoint sessions.  The default action would
+        # kill the process mid-flight.
         raise KeyboardInterrupt
 
     try:

@@ -1,11 +1,6 @@
 """Pixel-level design-rule checking: rules, measurement kernels, decks."""
 
-from .cache import (
-    DrcCache,
-    clear_shared_caches,
-    load_shared_caches,
-    save_shared_caches,
-)
+from .cache import DrcCache, clear_shared_caches
 from .decks import RuleDeck, advanced_deck, basic_deck, complex_deck, deck_by_name
 from .engine import DrcEngine
 from .measure import ClipMeasurements, GapTable, RunTable, gap_table, run_table
@@ -54,7 +49,5 @@ __all__ = [
     "complex_deck",
     "deck_by_name",
     "gap_table",
-    "load_shared_caches",
     "run_table",
-    "save_shared_caches",
 ]

@@ -42,9 +42,9 @@ with ``library=None``), and the owner checkpoints it straight into
 ``<snapshot_root>/<session>`` with the crash-safe generational
 :func:`~repro.library.save_library`, exactly as the single-process
 service does: one writer per session, so there is nothing to merge.
-DRC verdicts go the other way: workers inherit the front's shared
-stores at fork, and each worker's stop reply carries its stores back
-for the front to merge, so ``--drc-cache-dir`` saves what workers found.
+DRC verdicts stay in the worker that found them: each worker checks
+through its own in-process shared stores, and nothing carries them
+back to the front.
 
 A worker crash (detected as EOF on its pipe) fails that worker's
 in-flight requests with terminal error events and drops the dead
@@ -74,7 +74,6 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
-from ..drc.cache import merge_shared_caches, snapshot_shared_caches
 from ..engine import GenerationRequest
 from ..engine.retry import CircuitBreaker
 from .faults import maybe_fire, protected, reset_faults_for_worker
@@ -303,14 +302,13 @@ def _worker_main(
             _, seq, checkpoint = message
             # Let in-flight request coroutines deliver their terminal
             # events before the loop goes away; stop() resolves their
-            # streams, the futures then enqueue the events.  The reply
-            # carries this worker's DRC verdicts for the front to keep.
+            # streams, the futures then enqueue the events.
             try:
                 asyncio.run_coroutine_threadsafe(
                     service.stop(checkpoint=checkpoint), loop
                 ).result()
                 concurrent.futures.wait(list(serve_futures), timeout=10.0)
-                out.put(("rsp", seq, True, snapshot_shared_caches()))
+                out.put(("rsp", seq, True, None))
             except Exception as error:  # noqa: BLE001 - crosses the pipe
                 out.put(("rsp", seq, False, _safe_error(error)))
             running = False
@@ -523,7 +521,7 @@ class FleetService:
             self._key_routes.clear()
 
     def _stop_workers(self, checkpoint: bool) -> None:
-        pending: "list[tuple[_WorkerHandle, concurrent.futures.Future]]" = []
+        pending: "list[concurrent.futures.Future]" = []
         for handle in self._workers.values():
             with handle.lock:
                 alive = handle.alive
@@ -539,15 +537,14 @@ class FleetService:
                 with handle.lock:
                     handle.rpcs.pop(seq, None)
                 continue
-            pending.append((handle, future))
-        for handle, future in pending:
+            pending.append(future)
+        # A stop reply carries nothing: it says the worker's service has
+        # stopped and its terminal events are queued ahead of the reply.
+        for future in pending:
             try:
-                verdicts = future.result(timeout=_CONTROL_TIMEOUT_S)
+                future.result(timeout=_CONTROL_TIMEOUT_S)
             except Exception:  # noqa: BLE001 - worker died mid-stop
-                continue
-            # Workers ran every DRC sweep: fold their verdicts into the
-            # front's stores, which --drc-cache-dir saves.
-            merge_shared_caches(verdicts)
+                pass  # the join below reaps it either way
         for handle in self._workers.values():
             process = handle.process
             if process is not None:

@@ -289,10 +289,9 @@ class HttpGateway:
         try:
             payload_mode = _payload_mode(message)
             request = _request_from_message(message, self._default_deck)
-            session = message.get("session")
-            if session is not None and not isinstance(session, str):
-                raise ValueError("'session' must be a string")
-            stream = await self._service.submit(request, session=session)
+            stream = await self._service.submit(
+                request, session=message.get("session")
+            )
         except (ValueError, TypeError, KeyError) as error:
             raise _HttpError(400, str(error)) from None
         except RuntimeError as error:  # draining / not running

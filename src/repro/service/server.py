@@ -71,7 +71,7 @@ __all__ = [
 DEFAULT_LINE_LIMIT = 256 * 1024
 
 #: Client-supplied request ids must be wire-safe and bounded.
-_REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
+_REQUEST_ID_RE = re.compile(r"[A-Za-z0-9_-]{1,64}")
 
 
 def _payload_mode(message: dict) -> str:
@@ -103,7 +103,7 @@ def _request_from_message(message: dict, default_deck: str | None) -> Generation
         deadline_s = float(deadline_s)
     request_id = message.get("request_id", "")
     if request_id:
-        if not isinstance(request_id, str) or not _REQUEST_ID_RE.match(
+        if not isinstance(request_id, str) or not _REQUEST_ID_RE.fullmatch(
             request_id
         ):
             raise ValueError(

@@ -38,7 +38,7 @@ __all__ = ["SessionConfig", "Session", "SessionManager", "SHARED_SESSION"]
 #: Conventional id for the one store every client may share.
 SHARED_SESSION = "shared"
 
-_SESSION_ID = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+_SESSION_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,9 @@ class SessionManager:
         Cheap enough for the submit path; the store itself (and any
         snapshot load) is built lazily on the service's worker thread.
         """
-        if not _SESSION_ID.match(session_id or ""):
+        if not isinstance(session_id, str) or not _SESSION_ID.fullmatch(
+            session_id
+        ):
             raise ValueError(
                 f"invalid session id {session_id!r} (use letters, digits, "
                 "'.', '_', '-'; must not start with a separator)"

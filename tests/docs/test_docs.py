@@ -1,4 +1,5 @@
-"""The docs subsystem stays honest: links resolve, snippets compile.
+"""The docs subsystem stays honest: links resolve, snippets compile,
+flag tables name live CLI options.
 
 Runs the same checks as the CI docs job (``tools/check_docs.py``) so a
 doc-breaking rename fails tier-1 locally, plus negative tests proving
@@ -117,3 +118,13 @@ class TestCheckerCatchesProblems:
         text = '```python\nx = "[dead](missing.md)"\n```\n'
         # Would be a dead link if scanned as prose; must be ignored.
         assert check_docs.check_page(page(text), tmp_path) == []
+
+    def test_stale_flag_table_row(self, page, tmp_path):
+        text = (
+            "| flag | meaning |\n|---|---|\n"
+            "| `--workers N` | fleet processes |\n"
+            "| `--removed-zz DIR` | an option no parser defines |\n"
+        )
+        errors = check_docs.check_page(page(text), tmp_path)
+        assert len(errors) == 1
+        assert "`--removed-zz`" in errors[0]

@@ -423,17 +423,6 @@ class TestSnapshotFaults:
 
 
 # ----------------------------------------------------------------------
-# Torn auxiliary state: DRC cache files
-# ----------------------------------------------------------------------
-class TestTornStateTolerance:
-    def test_torn_drc_cache_file_is_skipped(self, tmp_path):
-        from repro.drc.cache import load_shared_caches
-
-        (tmp_path / "drc-deadbeefdeadbeef.json").write_text('{"fmt": tor')
-        assert load_shared_caches(tmp_path) == 0
-
-
-# ----------------------------------------------------------------------
 # Drain
 # ----------------------------------------------------------------------
 class TestDrain:

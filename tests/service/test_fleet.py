@@ -238,48 +238,6 @@ class TestFleetSessions:
 
 
 @_skip_under_fleet_faults
-class TestFleetDrcCache:
-    def test_fleet_persists_the_verdicts_one_process_persists(
-        self, deck, tmp_path
-    ):
-        import json
-
-        from repro.drc.cache import clear_shared_caches, save_shared_caches
-
-        # Two compatibility keys, so the sticky router uses both workers.
-        requests = [
-            GenerationRequest(backend="rule", count=4, seed=120 + s,
-                              deck=deck, params={"variant": s % 2})
-            for s in range(6)
-        ]
-
-        def saved(directory):
-            return {
-                path.name: json.loads(path.read_text())
-                for path in sorted(directory.glob("*"))
-            }
-
-        clear_shared_caches()
-        try:
-            with ServiceClient() as client:
-                client.generate_many(requests)
-            save_shared_caches(tmp_path / "single")
-            clear_shared_caches()
-            with _fleet_client(2) as client:
-                client.generate_many(requests)
-                workers = client.service.stats_payload()["fleet"]["workers"]
-            assert all(entry["routed"] > 0 for entry in workers)
-            # The front ran no DRC sweep itself: the verdicts it saves
-            # came back from the workers at stop time.
-            save_shared_caches(tmp_path / "fleet")
-        finally:
-            clear_shared_caches()
-        single = saved(tmp_path / "single")
-        assert single
-        assert saved(tmp_path / "fleet") == single
-
-
-@_skip_under_fleet_faults
 class TestFleetObservability:
     def test_stats_payload_aggregates_workers(self, deck):
         requests = _requests(deck, 6, base_seed=80)

@@ -292,6 +292,15 @@ class TestErrorContract:
          {"backend": "rule", "count": 4, "payload": "zip"}, 400),
         ("POST", "/v1/generate",
          {"backend": "rule", "count": 4, "request_id": "bad id!"}, 400),
+        # A trailing newline is no id character, and 64 is the most.
+        ("POST", "/v1/generate",
+         {"backend": "rule", "count": 4, "request_id": "ok\n"}, 400),
+        ("POST", "/v1/generate",
+         {"backend": "rule", "count": 4, "request_id": "a" * 64 + "\n"}, 400),
+        ("POST", "/v1/generate",
+         {"backend": "rule", "count": 4, "session": "tenant\n"}, 400),
+        ("POST", "/v1/generate",
+         {"backend": "rule", "count": 4, "session": 5}, 400),
     ]
 
     def test_structured_errors(self):

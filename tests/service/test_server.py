@@ -3,6 +3,8 @@
 import asyncio
 import json
 
+import pytest
+
 from repro.service import GenerationService, ServiceConfig, serve
 
 
@@ -301,6 +303,14 @@ class TestErrors:
             stop_after=lambda ev: ev[-1]["event"] == "error",
         ))
         assert "count" in events[-1]["message"]
+
+    @pytest.mark.parametrize("request_id", ["ok\n", "a" * 64 + "\n"])
+    def test_trailing_newline_request_id_rejected(self, request_id):
+        events = asyncio.run(_round_trip(
+            [{"backend": "rule", "count": 2, "request_id": request_id}],
+            stop_after=lambda ev: ev[-1]["event"] == "error",
+        ))
+        assert "request_id" in events[-1]["message"]
 
 
 class TestHardening:

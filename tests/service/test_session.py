@@ -43,7 +43,7 @@ class TestManager:
 
     def test_invalid_ids_rejected(self):
         manager = SessionManager()
-        for bad in ("", "../escape", ".hidden", "a b", None):
+        for bad in ("", "../escape", ".hidden", "a b", None, "tenant\n", 5):
             with pytest.raises(ValueError):
                 manager.get(bad)
 

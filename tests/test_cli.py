@@ -54,6 +54,15 @@ class TestParser:
                 assert exit_info.value.code == 2
                 assert flag in capsys.readouterr().err
 
+    def test_drc_cache_dir_is_gone(self, capsys):
+        # DRC verdicts live only in process: no flag saves or loads them.
+        for argv in (["serve", "--port", "0"],
+                     ["generate", "--out", "x.npz"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main([*argv, "--drc-cache-dir", "D"])
+            assert exit_info.value.code == 2
+            assert "--drc-cache-dir" in capsys.readouterr().err
+
     @staticmethod
     def _stub_start(monkeypatch):
         import signal
@@ -295,97 +304,6 @@ class TestLibraryWorkflow:
             tuple(c.flatten()) for c in load_library(tmp_path / "a")
         } | {tuple(c.flatten()) for c in load_library(tmp_path / "b")}
         assert len(merged) == len(combined)
-
-
-def _tiny_patternpaint(deck=None):
-    """A diffusion-sampling backend small enough for a CLI test."""
-    from repro.core import PatternPaintConfig
-    from repro.diffusion import Ddpm, InpaintConfig, linear_schedule
-    from repro.engine.backends import PatternPaintBackend
-    from repro.nn import TimeUnet, UNetConfig
-
-    net = TimeUnet(UNetConfig(
-        image_size=32, base_channels=8, channel_mults=(1,), num_res_blocks=1,
-        groups=4, time_dim=8, attention=False, seed=5,
-    ))
-    starters = [
-        np.random.default_rng(60 + i).integers(0, 2, (32, 32)).astype(np.uint8)
-        for i in range(2)
-    ]
-    return PatternPaintBackend(
-        deck=deck,
-        ddpm=Ddpm(net, linear_schedule(20)),
-        config=PatternPaintConfig(
-            inpaint=InpaintConfig(num_steps=2), model_batch=4
-        ),
-        templates=starters,
-    )
-
-
-class TestWarmCacheDir:
-    """``--drc-cache-dir`` persists DRC verdicts and nothing else."""
-
-    def test_generate_persists_only_drc_verdicts(
-        self, tmp_path, capsys
-    ):
-        import json
-
-        from repro.drc.cache import clear_shared_caches
-        from repro.engine import register_backend
-
-        register_backend("pp-cli-tiny", _tiny_patternpaint, overwrite=True)
-        warm = tmp_path / "warm"
-        argv = [
-            "generate", "--backend", "pp-cli-tiny", "--deck", "basic",
-            "-n", "4", "--out", str(tmp_path / "x.npz"),
-            "--drc-cache-dir", str(warm),
-        ]
-        clear_shared_caches()
-        main(argv)
-        files = sorted(path.name for path in warm.iterdir())
-        assert files and all(
-            name.startswith("drc-") and name.endswith(".json")
-            for name in files
-        ), files
-        saved = sum(
-            len(json.loads((warm / name).read_text())["entries"])
-            for name in files
-        )
-        # A second run (fresh stores, as in a new process) starts warm.
-        clear_shared_caches()
-        capsys.readouterr()
-        main(argv)
-        assert f"DRC cache: loaded {saved} verdicts" in capsys.readouterr().out
-        assert sorted(path.name for path in warm.iterdir()) == files
-
-    def test_serve_loads_verdicts_before_start(self, tmp_path, monkeypatch):
-        import signal
-
-        import repro.drc.cache as drc_cache
-        from repro.service import GenerationService
-
-        class Started(Exception):
-            pass
-
-        events = []
-
-        async def start(self):
-            events.append("start")
-            raise Started
-
-        def load(root):
-            events.append(root)
-            return 0
-
-        monkeypatch.setattr(drc_cache, "load_shared_caches", load)
-        monkeypatch.setattr(GenerationService, "start", start)
-        monkeypatch.setattr(signal, "signal", lambda *args: None)
-        warm = str(tmp_path / "warm")
-        with pytest.raises(Started):
-            main(["serve", "--port", "0", "--drc-cache-dir", warm])
-        # Loaded before the service (and any forked fleet worker)
-        # starts, so every worker process inherits the verdicts.
-        assert events == [warm, "start"]
 
 
 class TestServeProcess:

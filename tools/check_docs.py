@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Documentation checker: dead intra-repo links and broken snippets.
+"""Documentation checker: dead links, broken snippets, stale CLI flags.
 
 Run from anywhere inside the repo::
 
@@ -18,12 +18,17 @@ Checks ``README.md`` plus every ``docs/*.md`` page:
 3. **``python -m`` commands** — every ``python -m <module>`` line in a
    fenced block must name an importable module (resolved with ``src``
    on the path), so copy-pasted commands keep working after renames.
+4. **CLI flag tables** — every table row whose first cell is a
+   backticked ``--flag`` must name an option some subcommand of
+   :func:`repro.cli.build_parser` defines, so a removed flag cannot
+   stay documented.
 
 Exits non-zero with one line per problem; CI runs this as the docs job.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import re
 import sys
@@ -44,6 +49,8 @@ _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.+?)\s*#*\s*$", re.MULTILINE)
 #: `python -m module ...` inside a code block (tolerates env-var prefixes).
 _PYTHON_M_RE = re.compile(r"python3?\s+-m\s+([A-Za-z_][\w.]*)")
+#: Table row whose first cell opens with a backticked long flag.
+_FLAG_ROW_RE = re.compile(r"^\|\s*`(--[A-Za-z0-9][\w-]*)", re.MULTILINE)
 
 _EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
 
@@ -138,13 +145,42 @@ def check_snippets(
     return errors
 
 
+def cli_options() -> set[str]:
+    """Every option string defined by any ``repro`` (sub)parser."""
+    from repro.cli import build_parser
+
+    options = set()
+    parsers = [build_parser()]
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            options.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return options
+
+
+def check_flags(page: Path, prose: str, root: Path) -> list[str]:
+    options = cli_options()
+    return [
+        f"{page.relative_to(root)}: table row documents `{flag}`, which "
+        f"no repro subcommand defines"
+        for flag in _FLAG_ROW_RE.findall(prose)
+        if flag not in options
+    ]
+
+
 def check_page(page: Path, root: Path = REPO_ROOT) -> list[str]:
     prose, blocks = split_markdown(page.read_text(encoding="utf-8"))
-    return check_links(page, prose, root) + check_snippets(page, blocks, root)
+    return (
+        check_links(page, prose, root)
+        + check_snippets(page, blocks, root)
+        + check_flags(page, prose, root)
+    )
 
 
 def main() -> int:
-    sys.path.insert(0, str(REPO_ROOT / "src"))  # resolve `python -m repro`
+    sys.path.insert(0, str(REPO_ROOT / "src"))  # `python -m repro`, repro.cli
     errors = []
     pages = doc_pages()
     for page in pages:
