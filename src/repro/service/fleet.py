@@ -78,6 +78,7 @@ from ..engine import GenerationRequest
 from ..engine.retry import CircuitBreaker
 from .faults import maybe_fire, protected, reset_faults_for_worker
 from .service import (
+    Admissions,
     GenerationService,
     RequestCancelled,
     ResultStream,
@@ -242,11 +243,25 @@ def _worker_main(
     out.put(("ready", worker_id))
 
     serve_futures: "set[concurrent.futures.Future]" = set()
+    # request_id -> cancel mark, for each request sent here whose
+    # service.submit has not returned yet: a cancel that overtakes the
+    # registration is held here and applied once submit returns.  Only
+    # the loop thread touches it.
+    unregistered: "dict[str, bool]" = {}
+
+    def _cancel(request_id: str) -> None:  # loop thread
+        if not service.cancel(request_id) and request_id in unregistered:
+            unregistered[request_id] = True
 
     async def _serve_one(request: GenerationRequest, session: "str | None"):
         request_id = request.request_id
         try:
-            stream = await service.submit(request, session=session)
+            try:
+                stream = await service.submit(request, session=session)
+            finally:
+                cancelled = unregistered.pop(request_id, False)
+            if cancelled:
+                service.cancel(request_id)
             async for chunk in stream.chunks():
                 out.put(("chunk", request_id, chunk))
             batch = await stream.result()
@@ -283,13 +298,18 @@ def _worker_main(
             except Exception as error:  # noqa: BLE001 - InjectedFault
                 out.put(("error", request.request_id, _safe_error(error)))
                 continue
+            # Ahead of the coroutine, so of any cancel for this id.
+            loop.call_soon_threadsafe(
+                unregistered.__setitem__, request.request_id, False
+            )
             future = asyncio.run_coroutine_threadsafe(
                 _serve_one(request, session), loop
             )
             serve_futures.add(future)
             future.add_done_callback(serve_futures.discard)
         elif kind == "cancel":
-            service.cancel(message[1])
+            # On the loop, behind this request's scheduled submit.
+            loop.call_soon_threadsafe(_cancel, message[1])
         elif kind == "rpc":
             _, seq, verb = message
             try:
@@ -334,15 +354,17 @@ def _worker_main(
 # Front side
 # ----------------------------------------------------------------------
 class _FleetPending:
-    """One in-flight request's front-side bookkeeping."""
+    """One in-flight request's front-side bookkeeping (an Admissions entry)."""
 
-    __slots__ = ("request", "session_id", "stream", "worker_id")
+    __slots__ = ("request", "session_id", "stream", "worker_id", "cancelled")
+    deadline_at = None  # the worker's service checks the deadline
 
     def __init__(self, request, session_id, stream):
         self.request = request
         self.session_id = session_id
         self.stream = stream
         self.worker_id: "int | None" = None
+        self.cancelled = False
 
 
 class _WorkerHandle:
@@ -382,9 +404,10 @@ class FleetService:
     :class:`~repro.service.ServiceClient` accept it unchanged.
 
     The front is a thin router: no thread or queue of its own between
-    ``submit`` and the worker pipes.  Its one registry, ``_live``, holds
-    every accepted-but-unresolved request; backpressure, drain and the
-    stop sweep all read it.
+    ``submit`` and the worker pipes.  Its one registry, the
+    :class:`~repro.service.service.Admissions` ledger, holds every
+    accepted-but-unresolved request; backpressure, drain and the stop
+    sweep all read it.
     """
 
     def __init__(self, config: "FleetConfig | None" = None):
@@ -412,13 +435,10 @@ class FleetService:
         self._key_routes: "OrderedDict[tuple, int]" = OrderedDict()
         self._route_lock = threading.Lock()
         self._route_clock = 0
-        self._live: "dict[str, _FleetPending]" = {}
-        self._live_lock = threading.Lock()
-        self._cancelled: "set[str]" = set()
+        self._admissions = Admissions()
         self._stats_lock = threading.Lock()
         self._rpc_seq = itertools.count()
         self._running = False
-        self._draining = False
 
     # -- lifecycle -------------------------------------------------------
     @property
@@ -432,7 +452,7 @@ class FleetService:
         self._loop = asyncio.get_running_loop()
         self._submit_lock = asyncio.Lock()
         self._freed = asyncio.Event()
-        self._draining = False
+        self._admissions.clear()
         for worker_id in range(self.config.workers):
             handle = _WorkerHandle(
                 worker_id,
@@ -509,9 +529,7 @@ class FleetService:
         async with self._submit_lock:
             await loop.run_in_executor(None, self._stop_workers, checkpoint)
         # Anything still unresolved (a worker died during stop) fails now.
-        with self._live_lock:
-            leftovers = list(self._live.values())
-        for pending in leftovers:
+        for pending in self._admissions.entries():
             self._resolve(
                 pending, error=RuntimeError("fleet service stopped")
             )
@@ -583,15 +601,14 @@ class FleetService:
         ``request_id`` that is still live with ``ValueError``, validates
         the session id on the submit path.  Routing runs here, in the
         executor, under the lock that fixes arrival order, so each
-        worker receives its requests in arrival order.  A submit still waiting for
-        capacity when the fleet stops raises ``RuntimeError``.
+        worker receives its requests in arrival order.  A submit still
+        waiting for capacity when the fleet stops raises
+        ``RuntimeError``, and so does one when :meth:`drain` began.  A
+        submit cancelled once its request was accepted cancels the
+        request.
         """
         if not self._running:
             raise RuntimeError("generation service is not running")
-        if self._draining:
-            raise RuntimeError(
-                "generation service is draining (not accepting requests)"
-            )
         if session is not None:
             SessionManager.validate_id(session)
         stream = ResultStream(request, self._loop)
@@ -600,47 +617,54 @@ class FleetService:
             # Clear-then-wait on the loop thread cannot miss a wakeup:
             # _resolve sets the event with call_soon_threadsafe, which
             # runs only after this coroutine yields.
-            while self._running and len(self._live) >= self._capacity:
+            while self._running and len(self._admissions) >= self._capacity:
                 self._freed.clear()
                 await self._freed.wait()
             if not self._running:
                 raise RuntimeError("generation service is not running")
-            with self._live_lock:
-                if request.request_id in self._live:
-                    raise ValueError(
-                        f"request_id {request.request_id!r} is already in "
-                        "flight"
-                    )
-                self._live[request.request_id] = pending
+            self._admissions.register(pending)
+            with self._stats_lock:
+                self.stats.submitted += 1
             # The pipe send pickles the request and may block: it runs
-            # in the executor, so the event loop keeps serving.
-            await self._loop.run_in_executor(None, self._route, pending)
-        with self._stats_lock:
-            self.stats.submitted += 1
+            # in the executor, so the event loop keeps serving.  Shielded:
+            # an unrun route job would leave the request live for good,
+            # so a cancelled submit cancels its request instead.
+            routed = self._loop.run_in_executor(None, self._route, pending)
+            try:
+                await asyncio.shield(routed)
+            except asyncio.CancelledError:
+                self.cancel(request.request_id)
+                await routed  # hold the lock until it is off the front
+                raise
         return stream
 
     def cancel(self, request_id: str) -> bool:
-        """Mark a live request cancelled; ``True`` when the mark took.
+        """Mark a live request cancelled; ``True`` when the mark took,
+        and then the request fails with :class:`RequestCancelled`
+        unless a stage already past its last boundary completes it.
 
         Before routing, :meth:`_route` fails the request instead of
-        sending it; after routing, the mark is forwarded to the owning
-        worker, whose service applies the usual stage-boundary
-        cancellation.
+        sending it.  Once its submit is on the pipe, the mark is
+        forwarded to the owning worker, whose service applies the usual
+        stage-boundary cancellation (the worker holds a mark that
+        arrives before its service registered the request).
         """
-        with self._live_lock:
-            pending = self._live.get(request_id)
-            if pending is None or pending.stream.done:
-                return False
-            self._cancelled.add(request_id)
-            worker_id = pending.worker_id
-        if worker_id is not None:
-            handle = self._workers.get(worker_id)
-            if handle is not None:
-                try:
-                    handle.send(("cancel", request_id))
-                except (OSError, ValueError):
-                    pass  # dead worker: the death sweep fails it anyway
+        pending = self._admissions.cancel(request_id)
+        if pending is None:
+            return False
+        # Read after the mark: _route sets worker_id under the ledger
+        # lock and forwards a mark it finds there, so one side forwards.
+        if pending.worker_id is not None:
+            self._forward_cancel(pending.worker_id, request_id)
         return True
+
+    def _forward_cancel(self, worker_id: int, request_id: str) -> None:
+        handle = self._workers.get(worker_id)
+        if handle is not None:
+            try:
+                handle.send(("cancel", request_id))
+            except (OSError, ValueError):
+                pass  # dead worker: the death sweep fails it anyway
 
     # -- routing (submit's executor hop) --------------------------------
     def _routing_key(self, pending: _FleetPending) -> tuple:
@@ -688,13 +712,9 @@ class FleetService:
     def _route(self, pending: _FleetPending) -> None:
         """Send one accepted request to its sticky worker, or fail it."""
         request_id = pending.request.request_id
-        with self._live_lock:
-            cancelled = request_id in self._cancelled
-        if cancelled:
-            self._resolve(
-                pending,
-                error=RequestCancelled(f"request {request_id} was cancelled"),
-            )
+        error = Admissions.boundary_error(pending)
+        if error is not None:
+            self._resolve(pending, error=error)
             return
         try:
             key = self._routing_key(pending)
@@ -711,7 +731,6 @@ class FleetService:
                 if not handle.alive:
                     continue  # died since the claim: re-claim
                 handle.inflight[request_id] = pending
-                pending.worker_id = handle.worker_id
             try:
                 handle.send(("submit", pending.request, pending.session_id))
             except (OSError, ValueError):
@@ -720,9 +739,16 @@ class FleetService:
                 # worker.
                 with handle.lock:
                     handle.inflight.pop(request_id, None)
-                pending.worker_id = None
                 continue
             handle.routed += 1
+            # Only now may cancel() forward a mark: a forwarded cancel
+            # must follow the submit on the pipe.  One that landed since
+            # the check above is forwarded here.
+            with self._admissions.lock:
+                pending.worker_id = handle.worker_id
+                cancelled = pending.cancelled
+            if cancelled:
+                self._forward_cancel(handle.worker_id, request_id)
             return
         self._fail_unrouted(pending, RuntimeError("no live fleet workers"))
 
@@ -783,14 +809,11 @@ class FleetService:
         The single exactly-once funnel: every accepted request passes
         through here exactly once (worker event, unrouted failure,
         dead-worker sweep, or stop sweep) — duplicates are cut off by
-        the live-registry pop.  A worker's events arrive on its reader
+        the ledger's release.  A worker's events arrive on its reader
         thread, so a request's chunks and result share one FIFO path
         to the loop.
         """
-        with self._live_lock:
-            live = self._live.pop(pending.request.request_id, None)
-            self._cancelled.discard(pending.request.request_id)
-        if live is None:
+        if not self._admissions.release(pending):
             return
         with self._stats_lock:
             if batch is not None:
@@ -864,7 +887,7 @@ class FleetService:
         # not race the respawn decision out of existence.
         if (
             self.config.respawn
-            and not self._draining
+            and not self._admissions.draining
             and handle.breaker.allow()
         ):
             handle.respawns += 1
@@ -922,23 +945,11 @@ class FleetService:
         return results
 
     async def drain(self, timeout: "float | None" = None) -> bool:
-        """Refuse new submissions and await in-flight completion.
-
-        Same contract as :meth:`GenerationService.drain`: stop accepting
-        and wait until every accepted request has resolved.  Returns
-        ``True`` when that happened within ``timeout`` seconds, ``False``
-        otherwise (the rest are still being served).  Sessions
-        checkpoint in :meth:`stop`, as in one process.
+        """Same contract as :meth:`GenerationService.drain`: refuse new
+        submissions and wait until every accepted request has resolved.
+        Sessions checkpoint in :meth:`stop`, as in one process.
         """
-        self._draining = True
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        while self._live:
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            await asyncio.sleep(0.02)
-        return True
+        return await self._admissions.drain(timeout)
 
     # -- observability ---------------------------------------------------
     @property
@@ -948,9 +959,7 @@ class FleetService:
         for handle in self._workers.values():
             with handle.lock:
                 routed += len(handle.inflight)
-        with self._live_lock:
-            accepted = len(self._live)
-        return max(0, accepted - routed)
+        return max(0, len(self._admissions) - routed)
 
     def queue_depths(self) -> dict:
         """Everything queued anywhere, now including the front.
@@ -966,11 +975,9 @@ class FleetService:
             with handle.lock:
                 if handle.alive:
                     workers[worker_id] = len(handle.inflight)
-        with self._live_lock:
-            in_flight = len(self._live)
         return {
             "submit": self.queue_depth,
-            "in_flight": in_flight,
+            "in_flight": len(self._admissions),
             "workers": workers,
         }
 
@@ -1033,7 +1040,7 @@ class FleetService:
             }
         return {
             "status": status,
-            "draining": self._draining,
+            "draining": self._admissions.draining,
             "worker_count": len(self._workers),
             "workers_alive": alive,
             "workers": workers,

@@ -89,7 +89,9 @@ class PendingRequest:
     ``deadline_at`` is the absolute ``perf_counter`` deadline derived
     from the request's ``deadline_s`` at submission (``None`` = no
     deadline); the service checks it at stage boundaries and fails the
-    request with ``DeadlineExceeded`` once passed.
+    request with ``DeadlineExceeded`` once passed.  ``cancelled`` is the
+    cancel mark, set by the service's admission ledger and honoured at
+    the same boundaries.
     """
 
     arrival: int
@@ -99,6 +101,7 @@ class PendingRequest:
     submitted_at: float = 0.0
     dequeued_at: float = 0.0
     deadline_at: float | None = None
+    cancelled: bool = False
 
 
 @dataclass

@@ -76,6 +76,7 @@ from .session import SessionConfig, SessionManager
 from .stats import StageLatencies
 
 __all__ = [
+    "Admissions",
     "DeadlineExceeded",
     "RequestCancelled",
     "ServiceConfig",
@@ -181,8 +182,8 @@ class _CommitToken:
     already failed (its error was delivered on the compute thread) and
     only needs its arrival slot released.  The service's sequencer
     admits strictly by ``arrival``.  ``pending`` is always set: the commit
-    stage uses it to release the request from the live (cancellable)
-    registry exactly once.
+    stage uses it to release the request from the :class:`Admissions`
+    ledger exactly once.
     """
 
     arrival: int
@@ -285,6 +286,96 @@ class ResultStream:
         return item
 
 
+class Admissions:
+    """The live-request ledger both serving topologies share.
+
+    It holds one entry per accepted request, from :meth:`register` until
+    :meth:`release`.  An entry is any object with ``request``,
+    ``stream``, ``cancelled`` and ``deadline_at``: the service's
+    :class:`~repro.service.scheduler.PendingRequest` or the fleet front's
+    ``_FleetPending``.  Thread-safe: ``lock`` also guards an entry's
+    ``cancelled`` mark, and ``draining`` is set once :meth:`drain` began.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.draining = False
+        self._entries: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def entries(self) -> list:
+        with self.lock:
+            return list(self._entries.values())
+
+    def register(self, entry) -> None:
+        """Accept ``entry``, or refuse it: ``RuntimeError`` once
+        :meth:`drain` began, ``ValueError`` while a live entry (its
+        stream not done) holds the same ``request_id``."""
+        request_id = entry.request.request_id
+        with self.lock:
+            if self.draining:
+                raise RuntimeError(
+                    "generation service is draining (not accepting requests)"
+                )
+            live = self._entries.get(request_id)
+            if live is not None and not live.stream.done:
+                raise ValueError(
+                    f"request_id {request_id!r} is already in flight"
+                )
+            self._entries[request_id] = entry
+
+    def release(self, entry) -> bool:
+        """Drop ``entry`` (by identity); ``True`` if it was registered."""
+        with self.lock:
+            if self._entries.get(entry.request.request_id) is not entry:
+                return False
+            del self._entries[entry.request.request_id]
+            return True
+
+    def cancel(self, request_id: str):
+        """Mark a live entry cancelled and return it; ``None`` (falsy)
+        when the id is unknown or its stream is already done."""
+        with self.lock:
+            entry = self._entries.get(request_id)
+            if entry is None or entry.stream.done:
+                return None
+            entry.cancelled = True
+            return entry
+
+    @staticmethod
+    def boundary_error(entry) -> "Exception | None":
+        """The stage-boundary verdict: cancelled, past deadline, or None."""
+        rid, deadline_at = entry.request.request_id, entry.deadline_at
+        if entry.cancelled:
+            return RequestCancelled(f"request {rid} was cancelled")
+        if deadline_at is not None and time.perf_counter() >= deadline_at:
+            return DeadlineExceeded(
+                f"request {rid} missed its "
+                f"{entry.request.deadline_s:g}s deadline"
+            )
+        return None
+
+    async def drain(self, timeout: "float | None" = None) -> bool:
+        """Refuse every later :meth:`register`, then wait until the ledger
+        is empty: ``True``, or ``False`` once ``timeout`` seconds pass."""
+        with self.lock:
+            self.draining = True
+        deadline = time.monotonic() + timeout if timeout is not None else None
+        while self._entries:
+            if deadline is not None and time.monotonic() >= deadline:
+                return False
+            await asyncio.sleep(0.02)
+        return True
+
+    def clear(self) -> None:
+        """Forget every entry and accept again (a service (re)starting)."""
+        with self.lock:
+            self._entries.clear()
+            self.draining = False
+
+
 class GenerationService:
     """Serves concurrent generation requests over shared engine state."""
 
@@ -321,15 +412,8 @@ class GenerationService:
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self._dispatch_event: asyncio.Event | None = None
-        # Cancellation registry: request_id -> PendingRequest for every
-        # request between submit and commit, plus the ids cancel() has
-        # marked.  Marks take effect at the next stage boundary.
-        self._live: dict[str, PendingRequest] = {}
-        self._cancelled: set[str] = set()
-        self._live_lock = threading.Lock()
-        # Draining: submissions are refused while the service finishes
-        # what it already accepted (graceful shutdown; see drain()).
-        self._draining = False
+        # Every request between submit and commit (cancel, drain).
+        self._admissions = Admissions()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -364,10 +448,7 @@ class GenerationService:
         # service does not wait on indices its last run never released.
         self._arrival = 0
         self._sequencer = ArrivalSequencer()
-        with self._live_lock:
-            self._live.clear()
-            self._cancelled.clear()
-        self._draining = False
+        self._admissions.clear()
         self._worker = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-service-compute"
         )
@@ -400,9 +481,7 @@ class GenerationService:
             while not self._queue.empty():
                 self._fail_pending(self._queue.get_nowait())
             self._queue = None
-        with self._live_lock:
-            self._live.clear()
-            self._cancelled.clear()
+        self._admissions.clear()
         if checkpoint:
             self.stats.checkpoints += len(self.sessions.checkpoint_all())
         if worker is not None:
@@ -433,16 +512,14 @@ class GenerationService:
 
         A draining service (graceful shutdown in progress) refuses new
         submissions with ``RuntimeError`` while it finishes the requests
-        it already accepted.  A ``request_id`` that is still live (its
-        stream has not resolved) is refused with ``ValueError``.  The
-        request's ``deadline_s``, if any, starts counting here.
+        it already accepted; that includes a submit still waiting for
+        the submit lock when :meth:`drain` began.  A ``request_id`` that
+        is still live (its stream has not resolved) is refused with
+        ``ValueError``.  The request's ``deadline_s``, if any, starts
+        counting here.
         """
         if not self.running or self._queue is None:
             raise RuntimeError("generation service is not running")
-        if self._draining:
-            raise RuntimeError(
-                "generation service is draining (not accepting requests)"
-            )
         if session is not None:
             # Syntax-check the id here (bad ids fail the submit); the
             # store itself — possibly a large snapshot load — is
@@ -454,14 +531,6 @@ class GenerationService:
         # always equals arrival order, even when the queue is full and
         # several submitters are waiting.
         async with self._submit_lock:
-            # Refuse a live duplicate before an arrival index is taken:
-            # a skipped index would stall the commit sequencer.
-            with self._live_lock:
-                live = self._live.get(request.request_id)
-            if live is not None and not live.stream.done:
-                raise ValueError(
-                    f"request_id {request.request_id!r} is already in flight"
-                )
             submitted_at = time.perf_counter()
             pending = PendingRequest(
                 arrival=self._arrival,
@@ -475,13 +544,11 @@ class GenerationService:
                     else None
                 ),
             )
+            # Register before the index is taken (a refused submit must
+            # not skip one: the commit sequencer would stall) and before
+            # the enqueue (the compute thread's release must find it).
+            self._admissions.register(pending)
             self._arrival += 1
-            # Register as live *before* the enqueue: once the queue holds
-            # the entry the compute thread may finish it at any moment,
-            # and its release must find the registration.
-            with self._live_lock:
-                self._live[request.request_id] = pending
-                self._cancelled.discard(request.request_id)
             try:
                 await self._queue.put(pending)
             except asyncio.CancelledError:
@@ -489,7 +556,7 @@ class GenerationService:
                 # kept any later one from being taken) and its live
                 # entry, or the commit order and drain() wait forever.
                 self._arrival -= 1
-                self._release_live(pending)
+                self._admissions.release(pending)
                 raise
         if not self.running:
             # stop() ran while we were waiting on a full queue; the drain
@@ -510,39 +577,11 @@ class GenerationService:
         request fails with :class:`RequestCancelled` and emits its one
         commit token — a stage already past its last boundary completes
         normally.  ``False`` means the id is unknown or already done.
+        The mark is a flag on the request's :class:`Admissions` entry.
         Thread-safe; callable from any thread (the TCP server calls it
         from connection handlers and on client disconnect).
         """
-        with self._live_lock:
-            pending = self._live.get(request_id)
-            if pending is None or pending.stream.done:
-                return False
-            self._cancelled.add(request_id)
-            return True
-
-    def _release_live(self, pending: PendingRequest) -> None:
-        """Drop a finished request from the cancellation registry."""
-        with self._live_lock:
-            if self._live.get(pending.request.request_id) is pending:
-                del self._live[pending.request.request_id]
-                self._cancelled.discard(pending.request.request_id)
-
-    def _boundary_error(self, pending: PendingRequest) -> "Exception | None":
-        """The stage-boundary verdict: cancelled, past deadline, or None."""
-        with self._live_lock:
-            if pending.request.request_id in self._cancelled:
-                return RequestCancelled(
-                    f"request {pending.request.request_id} was cancelled"
-                )
-        if (
-            pending.deadline_at is not None
-            and time.perf_counter() >= pending.deadline_at
-        ):
-            return DeadlineExceeded(
-                f"request {pending.request.request_id} missed its "
-                f"{pending.request.deadline_s:g}s deadline"
-            )
-        return None
+        return self._admissions.cancel(request_id) is not None
 
     def _fail_request(
         self, pending: PendingRequest, error: BaseException
@@ -564,18 +603,11 @@ class GenerationService:
         queued, gathering or dispatched — and ``False`` when ``timeout``
         seconds pass first (the rest are still being served — callers
         typically proceed to :meth:`stop`, which fails whatever is still
-        queued).  Idempotent; the service keeps running either way so a
-        final checkpoint can still happen.
+        queued).  A submit not yet accepted when drain begins is refused.
+        Idempotent; the service keeps running either way so a final
+        checkpoint can still happen.
         """
-        self._draining = True
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        while self._live:
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            await asyncio.sleep(0.02)
-        return True
+        return await self._admissions.drain(timeout)
 
     def health(self) -> dict:
         """Liveness snapshot (the ``op: "health"`` verb).
@@ -593,7 +625,7 @@ class GenerationService:
             }
         return {
             "status": status,
-            "draining": self._draining,
+            "draining": self._admissions.draining,
             "snapshot_load_fallbacks": self.sessions.load_fallbacks,
             **counters,
         }
@@ -648,7 +680,7 @@ class GenerationService:
         pending.stream._deliver_error(
             RuntimeError("generation service stopped")
         )
-        self._release_live(pending)
+        self._admissions.release(pending)
 
     def _dequeued(self, pending: PendingRequest) -> PendingRequest:
         """Stamp a request as pulled off the submit queue (loop thread)."""
@@ -713,7 +745,7 @@ class GenerationService:
             # Dequeue-time boundary: a request already cancelled, or
             # whose deadline passed while it queued, is dropped before
             # it costs any compute.
-            error = self._boundary_error(pending)
+            error = Admissions.boundary_error(pending)
             if error is None:
                 try:
                     pending.request.compatibility_key()
@@ -893,7 +925,7 @@ class GenerationService:
         executor = None
         for pending in micro.entries:
             request = pending.request
-            boundary = self._boundary_error(pending)
+            boundary = Admissions.boundary_error(pending)
             if boundary is not None:
                 # Dropped at the compute entry boundary: the finally
                 # block in _serve_micro_batch emits its skip token.
@@ -926,7 +958,7 @@ class GenerationService:
 
         ready = []
         for pending, plan in prepared:
-            boundary = self._boundary_error(pending)
+            boundary = Admissions.boundary_error(pending)
             if boundary is not None:
                 # Model-stage boundary: cancelled / expired between plan
                 # and sampling.
@@ -999,7 +1031,7 @@ class GenerationService:
             # Last boundary check: a request cancelled (or expired) while
             # it waited in the sequencer is dropped *before* admission —
             # nothing of it reaches the session store.
-            boundary = self._boundary_error(pending)
+            boundary = Admissions.boundary_error(pending)
             if boundary is not None:
                 self._fail_request(pending, boundary)
                 released = True
@@ -1047,7 +1079,7 @@ class GenerationService:
                 self._publish(pending.stream, ResultStream._deliver_error, error)
         finally:
             if token.pending is not None:
-                self._release_live(token.pending)
+                self._admissions.release(token.pending)
             if not released:
                 self._committed()
 

@@ -1,12 +1,13 @@
 """Chaos suite: deterministic fault injection across the serving stack.
 
 Every test drives a real failure through the real recovery path — retry,
-deadline drop, cancellation, torn checkpoint — under a
+deadline drop, torn checkpoint — under a
 :class:`~repro.service.FaultPlan`, and asserts the tentpole contracts:
 surviving requests are **bit-identical** to a fault-free serial run,
 every failed/cancelled/expired request gets **exactly one** terminal
 error, and the ordered commit stage never stalls (every ticket
-resolves) at any executor job count.
+resolves) at any executor job count.  Cancellation and drain, which
+both topologies must honour alike, live in ``test_contract.py``.
 """
 
 import json
@@ -21,7 +22,6 @@ from repro.service import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    RequestCancelled,
     SchedulerConfig,
     ServiceClient,
     ServiceConfig,
@@ -214,47 +214,6 @@ class TestDeadlines:
 
 
 # ----------------------------------------------------------------------
-# Cancellation
-# ----------------------------------------------------------------------
-class TestCancellation:
-    def test_cancel_unknown_or_done_request_returns_false(self):
-        with ServiceClient(ServiceConfig()) as client:
-            assert client.service.cancel("no-such-id") is False
-            ticket = client.submit(_rule_requests(1)[0])
-            ticket.result(timeout=60)
-            assert client.service.cancel(ticket.request_id) is False
-
-    def test_cancelled_request_fails_with_request_cancelled(self):
-        # A wide gather window keeps the request at the dispatch boundary
-        # long enough for the cancel to land deterministically.
-        config = ServiceConfig(
-            scheduler=SchedulerConfig(gather_window_s=0.5),
-        )
-        with ServiceClient(config) as client:
-            ticket = client.submit(_rule_requests(1)[0])
-            assert ticket.cancel() is True
-            with pytest.raises(RequestCancelled):
-                ticket.result(timeout=60)
-            stats = client.service.stats
-            assert stats.cancelled == 1
-            assert stats.failed == 1
-
-    def test_result_timeout_cancels_the_request(self):
-        # Satellite: a caller that gives up does not leak the request —
-        # the timeout cancels it service-side.
-        config = ServiceConfig(
-            scheduler=SchedulerConfig(gather_window_s=0.5),
-        )
-        with ServiceClient(config) as client:
-            ticket = client.submit(_rule_requests(1)[0])
-            with pytest.raises(TimeoutError, match="cancellation requested"):
-                ticket.result(timeout=0.01)
-            with pytest.raises(RequestCancelled):
-                ticket.result(timeout=60)
-            assert client.service.stats.cancelled == 1
-
-
-# ----------------------------------------------------------------------
 # Retry and degradation
 # ----------------------------------------------------------------------
 class TestRetryRecovery:
@@ -420,95 +379,3 @@ class TestSnapshotFaults:
         session = manager.get("tenant")
         assert len(session.store) == 0
         assert manager.load_fallbacks == 1
-
-
-# ----------------------------------------------------------------------
-# Drain
-# ----------------------------------------------------------------------
-class TestDrain:
-    def test_drain_refuses_new_work_and_finishes_inflight(self):
-        import asyncio
-
-        with ServiceClient(ServiceConfig(
-            scheduler=SchedulerConfig(gather_window_s=0.02),
-        )) as client:
-            tickets = [client.submit(r) for r in _rule_requests(3)]
-            drained = asyncio.run_coroutine_threadsafe(
-                client.service.drain(timeout=60), client._loop
-            ).result(timeout=120)
-            assert drained is True
-            with pytest.raises(RuntimeError, match="draining"):
-                client.submit(_rule_requests(1, base_seed=9)[0])
-            for ticket in tickets:
-                ticket.result(timeout=60)  # in-flight work completed
-            assert client.service.health()["draining"] is True
-
-    def test_drain_waits_for_a_request_in_the_gather_window(self):
-        """A request the gather loop has dequeued but not yet dispatched
-        is accepted work: drain must wait for it, so the stop() that
-        follows (as in ``repro serve`` on SIGTERM) cannot drop it."""
-        import asyncio
-        import time
-
-        request = _rule_requests(1, base_seed=40)[0]
-        serial = run_generation(request)
-        client = ServiceClient(ServiceConfig(
-            scheduler=SchedulerConfig(gather_window_s=0.5),
-        )).start()
-        try:
-            ticket = client.submit(request)
-            time.sleep(0.05)  # inside the gather window
-            drained = asyncio.run_coroutine_threadsafe(
-                client.service.drain(timeout=10), client._loop
-            ).result(timeout=30)
-            assert drained is True
-        finally:
-            client.close()
-        _assert_batches_identical(serial, ticket.result(timeout=0))
-
-    def test_cancelled_submit_is_not_accepted(self):
-        """A submit cancelled while it waits on a full queue was never
-        accepted: later requests still commit, and drain does not wait
-        for it."""
-        import asyncio
-        import time
-
-        from repro.engine import get_backend
-        from repro.service import GenerationService
-
-        class _SlowRule:
-            name = "rule"
-
-            def __init__(self, **kwargs):
-                self._inner = get_backend("rule", **kwargs)
-                self.deck = self._inner.deck
-
-            def propose(self, request, rng):
-                time.sleep(1.0)  # holds the queue full while r2 waits
-                return self._inner.propose(request, rng)
-
-        service = GenerationService(
-            ServiceConfig(
-                queue_size=1,
-                scheduler=SchedulerConfig(
-                    gather_window_s=0.0, max_batch_requests=1
-                ),
-            ),
-            backend_factory=lambda name, **kwargs: _SlowRule(**kwargs),
-        )
-        requests = _rule_requests(4, base_seed=50)
-        with ServiceClient(service=service) as client:
-            first = client.submit(requests[0])  # dispatched, computing
-            time.sleep(0.05)
-            second = client.submit(requests[1])  # fills the queue
-            with pytest.raises(asyncio.TimeoutError):
-                asyncio.run_coroutine_threadsafe(
-                    asyncio.wait_for(service.submit(requests[2]), 0.05),
-                    client._loop,
-                ).result(timeout=30)
-            fourth = client.submit(requests[3])
-            for ticket in (first, second, fourth):
-                ticket.result(timeout=30)
-            assert asyncio.run_coroutine_threadsafe(
-                service.drain(timeout=10), client._loop
-            ).result(timeout=30) is True

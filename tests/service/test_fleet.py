@@ -10,6 +10,7 @@ workers legitimately fail their in-flight requests.
 """
 
 import asyncio
+import concurrent.futures
 import pickle
 import threading
 import time
@@ -19,8 +20,7 @@ import pytest
 
 from repro.core.library import PatternLibrary
 from repro.drc import advanced_deck
-from repro.engine import GenerationRequest, register_backend, run_generation
-from repro.engine.backends import RuleBackend
+from repro.engine import GenerationRequest, run_generation
 from repro.geometry import Grid
 from repro.library import load_library
 from repro.service import (
@@ -293,29 +293,6 @@ class TestFleetObservability:
         assert client.service.running is False
 
 
-class _SleepyBackend(RuleBackend):
-    """The rule backend, after sleeping ``params["sleep_s"]`` in propose."""
-
-    name = "test-sleepy"
-
-    def propose(self, request, rng):
-        time.sleep(request.params["sleep_s"])
-        return super().propose(request, rng)
-
-
-@pytest.fixture
-def sleepy(deck):
-    """Registers the sleeping backend in the front, before any fleet forks
-    (workers inherit it); returns a request factory."""
-    register_backend("test-sleepy", _SleepyBackend, overwrite=True)
-
-    def make(seed, sleep_s=1.0):
-        return GenerationRequest(backend="test-sleepy", count=2, seed=seed,
-                                 deck=deck, params={"sleep_s": sleep_s})
-
-    return make
-
-
 @_skip_under_fleet_faults
 class TestFleetFront:
     """The front only routes: no cross-worker publish order, a real
@@ -332,34 +309,6 @@ class TestFleetFront:
             assert slow.result(timeout=30).attempts == 2
             names = {thread.name for thread in threading.enumerate()}
         assert "repro-fleet-router" not in names
-
-    @_skip_under_fleet_faults
-    def test_duplicate_live_request_id_is_refused(self, deck):
-        # The worker holds the first request in a gather window that only
-        # a second accepted request closes, so it is live at the dup.
-        first, dup, other = (
-            GenerationRequest(backend="rule", count=3, seed=seed, deck=deck,
-                              request_id=rid)
-            for seed, rid in ((1, "dup"), (2, "dup"), (3, "other"))
-        )
-        config = ServiceConfig(scheduler=SchedulerConfig(
-            max_batch_requests=2, gather_window_s=30.0
-        ))
-        with _fleet_client(1, config) as client:
-            ticket = client.submit(first)
-            with pytest.raises(ValueError, match="already in flight"):
-                client.submit(dup)
-            client.submit(other)
-            _assert_batches_identical(
-                ticket.result(timeout=60), run_generation(first)
-            )
-            # A resolved id is free again.
-            again = client.submit(dup)
-            client.submit(GenerationRequest(backend="rule", count=1,
-                                            deck=deck))
-            _assert_batches_identical(
-                again.result(timeout=60), run_generation(dup)
-            )
 
     def test_submit_awaits_while_the_fleet_is_full(self, sleepy):
         # One worker with queue_size=1 and max_batch_requests=1 holds
@@ -388,6 +337,32 @@ class TestFleetFront:
             ticket, _ = third[0]
             for pending in (second, ticket):
                 assert pending.result(timeout=60).attempts == 2
+
+    def test_submit_cancelled_while_routing_resolves(self, deck):
+        """A submit cancelled during its routing hop leaves no live entry:
+        its accepted request resolves as cancelled, and drain returns."""
+        release = threading.Event()
+        with _fleet_client(1) as client:
+            loop = client._loop
+            # One executor thread, held busy, so the hop is still queued
+            # when the submit is cancelled.
+            executor = concurrent.futures.ThreadPoolExecutor(max_workers=1)
+            loop.call_soon_threadsafe(loop.set_default_executor, executor)
+            executor.submit(release.wait, 30)
+            timer = threading.Timer(0.3, release.set)
+            timer.start()
+            request = _requests(deck, 1, base_seed=1400)[0]
+            with pytest.raises(asyncio.TimeoutError):
+                asyncio.run_coroutine_threadsafe(
+                    asyncio.wait_for(client.service.submit(request), 0.05),
+                    loop,
+                ).result(timeout=30)
+            timer.join(30)
+            assert asyncio.run_coroutine_threadsafe(
+                client.service.drain(10), loop
+            ).result(timeout=30) is True
+            assert client.service.queue_depths()["in_flight"] == 0
+            assert client.service.stats.cancelled == 1
 
     def test_threaded_submits_at_capacity_resolve_once(self, deck):
         # More workers than cores, a capacity of 3 × 2 = 6 and eight
@@ -452,24 +427,6 @@ class TestFleetFront:
         thread.join(30)
         assert not thread.is_alive()
         assert len(errors) == 1
-
-    def test_drain_waits_for_accepted_requests(self, deck, sleepy):
-        with _fleet_client(2) as client:
-            ticket = client.submit(sleepy(7))
-
-            def drain(timeout):
-                return asyncio.run_coroutine_threadsafe(
-                    client.service.drain(timeout), client._loop
-                ).result()
-
-            assert drain(0.2) is False
-            assert client.service.health()["draining"] is True
-            with pytest.raises(RuntimeError, match="draining"):
-                client.submit(_requests(deck, 1, base_seed=1200)[0])
-            assert drain(None) is True
-            assert client.service.queue_depths()["in_flight"] == 0
-            assert ticket.result(timeout=0).attempts == 2
-
 
 @_skip_under_fleet_faults
 class TestFleetConfigResolution:

@@ -367,14 +367,6 @@ class TestLifecycleAndErrors:
             assert client.service.stats.failed == 1
             assert client.service.stats.completed == 1
 
-    def test_invalid_session_id_fails_at_submit(self, deck):
-        with ServiceClient() as client:
-            with pytest.raises(ValueError, match="session id"):
-                client.submit(
-                    GenerationRequest(backend="rule", count=1, deck=deck),
-                    session="../escape",
-                )
-
     def test_close_is_idempotent(self, deck):
         client = ServiceClient().start()
         client.generate(GenerationRequest(backend="rule", count=2, deck=deck))
@@ -410,33 +402,6 @@ class TestLifecycleAndErrors:
         client.close()
         with pytest.raises(RuntimeError, match="stopped"):
             ticket.result(timeout=10)
-
-    def test_duplicate_live_request_id_is_refused(self, deck):
-        # The first request waits in a gather window that only a second
-        # accepted request closes, so it is live at the duplicate submit.
-        first, dup, other = (
-            GenerationRequest(backend="rule", count=3, seed=seed, deck=deck,
-                              request_id=rid)
-            for seed, rid in ((1, "dup"), (2, "dup"), (3, "other"))
-        )
-        config = ServiceConfig(scheduler=SchedulerConfig(
-            max_batch_requests=2, gather_window_s=30.0
-        ))
-        with ServiceClient(config) as client:
-            ticket = client.submit(first)
-            with pytest.raises(ValueError, match="already in flight"):
-                client.submit(dup)
-            client.submit(other)
-            _assert_batches_identical(
-                ticket.result(timeout=60), run_generation(first)
-            )
-            # A resolved id is free again.
-            again = client.submit(dup)
-            client.submit(GenerationRequest(backend="rule", count=1,
-                                            deck=deck))
-            _assert_batches_identical(
-                again.result(timeout=60), run_generation(dup)
-            )
 
     def test_poisoned_request_fields_fail_only_their_batch(self, deck):
         # compatibility_key() reprs user-supplied params on the
