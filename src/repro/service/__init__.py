@@ -6,17 +6,15 @@ machinery in a long-lived asyncio service:
 * :class:`GenerationService` — bounded request queue, a micro-batching
   scheduler that coalesces compatible requests from concurrent clients
   into shared executor runs on one compute thread with warm backends
-  and executors, streaming per-request results, an ordered commit
-  stage, and session-scoped library stores with arrival-order merges
-  and periodic snapshot checkpoints;
+  and executors, streaming per-request results, arrival-order commits
+  per gather window, and session-scoped library stores with
+  arrival-order merges and periodic snapshot checkpoints;
 * :class:`MicroBatchScheduler` / :class:`SchedulerConfig` — the pure
   coalescing rules (group by compatibility key, arrival order inside a
   batch, priority across batches); the service samples each
   micro-batch of a pack-capable backend through
   :meth:`repro.engine.BatchExecutor.run_model_packed`, which packs the
   requests' sampling chunks with :func:`repro.engine.pack_chunks`;
-* :class:`ArrivalSequencer` — runs per-request commits in global
-  arrival order; the service's commit stage is its one user;
 * :class:`LatencyHistogram` / :class:`StageLatencies` — per-stage
   serving latency histograms (:data:`STAGES`), exported by the
   ``op: "stats"`` verb;
@@ -90,7 +88,6 @@ from .payload import (
     payload_frames,
 )
 from .scheduler import (
-    ArrivalSequencer,
     MicroBatch,
     MicroBatchScheduler,
     PendingRequest,
@@ -122,7 +119,6 @@ __all__ = [
     "PAYLOAD_MODES",
     "SHARED_SESSION",
     "STAGES",
-    "ArrivalSequencer",
     "AssembledPayload",
     "ClientTicket",
     "DeadlineExceeded",

@@ -27,23 +27,19 @@ chunk size to :meth:`repro.engine.BatchExecutor.run_model_packed`,
 which packs the chunks with :func:`repro.engine.pack_chunks`.
 
 Coalescing can run a later arrival before an earlier one (groups are
-per key), so results are put back in order by the
-:class:`ArrivalSequencer`, whose one user is the service's commit
-stage.
+per key, ordered by priority), so the service's compute thread commits
+each gather window in arrival order after its micro-batches run (see
+:meth:`repro.service.GenerationService._serve_window`).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from ..engine import GenerationRequest
 
 __all__ = [
-    "ArrivalSequencer",
     "SchedulerConfig",
     "PendingRequest",
     "MicroBatch",
@@ -80,10 +76,11 @@ class SchedulerConfig:
 class PendingRequest:
     """A queued request plus its service-side bookkeeping.
 
-    ``arrival`` is the service's monotonically increasing submission
-    index — the canonical order for session merges.  ``stream`` is the
-    :class:`~repro.service.ResultStream` results are published to (typed
-    ``Any`` to keep the scheduler import-light and testable standalone).
+    ``arrival`` is the service's increasing submission index — the
+    canonical order for session merges (a gap in it is harmless).
+    ``stream`` is the :class:`~repro.service.ResultStream` results are
+    published to (typed ``Any`` to keep the scheduler import-light and
+    testable standalone).
     ``submitted_at``/``dequeued_at`` are ``time.perf_counter()`` stamps
     feeding the service's ``queue``/``gather`` latency histograms.
     ``deadline_at`` is the absolute ``perf_counter`` deadline derived
@@ -160,49 +157,3 @@ class MicroBatchScheduler:
             key=lambda b: (-b.priority, min(e.arrival for e in b.entries))
         )
         return batches
-
-
-class ArrivalSequencer:
-    """Run per-arrival callbacks strictly in arrival order.
-
-    Arrival indices are assigned ``0, 1, 2, ...`` at submission; work
-    finishes out of order, and :meth:`release` holds each callback until
-    every earlier arrival has been released.  Every index must be
-    released exactly once or the sequence stalls; :meth:`flush` runs
-    whatever is still held, in arrival order, at shutdown.  Callbacks run
-    under the lock, so they must not call back into the sequencer.
-
-    The service's commit stage is its one user: its compute thread
-    releases every request and runs the admissions now due.  A fleet
-    front needs no sequencer: a session's requests all reach one owner
-    worker in arrival order, and only per-session order reaches any
-    output.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._heap: "list[tuple[int, int, Callable[[], None]]]" = []
-        self._tiebreak = itertools.count()
-        self._next = 0
-
-    def release(self, arrival: int, publish: Callable[[], None]) -> None:
-        """Queue ``publish`` for ``arrival``; run every callback now due."""
-        with self._lock:
-            heapq.heappush(self._heap, (arrival, next(self._tiebreak), publish))
-            while self._heap and self._heap[0][0] == self._next:
-                self._next += 1
-                heapq.heappop(self._heap)[2]()
-
-    def flush(self) -> None:
-        """Run every held callback in arrival order, gaps notwithstanding."""
-        with self._lock:
-            entries = sorted(self._heap)
-            self._heap = []
-            for _, _, publish in entries:
-                publish()
-
-    @property
-    def pending(self) -> int:
-        """Callbacks held back waiting for an earlier arrival."""
-        with self._lock:
-            return len(self._heap)

@@ -22,14 +22,14 @@
   every core through row-sharded forwards (:mod:`repro.nn.shards`);
   denoise, DRC and admission run serially; process-level parallelism
   above a micro-batch is the fleet's job (:mod:`repro.service.fleet`);
-* **ordered commit stage** — after its compute stages, the compute
-  thread hands every request to an
-  :class:`~repro.service.scheduler.ArrivalSequencer`, which admits
-  results in **global arrival order** (coalescing groups by key, so a
-  later arrival can finish first).  That keeps session stores
-  bit-identical to serial :func:`~repro.engine.run_generation` calls —
-  the load-bearing determinism invariant — and leaves the compute
-  thread the only one that ever touches a session store;
+* **arrival-order commit** — the compute thread serves one gather
+  window at a time and, after each of its micro-batches, admits the
+  window's results in **arrival order** (coalescing groups by key and
+  priority, so a later arrival can finish first).  Windows run FIFO,
+  so that is global arrival order: session stores stay bit-identical
+  to serial :func:`~repro.engine.run_generation` calls — the
+  load-bearing determinism invariant — and the compute thread is the
+  only one that ever touches a session store;
 * **streaming results** — each request's proposal is streamed back as
   :class:`~repro.engine.CandidateBatch` chunks, followed by the final
   :class:`~repro.engine.GenerationBatch`;
@@ -66,7 +66,6 @@ from ..engine import (
 )
 from .faults import maybe_fire, protected
 from .scheduler import (
-    ArrivalSequencer,
     MicroBatch,
     MicroBatchScheduler,
     PendingRequest,
@@ -171,24 +170,6 @@ class ServiceStats:
     last_pack_fill: float = 0.0  # gauge: latest packed stage's fill ratio
     queue_depth: int = 0  # gauge: submit-queue depth at latest cycle dispatch
     stages: StageLatencies = field(default_factory=StageLatencies)
-
-
-@dataclass
-class _CommitToken:
-    """One request's entry in the ordered commit stage.
-
-    Every dispatched request emits exactly one token — ``ready`` carries
-    the staged results awaiting admission, ``None`` marks a request that
-    already failed (its error was delivered on the compute thread) and
-    only needs its arrival slot released.  The service's sequencer
-    admits strictly by ``arrival``.  ``pending`` is always set: the commit
-    stage uses it to release the request from the :class:`Admissions`
-    ledger exactly once.
-    """
-
-    arrival: int
-    ready: "tuple | None" = None
-    pending: "PendingRequest | None" = None
 
 
 class ResultStream:
@@ -391,7 +372,7 @@ class GenerationService:
         self.sessions = session_manager or SessionManager(self.config.sessions)
         self.stats = ServiceStats()
         self._backend_factory = backend_factory
-        # Compute stage: one thread running micro-batches FIFO and
+        # Compute stage: one thread serving gather windows FIFO and
         # committing them, plus its warm state — backends per (name,
         # deck key) and executors per deck key.  Touched only by the
         # compute thread until stop() drops it.
@@ -403,10 +384,8 @@ class GenerationService:
         self._task: asyncio.Task | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._submit_lock: asyncio.Lock | None = None
+        # Submission index: the scheduler's sort key (gaps are harmless).
         self._arrival = 0
-        # Ordered commit stage: one token per dispatched request; the
-        # compute thread releases each and admits strictly by arrival.
-        self._sequencer = ArrivalSequencer()
         # Dispatch backpressure: requests dispatched but not yet
         # committed; the gather loop pauses above the in-flight limit.
         self._inflight = 0
@@ -444,10 +423,6 @@ class GenerationService:
         self._submit_lock = asyncio.Lock()
         self._dispatch_event = asyncio.Event()
         self._inflight = 0
-        # Arrival indices restart with the sequencer, so a restarted
-        # service does not wait on indices its last run never released.
-        self._arrival = 0
-        self._sequencer = ArrivalSequencer()
         self._admissions.clear()
         self._worker = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-service-compute"
@@ -471,11 +446,10 @@ class GenerationService:
                 await task
             except asyncio.CancelledError:
                 pass
-        # Every dispatched micro-batch runs and releases its tokens;
-        # the compute thread's last task commits whatever is still held.
+        # Every dispatched window still runs and commits before the
+        # compute thread exits.
         worker, self._worker = self._worker, None
         if worker is not None:
-            worker.submit(self._sequencer.flush)
             await loop.run_in_executor(None, worker.shutdown)
         if self._queue is not None:
             while not self._queue.empty():
@@ -544,18 +518,15 @@ class GenerationService:
                     else None
                 ),
             )
-            # Register before the index is taken (a refused submit must
-            # not skip one: the commit sequencer would stall) and before
-            # the enqueue (the compute thread's release must find it).
+            # Register before the enqueue: a refused request must never
+            # reach the queue.
             self._admissions.register(pending)
             self._arrival += 1
             try:
                 await self._queue.put(pending)
             except asyncio.CancelledError:
-                # Never accepted: give back its arrival index (the lock
-                # kept any later one from being taken) and its live
-                # entry, or the commit order and drain() wait forever.
-                self._arrival -= 1
+                # Never accepted: drop its live entry, or drain() waits
+                # forever.
                 self._admissions.release(pending)
                 raise
         if not self.running:
@@ -574,26 +545,30 @@ class GenerationService:
 
         Cancellation is a *boundary* operation: the mark is honoured at
         the next stage boundary (dispatch, model, admit), where the
-        request fails with :class:`RequestCancelled` and emits its one
-        commit token — a stage already past its last boundary completes
-        normally.  ``False`` means the id is unknown or already done.
-        The mark is a flag on the request's :class:`Admissions` entry.
-        Thread-safe; callable from any thread (the TCP server calls it
-        from connection handlers and on client disconnect).
+        request fails with :class:`RequestCancelled` — a stage already
+        past its last boundary completes normally.  ``False`` means the
+        id is unknown or already done.  The mark is a flag on the
+        request's :class:`Admissions` entry.  Thread-safe; callable from
+        any thread (the TCP server calls it from connection handlers and
+        on client disconnect).
         """
         return self._admissions.cancel(request_id) is not None
+
+    def _count_failure(self, error: BaseException) -> None:
+        """Count one failed request, and its deadline or cancel kind."""
+        with self._stats_lock:
+            self.stats.failed += 1
+            if isinstance(error, DeadlineExceeded):
+                self.stats.deadline_drops += 1
+            elif isinstance(error, RequestCancelled):
+                self.stats.cancelled += 1
 
     def _fail_request(
         self, pending: PendingRequest, error: BaseException
     ) -> None:
         """Deliver a terminal error (any thread; done-guarded counters)."""
         if not pending.stream.done:
-            with self._stats_lock:
-                self.stats.failed += 1
-                if isinstance(error, DeadlineExceeded):
-                    self.stats.deadline_drops += 1
-                elif isinstance(error, RequestCancelled):
-                    self.stats.cancelled += 1
+            self._count_failure(error)
         self._publish(pending.stream, ResultStream._deliver_error, error)
 
     async def drain(self, timeout: "float | None" = None) -> bool:
@@ -674,12 +649,10 @@ class GenerationService:
     # ------------------------------------------------------------------
     def _fail_pending(self, pending: PendingRequest) -> None:
         """Fail an undelivered request (loop thread; double-safe)."""
+        error = RuntimeError("generation service stopped")
         if not pending.stream.done:
-            with self._stats_lock:
-                self.stats.failed += 1
-        pending.stream._deliver_error(
-            RuntimeError("generation service stopped")
-        )
+            self._count_failure(error)
+        pending.stream._deliver_error(error)
         self._admissions.release(pending)
 
     def _dequeued(self, pending: PendingRequest) -> PendingRequest:
@@ -692,7 +665,7 @@ class GenerationService:
         cfg = self.config.scheduler
         # In-flight limit: dispatched-but-uncommitted requests.  Above
         # it the gather loop pauses *before dequeuing* (dequeued
-        # requests are always dispatched promptly, so commit order can
+        # requests are always dispatched promptly, so a window can
         # never deadlock against this backpressure).
         limit = max(self.config.queue_size, cfg.max_batch_requests)
         while True:
@@ -726,20 +699,17 @@ class GenerationService:
                         break
             except asyncio.CancelledError:
                 # stop() cancelled us mid-gather: requests already pulled
-                # off the queue would otherwise never resolve.  They were
-                # never dispatched, so no commit tokens are owed.
+                # off the queue would otherwise never resolve.
                 for pending in batch:
                     self._fail_pending(pending)
                 raise
             self._dispatch(batch)
 
     def _dispatch(self, batch: list[PendingRequest]) -> None:
-        """Hand one gather window's micro-batches to compute (loop thread)."""
+        """Hand one gather window to the compute thread (loop thread)."""
         # compatibility_key() evaluates user-supplied fields (deck,
         # params reprs); a poisoned request must fail alone — not
         # its co-arriving neighbours, and never the scheduler loop.
-        with self._inflight_lock:
-            self._inflight += len(batch)
         healthy = []
         for pending in batch:
             # Dequeue-time boundary: a request already cancelled, or
@@ -752,15 +722,13 @@ class GenerationService:
                 except Exception as bad:  # noqa: BLE001 - bad fields
                     error = bad
             if error is not None:
+                # It joins no window, so it leaves the ledger here.
                 self._fail_request(pending, error)
-                # Release the arrival slot (on the compute thread, so no
-                # admission runs here): the commit stage must not wait
-                # forever on a request nothing will ever serve.
-                self._worker.submit(
-                    self._release, _CommitToken(pending.arrival, pending=pending)
-                )
+                self._admissions.release(pending)
             else:
                 healthy.append(pending)
+        with self._inflight_lock:
+            self._inflight += len(healthy)
         micro_batches = self.scheduler.coalesce(healthy)
         # Queue-depth gauge: what is still waiting now that this
         # cycle's requests have been pulled off the queue.
@@ -775,7 +743,8 @@ class GenerationService:
                 self.stats.stages.observe(
                     "gather", max(0.0, now - entry.dequeued_at)
                 )
-            self._worker.submit(self._serve_micro_batch, micro)
+        if healthy:
+            self._worker.submit(self._serve_window, healthy, micro_batches)
 
     # ------------------------------------------------------------------
     # Compute stage (compute-thread side)
@@ -806,35 +775,48 @@ class GenerationService:
             self._executors[key] = executor
         return executor
 
-    def _serve_micro_batch(self, micro: MicroBatch) -> None:
-        """Serve one micro-batch, then release its commit tokens.
+    def _serve_window(
+        self, window: list[PendingRequest], micro_batches: list[MicroBatch]
+    ) -> None:
+        """Serve one gather window and commit it in arrival order.
 
-        Every request the micro-batch carried emits **exactly one**
-        token — ``ready`` results await ordered admission, failures
-        (already delivered on this thread) release their arrival slot —
-        so a crash anywhere in the compute stages can never stall the
-        commit order later requests are waiting on.
+        ``window`` is in arrival order (the queue is FIFO); the
+        micro-batches run in scheduler order, which can finish a later
+        arrival first.  After each micro-batch the window's *due prefix*
+        commits: every request whose own micro-batch and every earlier
+        arrival's has run.  Windows run FIFO on this one thread, so
+        session stores grow in global arrival order, and a request that
+        failed before compute is in no window at all.
         """
+        staged: dict[int, tuple] = {}
+        served: set[int] = set()
+        due = 0
+        try:
+            for micro in micro_batches:
+                for item in self._serve_micro_batch(micro):
+                    staged[id(item[0])] = item
+                served.update(id(pending) for pending in micro.entries)
+                while due < len(window) and id(window[due]) in served:
+                    pending, due = window[due], due + 1
+                    self._commit_one(pending, staged.pop(id(pending), None))
+        finally:
+            for pending in window[due:]:
+                self._commit_one(pending, staged.pop(id(pending), None))
+
+    def _serve_micro_batch(self, micro: MicroBatch) -> list[tuple]:
+        """Run one micro-batch's compute stages; returns the staged
+        results.  A crash fails every request it carried."""
         with self._stats_lock:
             self.stats.micro_batches += 1
             self.stats.peak_coalesced = max(
                 self.stats.peak_coalesced, len(micro)
             )
-        ready: list[tuple] = []
         try:
-            ready = self._run_micro_batch(micro)
+            return self._run_micro_batch(micro)
         except Exception as error:  # noqa: BLE001 - compute must survive
             for pending in micro.entries:
                 self._fail_request(pending, error)
-        finally:
-            staged = {id(item[0]) for item in ready}
-            for item in ready:
-                self._release(
-                    _CommitToken(item[0].arrival, ready=item, pending=item[0])
-                )
-            for pending in micro.entries:
-                if id(pending) not in staged:
-                    self._release(_CommitToken(pending.arrival, pending=pending))
+            return []
 
     def _packed_model_stage(self, executor, prepared):
         """Sample the micro-batch's model stages as shared packed batches.
@@ -927,8 +909,7 @@ class GenerationService:
             request = pending.request
             boundary = Admissions.boundary_error(pending)
             if boundary is not None:
-                # Dropped at the compute entry boundary: the finally
-                # block in _serve_micro_batch emits its skip token.
+                # Dropped at the compute entry boundary.
                 self._fail_request(pending, boundary)
                 continue
             try:
@@ -1004,33 +985,22 @@ class GenerationService:
         return ready
 
     # ------------------------------------------------------------------
-    # Ordered commit stage (compute-thread side)
+    # Arrival-order commit (compute-thread side)
     # ------------------------------------------------------------------
-    def _release(self, token: _CommitToken) -> None:
-        """Hand one token to the sequencer; commit every arrival now due.
-
-        Coalescing groups a gather window by key, so micro-batches can
-        finish a later arrival before an earlier one; the sequencer holds
-        each token until every earlier arrival has committed, so session
-        stores grow in **global arrival order**.  Every dequeued request
-        releases exactly one token (ready or skip), and dequeueing itself
-        is FIFO by arrival, so no index is ever skipped over.  At stop
-        the compute thread flushes any held tokens in arrival order.
-        """
-        self._sequencer.release(
-            token.arrival, functools.partial(self._commit_one, token)
-        )
-
-    def _commit_one(self, token: _CommitToken) -> None:
-        """Admit one request's results (or release a failed slot)."""
+    def _commit_one(
+        self, pending: PendingRequest, ready: "tuple | None"
+    ) -> None:
+        """Admit one request's staged results.  ``ready`` is ``None`` for
+        a request that already failed: it only gives back its ledger
+        entry and in-flight slot."""
         released = False
         try:
-            if token.ready is None:
+            if ready is None:
                 return
-            pending, executor, plan, clips, legal, timings = token.ready
+            _, executor, plan, clips, legal, timings = ready
             # Last boundary check: a request cancelled (or expired) while
-            # it waited in the sequencer is dropped *before* admission —
-            # nothing of it reaches the session store.
+            # it waited for earlier arrivals is dropped *before*
+            # admission — nothing of it reaches the session store.
             boundary = Admissions.boundary_error(pending)
             if boundary is not None:
                 self._fail_request(pending, boundary)
@@ -1065,12 +1035,7 @@ class GenerationService:
                 with self._stats_lock:
                     self.stats.completed += 1
             else:
-                with self._stats_lock:
-                    self.stats.failed += 1
-                    if isinstance(error, DeadlineExceeded):
-                        self.stats.deadline_drops += 1
-                    elif isinstance(error, RequestCancelled):
-                        self.stats.cancelled += 1
+                self._count_failure(error)
             released = True
             self._committed()
             if error is None:
@@ -1078,8 +1043,7 @@ class GenerationService:
             else:
                 self._publish(pending.stream, ResultStream._deliver_error, error)
         finally:
-            if token.pending is not None:
-                self._admissions.release(token.pending)
+            self._admissions.release(pending)
             if not released:
                 self._committed()
 

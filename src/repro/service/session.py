@@ -18,9 +18,9 @@ so a crashed or restarted service resumes from the last checkpoint.
 
 Admission itself happens on the service's compute thread, one request
 at a time in global arrival order — see
-:meth:`repro.service.GenerationService._release` — which is what makes
-a session's final store deterministic for a fixed submission order, and
-leaves that thread the only one that touches a session store.
+:meth:`repro.service.GenerationService._serve_window` — which is what
+makes a session's final store deterministic for a fixed submission
+order, and leaves that thread the only one that touches a session store.
 """
 
 from __future__ import annotations

@@ -128,3 +128,13 @@ class TestCheckerCatchesProblems:
         errors = check_docs.check_page(page(text), tmp_path)
         assert len(errors) == 1
         assert "`--removed-zz`" in errors[0]
+
+    def test_stale_api_name(self, page, tmp_path):
+        text = (
+            "Live: `repro.engine.BatchExecutor.run_model_packed`, "
+            "`repro.service.faults`, `repro.drc.clear_shared_caches()`.\n"
+            "Gone: `repro.service.scheduler.DeletedClassZz`.\n"
+        )
+        errors = check_docs.check_page(page(text), tmp_path)
+        assert len(errors) == 1
+        assert "`repro.service.scheduler.DeletedClassZz`" in errors[0]

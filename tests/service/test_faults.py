@@ -197,8 +197,8 @@ class TestDeadlines:
         _assert_batches_identical(reference, served)
 
     def test_expired_request_never_stalls_later_commits(self):
-        # The expired request still emits its commit token, so requests
-        # behind it in arrival order commit normally.
+        # The expired request is dropped at dispatch and holds nothing
+        # up: requests behind it in arrival order commit normally.
         with ServiceClient(ServiceConfig(
             scheduler=SchedulerConfig(gather_window_s=0.05),
         )) as client:

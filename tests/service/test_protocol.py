@@ -430,8 +430,8 @@ class TestDisconnectMidPaging:
                         break
                     await asyncio.sleep(0.02)
                 cancelled = fleet.stats.cancelled
-                # Through the commit sequencer: the cancelled arrival's
-                # slot released, so a later arrival still publishes.
+                # The cancelled arrival holds nothing up: a later
+                # arrival still publishes.
                 stream = await fleet.submit(
                     GenerationRequest(backend="rule", count=2, seed=9)
                 )

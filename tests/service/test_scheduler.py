@@ -1,17 +1,11 @@
-"""Micro-batch coalescing rules (grouping, ordering, splitting) and the
-arrival sequencer that puts results back in arrival order."""
+"""Micro-batch coalescing rules: grouping, ordering, splitting."""
 
 import pytest
 
 from repro.drc import advanced_deck, basic_deck
 from repro.engine import GenerationRequest
 from repro.geometry import Grid
-from repro.service import (
-    ArrivalSequencer,
-    MicroBatchScheduler,
-    PendingRequest,
-    SchedulerConfig,
-)
+from repro.service import MicroBatchScheduler, PendingRequest, SchedulerConfig
 from repro.service.scheduler import MAX_BATCH_ATTEMPTS
 
 GRID = Grid(nm_per_px=16.0, width_px=32, height_px=32)
@@ -145,33 +139,3 @@ class TestPriorities:
         batches = MicroBatchScheduler().coalesce(pending)
         assert batches[0].entries[0].request.backend == "solver"
 
-
-class TestArrivalSequencer:
-    def test_out_of_order_releases_publish_in_arrival_order(self):
-        sequencer = ArrivalSequencer()
-        published = []
-        for arrival in (2, 0, 3, 1):
-            sequencer.release(arrival, lambda a=arrival: published.append(a))
-        assert published == [0, 1, 2, 3]
-        assert sequencer.pending == 0
-
-    def test_pending_counts_held_releases(self):
-        sequencer = ArrivalSequencer()
-        published = []
-        sequencer.release(1, lambda: published.append(1))
-        sequencer.release(3, lambda: published.append(3))
-        assert published == []
-        assert sequencer.pending == 2
-        sequencer.release(0, lambda: published.append(0))
-        assert published == [0, 1]
-        assert sequencer.pending == 1
-
-    def test_flush_publishes_the_rest_in_order(self):
-        sequencer = ArrivalSequencer()
-        published = []
-        for arrival in (5, 2, 4):
-            sequencer.release(arrival, lambda a=arrival: published.append(a))
-        assert sequencer.pending == 3
-        sequencer.flush()
-        assert published == [2, 4, 5]
-        assert sequencer.pending == 0

@@ -1,6 +1,6 @@
 """GenerationService behaviour: determinism under concurrency, streaming,
-session merges, arrival-ordered commits across compatibility keys, crash
-isolation, stage histograms, error paths."""
+session merges, arrival-ordered commits across compatibility keys and
+priorities, crash isolation, stage histograms, error paths."""
 
 import threading
 
@@ -10,6 +10,7 @@ import pytest
 from repro.core.library import PatternLibrary
 from repro.drc import advanced_deck
 from repro.engine import BatchExecutor, GenerationRequest, run_generation
+from repro.engine.backends import RuleBackend
 from repro.geometry import Grid
 from repro.service import (
     STAGES,
@@ -239,6 +240,53 @@ class TestMixedKeys:
         assert len(admitted_on) == 2 * len(requests)
         assert all(n.startswith("repro-service-compute") for n in admitted_on)
 
+    def test_priority_runs_later_arrival_first_but_commits_in_arrival_order(
+        self, deck, monkeypatch
+    ):
+        """In one gather window, later arrivals on a second key carry a
+        higher priority, so their micro-batch runs first; the session
+        store still grows exactly like a serial loop in submission order."""
+        requests = [
+            GenerationRequest(
+                backend="rule", count=4, seed=600 + i, deck=deck,
+                params={"variant": variant}, priority=priority,
+            )
+            for i, (variant, priority) in enumerate(
+                [(0, 0), (0, 0), (1, 5), (1, 0)]
+            )
+        ]
+        reference = PatternLibrary(name="ref")
+        serial = [
+            run_generation(request, library=reference) for request in requests
+        ]
+
+        proposed = []
+        propose = RuleBackend.propose
+
+        def recording_propose(self, request, *args, **kwargs):
+            proposed.append(request.params["variant"])
+            return propose(self, request, *args, **kwargs)
+
+        monkeypatch.setattr(RuleBackend, "propose", recording_propose)
+        config = ServiceConfig(
+            scheduler=SchedulerConfig(gather_window_s=0.5),
+        )
+        with ServiceClient(config) as client:
+            served = client.generate_many(requests, session="tenant")
+            store = client.service.sessions.get("tenant").store
+            stats = client.service.stats
+        assert (stats.cycles, stats.micro_batches) == (1, 2)
+        # Every variant-1 proposal (arrivals 2, 3) ran before any
+        # variant-0 one (arrivals 0, 1).
+        first_k0 = proposed.index(0)
+        assert set(proposed[:first_k0]) == {1}
+        assert 1 not in proposed[first_k0:]
+        for reference_batch, got in zip(serial, served):
+            _assert_batches_identical(reference_batch, got)
+        assert len(store) == len(reference)
+        for a, b in zip(reference, store):
+            np.testing.assert_array_equal(a, b)
+
 
 class TestCrashIsolation:
     @pytest.fixture(autouse=True)
@@ -374,8 +422,8 @@ class TestLifecycleAndErrors:
         client.close()
 
     def test_stopped_service_restarts_and_serves(self, deck):
-        # Arrival indices start over with each run: a restarted service
-        # must not hold its first request behind the last run's indices.
+        # Nothing from the last run (its arrival indices included) may
+        # hold a restarted service's first request back.
         service = GenerationService()
         for seed in range(2):
             request = GenerationRequest(

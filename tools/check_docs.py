@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Documentation checker: dead links, broken snippets, stale CLI flags.
+"""Documentation checker: dead links, broken snippets, stale CLI flags
+and API names.
 
 Run from anywhere inside the repo::
 
@@ -22,6 +23,11 @@ Checks ``README.md`` plus every ``docs/*.md`` page:
    backticked ``--flag`` must name an option some subcommand of
    :func:`repro.cli.build_parser` defines, so a removed flag cannot
    stay documented.
+5. **API names** — every backticked dotted name under ``repro`` in
+   prose (``repro.engine.BatchExecutor``, optionally followed by
+   ``()``) must resolve: the longest importable module prefix is
+   imported and the rest looked up with ``getattr``, so a deleted class
+   or function cannot stay documented.
 
 Exits non-zero with one line per problem; CI runs this as the docs job.
 """
@@ -51,6 +57,8 @@ _HEADING_RE = re.compile(r"^#{1,6}\s+(.+?)\s*#*\s*$", re.MULTILINE)
 _PYTHON_M_RE = re.compile(r"python3?\s+-m\s+([A-Za-z_][\w.]*)")
 #: Table row whose first cell opens with a backticked long flag.
 _FLAG_ROW_RE = re.compile(r"^\|\s*`(--[A-Za-z0-9][\w-]*)", re.MULTILINE)
+#: Backticked dotted name under the package, e.g. `repro.engine.plan()`.
+_NAME_RE = re.compile(r"`(repro(?:\.\w+)+)(?:\(\))?`")
 
 _EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
 
@@ -170,17 +178,44 @@ def check_flags(page: Path, prose: str, root: Path) -> list[str]:
     ]
 
 
+def resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``, getattr the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[cut:]:
+                target = getattr(target, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def check_names(page: Path, prose: str, root: Path) -> list[str]:
+    return [
+        f"{page.relative_to(root)}: `{name}` names no module or attribute"
+        for name in _NAME_RE.findall(prose)
+        if not resolves(name)
+    ]
+
+
 def check_page(page: Path, root: Path = REPO_ROOT) -> list[str]:
     prose, blocks = split_markdown(page.read_text(encoding="utf-8"))
     return (
         check_links(page, prose, root)
         + check_snippets(page, blocks, root)
         + check_flags(page, prose, root)
+        + check_names(page, prose, root)
     )
 
 
 def main() -> int:
-    sys.path.insert(0, str(REPO_ROOT / "src"))  # `python -m repro`, repro.cli
+    # `python -m repro`, repro.cli and the documented API names.
+    sys.path.insert(0, str(REPO_ROOT / "src"))
     errors = []
     pages = doc_pages()
     for page in pages:
