@@ -51,7 +51,7 @@ class TestTable2:
         pipeline = PatternPaint(
             finetuned("sd1"),
             deck,
-            PatternPaintConfig(inpaint=InpaintConfig(num_steps=20), model_batch=8),
+            PatternPaintConfig(inpaint=InpaintConfig(), model_batch=8),
         )
         mask = np.zeros(starter.shape, dtype=bool)
         mask[: starter.shape[0] // 2, : starter.shape[1] // 2] = True

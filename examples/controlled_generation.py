@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.core import PatternPaint, PatternPaintConfig, PatternLibrary
 from repro.core.selection import select_representative
-from repro.diffusion import InpaintConfig
 from repro.drc import run_table
 from repro.geometry import density
 from repro.metrics import summarize_library
@@ -49,7 +48,6 @@ def main() -> None:
         finetuned("sd1"),
         deck,
         PatternPaintConfig(
-            inpaint=InpaintConfig(num_steps=20),
             model_batch=32,
             select_k=8,
             samples_per_iteration=24,

@@ -20,7 +20,6 @@ from repro.core import (
     template_denoise,
 )
 from repro.core.masks import all_masks
-from repro.diffusion import InpaintConfig
 from repro.geometry import extract_scan_lines, squish, validate_clip
 from repro.io import render_side_by_side
 from repro.zoo import experiment_deck, finetuned, starter_patterns
@@ -44,7 +43,7 @@ def main() -> None:
     pipeline = PatternPaint(
         finetuned("sd1"),
         deck,
-        PatternPaintConfig(inpaint=InpaintConfig(num_steps=20), model_batch=8),
+        PatternPaintConfig(model_batch=8),
     )
     rng = np.random.default_rng(3)
     mask = all_masks(starter.shape)[4].mask  # center block

@@ -15,7 +15,6 @@ Run:  python examples/free_size_generation.py
 import numpy as np
 
 from repro.core import ExpansionConfig, expand_pattern
-from repro.diffusion import InpaintConfig
 from repro.drc import advanced_deck
 from repro.geometry import Grid
 from repro.io import clip_to_png, render_clip
@@ -56,12 +55,11 @@ def main() -> None:
         rng_b = np.random.default_rng(400 + i)
         plain = expand_pattern(
             model, starters[i], target_shape, rng_a,
-            ExpansionConfig(inpaint=InpaintConfig(num_steps=20),
-                            track_pitch_px=None),
+            ExpansionConfig(track_pitch_px=None),
         )
         periodic = expand_pattern(
             model, starters[i], target_shape, rng_b,
-            ExpansionConfig(inpaint=InpaintConfig(num_steps=20)),
+            ExpansionConfig(),
         )
         v_plain = big_engine.check(plain).count
         v_periodic = big_engine.check(periodic).count

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import PatternPaint, PatternPaintConfig
-from repro.diffusion import InpaintConfig
 from repro.drc import run_table
 from repro.geometry import complexity_key
 from repro.io import clip_to_gds, save_clips
@@ -47,7 +46,6 @@ def main() -> None:
         finetuned("sd1"),
         deck,
         PatternPaintConfig(
-            inpaint=InpaintConfig(num_steps=20),
             variations_per_mask=1,
             model_batch=32,
             select_k=12,

@@ -14,7 +14,6 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.core import PatternPaint, PatternPaintConfig
-from repro.diffusion import InpaintConfig
 from repro.io import clip_to_gds, clip_to_png, render_clip
 from repro.metrics import summarize_library
 from repro.zoo import experiment_deck, finetuned, starter_patterns
@@ -33,7 +32,6 @@ def main() -> None:
         model,
         deck,
         PatternPaintConfig(
-            inpaint=InpaintConfig(num_steps=20),
             variations_per_mask=1,
             model_batch=32,
         ),

@@ -41,7 +41,7 @@ class ExpansionConfig:
     regions keep their raw sampled edges and legality drops sharply.
     """
 
-    inpaint: InpaintConfig = field(default_factory=lambda: InpaintConfig(num_steps=20))
+    inpaint: InpaintConfig = field(default_factory=InpaintConfig)
     denoise: TemplateDenoiseConfig = field(default_factory=TemplateDenoiseConfig)
     track_pitch_px: int | None = 8
 

@@ -8,7 +8,7 @@ from .finetune import (
     generate_prior_set,
     self_refine,
 )
-from .inpaint import InpaintConfig, inpaint, inpaint_packed
+from .inpaint import SAMPLE_STEPS, InpaintConfig, inpaint, inpaint_packed
 from .plan import SamplerPlan, sampler_plan
 from .sampler import (
     SegmentedGenerator,
@@ -23,6 +23,7 @@ __all__ = [
     "FinetuneConfig",
     "InpaintConfig",
     "NoiseSchedule",
+    "SAMPLE_STEPS",
     "SamplerPlan",
     "SegmentedGenerator",
     "TrainResult",

@@ -22,20 +22,28 @@ from .plan import sampler_plan
 from .sampler import SegmentedGenerator
 from .schedule import NoiseSchedule
 
-__all__ = ["InpaintConfig", "inpaint", "inpaint_packed"]
+__all__ = ["SAMPLE_STEPS", "InpaintConfig", "inpaint", "inpaint_packed"]
+
+#: DDIM reverse steps of every generation run: served requests, serial
+#: ``run_generation`` and the experiment campaigns.  Adopted from the step
+#: sweep in ``docs/EXPERIMENTS.md`` ("Sampler steps"): the smallest count
+#: whose legality and H2 stay within seed noise of 20 steps on ``sd1-ft``
+#: and ``sd2-ft``.
+SAMPLE_STEPS = 10
 
 
 @dataclass(frozen=True)
 class InpaintConfig:
     """Inpainting sampler knobs.
 
-    ``num_steps``: reverse steps (strided over the training schedule).
+    ``num_steps``: reverse steps, strided over the training schedule;
+    :data:`SAMPLE_STEPS` by default.  Model time is linear in it.
     ``resample_jumps``: RePaint harmonization count; 1 means plain
     replacement conditioning, larger values re-noise/re-denoise each step.
     ``eta``: DDIM stochasticity (0 = deterministic direction term).
     """
 
-    num_steps: int = 25
+    num_steps: int = SAMPLE_STEPS
     resample_jumps: int = 1
     eta: float = 0.3
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from ..core.masks import all_masks
 from ..core.pipeline import PatternPaint, PatternPaintConfig
-from ..diffusion.inpaint import InpaintConfig
 from ..io.ascii_art import render_side_by_side
 from ..io.png import clip_to_png, grid_sheet
 from ..library import InMemoryStore
@@ -41,7 +40,7 @@ def run_fig8(
     pipeline = PatternPaint(
         finetuned("sd1"),
         deck,
-        PatternPaintConfig(inpaint=InpaintConfig(num_steps=20), model_batch=16),
+        PatternPaintConfig(model_batch=16),
     )
     rng = np.random.default_rng(8_000 + seed)
     masks = all_masks(starter.shape)

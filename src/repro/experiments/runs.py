@@ -18,7 +18,6 @@ import numpy as np
 
 from ..baselines.solver import SolverSettings
 from ..core.pipeline import PatternPaint, PatternPaintConfig
-from ..diffusion.inpaint import InpaintConfig
 from ..engine import GenerationRequest, get_backend, run_generation
 from ..zoo.artifacts import finetuned, pretrained
 from ..zoo.corpora import experiment_deck, starter_patterns
@@ -37,9 +36,10 @@ PATTERNPAINT_MODELS = ("sd1-base", "sd2-base", "sd1-ft", "sd2-ft")
 
 #: Result-cache revision.  Bump whenever the generation stream changes for
 #: the same parameters (e.g. "eng1": the engine refactor's per-job
-#: ``rng.spawn`` denoise streams), so stale campaign caches from earlier
-#: revisions are never replayed as current results.
-_CACHE_REV = "eng1"
+#: ``rng.spawn`` denoise streams; "steps10": runs sample at
+#: ``SAMPLE_STEPS`` = 10 DDIM steps instead of 20), so stale campaign
+#: caches from earlier revisions are never replayed as current results.
+_CACHE_REV = "steps10"
 
 
 def _load_model(name: str):
@@ -85,7 +85,6 @@ def patternpaint_run(
         _load_model(name),
         deck,
         PatternPaintConfig(
-            inpaint=InpaintConfig(num_steps=20),
             variations_per_mask=variations,
             model_batch=64,
             select_k=20,

@@ -32,16 +32,13 @@ from __future__ import annotations
 
 import sys
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from repro.core.pipeline import PatternPaint, PatternPaintConfig  # noqa: E402
-from repro.diffusion.inpaint import InpaintConfig  # noqa: E402
-from repro.zoo.artifacts import finetuned  # noqa: E402
-from repro.zoo.corpora import experiment_deck, starter_patterns  # noqa: E402
+from repro.core.pipeline import PatternPaint, PatternPaintConfig
+from repro.diffusion.inpaint import InpaintConfig
+from repro.zoo.artifacts import finetuned
+from repro.zoo.corpora import experiment_deck, starter_patterns
 
 STEPS = (5, 8, 10, 20)
 MODELS = ("sd1-ft", "sd2-ft")
