@@ -201,39 +201,6 @@ class CandidateBatch:
             generate_seconds=generate_seconds,
         )
 
-    def chunks(self, size: int) -> list["CandidateBatch"]:
-        """Split into contiguous sub-batches of at most ``size`` raws.
-
-        The streamed unit of the service layer: per-request results go
-        out as a sequence of ``CandidateBatch`` chunks in proposal order.
-        ``attempts`` is carried by the final chunk (earlier chunks report
-        their own raw count) so the chunk totals sum to this batch's.
-        """
-        if size < 1:
-            raise ValueError("chunk size must be positive")
-        if not self.raws:
-            return [
-                CandidateBatch(
-                    raws=[], templates=[], attempts=self.attempts,
-                    generate_seconds=self.generate_seconds,
-                )
-            ]
-        out: list[CandidateBatch] = []
-        for lo in range(0, len(self.raws), size):
-            hi = min(lo + size, len(self.raws))
-            last = hi == len(self.raws)
-            out.append(
-                CandidateBatch(
-                    raws=self.raws[lo:hi],
-                    templates=self.templates[lo:hi],
-                    attempts=(
-                        self.attempts - lo if last else hi - lo
-                    ),
-                    generate_seconds=self.generate_seconds if last else 0.0,
-                )
-            )
-        return out
-
 
 @dataclass
 class StageTimings:

@@ -62,23 +62,28 @@ def patternpaint_run(
 ) -> ModelRun:
     """Full PatternPaint run (init + iterations) for one model variant.
 
-    ``init_budget`` is the initial-generation sample count (split over
-    20 starters x 10 masks); ``iter_budget`` the *total* iterative count
-    (split over ``iterations`` rounds).  Defaults follow the paper's
-    20k/50k ratio at ``REPRO_SCALE`` size.
+    ``init_budget`` is the initial-generation sample count, split over
+    20 starters x 10 masks into whole variations per mask, at least
+    one: a budget below 200 still generates 200 samples.  The cache
+    file is named by the count actually generated, ``variations x 20
+    x 10``, so budgets that round to the same run share one file.
+    ``iter_budget`` is the *total* iterative count (split over
+    ``iterations`` rounds).  Defaults follow the paper's 20k/50k ratio
+    at ``REPRO_SCALE`` size.
     """
     init_budget = init_budget if init_budget is not None else scaled(200)
     iter_budget = iter_budget if iter_budget is not None else scaled(500)
+    starters = starter_patterns(20)
+    variations = max(1, round(init_budget / (len(starters) * 10)))
+    generated = variations * len(starters) * 10
     cache_path = results_dir() / (
-        f"run-{_CACHE_REV}-{name}-i{init_budget}-r{iterations}-t{iter_budget}"
+        f"run-{_CACHE_REV}-{name}-i{generated}-r{iterations}-t{iter_budget}"
         f"-s{seed}.npz"
     )
     if use_cache and cache_path.exists():
         return load_model_run(cache_path)
 
     deck = experiment_deck()
-    starters = starter_patterns(20)
-    variations = max(1, round(init_budget / (len(starters) * 10)))
     per_iteration = max(1, iter_budget // max(iterations, 1))
 
     pipeline = PatternPaint(

@@ -6,9 +6,9 @@ machinery in a long-lived asyncio service:
 * :class:`GenerationService` — bounded request queue, a micro-batching
   scheduler that coalesces compatible requests from concurrent clients
   into shared executor runs on one compute thread with warm backends
-  and executors, streaming per-request results, arrival-order commits
-  per gather window, and session-scoped library stores with
-  arrival-order merges and periodic snapshot checkpoints;
+  and executors, one result per request (the final batch or an error),
+  arrival-order commits per gather window, and session-scoped library
+  stores with arrival-order merges and periodic snapshot checkpoints;
 * :class:`MicroBatchScheduler` / :class:`SchedulerConfig` — the pure
   coalescing rules (group by compatibility key, arrival order inside a
   batch, priority across batches); the service samples each
@@ -29,7 +29,8 @@ machinery in a long-lived asyncio service:
   line limit via ``payload_page``/``payload_done`` frames);
 * :func:`serve_http` / :class:`HttpGateway` — the stdlib HTTP/1.1
   gateway (``repro serve --http-port``): ``POST /v1/generate``, polled
-  and chunked-streamed results, ``/v1/stats``, ``/v1/healthz``;
+  results, a replayable ``/events`` stream of each request's wire
+  frames, ``/v1/stats``, ``/v1/healthz``;
 * :class:`FleetService` / :class:`FleetConfig` — the multi-process
   front (``repro serve --workers N``): a thin router over N forked
   worker processes each running a full service — ``submit`` routes

@@ -3,14 +3,12 @@
 :class:`ServiceClient` runs a :class:`~repro.service.GenerationService`
 on a private event loop in a background thread and exposes a blocking
 API, so synchronous code — tests, benchmarks, notebooks — can exercise
-the full queue/scheduler/streaming path without writing any asyncio:
+the full queue/scheduler/commit path without writing any asyncio:
 
     with ServiceClient(ServiceConfig(queue_size=16)) as client:
         batch = client.generate(GenerationRequest(backend="rule", count=20))
         batches = client.generate_many(requests)        # concurrent
-        ticket = client.submit(request)                 # streaming
-        for chunk in ticket.chunks():
-            ...
+        ticket = client.submit(request)                 # resolve later
         final = ticket.result()
 
 ``generate_many`` submits every request before waiting on any result,
@@ -31,9 +29,9 @@ import concurrent.futures
 import json
 import socket
 import threading
-from typing import Any, Iterator, Sequence
+from typing import Sequence
 
-from ..engine import CandidateBatch, GenerationBatch, GenerationRequest
+from ..engine import GenerationBatch, GenerationRequest
 from .payload import PayloadAssembler
 from .service import GenerationService, ResultStream, ServiceConfig
 
@@ -62,22 +60,6 @@ class ClientTicket:
         if self._service is None:
             return False
         return self._service.cancel(self.request_id)
-
-    def chunks(self) -> Iterator[CandidateBatch]:
-        """Iterate streamed chunks, blocking until each arrives."""
-        while True:
-            if self._loop.is_closed():
-                # Client closed mid-stream: deliveries have stopped, so
-                # drain what already arrived and end the iteration.
-                while (chunk := self._stream.next_chunk_now()) is not None:
-                    yield chunk
-                return
-            chunk = asyncio.run_coroutine_threadsafe(
-                self._stream.next_chunk(), self._loop
-            ).result()
-            if chunk is None:
-                return
-            yield chunk
 
     def result(self, timeout: float | None = None) -> GenerationBatch:
         """Block for the final batch (raises if the request failed).
@@ -201,7 +183,7 @@ class ServiceClient:
     def submit(
         self, request: GenerationRequest, *, session: str | None = None
     ) -> ClientTicket:
-        """Queue a request; returns a blocking ticket (chunks + result)."""
+        """Queue a request; returns a blocking ticket for its result."""
         if self._loop is None:
             raise RuntimeError("client is not started (use 'with' or start())")
         stream = asyncio.run_coroutine_threadsafe(
@@ -369,7 +351,6 @@ class RemoteClient:
         assembler = PayloadAssembler()
         results: dict[str, dict] = {}
         errors: dict[str, str] = {}
-        chunks: dict[str, list[Any]] = {rid: [] for rid in ids}
         # A request is outstanding until its terminal event has fully
         # arrived: the result (or error) frame *and*, when the result
         # announced a payload, that payload's ``payload_done`` frame —
@@ -390,18 +371,12 @@ class RemoteClient:
             if self._decode:
                 done = assembler.feed(event)
                 if done is not None:
-                    if done.kind == "result":
-                        results[done.request_id]["clips"] = done.arrays
-                    else:
-                        chunks[done.request_id].append(done.arrays)
-            if name == "payload_done" and event.get("for") == "result":
+                    results[done.request_id]["clips"] = done.arrays
+            if name == "payload_done":
                 outstanding.discard(rid)
         out: list[dict] = []
         for rid in ids:
             if rid in errors:
                 raise RuntimeError(errors[rid])
-            result = results[rid]
-            if self._decode and chunks.get(rid):
-                result["chunk_arrays"] = chunks[rid]
-            out.append(result)
+            out.append(results[rid])
         return out

@@ -20,17 +20,16 @@ the one concurrency layer above that: it spawns ``workers`` child
   arrival order, so a session's requests reach their owner worker in
   arrival order and that worker's commit stage admits them in that
   order.  Terminal events publish as soon as their worker delivers
-  them, from that worker's reader thread, behind the request's chunks;
-  there is no cross-worker publish order, because no output depends on
-  one.  Fleet outputs are bit-identical to a serial
-  :func:`~repro.engine.run_generation` pass over the same submission
-  order;
+  them, from that worker's reader thread; there is no cross-worker
+  publish order, because no output depends on one.  Fleet outputs are
+  bit-identical to a serial :func:`~repro.engine.run_generation` pass
+  over the same submission order;
 * ``submit`` awaits while ``workers × (queue_size + max(queue_size,
   max_batch_requests))`` requests are accepted and unresolved: what N
   single-process services hold before their own ``submit`` awaits.
 
 The front speaks to each worker over a private :func:`multiprocessing
-.Pipe` carrying Python objects (requests, chunks, batches, exceptions)
+.Pipe` carrying Python objects (requests, batches, exceptions)
 with full fidelity — no re-encoding — while the *public* surface stays
 the :class:`GenerationService` one (``submit``/``cancel``/``health``/
 ``stats_payload``/``drain``/``stop``), so the line-JSON TCP server and
@@ -262,8 +261,6 @@ def _worker_main(
                 cancelled = unregistered.pop(request_id, False)
             if cancelled:
                 service.cancel(request_id)
-            async for chunk in stream.chunks():
-                out.put(("chunk", request_id, chunk))
             batch = await stream.result()
             # The session store stays here: pickling it would make each
             # result grow with the session's length.
@@ -771,14 +768,6 @@ class FleetService:
             kind = message[0]
             if kind == "ready":
                 handle.ready.set()
-            elif kind == "chunk":
-                _, request_id, chunk = message
-                with handle.lock:
-                    pending = handle.inflight.get(request_id)
-                if pending is not None:
-                    self._publish(
-                        ResultStream._deliver_chunk, pending.stream, chunk
-                    )
             elif kind == "result":
                 self._terminal(handle, message[1], batch=message[2])
             elif kind == "error":
@@ -809,9 +798,7 @@ class FleetService:
         The single exactly-once funnel: every accepted request passes
         through here exactly once (worker event, unrouted failure,
         dead-worker sweep, or stop sweep) — duplicates are cut off by
-        the ledger's release.  A worker's events arrive on its reader
-        thread, so a request's chunks and result share one FIFO path
-        to the loop.
+        the ledger's release.
         """
         if not self._admissions.release(pending):
             return

@@ -21,9 +21,10 @@ Routes (all JSON in, JSON out):
     the encoded clips inline (HTTP bodies are not line-limited, so the
     poll response never pages).
 ``GET /v1/requests/<id>/events``
-    Chunked streaming of exactly the TCP event frames (chunk/result
-    and paged ``payload_page``/``payload_done`` continuation frames),
-    one JSON object per line.
+    The TCP event frames after ``accepted``, one JSON object per line
+    over chunked transfer encoding: the ``result`` event and its paged
+    ``payload_page``/``payload_done`` frames, or one ``error``.  Every
+    read of one request gets the same frames.
 ``POST /v1/requests/<id>/cancel``
     The ``cancel`` verb; ``GET /v1/stats`` and ``GET /v1/healthz`` map
     the ``stats`` and ``health`` verbs (``healthz`` answers 503 once
@@ -369,11 +370,11 @@ class HttpGateway:
     async def _events(self, request_id: str, writer) -> None:
         """Stream the TCP event frames over chunked transfer encoding.
 
-        The stream's chunk queue is consumed as it is relayed, so the
-        events route is effectively single-consumer per request; the
-        final result stays separately pollable.  A client that drops
-        the stream does *not* cancel the request — polling still works;
-        ``POST .../cancel`` is the explicit way to stop it.
+        The frames come from the request's one result, so any number of
+        reads, before or after it finished, relay the same frames.  A
+        client that drops the stream does *not* cancel the request —
+        polling still works; ``POST .../cancel`` is the explicit way to
+        stop it.
         """
         entry = self._lookup(request_id)
         head = (

@@ -207,33 +207,27 @@ def split_pages(data: str, page_chars: int) -> "list[str]":
 
 def payload_frames(
     request_id: str,
-    kind: str,
     meta: dict,
     data: str,
     *,
     limit: int,
-    chunk: "int | None" = None,
     page_chars: "int | None" = None,
 ) -> "tuple[dict, list[dict]]":
-    """Build the paged frame sequence for one encoded payload.
+    """Build the paged frame sequence for one result's encoded payload.
 
     Returns ``(payload_field, frames)``: ``payload_field`` is the dict
-    to attach under ``"payload"`` on the parent chunk/result event
-    (metadata plus the page count), and ``frames`` is the ordered list
-    of ``payload_page`` frames followed by the terminating
-    ``payload_done`` frame.  ``kind`` is ``"chunk"`` or ``"result"``;
-    chunk payloads also carry the chunk index so a pipelined client can
-    demultiplex interleaved requests.
+    to attach under ``"payload"`` on the result event (metadata plus
+    the page count), and ``frames`` is the ordered list of
+    ``payload_page`` frames followed by the terminating
+    ``payload_done`` frame.  Every frame carries the request id and
+    ``"for": "result"``, so a pipelined client can demultiplex
+    interleaved requests.
     """
-    if kind not in ("chunk", "result"):
-        raise PayloadError(f"unknown payload kind {kind!r}")
     pages = split_pages(
         data, page_chars if page_chars is not None else page_data_chars(limit)
     )
     payload_field = {**meta, "pages": len(pages)}
-    tag: dict = {"request_id": request_id, "for": kind}
-    if kind == "chunk":
-        tag["chunk"] = int(chunk or 0)
+    tag = {"request_id": request_id, "for": "result"}
     frames = [
         {"event": "payload_page", **tag, "seq": seq, "data": page}
         for seq, page in enumerate(pages)
@@ -244,11 +238,13 @@ def payload_frames(
 
 @dataclass
 class AssembledPayload:
-    """One fully reassembled payload, decoded back to arrays."""
+    """One fully reassembled result payload, decoded back to arrays.
+
+    ``kind`` is always ``"result"``: the payload's parent event.
+    """
 
     request_id: str
     kind: str
-    chunk: "int | None"
     meta: dict
     arrays: "list[np.ndarray]"
 
@@ -263,41 +259,26 @@ class PayloadAssembler:
     """Client-side inverse of :func:`payload_frames`.
 
     Feed every received event dict to :meth:`feed`; events that are not
-    payload frames return ``None`` untouched (metadata-bearing chunk and
-    result events open a pending payload, ``payload_page`` frames extend
-    it, and the matching ``payload_done`` closes it and returns the
-    decoded :class:`AssembledPayload`).  Out-of-order sequence numbers,
-    page-count mismatches and checksum failures raise
-    :class:`PayloadError` — a paged payload either reassembles exactly
-    or fails loudly.
+    payload frames return ``None`` untouched (a result event with a
+    payload opens a pending payload, ``payload_page`` frames extend it,
+    and the matching ``payload_done`` closes it and returns the decoded
+    :class:`AssembledPayload`).  Pending payloads are keyed by request
+    id.  Out-of-order sequence numbers, page-count mismatches and
+    checksum failures raise :class:`PayloadError` — a paged payload
+    either reassembles exactly or fails loudly.
     """
 
     def __init__(self) -> None:
-        self._pending: "dict[tuple, _Partial]" = {}
-
-    @staticmethod
-    def _key(event: dict) -> tuple:
-        kind = event.get("for")
-        return (
-            str(event.get("request_id")),
-            str(kind),
-            int(event.get("chunk", 0)) if kind == "chunk" else None,
-        )
+        self._pending: "dict[str, _Partial]" = {}
 
     def feed(self, event: dict) -> "AssembledPayload | None":
         name = event.get("event")
-        if name in ("chunk", "result") and isinstance(
-            event.get("payload"), dict
-        ):
-            key = (
-                str(event.get("request_id")),
-                "chunk" if name == "chunk" else "result",
-                int(event.get("chunk", 0)) if name == "chunk" else None,
-            )
-            self._pending[key] = _Partial(meta=event["payload"])
+        request_id = str(event.get("request_id"))
+        if name == "result" and isinstance(event.get("payload"), dict):
+            self._pending[request_id] = _Partial(meta=event["payload"])
             return None
         if name == "payload_page":
-            partial = self._pending.get(self._key(event))
+            partial = self._pending.get(request_id)
             if partial is None:
                 raise PayloadError("payload_page for an unannounced payload")
             if event.get("seq") != len(partial.pages):
@@ -311,8 +292,7 @@ class PayloadAssembler:
             partial.pages.append(data)
             return None
         if name == "payload_done":
-            key = self._key(event)
-            partial = self._pending.pop(key, None)
+            partial = self._pending.pop(request_id, None)
             if partial is None:
                 raise PayloadError("payload_done for an unannounced payload")
             promised = partial.meta.get("pages")
@@ -321,11 +301,9 @@ class PayloadAssembler:
                     f"payload page count mismatch: got {len(partial.pages)}, "
                     f"promised {promised}"
                 )
-            request_id, kind, chunk = key
             return AssembledPayload(
                 request_id=request_id,
-                kind=kind,
-                chunk=chunk,
+                kind="result",
                 meta=partial.meta,
                 arrays=decode_payload(partial.meta, "".join(partial.pages)),
             )

@@ -15,18 +15,20 @@ request::
 events (all carry ``request_id`` when tied to a request)::
 
     {"event": "accepted", "request_id": "..."}
-    {"event": "chunk",    "request_id": "...", "chunk": 0, "proposed": 8}
     {"event": "result",   "request_id": "...", "attempts": 8, "legal": 7,
      "admitted": 5, "library_size": 5, "seconds": 0.41}
     {"event": "cancelled", "request_id": "...", "cancelled": true}
     {"event": "error",    "message": "..."}
 
-A connection may pipeline: every request line spawns a forwarder task, so
-several requests stream back interleaved (demultiplex on ``request_id``).
+A generate request is answered by ``accepted`` and then exactly one
+terminal event: ``result`` (followed by its payload frames, when a
+payload was asked for) or ``error``.  A connection may pipeline: every
+request line spawns a forwarder task, so several requests' events
+interleave (demultiplex on ``request_id``).
 
 Clip delivery is opt-in per request: ``"payload": "b64"`` or ``"npz"``
-(default ``"none"``) makes chunk and result events carry the generated
-arrays as base64 text with dtype/shape metadata — see
+(default ``"none"``) makes the result event carry the generated clips
+as base64 text with dtype/shape metadata — see
 :mod:`repro.service.payload`.  A payload larger than the connection's
 line limit is *paged*: the parent event carries the metadata and page
 count, then ``payload_page`` frames stream the base64 text in slices and
@@ -147,49 +149,29 @@ async def stream_events(
 ) -> "AsyncIterator[dict]":
     """Yield one request's wire events (shared by TCP and HTTP fronts).
 
-    Chunk events first (with paged payload frames interleaved when a
-    payload mode is on), then the result event and its payload frames.
-    Errors are *not* caught here: the caller owns the terminal ``error``
-    event so each front keeps its own disconnect/cancel semantics.
+    The result event, then its paged payload frames when a payload mode
+    is on.  It only awaits the stream's result, so every reader of one
+    request gets the same frames.  Errors are *not* caught here: the
+    caller owns the terminal ``error`` event so each front keeps its
+    own disconnect/cancel semantics.
     """
     request_id = stream.request_id
-    index = 0
-    async for chunk in stream.chunks():
-        event = {
-            "event": "chunk",
-            "request_id": request_id,
-            "chunk": index,
-            "proposed": len(chunk.raws),
-        }
-        if payload != "none":
-            meta, data = encode_payload(chunk.raws, payload)
-            field, frames = payload_frames(
-                request_id, "chunk", meta, data, limit=limit, chunk=index
-            )
-            event["payload"] = field
-            yield event
-            for frame in frames:
-                yield frame
-        else:
-            yield event
-        index += 1
     batch = await stream.result()
     event = {
         "event": "result",
         "request_id": request_id,
         **_result_fields(batch, with_payload=payload != "none"),
     }
-    if payload != "none":
-        meta, data = encode_payload(batch.clips, payload)
-        field, frames = payload_frames(
-            request_id, "result", meta, data, limit=limit
-        )
-        event["payload"] = field
+    if payload == "none":
         yield event
-        for frame in frames:
-            yield frame
-    else:
-        yield event
+        return
+    meta, data = encode_payload(batch.clips, payload)
+    event["payload"], frames = payload_frames(
+        request_id, meta, data, limit=limit
+    )
+    yield event
+    for frame in frames:
+        yield frame
 
 
 async def _forward(
@@ -201,7 +183,7 @@ async def _forward(
     payload: str = "none",
     limit: int = DEFAULT_LINE_LIMIT,
 ) -> None:
-    """Relay one request's chunks and final result onto the wire."""
+    """Relay one request's terminal event onto the wire."""
 
     async def emit(event: dict) -> None:
         async with write_lock:
@@ -212,7 +194,7 @@ async def _forward(
         async for event in stream_events(stream, payload=payload, limit=limit):
             await emit(event)
     except (ConnectionError, asyncio.CancelledError):
-        # The client vanished mid-stream (possibly mid-payload-paging):
+        # The client vanished before its result (or mid-payload-paging):
         # stop the request's remaining work instead of computing results
         # nobody will read.  ``cancel`` is a no-op once the stream
         # resolved, so a disconnect after the terminal event never

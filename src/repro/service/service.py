@@ -30,9 +30,10 @@
   to serial :func:`~repro.engine.run_generation` calls — the
   load-bearing determinism invariant — and the compute thread is the
   only one that ever touches a session store;
-* **streaming results** — each request's proposal is streamed back as
-  :class:`~repro.engine.CandidateBatch` chunks, followed by the final
-  :class:`~repro.engine.GenerationBatch`;
+* **one result per request** — each request's :class:`ResultStream`
+  resolves exactly once, with its final
+  :class:`~repro.engine.GenerationBatch` (clips, verdicts, admission
+  counts) or its error;
 * **per-stage latency histograms** — every request's ``queue``,
   ``gather``, ``model``, ``drc`` and ``admit`` latencies are filed into
   :class:`~repro.service.stats.StageLatencies` histograms, exported by
@@ -48,7 +49,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import AsyncIterator
 
 import numpy as np
 
@@ -99,10 +99,8 @@ class RequestCancelled(RuntimeError):
     """The request was cancelled (``op: "cancel"``, client disconnect,
     or :meth:`GenerationService.cancel`) before it completed."""
 
-_DONE = object()  # chunk-queue sentinel: no more chunks
 # A backend defining all three is sampled through the packed model stage.
 _PACK_HOOKS = ("pack_jobs", "pack_model_batch", "pack_model_fn")
-_STREAM_CHUNK = 32  # candidates per streamed CandidateBatch chunk
 
 
 @dataclass(frozen=True)
@@ -173,26 +171,21 @@ class ServiceStats:
 
 
 class ResultStream:
-    """Per-request handle: an async iterator of chunks plus the final batch.
+    """Per-request handle: resolves once, with the final batch or an error.
 
-    Chunks arrive as the model stage finishes (before DRC), so a client
-    can render candidates while legality checking is still running; the
-    final :class:`~repro.engine.GenerationBatch` carries the verdicts and
-    admission counts.  Iterating chunks is optional — awaiting
-    :meth:`result` alone is the common fast path.
+    The final :class:`~repro.engine.GenerationBatch` carries the clips,
+    their verdicts and the admission counts.  Any number of readers may
+    await :meth:`result`; each gets the same batch (or error).
     """
 
     def __init__(self, request: GenerationRequest, loop: asyncio.AbstractEventLoop):
         self.request = request
-        self._loop = loop
-        self._chunks: asyncio.Queue = asyncio.Queue()
         self._final: asyncio.Future = loop.create_future()
         # Retrieve the exception eagerly so an un-awaited failed stream
         # does not warn at GC time; result() still raises for callers.
         self._final.add_done_callback(
             lambda f: f.exception() if not f.cancelled() else None
         )
-        self._drained = False
 
     @property
     def request_id(self) -> str:
@@ -203,38 +196,15 @@ class ResultStream:
         return self._final.done()
 
     # -- worker-thread side (always via loop.call_soon_threadsafe) ------
-    def _deliver_chunk(self, chunk: CandidateBatch) -> None:
-        self._chunks.put_nowait(chunk)
-
     def _deliver_result(self, batch: GenerationBatch) -> None:
         if not self._final.done():
             self._final.set_result(batch)
-        self._chunks.put_nowait(_DONE)
 
     def _deliver_error(self, error: BaseException) -> None:
         if not self._final.done():
             self._final.set_exception(error)
-        self._chunks.put_nowait(_DONE)
 
     # -- client side -----------------------------------------------------
-    async def next_chunk(self) -> CandidateBatch | None:
-        """The next streamed chunk, or ``None`` once the stream ended."""
-        if self._drained:
-            return None
-        item = await self._chunks.get()
-        if item is _DONE:
-            self._drained = True
-            return None
-        return item
-
-    async def chunks(self) -> AsyncIterator[CandidateBatch]:
-        """Async-iterate the streamed :class:`CandidateBatch` chunks."""
-        while (chunk := await self.next_chunk()) is not None:
-            yield chunk
-
-    def __aiter__(self) -> AsyncIterator[CandidateBatch]:
-        return self.chunks()
-
     async def result(self) -> GenerationBatch:
         """Await the final batch (raises if the request failed)."""
         return await asyncio.shield(self._final)
@@ -248,23 +218,6 @@ class ResultStream:
         if not self._final.done():
             raise RuntimeError("request has not completed")
         return self._final.result()
-
-    def next_chunk_now(self) -> CandidateBatch | None:
-        """Pop a delivered chunk without awaiting; ``None`` when drained.
-
-        Only meaningful once no more deliveries can arrive (stream done
-        or service stopped): an empty queue then means the stream ended.
-        """
-        if self._drained:
-            return None
-        try:
-            item = self._chunks.get_nowait()
-        except asyncio.QueueEmpty:
-            return None
-        if item is _DONE:
-            self._drained = True
-            return None
-        return item
 
 
 class Admissions:
@@ -750,7 +703,7 @@ class GenerationService:
     # Compute stage (compute-thread side)
     # ------------------------------------------------------------------
     def _publish(self, stream: ResultStream, method, payload) -> None:
-        self._loop.call_soon_threadsafe(method.__get__(stream), payload)
+        self._loop.call_soon_threadsafe(method, stream, payload)
 
     def _backend_for(self, request: GenerationRequest) -> GeneratorBackend:
         """The long-lived backend for this request (built once, deck only).
@@ -954,11 +907,6 @@ class GenerationService:
                         [0x6D6F64656C, seed],
                         [(pending, plan)],
                     )
-                for chunk in proposal.chunks(_STREAM_CHUNK):
-                    if chunk.raws:
-                        self._publish(
-                            pending.stream, ResultStream._deliver_chunk, chunk
-                        )
                 clips, denoise_seconds = executor.denoise_batch(
                     proposal.raws, proposal.templates, plan.rng
                 )

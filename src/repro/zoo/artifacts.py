@@ -12,8 +12,13 @@ analogous artifacts for the numpy stack:
 
 Artifacts are cached as ``.npz`` checkpoints under ``.artifacts/`` in the
 repository root (override with ``REPRO_ARTIFACTS``); the first call trains
-(minutes on CPU), later calls load instantly.  All training is seeded and
-deterministic.
+(minutes on CPU), later calls load instantly.  Training is seeded, and
+deterministic for a given code revision and numpy/BLAS build.  Changes
+to the training kernels change the trained bits: the wide-row conv and
+fused GroupNorm→SiLU kernels did, and so did the UNet's time
+conditioning once per distinct timestep.  So the committed
+``perfbench/model/finetuned-sd1-32.npz`` is not the checkpoint a cold
+zoo trains today: their weights differ by up to ~0.07.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ class TestRepoDocs:
 
     def test_serving_doc_covers_the_wire_protocol(self):
         text = (REPO_ROOT / "docs" / "SERVING.md").read_text(encoding="utf-8")
-        for event in ("accepted", "chunk", "result", "error", "ping", "stats"):
+        for event in ("accepted", "result", "error", "ping", "stats"):
             assert event in text
         for gauge in ("queue_depth", "pack_fill"):
             assert gauge in text
@@ -138,3 +138,14 @@ class TestCheckerCatchesProblems:
         errors = check_docs.check_page(page(text), tmp_path)
         assert len(errors) == 1
         assert "`repro.service.scheduler.DeletedClassZz`" in errors[0]
+
+    def test_stale_class_attribute(self, page, tmp_path):
+        text = (
+            "Live: `ClientTicket.cancel()`, `BatchExecutor.run_model_packed`, "
+            "`GenerationBatch.clips`, `CHANGES.md`, `ticket.deleted_zz()`.\n"
+            "Gone: `ClientTicket.deleted_zz()`, `BatchExecutor.run_zz`.\n"
+        )
+        errors = check_docs.check_page(page(text), tmp_path)
+        assert len(errors) == 2
+        assert "`ClientTicket.deleted_zz`" in errors[0]
+        assert "`BatchExecutor.run_zz`" in errors[1]

@@ -197,6 +197,41 @@ class TestEventsStream:
         final = next(d for d in done if d.kind == "result")
         _assert_clips_identical(final.arrays, serial)
 
+    def test_events_route_replays_one_delivery(self):
+        """Every read of a finished request's events gets the same frames:
+        the result, then its payload pages and ``payload_done``."""
+
+        async def run():
+            async with _GatewayHarness(
+                GenerationService(ServiceConfig())
+            ) as h:
+                _, accepted = await asyncio.to_thread(
+                    _request, h.port, "POST", "/v1/generate",
+                    {"backend": "rule", "count": 8, "seed": 5,
+                     "deck": "basic", "payload": "npz"},
+                )
+                await _poll_done(h.port, accepted["poll"])
+                first = await asyncio.to_thread(
+                    _stream_events, h.port, accepted["events"]
+                )
+                second = await asyncio.to_thread(
+                    _stream_events, h.port, accepted["events"]
+                )
+                return first, second
+
+        first, second = asyncio.run(run())
+        assert first == second
+        result, *pages, done = first
+        assert result["event"] == "result"
+        assert [f["event"] for f in pages] == (
+            ["payload_page"] * result["payload"]["pages"]
+        )
+        assert done["event"] == "payload_done"
+        assert all(f["for"] == "result" for f in pages + [done])
+        assembler = PayloadAssembler()
+        (final,) = [out for f in first if (out := assembler.feed(f))]
+        _assert_clips_identical(final.arrays, _serial())
+
     def test_events_for_unknown_request_is_404(self):
         async def run():
             async with _GatewayHarness(

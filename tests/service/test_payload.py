@@ -136,8 +136,7 @@ class TestPaging:
             meta, data = encode_payload(arrays, encoding)
             page_chars = int(rng.integers(1, 500))
             field, frames = payload_frames(
-                "req-x", "result", meta, data,
-                limit=4096, page_chars=page_chars,
+                "req-x", meta, data, limit=4096, page_chars=page_chars
             )
             assert field["pages"] == len(frames) - 1
             assert frames[-1]["event"] == "payload_done"
@@ -154,22 +153,6 @@ class TestPaging:
             assert done.kind == "result"
             assert_identical(done.arrays, arrays)
 
-    def test_chunk_frames_carry_index(self):
-        meta, data = encode_payload([np.zeros(4, dtype=np.uint8)], "b64")
-        field, frames = payload_frames(
-            "rid", "chunk", meta, data, limit=4096, chunk=3
-        )
-        assert all(f["chunk"] == 3 and f["for"] == "chunk" for f in frames)
-        assembler = PayloadAssembler()
-        assembler.feed({
-            "event": "chunk", "request_id": "rid", "chunk": 3,
-            "proposed": 1, "payload": field,
-        })
-        done = None
-        for frame in frames:
-            done = assembler.feed(frame) or done
-        assert done is not None and done.chunk == 3
-
     def test_every_frame_fits_the_line_limit(self):
         clips = [
             np.random.default_rng(s).integers(0, 2, (32, 32), dtype=np.uint8)
@@ -177,30 +160,28 @@ class TestPaging:
         ]
         limit = 2048
         meta, data = encode_payload(clips, "b64")
-        field, frames = payload_frames("rid", "result", meta, data, limit=limit)
+        field, frames = payload_frames("rid", meta, data, limit=limit)
         assert field["pages"] >= 3  # big enough batch to actually page
         for frame in frames:
             line = json.dumps(frame).encode() + b"\n"
             assert len(line) <= limit
 
     def test_interleaved_payloads_demultiplex(self):
-        """Pages of different requests/chunks may interleave on the wire."""
+        """Pages of different requests' results may interleave on the wire."""
         a = [np.full((2, 2), 1, dtype=np.uint8)]
         b = [np.full((3, 3), 2, dtype=np.int32)]
         meta_a, data_a = encode_payload(a, "b64")
         meta_b, data_b = encode_payload(b, "npz")
         field_a, frames_a = payload_frames(
-            "ra", "result", meta_a, data_a, limit=4096, page_chars=4
+            "ra", meta_a, data_a, limit=4096, page_chars=4
         )
         field_b, frames_b = payload_frames(
-            "rb", "chunk", meta_b, data_b, limit=4096, page_chars=4, chunk=0
+            "rb", meta_b, data_b, limit=4096, page_chars=4
         )
+        assert all(f["for"] == "result" for f in frames_a + frames_b)
         assembler = PayloadAssembler()
         assembler.feed({"event": "result", "request_id": "ra", "payload": field_a})
-        assembler.feed({
-            "event": "chunk", "request_id": "rb", "chunk": 0,
-            "proposed": 1, "payload": field_b,
-        })
+        assembler.feed({"event": "result", "request_id": "rb", "payload": field_b})
         interleaved = [
             frame
             for pair in zip(frames_a, frames_b)
@@ -217,7 +198,7 @@ class TestAssemblerErrors:
     def _framed(self, page_chars=8):
         meta, data = encode_payload([np.arange(60, dtype=np.uint8)], "b64")
         return payload_frames(
-            "rid", "result", meta, data, limit=4096, page_chars=page_chars
+            "rid", meta, data, limit=4096, page_chars=page_chars
         )
 
     def test_unannounced_page_rejected(self):
@@ -248,5 +229,5 @@ class TestAssemblerErrors:
         assert assembler.feed({"event": "pong"}) is None
         assert assembler.feed({"event": "accepted", "request_id": "x"}) is None
         assert assembler.feed(
-            {"event": "chunk", "request_id": "x", "proposed": 4}
-        ) is None  # payload-off chunk events carry no payload dict
+            {"event": "result", "request_id": "x", "attempts": 4}
+        ) is None  # payload-off result events carry no payload dict

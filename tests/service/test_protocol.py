@@ -17,8 +17,8 @@ Regenerate after an intentional protocol change with::
 
 The file also carries the delivery regressions that ride the protocol:
 ``RemoteClient`` bit-identity (b64 + npz, paging forced to several
-pages), the disconnect-mid-payload-paging exactly-once cancellation
-(single-process and fleet), and the ``ClientTicket.result(timeout=)``
+pages), the exactly-once cancellation of a request whose client
+vanishes before its paged result arrives (single-process and fleet), and the ``ClientTicket.result(timeout=)``
 contract.
 """
 
@@ -226,8 +226,8 @@ class TestGoldenFrames:
         # Every wire event kind the server can emit (stats/health are
         # pinned by key-set below; their values are live counters).
         assert {
-            "pong", "cancelled", "error", "accepted", "chunk",
-            "result", "payload_page", "payload_done",
+            "pong", "cancelled", "error", "accepted", "result",
+            "payload_page", "payload_done",
         } <= all_events
 
     def test_paged_payload_recorded_with_multiple_pages(self):
@@ -290,8 +290,6 @@ class TestRemoteClientDelivery:
         for got, want in zip(result["clips"], serial.clips):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
-        # Chunk payloads decode too (one chunk for count <= 32).
-        assert result.get("chunk_arrays")
 
     def test_pipelined_payload_requests_demultiplex(self):
         async def run():
@@ -328,7 +326,7 @@ class TestRemoteClientDelivery:
 
 
 def _slow_drc(monkeypatch, seconds=0.8):
-    """Make the DRC stage slow so a client can vanish mid-paging."""
+    """Make the DRC stage slow so a client can vanish mid-flight."""
     original = BatchExecutor.check_batch
 
     def slow(self, clips):
@@ -338,8 +336,8 @@ def _slow_drc(monkeypatch, seconds=0.8):
     monkeypatch.setattr(BatchExecutor, "check_batch", slow)
 
 
-async def _vanish_mid_paging(service, *, limit=1024):
-    """Submit a payload request, read until mid-paging, then RST."""
+async def _vanish_before_result(service, *, limit=1024):
+    """Submit a payload request, read until accepted, then RST."""
     server = await serve(
         service, "127.0.0.1", 0, default_deck="basic", limit=limit
     )
@@ -350,14 +348,12 @@ async def _vanish_mid_paging(service, *, limit=1024):
             b'{"backend": "rule", "count": 8, "seed": 3, "payload": "b64"}\n'
         )
         await writer.drain()
-        saw_page = False
-        while not saw_page:
-            frame = json.loads(
-                await asyncio.wait_for(reader.readline(), timeout=60)
-            )
-            # Chunk payload pages stream while DRC is still running, so
-            # the request is mid-flight when we vanish.
-            saw_page = frame.get("event") == "payload_page"
+        frame = json.loads(
+            await asyncio.wait_for(reader.readline(), timeout=60)
+        )
+        # The slow DRC stage keeps the request mid-flight when we vanish:
+        # its result and payload pages come only after it resolves.
+        assert frame.get("event") == "accepted"
         sock = writer.transport.get_extra_info("socket")
         sock.setsockopt(
             socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
@@ -378,6 +374,8 @@ async def _vanish_mid_paging(service, *, limit=1024):
 
 
 class TestDisconnectMidPaging:
+    """A client that vanishes before its paged result arrives."""
+
     def test_single_process_cancels_exactly_once(self, monkeypatch):
         _slow_drc(monkeypatch)
 
@@ -387,7 +385,7 @@ class TestDisconnectMidPaging:
             ))
             await service.start()
             try:
-                await _vanish_mid_paging(service)
+                await _vanish_before_result(service)
                 cancelled = service.stats.cancelled
                 failed = service.stats.failed
                 completed = service.stats.completed
@@ -424,7 +422,7 @@ class TestDisconnectMidPaging:
             ))
             await fleet.start()
             try:
-                await _vanish_mid_paging(fleet)
+                await _vanish_before_result(fleet)
                 for _ in range(600):
                     if fleet.stats.cancelled:
                         break

@@ -46,9 +46,8 @@ class TestProtocol:
         events = asyncio.run(_round_trip(
             [{"backend": "rule", "count": 4, "seed": 3}]
         ))
-        kinds = [e["event"] for e in events]
-        assert kinds[0] == "accepted"
-        assert "chunk" in kinds
+        # One delivery per request: accepted, then the one result.
+        assert [e["event"] for e in events] == ["accepted", "result"]
         (result,) = _results(events)
         assert result["attempts"] == 4
         assert result["legal"] <= 4

@@ -361,18 +361,6 @@ class TestStageTelemetry:
 
 
 class TestStreaming:
-    def test_chunks_then_final_result(self, deck):
-        request = GenerationRequest(backend="rule", count=65, seed=1, deck=deck)
-        with ServiceClient() as client:
-            ticket = client.submit(request)
-            chunks = list(ticket.chunks())
-            final = ticket.result()
-        assert [len(c.raws) for c in chunks] == [32, 32, 1]
-        assert sum(c.attempts for c in chunks) == final.attempts == 65
-        streamed = [raw for chunk in chunks for raw in chunk.raws]
-        for raw, clip in zip(streamed, final.clips):
-            np.testing.assert_array_equal(raw, clip)
-
     def test_result_without_consuming_chunks(self, deck):
         request = GenerationRequest(backend="rule", count=3, seed=2, deck=deck)
         with ServiceClient() as client:

@@ -27,7 +27,12 @@ Checks ``README.md`` plus every ``docs/*.md`` page:
    prose (``repro.engine.BatchExecutor``, optionally followed by
    ``()``) must resolve: the longest importable module prefix is
    imported and the rest looked up with ``getattr``, so a deleted class
-   or function cannot stay documented.
+   or function cannot stay documented.  A short ``Name.attr`` (or
+   ``Name.attr()``) must resolve the same way when ``Name`` is in the
+   ``__all__`` of ``repro`` or one of its subpackages, so a deleted
+   method cannot stay documented either; a dataclass field counts as
+   an attribute, and names exported nowhere (``CHANGES.md``) are
+   skipped.
 
 Exits non-zero with one line per problem; CI runs this as the docs job.
 """
@@ -35,7 +40,10 @@ Exits non-zero with one line per problem; CI runs this as the docs job.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
+import inspect
+import pkgutil
 import re
 import sys
 import textwrap
@@ -59,6 +67,8 @@ _PYTHON_M_RE = re.compile(r"python3?\s+-m\s+([A-Za-z_][\w.]*)")
 _FLAG_ROW_RE = re.compile(r"^\|\s*`(--[A-Za-z0-9][\w-]*)", re.MULTILINE)
 #: Backticked dotted name under the package, e.g. `repro.engine.plan()`.
 _NAME_RE = re.compile(r"`(repro(?:\.\w+)+)(?:\(\))?`")
+#: Backticked short attribute path, e.g. `ClientTicket.cancel()`.
+_ATTR_RE = re.compile(r"`([A-Za-z_]\w*)((?:\.\w+)+)(?:\(\))?`")
 
 _EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
 
@@ -195,12 +205,57 @@ def resolves(dotted: str) -> bool:
     return False
 
 
+@functools.lru_cache(maxsize=1)
+def exported_names() -> dict[str, list]:
+    """Every name in the ``__all__`` of ``repro`` or a subpackage, with
+    the objects it names (one name may be exported twice)."""
+    import repro
+
+    packages = ["repro"] + [
+        f"repro.{info.name}"
+        for info in pkgutil.iter_modules(repro.__path__)
+        if info.ispkg
+    ]
+    exported: dict[str, list] = {}
+    for name in packages:
+        module = importlib.import_module(name)
+        for export in getattr(module, "__all__", ()):
+            exported.setdefault(export, []).append(getattr(module, export))
+    return exported
+
+
+def has_path(target: object, attrs: list[str]) -> bool:
+    """``getattr`` along ``attrs``; a class's annotated (dataclass) field
+    counts, as it has no class attribute without a default."""
+    for attr in attrs:
+        if hasattr(target, attr):
+            target = getattr(target, attr)
+        elif isinstance(target, type) and any(
+            attr in inspect.get_annotations(cls) for cls in target.__mro__
+        ):
+            return True
+        else:
+            return False
+    return True
+
+
 def check_names(page: Path, prose: str, root: Path) -> list[str]:
-    return [
+    errors = [
         f"{page.relative_to(root)}: `{name}` names no module or attribute"
         for name in _NAME_RE.findall(prose)
         if not resolves(name)
     ]
+    exported = exported_names()
+    for head, rest in _ATTR_RE.findall(prose):
+        attrs = rest[1:].split(".")
+        if head in exported and not any(
+            has_path(target, attrs) for target in exported[head]
+        ):
+            errors.append(
+                f"{page.relative_to(root)}: `{head}{rest}` names no "
+                f"attribute of the exported `{head}`"
+            )
+    return errors
 
 
 def check_page(page: Path, root: Path = REPO_ROOT) -> list[str]:
